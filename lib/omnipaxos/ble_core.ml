@@ -48,14 +48,16 @@ let[@pure] init ?(priority = 0) ~ballot_n cfg =
 
 let[@pure] leader_ballot s = Option.value s.leader ~default:Ballot.bottom
 
-(* Insert keeping [replies] sorted by source id with at most one entry per
-   source — the order [Det.sorted_bindings] used to impose at read time,
-   maintained structurally instead. *)
+(* Insert keeping [replies] in descending source order with at most one
+   entry per source. Heartbeat replies arrive in ascending source order, so
+   the common insertion conses at the head instead of copying the list.
+   [check_round] only takes maxima and counts, so the order is not
+   observable. *)
 let[@pure] set_reply (src : int) v replies =
   let rec go = function
     | [] -> [ (src, v) ]
     | ((k, _) as hd) :: tl ->
-        if k < src then hd :: go tl
+        if k > src then hd :: go tl
         else if k = src then (src, v) :: tl
         else (src, v) :: hd :: tl
   in

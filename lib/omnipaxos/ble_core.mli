@@ -32,8 +32,8 @@ type state = {
   qc : bool;  (** quorum-connected as of the last completed round *)
   round : int;
   replies : (int * (Ballot.t * bool)) list;
-      (** replies of the open round: [(src, (ballot, qc))], sorted by [src],
-          at most one entry per source *)
+      (** replies of the open round: [(src, (ballot, qc))], in descending
+          [src] order, at most one entry per source *)
 }
 
 type input = Tick | Deliver of { src : int; msg : msg }

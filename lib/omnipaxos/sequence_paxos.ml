@@ -84,10 +84,16 @@ type t = {
   (* Prepare-phase state. *)
   promises : (int, promise_info) Hashtbl.t;
   buffer : Entry.t Queue.t;
-  (* Accept-phase state. *)
-  synced : (int, unit) Hashtbl.t;
-  acc_idx : (int, int) Hashtbl.t;
-  sent_idx : (int, int) Hashtbl.t;
+  (* Accept-phase state, one slot per pid in [0, width) where [width] is
+     one past the largest pid of [id :: peers]; iterating the slots in
+     index order is ascending pid order. [synced] marks followers that got
+     their AcceptSync; [acc_idx] (highest log index acknowledged in this
+     round) and [sent_idx] (next index to ship) hold -1 when absent.
+     [quorum_buf] is the scratch buffer of [quorum_idx]. *)
+  synced : bool array;
+  acc_idx : int array;
+  sent_idx : int array;
+  quorum_buf : int array;
   (* Adaptive-batching state (see batching.mli). [batch_cap] is the AIMD
      per-Accept entry cap; [unflushed] counts leader appends since the last
      flush (the size trigger); [ticks_since_flush] drives the deadline.
@@ -124,6 +130,7 @@ let create ~id ~peers ~persistent ?(batching = Batching.fixed)
     ?(compaction = Compaction.disabled) ~send ?(on_decide = fun _ -> ())
     ?snapshotter ?(on_snapshot = fun _ _ -> ()) () =
   let n_total = List.length peers + 1 in
+  let width = 1 + List.fold_left max id peers in
   let batching = Batching.validated batching in
   let compaction = Compaction.validated compaction in
   {
@@ -140,9 +147,10 @@ let create ~id ~peers ~persistent ?(batching = Batching.fixed)
     role = Follower;
     promises = Hashtbl.create 8;
     buffer = Queue.create ();
-    synced = Hashtbl.create 8;
-    acc_idx = Hashtbl.create 8;
-    sent_idx = Hashtbl.create 8;
+    synced = Array.make width false;
+    acc_idx = Array.make width (-1);
+    sent_idx = Array.make width (-1);
+    quorum_buf = Array.make (width + 1) 0;
     batch_cap = batching.Batching.min_batch;
     unflushed = 0;
     ticks_since_flush = 0;
@@ -171,6 +179,13 @@ let log_length t = Log.length t.dur.log
 let read_decided t ~from =
   let from = max from (Log.first_idx t.dur.log) in
   Log.sub t.dur.log ~pos:from ~len:(t.dur.decided_idx - from)
+
+let iter_decided t ~from ~upto f =
+  let upto = min upto t.dur.decided_idx in
+  for i = max from (Log.first_idx t.dur.log) to upto - 1 do
+    f (Log.get t.dur.log i)
+  done
+
 let read_log t = t.dur.log
 let is_stopped t = Option.is_some t.ss_idx
 
@@ -290,21 +305,47 @@ let adopt_snapshot_suffix t ~idx ~payload ~suffix =
     sync_log t ~at suffix
   end
 
-(* Largest log index accepted (in this round) by a quorum — the same
-   statistic [try_decide] uses, reused as the compaction watermark bound:
-   never trim an entry some quorum has not confirmed, or the Prepare phase
-   of a future leader could need it. *)
-let quorum_acc_idx t =
-  let values =
-    Log.length t.dur.log
-    :: List.map snd
-        (Replog.Det.sorted_bindings ~compare_key:Int.compare t.acc_idx)
-  in
-  if List.length values >= t.quorum then begin
-    let sorted = List.sort (fun a b -> Int.compare b a) values in
-    List.nth sorted (t.quorum - 1)
+(* Insert [v] into [buf.(0 .. n-1)], kept in descending order. *)
+let rec insert_desc (buf : int array) n v =
+  if n > 0 && buf.(n - 1) < v then begin
+    buf.(n) <- buf.(n - 1);
+    insert_desc buf (n - 1) v
   end
-  else 0
+  else buf.(n) <- v
+
+(* Insert the slots [acc_idx.(p ..)] holding a value above [above] into
+   [buf], which holds [n] such values already; returns the new count. *)
+let rec gather_above (acc_idx : int array) buf ~above p n =
+  if p = Array.length acc_idx then n
+  else
+    let v = acc_idx.(p) in
+    if v > above then begin
+      insert_desc buf n v;
+      gather_above acc_idx buf ~above (p + 1) (n + 1)
+    end
+    else gather_above acc_idx buf ~above (p + 1) n
+
+(* Largest log index accepted (in this round) by a quorum, counting our own
+   log as accepted: the [quorum]-th largest of our log length and the
+   present [acc_idx] slots, or [above] when fewer than [quorum] of them
+   exceed [above]. Only values above [above] enter the scratch buffer, so
+   an Accepted that moves nothing past the decided index costs one
+   allocation-free scan. *)
+let quorum_idx t ~above =
+  let len = Log.length t.dur.log in
+  let n =
+    if len > above then begin
+      t.quorum_buf.(0) <- len;
+      1
+    end
+    else 0
+  in
+  let n = gather_above t.acc_idx t.quorum_buf ~above 0 n in
+  if n >= t.quorum then t.quorum_buf.(t.quorum - 1) else above
+
+(* The compaction watermark bound: never trim an entry some quorum has not
+   confirmed, or the Prepare phase of a future leader could need it. *)
+let quorum_acc_idx t = quorum_idx t ~above:0
 
 (* Never trim a decided stop-sign away: [stop_sign] reads it from the log
    (late-transitioning servers in a reconfiguration still need it), and the
@@ -356,23 +397,22 @@ let advance_decided t d =
     maybe_compact t
   end
 
-(* Leader: largest index accepted (in this round) by a quorum. *)
+(* Leader: decide the largest index accepted (in this round) by a quorum,
+   and tell the synced followers in ascending pid order. *)
 let try_decide t =
-  let values =
-    Log.length t.dur.log
-    :: List.map snd (Replog.Det.sorted_bindings ~compare_key:Int.compare t.acc_idx)
-  in
-  if List.length values >= t.quorum then begin
-    let sorted = List.sort (fun a b -> Int.compare b a) values in
-    let decidable = List.nth sorted (t.quorum - 1) in
-    if decidable > t.dur.decided_idx then begin
-      advance_decided t decidable;
-      let decide = Decide { n = t.dur.prom_rnd; decided_idx = decidable } in
-      Replog.Det.iter_sorted ~compare_key:Int.compare
-        (fun f () -> t.send ~dst:f decide)
-        t.synced
-    end
+  let decidable = quorum_idx t ~above:t.dur.decided_idx in
+  if decidable > t.dur.decided_idx then begin
+    advance_decided t decidable;
+    let decide = Decide { n = t.dur.prom_rnd; decided_idx = decidable } in
+    for f = 0 to Array.length t.synced - 1 do
+      if t.synced.(f) then t.send ~dst:f decide
+    done
   end
+
+let reset_followers t =
+  Array.fill t.synced 0 (Array.length t.synced) false;
+  Array.fill t.acc_idx 0 (Array.length t.acc_idx) (-1);
+  Array.fill t.sent_idx 0 (Array.length t.sent_idx) (-1)
 
 (* Send the AcceptSync that makes follower [f]'s log a prefix of ours: if the
    follower accepted in the same round as the adopted log, its log is already
@@ -415,8 +455,8 @@ let accept_sync_follower t ~dst ~(info : promise_info) ~max_acc_rnd =
          decided_idx = t.dur.decided_idx;
          snapshot;
        });
-  Hashtbl.replace t.synced dst ();
-  Hashtbl.replace t.sent_idx dst (Log.length t.dur.log)
+  t.synced.(dst) <- true;
+  t.sent_idx.(dst) <- Log.length t.dur.log
 
 (* Prepare phase completion: adopt the most updated log among the quorum of
    promises (P2c), append buffered proposals, and synchronise followers. *)
@@ -469,9 +509,7 @@ let complete_prepare t =
     t.buffer;
   Queue.clear t.buffer;
   t.role <- Leader_accept;
-  Hashtbl.reset t.synced;
-  Hashtbl.reset t.acc_idx;
-  Hashtbl.reset t.sent_idx;
+  reset_followers t;
   advance_decided t max_decided;
   Replog.Det.iter_sorted ~compare_key:Int.compare
     (fun dst info -> accept_sync_follower t ~dst ~info ~max_acc_rnd)
@@ -481,9 +519,7 @@ let complete_prepare t =
 let start_prepare t =
   t.role <- Leader_prepare;
   Hashtbl.reset t.promises;
-  Hashtbl.reset t.synced;
-  Hashtbl.reset t.acc_idx;
-  Hashtbl.reset t.sent_idx;
+  reset_followers t;
   t.batch_cap <- t.batching.Batching.min_batch;
   t.unflushed <- 0;
   t.ticks_since_flush <- 0;
@@ -654,8 +690,7 @@ let on_accept t ~n ~start_idx ~entries ~l_decided_idx =
 
 let on_accepted t ~src ~n ~f_log_idx =
   if Ballot.equal n t.dur.prom_rnd && role_is_leader_accept t.role then begin
-    let prev = Option.value (Hashtbl.find_opt t.acc_idx src) ~default:0 in
-    Hashtbl.replace t.acc_idx src (max prev f_log_idx);
+    t.acc_idx.(src) <- max t.acc_idx.(src) f_log_idx;
     try_decide t
   end
 
@@ -685,12 +720,7 @@ let on_trim t ~n ~trim_idx =
 let request_trim t ~upto =
   let upto = trim_cap t ~upto in
   let all_peers_accepted =
-    List.for_all
-      (fun p ->
-        match Hashtbl.find_opt t.acc_idx p with
-        | Some acc -> acc >= upto
-        | None -> false)
-      t.peers
+    List.for_all (fun p -> t.acc_idx.(p) >= 0 && t.acc_idx.(p) >= upto) t.peers
   in
   if role_is_leader_accept t.role && upto <= t.dur.decided_idx
      && all_peers_accepted
@@ -710,9 +740,9 @@ let request_trim t ~upto =
 let resend_prepare_to t ~dst =
   (* The peer lost messages (session drop or recovery): treat it as
      unpromised and restart its synchronisation from a fresh Prepare. *)
-  Hashtbl.remove t.synced dst;
-  Hashtbl.remove t.acc_idx dst;
-  Hashtbl.remove t.sent_idx dst;
+  t.synced.(dst) <- false;
+  t.acc_idx.(dst) <- -1;
+  t.sent_idx.(dst) <- -1;
   Hashtbl.remove t.promises dst;
   if Obs.Trace.on () then
     Obs.Trace.emit ~node:t.id
@@ -731,40 +761,50 @@ let resend_prepare_to t ~dst =
          decided_idx = t.dur.decided_idx;
        })
 
+(* The follower arrays cover [0, width) only. Simnet and [Rsm.Reconfig]
+   route messages within one configuration, so a pid outside that range is
+   not a member: its messages and session resets are dropped. *)
+let in_range t pid = pid >= 0 && pid < Array.length t.synced
+
 let handle t ~src msg =
-  match msg with
-  | Prepare { n; acc_rnd; log_idx; decided_idx } ->
-      on_prepare t ~src ~n ~l_acc_rnd:acc_rnd ~l_log_idx:log_idx
-        ~l_decided_idx:decided_idx
-  | Promise { n; acc_rnd; log_idx; decided_idx; suffix_from; suffix; snapshot }
-    ->
-      on_promise t ~src ~n
-        ~info:
-          {
-            p_acc_rnd = acc_rnd;
-            p_log_idx = log_idx;
-            p_decided_idx = decided_idx;
-            p_suffix_from = suffix_from;
-            p_suffix = suffix;
-            p_snapshot = snapshot;
-          }
-  | Accept_sync { n; sync_idx; suffix; decided_idx; snapshot } ->
-      on_accept_sync t ~n ~sync_idx ~suffix ~l_decided_idx:decided_idx
-        ~snapshot
-  | Accept { n; start_idx; entries; decided_idx } ->
-      on_accept t ~n ~start_idx ~entries ~l_decided_idx:decided_idx
-  | Accepted { n; log_idx } -> on_accepted t ~src ~n ~f_log_idx:log_idx
-  | Decide { n; decided_idx } -> on_decide_msg t ~n ~l_decided_idx:decided_idx
-  | Trim { n; trim_idx } -> on_trim t ~n ~trim_idx
-  | Prepare_req -> if is_leader t then resend_prepare_to t ~dst:src
+  if in_range t src then
+    match msg with
+    | Prepare { n; acc_rnd; log_idx; decided_idx } ->
+        on_prepare t ~src ~n ~l_acc_rnd:acc_rnd ~l_log_idx:log_idx
+          ~l_decided_idx:decided_idx
+    | Promise
+        { n; acc_rnd; log_idx; decided_idx; suffix_from; suffix; snapshot } ->
+        on_promise t ~src ~n
+          ~info:
+            {
+              p_acc_rnd = acc_rnd;
+              p_log_idx = log_idx;
+              p_decided_idx = decided_idx;
+              p_suffix_from = suffix_from;
+              p_suffix = suffix;
+              p_snapshot = snapshot;
+            }
+    | Accept_sync { n; sync_idx; suffix; decided_idx; snapshot } ->
+        on_accept_sync t ~n ~sync_idx ~suffix ~l_decided_idx:decided_idx
+          ~snapshot
+    | Accept { n; start_idx; entries; decided_idx } ->
+        on_accept t ~n ~start_idx ~entries ~l_decided_idx:decided_idx
+    | Accepted { n; log_idx } -> on_accepted t ~src ~n ~f_log_idx:log_idx
+    | Decide { n; decided_idx } ->
+        on_decide_msg t ~n ~l_decided_idx:decided_idx
+    | Trim { n; trim_idx } -> on_trim t ~n ~trim_idx
+    | Prepare_req -> if is_leader t then resend_prepare_to t ~dst:src
 
 (* One flush: per promised follower, send the entries proposed since its
    last batch, capped per Accept ([batch_cap] under the adaptive policy,
    [max_batch] under the fixed one) — a backlog larger than one cap streams
-   as a pipeline of batches across successive flushes. The adaptive cap is
-   AIMD: it doubles towards [max_batch] while flushes run at capacity and
-   halves towards [min_batch] once the backlog drains, so frame sizes track
-   the offered load. *)
+   as a pipeline of batches across successive flushes. The Accept message
+   (and its entry list) is built once per [(start_idx, count)] run: in the
+   steady state every follower sits at the same position, so one immutable
+   batch is handed to all of them. The adaptive cap is AIMD: it doubles
+   towards [max_batch] while flushes run at capacity and halves towards
+   [min_batch] once the backlog drains, so frame sizes track the offered
+   load. *)
 let do_flush t ~trigger =
   let b = t.batching in
   let cap = if b.Batching.adaptive then t.batch_cap else b.Batching.max_batch in
@@ -772,10 +812,11 @@ let do_flush t ~trigger =
   let max_lag = ref 0 in
   let sent_entries = ref 0 in
   let sent_followers = ref 0 in
+  let shared = ref None in
   let floor = Log.first_idx t.dur.log in
-  Replog.Det.iter_sorted ~compare_key:Int.compare
-    (fun f () ->
-      let from = Option.value (Hashtbl.find_opt t.sent_idx f) ~default:len in
+  for f = 0 to Array.length t.synced - 1 do
+    if t.synced.(f) then begin
+      let from = if t.sent_idx.(f) < 0 then len else t.sent_idx.(f) in
       if from < floor then begin
         (* The follower's unsent backlog starts below the trim point (it
            lagged past a compaction): the entries are gone, so repair with
@@ -798,7 +839,7 @@ let do_flush t ~trigger =
                decided_idx = t.dur.decided_idx;
                snapshot = Some (floor, snapshot_bytes t);
              });
-        Hashtbl.replace t.sent_idx f len
+        t.sent_idx.(f) <- len
       end
       else if from < len then begin
         max_lag := max !max_lag (len - from);
@@ -813,17 +854,27 @@ let do_flush t ~trigger =
                  start_idx = from;
                  count;
                });
-        t.send ~dst:f
-          (Accept
-             {
-               n = t.dur.prom_rnd;
-               start_idx = from;
-               entries = Log.sub t.dur.log ~pos:from ~len:count;
-               decided_idx = t.dur.decided_idx;
-             });
-        Hashtbl.replace t.sent_idx f (from + count)
-      end)
-    t.synced;
+        let accept =
+          match !shared with
+          | Some (s_from, s_count, m) when s_from = from && s_count = count -> m
+          | Some _ | None ->
+              let m =
+                Accept
+                  {
+                    n = t.dur.prom_rnd;
+                    start_idx = from;
+                    entries = Log.sub t.dur.log ~pos:from ~len:count;
+                    decided_idx = t.dur.decided_idx;
+                  }
+              in
+              shared := Some (from, count, m);
+              m
+        in
+        t.send ~dst:f accept;
+        t.sent_idx.(f) <- from + count
+      end
+    end
+  done;
   if !sent_followers > 0 && Obs.Trace.on () then
     Obs.Trace.emit ~node:t.id
       (Obs.Event.Batch_flush
@@ -900,7 +951,8 @@ let recover t =
   List.iter (fun peer -> t.send ~dst:peer Prepare_req) t.peers
 
 let session_reset t ~peer =
-  if is_leader t then resend_prepare_to t ~dst:peer
+  if not (in_range t peer) then ()
+  else if is_leader t then resend_prepare_to t ~dst:peer
   else t.send ~dst:peer Prepare_req
 
 let entries_size entries =

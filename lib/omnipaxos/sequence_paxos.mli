@@ -98,6 +98,8 @@ val create :
     machine. *)
 
 val handle : t -> src:int -> msg -> unit
+(** Messages from a pid outside [\[0, 1 + max (id :: peers))] — never a
+    member of this configuration — are dropped. *)
 
 val handle_leader : t -> Ballot.t -> unit
 (** Leader event from BLE: if the ballot is ours and higher than anything
@@ -129,7 +131,8 @@ val recover : t -> unit
 
 val session_reset : t -> peer:int -> unit
 (** Link session drop/re-establishment with [peer] (§4.1.3): a leader
-    re-sends [Prepare] to that peer; a follower sends [Prepare_req]. *)
+    re-sends [Prepare] to that peer; a follower sends [Prepare_req]. A
+    no-op for a pid outside the range [handle] accepts. *)
 
 (** {1 Observers} *)
 
@@ -144,6 +147,11 @@ val decided_idx : t -> int
 val log_length : t -> int
 val read_decided : t -> from:int -> Entry.t list
 (** Decided entries from [from] (clamped to the trim point). *)
+
+val iter_decided : t -> from:int -> upto:int -> (Entry.t -> unit) -> unit
+(** Apply the function, in log order, to the decided entries at positions
+    [\[from, upto)], clamped to the trim point and the decided index. Reads
+    the log in place: nothing is allocated. *)
 
 val read_log : t -> Entry.t Replog.Log.t
 val is_stopped : t -> bool

@@ -55,15 +55,12 @@ module type CORE = sig
       are skipped. Called with [from < upto <= decided_index]. *)
 end
 
-(* Apply [f] to the command ids of the Sequence Paxos entries at positions
-   [\[i, upto)] of [entries], which starts at position [i]. *)
-let rec iter_entries f ~upto i = function
-  | e :: rest when i < upto ->
-      (match e with
-      | Omnipaxos.Entry.Cmd c -> f c.Replog.Command.id
-      | Omnipaxos.Entry.Stop_sign _ -> ());
-      iter_entries f ~upto (i + 1) rest
-  | _ :: _ | [] -> ()
+(* Apply [f] to the command ids of the decided Sequence Paxos entries at
+   positions [\[from, upto)], read in place from the log. *)
+let iter_sp_decided sp ~from ~upto f =
+  Omnipaxos.Sequence_paxos.iter_decided sp ~from ~upto (function
+    | Omnipaxos.Entry.Cmd c -> f c.Replog.Command.id
+    | Omnipaxos.Entry.Stop_sign _ -> ())
 
 module Make (Core : CORE) : sig
   include Protocol.PROTOCOL with type msg = Core.msg

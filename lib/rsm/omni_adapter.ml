@@ -48,7 +48,7 @@ module Core = struct
   let msg_size = R.msg_size
 
   let iter_decided c ~from ~upto f =
-    Adapter.iter_entries f ~upto from (R.read_decided c.replica ~from)
+    Adapter.iter_sp_decided (R.sequence_paxos c.replica) ~from ~upto f
 end
 
 module Base = Adapter.Make (Core)

@@ -47,8 +47,7 @@ module Core = struct
   let msg_size = N.msg_size
 
   let iter_decided c ~from ~upto f =
-    Adapter.iter_entries f ~upto from
-      (Omnipaxos.Sequence_paxos.read_decided (N.sequence_paxos c.node) ~from)
+    Adapter.iter_sp_decided (N.sequence_paxos c.node) ~from ~upto f
 end
 
 include Adapter.Make (Core)

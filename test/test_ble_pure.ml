@@ -140,8 +140,8 @@ let test_reply_set_sorted_and_deduped () =
   let s = fst (C.step h.cfgs.(0) s (reply 1 1)) in
   let s = fst (C.step h.cfgs.(0) s (reply 4 1)) in
   let s = fst (C.step h.cfgs.(0) s (reply 1 9)) in
-  check "sorted by source, one entry per source" true
-    (List.map fst s.C.replies = [ 1; 3; 4 ]);
+  check "descending by source, one entry per source" true
+    (List.map fst s.C.replies = [ 4; 3; 1 ]);
   check "latest reply from a source wins" true
     (match List.assoc 1 s.C.replies with b, _ -> b.Ballot.n = 9);
   let s' = fst (C.step h.cfgs.(0) s (reply 2 1)) in
@@ -151,7 +151,7 @@ let test_reply_set_sorted_and_deduped () =
          { src = 2; msg = C.Hb_reply { round = 5; ballot = Ballot.initial ~pid:2 (); qc = true } }
      in
      (fst (C.step h.cfgs.(0) s stale)).C.replies = s.C.replies
-     && List.map fst s'.C.replies = [ 1; 2; 3; 4 ])
+     && List.map fst s'.C.replies = [ 4; 3; 2; 1 ])
 
 let test_initial_election () =
   let h = make 3 in

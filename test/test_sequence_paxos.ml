@@ -388,6 +388,197 @@ let prop_convergence =
       && ids_of h.nodes.(1) = l0
       && ids_of h.nodes.(2) = l0)
 
+(* ---------------- leader fan-out ---------------- *)
+
+(* An empty promise, as from a fresh follower. *)
+let promise b =
+  Sp.Promise
+    {
+      n = b;
+      acc_rnd = Ballot.bottom;
+      log_idx = 0;
+      decided_idx = 0;
+      suffix_from = 0;
+      suffix = [];
+      snapshot = None;
+    }
+
+(* A leader (pid 0) over followers [1, n) that exist only as synthetic
+   messages: every follower promises, so all of them are synced. *)
+let make_leader ?(send = fun ~dst:_ _ -> ()) ?compaction n =
+  let peers = List.init (n - 1) (fun i -> i + 1) in
+  let sp =
+    Sp.create ~id:0 ~peers ~persistent:(Sp.fresh_persistent ()) ?compaction
+      ~send ()
+  in
+  let b = ballot 1 0 in
+  Sp.handle_leader sp b;
+  List.iter (fun p -> Sp.handle sp ~src:p (promise b)) peers;
+  (sp, b)
+
+(* The decidable index computed the way the leader used to: sort the
+   leader's log length and every acknowledged index, take the quorum-th. *)
+let reference_decidable ~quorum ~len acc =
+  let values = len :: List.filter (fun v -> v >= 0) (Array.to_list acc) in
+  if List.length values >= quorum then
+    List.nth (List.sort (fun a b -> Int.compare b a) values) (quorum - 1)
+  else 0
+
+let rec strictly_ascending = function
+  | a :: (b :: _ as rest) -> a < b && strictly_ascending rest
+  | [ _ ] | [] -> true
+
+(* Random Accepted (duplicates and lower re-acks included), Prepare_req,
+   session resets, re-promises and proposals against a model of the
+   follower set: the leader decides exactly what the sorted-list reference
+   decides, Decides go to the synced followers in ascending pid order, and
+   Accepts to a subset of them, also ascending. Compaction runs on every
+   decide and trims up to the quorum-confirmed index, which at a decide is
+   the decided index itself — so the trim point checks the compaction
+   bound too. *)
+let prop_decided_matches_reference =
+  QCheck.Test.make ~name:"leader decided index matches the sorted reference"
+    ~count:300
+    QCheck.(
+      pair (int_range 1 33)
+        (small_list (triple (int_bound 5) small_nat small_nat)))
+    (fun (n, ops) ->
+      let sent = ref [] in
+      let sp, b =
+        make_leader
+          ~send:(fun ~dst m -> sent := (dst, m) :: !sent)
+          ~compaction:(Omnipaxos.Compaction.make 1) n
+      in
+      let quorum = (n / 2) + 1 in
+      let acc = Array.make n (-1) in
+      let synced = Array.init n (fun p -> p > 0) in
+      let decided = ref 0 in
+      let synced_list () =
+        List.filter (fun p -> synced.(p)) (List.init n Fun.id)
+      in
+      let recipients pick =
+        List.rev
+          (List.filter_map
+             (fun (dst, m) -> if pick m then Some dst else None)
+             !sent)
+      in
+      let is_decide = function Sp.Decide _ -> true | _ -> false in
+      let is_accept = function Sp.Accept _ -> true | _ -> false in
+      let propose_and_flush k =
+        for i = 1 to k do
+          ignore (Sp.propose sp (cmd i))
+        done;
+        Sp.flush sp;
+        if quorum = 1 then decided := Sp.log_length sp
+      in
+      let step (tag, a, x) =
+        sent := [];
+        let len = Sp.log_length sp in
+        let p = if n > 1 then 1 + (a mod (n - 1)) else 0 in
+        let expect_decide = ref false in
+        (match tag with
+        | 0 | 1 when n > 1 ->
+            let idx = x mod (len + 1) in
+            Sp.handle sp ~src:p (Sp.Accepted { n = b; log_idx = idx });
+            acc.(p) <- max (max 0 acc.(p)) idx;
+            let d = reference_decidable ~quorum ~len acc in
+            if d > !decided then begin
+              decided := d;
+              expect_decide := true
+            end
+        | 2 when n > 1 ->
+            Sp.handle sp ~src:p Sp.Prepare_req;
+            acc.(p) <- -1;
+            synced.(p) <- false
+        | 3 when n > 1 ->
+            Sp.session_reset sp ~peer:p;
+            acc.(p) <- -1;
+            synced.(p) <- false
+        | 4 when n > 1 ->
+            Sp.handle sp ~src:p (promise b);
+            synced.(p) <- true
+        | _ -> propose_and_flush (x mod 6));
+        let decides = recipients is_decide in
+        let accepts = recipients is_accept in
+        Sp.decided_idx sp = !decided
+        && Sp.first_idx sp = !decided
+        && decides = (if !expect_decide then synced_list () else [])
+        && strictly_ascending accepts
+        && List.for_all (fun p -> synced.(p)) accepts
+      in
+      propose_and_flush 16;
+      List.for_all step ops)
+
+let steady_leader n ~entries =
+  let sp, b = make_leader n in
+  for i = 1 to entries do
+    ignore (Sp.propose sp (cmd i))
+  done;
+  Sp.flush sp;
+  for p = 1 to n - 1 do
+    Sp.handle sp ~src:p (Sp.Accepted { n = b; log_idx = entries })
+  done;
+  (sp, b)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* An Accepted that moves nothing past the decided index allocates the same
+   (nothing) whatever the cluster width: no per-follower list, sort or
+   closure on the leader's ack path. *)
+let test_accepted_alloc_flat () =
+  let cost n =
+    let sp, b = steady_leader n ~entries:8 in
+    check_int "steady state decided" 8 (Sp.decided_idx sp);
+    let acks =
+      Array.init 1000 (fun i ->
+          (1 + (i mod (n - 1)), Sp.Accepted { n = b; log_idx = 8 - (i mod 3) }))
+    in
+    let words =
+      minor_words (fun () ->
+          Array.iter (fun (src, m) -> Sp.handle sp ~src m) acks)
+    in
+    check_int "nothing new decided" 8 (Sp.decided_idx sp);
+    words
+  in
+  Alcotest.(check (float 0.)) "1000 acks cost the same words at n=5 and n=33"
+    (cost 5) (cost 33)
+
+(* A flush to every follower builds one entry list and one Accept: the
+   extra words of 32 followers over 4 do not grow with the batch size. *)
+let test_flush_shares_batch () =
+  let flush_words n ~batch =
+    let sp, _ = steady_leader n ~entries:8 in
+    for i = 1 to batch do
+      ignore (Sp.propose sp (cmd (100 + i)))
+    done;
+    minor_words (fun () -> Sp.flush sp)
+  in
+  let extra batch = flush_words 33 ~batch -. flush_words 5 ~batch in
+  Alcotest.(check (float 0.)) "n=33 minus n=5 independent of the batch"
+    (extra 1) (extra 50)
+
+(* Pids outside [0, 1 + max (id :: peers)) are not members: their messages
+   and session resets are dropped instead of indexing the follower arrays. *)
+let test_out_of_range_pid_dropped () =
+  let sent = ref 0 in
+  let sp, b = make_leader ~send:(fun ~dst:_ _ -> incr sent) 3 in
+  ignore (Sp.propose sp (cmd 0));
+  Sp.flush sp;
+  let before = !sent in
+  List.iter
+    (fun src ->
+      Sp.handle sp ~src (Sp.Accepted { n = b; log_idx = 1 });
+      Sp.handle sp ~src Sp.Prepare_req;
+      Sp.session_reset sp ~peer:src)
+    [ 3; 7; -1 ];
+  check_int "non-members decide nothing" 0 (Sp.decided_idx sp);
+  check_int "and trigger no sends" before !sent;
+  Sp.handle sp ~src:2 (Sp.Accepted { n = b; log_idx = 1 });
+  check_int "a member's ack still decides" 1 (Sp.decided_idx sp)
+
 let () =
   Alcotest.run "sequence_paxos"
     [
@@ -433,5 +624,18 @@ let () =
           Alcotest.test_case "snapshot repairs below trim" `Quick
             test_snapshot_repairs_below_trim;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_convergence ]);
+      ( "fan-out",
+        [
+          Alcotest.test_case "out-of-range pid dropped" `Quick
+            test_out_of_range_pid_dropped;
+          Alcotest.test_case "accepted allocation flat in n" `Quick
+            test_accepted_alloc_flat;
+          Alcotest.test_case "flush shares one batch" `Quick
+            test_flush_shares_batch;
+        ] );
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest prop_convergence;
+          QCheck_alcotest.to_alcotest prop_decided_matches_reference;
+        ] );
     ]
