@@ -6,7 +6,11 @@
    readable report envelope; [print] selects whether the human-readable
    tables also go to stdout. Everything in the JSON is a pure function of
    the simulation results (no wall-clock, no filesystem state), which is
-   what makes the double-run comparison meaningful. *)
+   what makes the double-run comparison meaningful. The exceptions are
+   wall-clock fields, whose names end in _ci so the compare gate ignores
+   them: the determinism check blanks the rates among them (names ending
+   in _per_s_ci) and does not double-run trace_scale, whose other
+   wall-clock fields it cannot blank. *)
 
 module E = Rsm.Experiments
 module Series = Rsm.Metrics.Series
@@ -955,11 +959,52 @@ let run_trace_scale ~quick ~print =
   envelope ~section:"trace_scale" ~seeds:[ seed ] ~quick
     ~rows:(J.List [ row ])
 
+(* ------------------------------------------------------------------ *)
+(* Model checking the real Sequence Paxos                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The default test suite's configurations, so this row is the budget
+   guard of test_mcheck: state and install counts are deterministic and
+   gated exactly; states/s is host CPU time, a _ci field the compare gate
+   ignores. Quick and full runs are the same. *)
+let run_mcheck ~quick ~print =
+  header print
+    "Model checking the real Sequence Paxos (the test_mcheck configurations;\n\
+     states and installs are deterministic, states/s is host CPU time)";
+  say print "%-34s %9s %9s %10s %12s\n" "configuration" "states" "installs"
+    "exhausted" "states/s";
+  let rows =
+    List.map
+      (fun (name, cfg) ->
+        let t0 = Sys.time () in
+        let r = Mcheck.Explore.run cfg in
+        let rate =
+          float_of_int r.Mcheck.Explore.states
+          /. Float.max (Sys.time () -. t0) 1e-9
+        in
+        let exhausted = not r.Mcheck.Explore.truncated in
+        let violation = Option.is_some r.Mcheck.Explore.violation in
+        say print "%-34s %9d %9d %10s %12.0f%s\n" name r.Mcheck.Explore.states
+          r.Mcheck.Explore.installs (mark exhausted) rate
+          (if violation then "  VIOLATION" else "");
+        J.Obj
+          [
+            ("config", J.String name);
+            ("states", J.Int r.Mcheck.Explore.states);
+            ("installs", J.Int r.Mcheck.Explore.installs);
+            ("exhausted", J.Bool exhausted);
+            ("violation", J.Bool violation);
+            ("states_per_s_ci", J.float rate);
+          ])
+      Mcheck.Explore.default_configs
+  in
+  envelope ~section:"mcheck" ~seeds:[] ~quick ~rows:(J.List rows)
+
 let all_names =
   [
     "table1"; "fig7"; "fig8a"; "fig8b"; "fig8c"; "fig9a"; "fig9b"; "fig9c";
     "ablations"; "policy"; "micro"; "recovery"; "profile"; "compaction";
-    "trace_scale";
+    "trace_scale"; "mcheck";
   ]
 
 let run name ~quick ~print =
@@ -1018,4 +1063,5 @@ let run name ~quick ~print =
   | "profile" -> Some (run_profile ~quick ~print)
   | "compaction" -> Some (run_compaction ~quick ~print)
   | "trace_scale" -> Some (run_trace_scale ~quick ~print)
+  | "mcheck" -> Some (run_mcheck ~quick ~print)
   | _ -> None

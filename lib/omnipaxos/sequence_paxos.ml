@@ -955,6 +955,80 @@ let session_reset t ~peer =
   else if is_leader t then resend_prepare_to t ~dst:peer
   else t.send ~dst:peer Prepare_req
 
+(* Model-checker support (lib/mcheck). [copy] is a record literal and
+   [state_key] a record pattern naming every field, so a new field fails to
+   compile here until it is copied and keyed. *)
+
+let copy_persistent
+    { log; prom_rnd; acc_rnd; decided_idx; app; snap_client_cmds } =
+  let log = Log.copy log and app = Replog.Kv.copy app in
+  { log; prom_rnd; acc_rnd; decided_idx; app; snap_client_cmds }
+
+let copy t =
+  {
+    id = t.id;
+    peers = t.peers;
+    quorum = t.quorum;
+    dur = copy_persistent t.dur;
+    send = t.send;
+    on_decide = t.on_decide;
+    snapshotter = t.snapshotter;
+    on_snapshot = t.on_snapshot;
+    batching = t.batching;
+    compaction = t.compaction;
+    role = t.role;
+    promises = Hashtbl.copy t.promises;
+    buffer = Queue.copy t.buffer;
+    synced = Array.copy t.synced;
+    acc_idx = Array.copy t.acc_idx;
+    sent_idx = Array.copy t.sent_idx;
+    quorum_buf = Array.copy t.quorum_buf;
+    batch_cap = t.batch_cap;
+    unflushed = t.unflushed;
+    ticks_since_flush = t.ticks_since_flush;
+    acked_idx = t.acked_idx;
+    ack_pending = t.ack_pending;
+    ss_idx = t.ss_idx;
+  }
+
+(* Marshalled without sharing, equal data gives equal bytes. Callbacks are
+   not state, and [quorum_idx] overwrites [quorum_buf] before reading it. *)
+let state_key
+    {
+      id;
+      peers;
+      quorum;
+      dur = { log; prom_rnd; acc_rnd; decided_idx; app; snap_client_cmds };
+      send = _;
+      on_decide = _;
+      snapshotter;
+      on_snapshot = _;
+      batching;
+      compaction;
+      role;
+      promises;
+      buffer;
+      synced;
+      acc_idx;
+      sent_idx;
+      quorum_buf = _;
+      batch_cap;
+      unflushed;
+      ticks_since_flush;
+      acked_idx;
+      ack_pending;
+      ss_idx;
+    } =
+  Marshal.to_string
+    ( (id, peers, quorum, Log.first_idx log, Log.to_list log),
+      (prom_rnd, acc_rnd, decided_idx, Replog.Kv.snapshot app),
+      (snap_client_cmds, Option.is_some snapshotter, batching, compaction),
+      (role, Replog.Det.sorted_bindings ~compare_key:Int.compare promises),
+      (List.of_seq (Queue.to_seq buffer), synced, acc_idx, sent_idx),
+      (batch_cap, unflushed, ticks_since_flush, acked_idx, ack_pending, ss_idx)
+    )
+    [ Marshal.No_sharing ]
+
 let entries_size entries =
   List.fold_left (fun acc e -> acc + Entry.size e) 0 entries
 

@@ -181,3 +181,13 @@ val batch_cap : t -> int
 
 val msg_size : msg -> int
 (** Serialised size estimate in bytes, for IO accounting. *)
+
+(** {1 Model-checker support} Off the protocol's path: [lib/mcheck]
+    explores worlds of real instances, copying the ones a step touches. *)
+
+val copy : t -> t
+(** A deep copy, with a fresh [persistent] record; the callbacks are shared. *)
+
+val state_key : t -> string
+(** Every field but the callbacks, canonically encoded: instances with
+    equal keys behave identically on every input. *)

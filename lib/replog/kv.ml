@@ -8,6 +8,7 @@ type t = { table : (string, string) Hashtbl.t; mutable applied : int }
 type result = Ok_unit | Value of string option
 
 let create () = { table = Hashtbl.create 64; applied = 0 }
+let copy t = { table = Hashtbl.copy t.table; applied = t.applied }
 
 let apply t (cmd : Command.t) =
   t.applied <- t.applied + 1;

@@ -1,15 +1,15 @@
 (* Exhaustive model checking with message drops enabled — the largest
-   instances of the bounded Sequence Paxos exploration. These runs are too
-   slow for the default test suite; they sit behind the [slow] dune alias
-   (run with [dune build @slow]). The point over test_mcheck.ml's drop
-   cases: the space must be *exhausted* (non-truncated), so the "no SC1-SC3
-   violation" verdict covers every reachable interleaving including drops,
-   not just a truncated prefix. *)
+   instances of the bounded exploration of the real Sequence Paxos. The
+   competing-leaders case (two proposals, ~1M states) is too slow for the
+   default test suite; both sit behind the [slow] dune alias (run with
+   [dune build @slow]). The space must be *exhausted* (non-truncated), so
+   the "no violation" verdict covers every reachable interleaving including
+   drops, not just a truncated prefix. *)
 
 let check = Alcotest.(check bool)
 
-let b1 : Mcheck.Spec.ballot = (1, 0)
-let b2 : Mcheck.Spec.ballot = (2, 1)
+let b1 = Mcheck.Explore.ballot 1 0
+let b2 = Mcheck.Explore.ballot 2 1
 
 let exhaustive name (cfg : Mcheck.Explore.config) =
   let r = Mcheck.Explore.run cfg in
@@ -24,6 +24,7 @@ let test_single_leader_drops_exhaustive () =
     {
       leader_events = [ (0, b1) ];
       proposals = [ (0, 11); (0, 22) ];
+      session_resets = [];
       allow_drops = true;
       max_states = 50_000_000;
     }
@@ -33,6 +34,7 @@ let test_competing_leaders_drops_exhaustive () =
     {
       leader_events = [ (0, b1); (1, b2) ];
       proposals = [ (0, 11); (1, 22) ];
+      session_resets = [];
       allow_drops = true;
       max_states = 50_000_000;
     }

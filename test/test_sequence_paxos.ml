@@ -428,6 +428,52 @@ let rec strictly_ascending = function
   | a :: (b :: _ as rest) -> a < b && strictly_ascending rest
   | [ _ ] | [] -> true
 
+let propose_and_flush sp k =
+  for i = 1 to k do
+    ignore (Sp.propose sp (cmd i))
+  done;
+  Sp.flush sp
+
+(* Random operations on a leader from [make_leader]: a width n in [1, 33]
+   and (tag, a, x) triples with tags in [0, tags). [op_peer] picks the
+   follower an operation involves. *)
+let leader_ops ~tags =
+  QCheck.(
+    pair (int_range 1 33)
+      (small_list (triple (int_bound (tags - 1)) small_nat small_nat)))
+
+let op_peer ~n a = if n > 1 then 1 + (a mod (n - 1)) else 0
+
+(* Tags 0-1: an Accepted (duplicates and lower re-acks included); 2: a
+   Prepare_req; 3: a session reset; 4: a re-promise; 6: a higher round from
+   the follower deposes the leader and overwrites its log from a random
+   index; anything else (and every tag at n = 1): proposals and a flush. *)
+let leader_op sp b ~n (tag, a, x) =
+  let p = op_peer ~n a in
+  match tag with
+  | 0 | 1 when n > 1 ->
+      Sp.handle sp ~src:p
+        (Sp.Accepted { n = b; log_idx = x mod (Sp.log_length sp + 1) })
+  | 2 when n > 1 -> Sp.handle sp ~src:p Sp.Prepare_req
+  | 3 when n > 1 -> Sp.session_reset sp ~peer:p
+  | 4 when n > 1 -> Sp.handle sp ~src:p (promise b)
+  | 6 when n > 1 ->
+      let b' = ballot ((Sp.current_round sp).Ballot.n + 1) p in
+      let floor = Sp.first_idx sp and len = Sp.log_length sp in
+      Sp.handle sp ~src:p
+        (Sp.Prepare
+           { n = b'; acc_rnd = Ballot.bottom; log_idx = 0; decided_idx = 0 });
+      Sp.handle sp ~src:p
+        (Sp.Accept_sync
+           {
+             n = b';
+             sync_idx = floor + (x mod (len - floor + 1));
+             suffix = [ cmd (1000 + x) ];
+             decided_idx = 0;
+             snapshot = None;
+           })
+  | _ -> propose_and_flush sp (x mod 6)
+
 (* Random Accepted (duplicates and lower re-acks included), Prepare_req,
    session resets, re-promises and proposals against a model of the
    follower set: the leader decides exactly what the sorted-list reference
@@ -439,9 +485,7 @@ let rec strictly_ascending = function
 let prop_decided_matches_reference =
   QCheck.Test.make ~name:"leader decided index matches the sorted reference"
     ~count:300
-    QCheck.(
-      pair (int_range 1 33)
-        (small_list (triple (int_bound 5) small_nat small_nat)))
+    (leader_ops ~tags:6)
     (fun (n, ops) ->
       let sent = ref [] in
       let sp, b =
@@ -464,40 +508,25 @@ let prop_decided_matches_reference =
       in
       let is_decide = function Sp.Decide _ -> true | _ -> false in
       let is_accept = function Sp.Accept _ -> true | _ -> false in
-      let propose_and_flush k =
-        for i = 1 to k do
-          ignore (Sp.propose sp (cmd i))
-        done;
-        Sp.flush sp;
-        if quorum = 1 then decided := Sp.log_length sp
-      in
-      let step (tag, a, x) =
+      let step ((tag, a, x) as op) =
         sent := [];
         let len = Sp.log_length sp in
-        let p = if n > 1 then 1 + (a mod (n - 1)) else 0 in
+        let p = op_peer ~n a in
         let expect_decide = ref false in
+        leader_op sp b ~n op;
         (match tag with
         | 0 | 1 when n > 1 ->
-            let idx = x mod (len + 1) in
-            Sp.handle sp ~src:p (Sp.Accepted { n = b; log_idx = idx });
-            acc.(p) <- max (max 0 acc.(p)) idx;
+            acc.(p) <- max (max 0 acc.(p)) (x mod (len + 1));
             let d = reference_decidable ~quorum ~len acc in
             if d > !decided then begin
               decided := d;
               expect_decide := true
             end
-        | 2 when n > 1 ->
-            Sp.handle sp ~src:p Sp.Prepare_req;
+        | 2 | 3 when n > 1 ->
             acc.(p) <- -1;
             synced.(p) <- false
-        | 3 when n > 1 ->
-            Sp.session_reset sp ~peer:p;
-            acc.(p) <- -1;
-            synced.(p) <- false
-        | 4 when n > 1 ->
-            Sp.handle sp ~src:p (promise b);
-            synced.(p) <- true
-        | _ -> propose_and_flush (x mod 6));
+        | 4 when n > 1 -> synced.(p) <- true
+        | _ -> if quorum = 1 then decided := Sp.log_length sp);
         let decides = recipients is_decide in
         let accepts = recipients is_accept in
         Sp.decided_idx sp = !decided
@@ -506,8 +535,34 @@ let prop_decided_matches_reference =
         && strictly_ascending accepts
         && List.for_all (fun p -> synced.(p)) accepts
       in
-      propose_and_flush 16;
+      propose_and_flush sp 16;
+      if quorum = 1 then decided := Sp.log_length sp;
       List.for_all step ops)
+
+(* [copy] is deep and [state_key] sees every field: after random
+   operations, a copy has the original's key, and one more operation on the
+   copy leaves the original's key unchanged (a copy sharing [acc_idx],
+   [promises], the persistent record or the log's array fails the second
+   part). *)
+let prop_copy_is_deep =
+  QCheck.Test.make ~name:"copy is deep and keyed like the original" ~count:300
+    (leader_ops ~tags:7)
+    (fun (n, ops) ->
+      match List.rev ops with
+      | [] -> true
+      | last :: earlier ->
+          let sp, b =
+            make_leader ~compaction:(Omnipaxos.Compaction.make 1) n
+          in
+          propose_and_flush sp 16;
+          List.iter (leader_op sp b ~n) (List.rev earlier);
+          let key = Sp.state_key sp in
+          let c = Sp.copy sp in
+          String.equal (Sp.state_key c) key
+          && begin
+               leader_op c b ~n last;
+               String.equal (Sp.state_key sp) key
+             end)
 
 let steady_leader n ~entries =
   let sp, b = make_leader n in
@@ -637,5 +692,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_convergence;
           QCheck_alcotest.to_alcotest prop_decided_matches_reference;
+          QCheck_alcotest.to_alcotest prop_copy_is_deep;
         ] );
     ]
