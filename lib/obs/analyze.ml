@@ -7,13 +7,12 @@
 
    The analysis itself is a single incremental fold with bounded state
    ({!Stream}): spans are finalised as the decided watermark passes them,
-   causal pairing keeps only open sends, critical paths come from a bounded
-   window of recent events, and past [exact_limit] commit latencies the
-   percentiles switch to a log-bucket sketch. [run] is that same fold with
-   the bounds lifted, so it still renders byte-identical reports to the
-   historical whole-list implementation — two runs over the same trace
-   render byte-identical reports (wired into the determinism gate), so
-   reports can be diffed and regression-gated. *)
+   the causal monitor keeps only open sends, critical paths come from a
+   bounded window of recent events, and past [exact_limit] commit latencies
+   the percentiles switch to a log-bucket sketch. [run] is that same fold
+   with the bounds lifted. Two runs over the same trace render
+   byte-identical reports (wired into the determinism gate), so reports can
+   be diffed and regression-gated. *)
 
 module J = Bench_report.Json
 
@@ -181,8 +180,7 @@ module Stream = struct
     mutable n_commit : int;
     mutable top : (float * int) list;  (* slowest 3: (total, idx) *)
     (* causal structure *)
-    pairing : Causal.Pairing.t;
-    clocks : Causal.Clock_check.t;
+    causal : Causal.Monitor.t;
     recent : Event.t Ring.t;  (* critical-path window *)
     (* detectors *)
     health : Health.t;
@@ -229,8 +227,7 @@ module Stream = struct
       n_replication = 0;
       n_commit = 0;
       top = [];
-      pairing = Causal.Pairing.create ~cap:causal_cap ();
-      clocks = Causal.Clock_check.create ~cap:causal_cap ();
+      causal = Causal.Monitor.create ~cap:causal_cap ();
       recent = Ring.create ~capacity:(max 1 window);
       health = Health.create health_cfg;
       invariants = Invariant.Monitor.create ();
@@ -309,8 +306,7 @@ module Stream = struct
       | None -> ((1 + s.max_node) / 2) + 1
     in
     List.iter (note_decided s) (Span.Tracker.observe s.tracker ~quorum e);
-    Causal.Pairing.observe s.pairing e;
-    Causal.Clock_check.observe s.clocks e;
+    Causal.Monitor.observe s.causal e;
     Ring.push s.recent e;
     Health.observe s.health e;
     Invariant.Monitor.observe s.invariants e
@@ -384,10 +380,10 @@ module Stream = struct
       stall_ms = s.health_cfg.Health.stall_ms;
       stalls;
       commit = commit_of s;
-      causal_edges = Causal.Pairing.edges s.pairing;
-      unmatched_sends = Causal.Pairing.unmatched_sends s.pairing;
-      orphan_delivers = Causal.Pairing.orphan_delivers s.pairing;
-      lamport = Causal.Clock_check.result s.clocks;
+      causal_edges = Causal.Monitor.edges s.causal;
+      unmatched_sends = Causal.Monitor.unmatched_sends s.causal;
+      orphan_delivers = Causal.Monitor.orphan_delivers s.causal;
+      lamport = Causal.Monitor.clocks s.causal;
       critical_paths;
       health_alerts = Health.alerts s.health;
       recoveries = Health.recoveries s.health;
@@ -401,8 +397,7 @@ let run ?health ?(ring_dropped = 0) ?(ring_dropped_by_kind = [])
     1 + List.fold_left (fun acc (e : Event.t) -> max acc e.node) 0 events
   in
   (* The bounds lifted: whole-trace critical-path window, exact percentiles,
-     uncapped causal tables — the report equals the historical whole-list
-     analyzer's byte for byte. *)
+     uncapped open-send table. *)
   let s =
     Stream.create ?health ~n_hint:n
       ~window:(max 1 (List.length events))

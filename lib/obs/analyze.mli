@@ -8,9 +8,8 @@
 
     The analysis is a single incremental fold with bounded state
     ({!Stream}), so arbitrarily long traces are handled in constant memory
-    — and {!run} is that same fold with the bounds lifted, preserving the
-    historical whole-list semantics bit for bit. The report is a pure
-    function of the input events: two runs over the same trace render
+    — and {!run} is that same fold with the bounds lifted. The report is a
+    pure function of the input events: two runs over the same trace render
     byte-identical text and JSON (this is asserted by the determinism
     gate), so reports can be diffed and regression-gated. *)
 
@@ -76,8 +75,8 @@ type report = {
     - spans are finalised as the decided watermark passes them, with
       running sums for the phase means and an exact latency store that
       degrades to a log-bucket percentile sketch past [exact_limit];
-    - causal pairing and clock checks keep only open sends, capped at
-      [causal_cap] (oldest evicted and counted unmatched);
+    - the causal monitor ({!Causal.Monitor}) keeps only open sends, capped
+      at [causal_cap] (oldest evicted and counted unmatched);
     - critical paths come from a ring of the last [window] events;
     - health detectors and invariant monitors are already incremental.
 
@@ -101,7 +100,7 @@ module Stream : sig
       running maximum node id (matrix sized for 64 nodes). [window]
       (default 65536) bounds the critical-path event ring, [exact_limit]
       (default 65536) the exact commit-latency store, [causal_cap] (default
-      262144) the open-send tables. *)
+      262144) the open-send table. *)
 
   val observe : t -> Event.t -> unit
   (** Usable directly as a {!Trace.sink} for online analysis. *)

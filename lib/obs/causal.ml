@@ -1,90 +1,48 @@
 (* Happens-before structure of a trace. Simnet stamps every transmission
    with a network-unique send id and a Lamport clock, so a recorded stream
    pairs into (send, deliver) edges: the causal DAG is those edges plus each
-   node's local event order. Everything here is a pure function of the event
-   list, so analyses are deterministic. *)
+   node's local event order. Everything here is a deterministic function of
+   the event stream. *)
 
-type edge = {
-  send_id : int;
-  src : int;
-  dst : int;
-  size : int;
-  sent_at : float;
-  delivered_at : float;
-}
+(* Streaming happens-before check: one table of open sends (send id ->
+   Lamport clock at send) serves both the (send, deliver) pairing counts and
+   the clock audit. A deliver removes its send: matched, it is an edge and
+   its clock must exceed the send's; unmatched, it is an orphan (ring loss)
+   and has nothing to be checked against. Independently, each node's message
+   clocks must strictly increase in stream order. The clock audit latches
+   its first violation.
 
-type stats = {
-  edges : int;  (* matched (send, deliver) pairs *)
-  unmatched_sends : int;  (* sent but never delivered: dropped or in flight *)
-  orphan_delivers : int;  (* delivered without a recorded send (ring loss) *)
-}
-
-let pair events =
-  let sends : (int, int * float * int) Hashtbl.t = Hashtbl.create 1024 in
-  let edges_rev = ref [] in
-  let n_edges = ref 0 in
-  let orphans = ref 0 in
-  List.iter
-    (fun (e : Event.t) ->
-      match e.kind with
-      | Event.Msg_send { dst = _; size; send_id; lc = _ } ->
-          Hashtbl.replace sends send_id (e.node, e.time, size)
-      | Event.Msg_deliver { src; size; send_id; lc = _ } -> (
-          match Hashtbl.find_opt sends send_id with
-          | Some (src', sent_at, _) ->
-              Hashtbl.remove sends send_id;
-              incr n_edges;
-              edges_rev :=
-                {
-                  send_id;
-                  src = (if src >= 0 then src else src');
-                  dst = e.node;
-                  size;
-                  sent_at;
-                  delivered_at = e.time;
-                }
-                :: !edges_rev
-          | None -> incr orphans)
-      (* Event-stream filter: only message events carry causal stamps. *)
-      | _ [@lint.allow "D4"] -> ())
-    events;
-  let stats =
-    {
-      edges = !n_edges;
-      unmatched_sends = Hashtbl.length sends;
-      orphan_delivers = !orphans;
-    }
-  in
-  (List.rev !edges_rev, stats)
-
-(* Streaming pairing: the analyzer's report only needs the edge/unmatched/
-   orphan counts, so the incremental form keeps just the open-send table.
    The table is capped: when full, the oldest open send is evicted and
    counted as unmatched — in a healthy run a send is matched within one
    network delay, so the live set is O(messages in flight), and the cap only
-   bites on pathological traces. Eviction order comes from a FIFO queue of
-   send ids with lazy deletion (matched ids still sit in the queue and are
-   skipped when popped). With [cap = max_int] the counts are identical to
-   {!pair}'s. *)
-module Pairing = struct
+   bites on pathological traces. An evicted send's late delivery counts as
+   an orphan and goes unchecked, which only weakens detection, never
+   fabricates a violation. Eviction order comes from a FIFO queue of send
+   ids with lazy deletion (matched ids still sit in the queue and are
+   skipped when popped). *)
+module Monitor = struct
   type t = {
-    sends : (int, float) Hashtbl.t;  (* send_id -> sent_at *)
+    sends : (int, int) Hashtbl.t;  (* open send_id -> lamport clock *)
     order : int Queue.t;  (* insertion order, lazily pruned *)
     cap : int;
+    last_lc : (int, int) Hashtbl.t;  (* node -> last message clock *)
     mutable edges : int;
     mutable orphans : int;
     mutable evicted : int;
+    mutable error : string option;  (* first violation wins *)
   }
 
   let create ?(cap = max_int) () =
-    if cap <= 0 then invalid_arg "Causal.Pairing.create: cap must be positive";
+    if cap <= 0 then invalid_arg "Causal.Monitor.create: cap must be positive";
     {
       sends = Hashtbl.create 1024;
       order = Queue.create ();
       cap;
+      last_lc = Hashtbl.create 16;
       edges = 0;
       orphans = 0;
       evicted = 0;
+      error = None;
     }
 
   let rec evict_one t =
@@ -97,20 +55,38 @@ module Pairing = struct
         end
         else evict_one t (* stale queue entry: already matched *)
 
+  let violation t msg = if Option.is_none t.error then t.error <- Some msg
+
+  let check_node_order t (e : Event.t) lc =
+    (match Hashtbl.find_opt t.last_lc e.node with
+    | Some prev when lc <= prev ->
+        violation t
+          (Printf.sprintf "node %d clock not increasing: %d then %d at t=%.3f"
+             e.node prev lc e.time)
+    | Some _ | None -> ());
+    Hashtbl.replace t.last_lc e.node lc
+
   let observe t (e : Event.t) =
     match e.kind with
-    | Event.Msg_send { send_id; _ } ->
+    | Event.Msg_send { send_id; lc; _ } ->
         if
           Hashtbl.length t.sends >= t.cap && not (Hashtbl.mem t.sends send_id)
         then evict_one t;
-        Hashtbl.replace t.sends send_id e.time;
-        Queue.push send_id t.order
-    | Event.Msg_deliver { send_id; _ } -> (
-        match Hashtbl.find_opt t.sends send_id with
-        | Some _ ->
+        Hashtbl.replace t.sends send_id lc;
+        Queue.push send_id t.order;
+        check_node_order t e lc
+    | Event.Msg_deliver { send_id; lc; _ } ->
+        (match Hashtbl.find_opt t.sends send_id with
+        | Some slc ->
             Hashtbl.remove t.sends send_id;
-            t.edges <- t.edges + 1
-        | None -> t.orphans <- t.orphans + 1)
+            t.edges <- t.edges + 1;
+            if lc <= slc then
+              violation t
+                (Printf.sprintf
+                   "deliver #%d at node %d has lc %d <= send lc %d" send_id
+                   e.node lc slc)
+        | None -> t.orphans <- t.orphans + 1);
+        check_node_order t e lc
     (* Event-stream filter: only message events carry causal stamps. *)
     | _ [@lint.allow "D4"] -> ()
 
@@ -121,129 +97,8 @@ module Pairing = struct
      and never seen delivered. *)
 
   let orphan_delivers t = t.orphans
-  let stats t = { edges = t.edges; unmatched_sends = unmatched_sends t;
-                  orphan_delivers = t.orphans }
+  let clocks t = match t.error with None -> Ok () | Some m -> Error m
 end
-
-(* Streaming Lamport check: same rules as [lamport_consistent], latched on
-   the first violation. The open-send clock table shares the capped-FIFO
-   shape of [Pairing] — an evicted send makes its (late) delivery check a
-   no-op, which only weakens detection, never fabricates a violation. *)
-module Clock_check = struct
-  type t = {
-    sends : (int, int) Hashtbl.t;  (* send_id -> lamport clock at send *)
-    order : int Queue.t;
-    cap : int;
-    last_lc : (int, int) Hashtbl.t;  (* node -> last message clock *)
-    mutable error : string option;  (* first violation wins *)
-  }
-
-  let create ?(cap = max_int) () =
-    if cap <= 0 then
-      invalid_arg "Causal.Clock_check.create: cap must be positive";
-    {
-      sends = Hashtbl.create 1024;
-      order = Queue.create ();
-      cap;
-      last_lc = Hashtbl.create 16;
-      error = None;
-    }
-
-  let rec evict_one t =
-    match Queue.take_opt t.order with
-    | None -> ()
-    | Some id ->
-        if Hashtbl.mem t.sends id then Hashtbl.remove t.sends id
-        else evict_one t
-
-  let check_node_order t (e : Event.t) lc =
-    (match Hashtbl.find_opt t.last_lc e.node with
-    | Some prev when lc <= prev ->
-        if Option.is_none t.error then
-          t.error <-
-            Some
-              (Printf.sprintf
-                 "node %d clock not increasing: %d then %d at t=%.3f" e.node
-                 prev lc e.time)
-    | Some _ | None -> ());
-    Hashtbl.replace t.last_lc e.node lc
-
-  let observe t (e : Event.t) =
-    if Option.is_none t.error then
-      match e.kind with
-      | Event.Msg_send { send_id; lc; _ } ->
-          if
-            Hashtbl.length t.sends >= t.cap
-            && not (Hashtbl.mem t.sends send_id)
-          then evict_one t;
-          Hashtbl.replace t.sends send_id lc;
-          Queue.push send_id t.order;
-          check_node_order t e lc
-      | Event.Msg_deliver { send_id; lc; _ } -> (
-          (match Hashtbl.find_opt t.sends send_id with
-          | Some slc when lc <= slc ->
-              t.error <-
-                Some
-                  (Printf.sprintf
-                     "deliver #%d at node %d has lc %d <= send lc %d" send_id
-                     e.node lc slc)
-          | Some _ | None -> ());
-          match t.error with
-          | Some _ -> ()
-          | None -> check_node_order t e lc)
-      (* Event-stream filter: only message events carry clocks. *)
-      | _ [@lint.allow "D4"] -> ()
-
-  let result t = match t.error with None -> Ok () | Some m -> Error m
-end
-
-(* Lamport consistency: each delivery's clock exceeds its send's clock, and
-   each node's message clocks are strictly increasing in stream order. A
-   violation means the stamping in simnet (or a hand-edited trace) broke the
-   happens-before order. *)
-let lamport_consistent events =
-  let sends : (int, int) Hashtbl.t = Hashtbl.create 1024 in
-  let last_lc : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let check_node_order (e : Event.t) lc =
-    match Hashtbl.find_opt last_lc e.node with
-    | Some prev when lc <= prev ->
-        Error
-          (Printf.sprintf
-             "node %d clock not increasing: %d then %d at t=%.3f" e.node prev
-             lc e.time)
-    | _ ->
-        Hashtbl.replace last_lc e.node lc;
-        Ok ()
-  in
-  let rec scan = function
-    | [] -> Ok ()
-    | (e : Event.t) :: rest -> (
-        match e.kind with
-        | Event.Msg_send { send_id; lc; _ } -> (
-            Hashtbl.replace sends send_id lc;
-            match check_node_order e lc with
-            | Ok () -> scan rest
-            | Error _ as err -> err)
-        | Event.Msg_deliver { send_id; lc; _ } -> (
-            let send_ok =
-              match Hashtbl.find_opt sends send_id with
-              | Some slc when lc <= slc ->
-                  Error
-                    (Printf.sprintf
-                       "deliver #%d at node %d has lc %d <= send lc %d"
-                       send_id e.node lc slc)
-              | Some _ | None -> Ok ()
-            in
-            match send_ok with
-            | Error _ as err -> err
-            | Ok () -> (
-                match check_node_order e lc with
-                | Ok () -> scan rest
-                | Error _ as err -> err))
-        (* Event-stream filter: only message events carry clocks. *)
-        | _ [@lint.allow "D4"] -> scan rest)
-  in
-  scan events
 
 (* Causal predecessor walk. The predecessor of a delivery is its matching
    send; the predecessor of anything else is the previous event on the same

@@ -3,34 +3,21 @@
     Simnet stamps every transmission with a network-unique send id and a
     Lamport clock (see {!Event.kind}), so a recorded event stream pairs into
     (send, deliver) edges; together with each node's local event order they
-    form the run's causal DAG. All functions are pure over the event list
-    and deterministic. *)
+    form the run's causal DAG. Every result is a deterministic function of
+    the event stream. *)
 
-type edge = {
-  send_id : int;
-  src : int;
-  dst : int;
-  size : int;
-  sent_at : float;
-  delivered_at : float;
-}
+(** Streaming (send, deliver) pairing and Lamport-clock check over one
+    table of open sends, mapping each open send id to its clock. A deliver
+    removes its send: matched, it counts as an edge and its clock must
+    exceed the send's; unmatched, it counts as an orphan. Each node's message
+    clocks must also strictly increase in stream order. The clock check
+    latches its first violation.
 
-type stats = {
-  edges : int;  (** matched (send, deliver) pairs *)
-  unmatched_sends : int;  (** sent but never delivered: dropped or in flight *)
-  orphan_delivers : int;
-      (** delivered without a recorded send — evidence of ring overflow *)
-}
-
-val pair : Event.t list -> edge list * stats
-(** Pair [Msg_send]/[Msg_deliver] events by send id. Edges are returned in
-    delivery order. *)
-
-(** Streaming (send, deliver) pairing with bounded memory: only the open
-    sends are live, and their table is capped — when full, the oldest open
-    send is evicted and counted as unmatched. With [cap = max_int] the
-    counts equal {!pair}'s exactly. *)
-module Pairing : sig
+    The open-send table is capped: when full, the oldest open send is
+    evicted and counted as unmatched. Eviction can only weaken the clock
+    check (a late delivery of an evicted send is an unchecked orphan), never
+    fabricate a violation. *)
+module Monitor : sig
   type t
 
   val create : ?cap:int -> unit -> t
@@ -38,30 +25,22 @@ module Pairing : sig
       [Invalid_argument] if [cap <= 0]. *)
 
   val observe : t -> Event.t -> unit
+
   val edges : t -> int
+  (** Matched (send, deliver) pairs. *)
+
   val unmatched_sends : t -> int
-  (** Open sends still live plus sends evicted by the cap. *)
+  (** Sent but never seen delivered (dropped or in flight): open sends
+      still live plus sends evicted by the cap. *)
 
   val orphan_delivers : t -> int
-  val stats : t -> stats
+  (** Delivered without an open send — evidence of ring overflow or
+      sampling. *)
+
+  val clocks : t -> (unit, string) result
+  (** [Ok ()] unless a delivery's clock did not exceed its send's or a
+      node's message clock failed to increase; the first violation. *)
 end
-
-(** Streaming Lamport-clock check, latched on the first violation. Error
-    strings match {!lamport_consistent}. The open-send clock table is
-    capped like {!Pairing}'s; eviction can only weaken detection (a late
-    delivery of an evicted send goes unchecked), never fabricate a
-    violation. *)
-module Clock_check : sig
-  type t
-
-  val create : ?cap:int -> unit -> t
-  val observe : t -> Event.t -> unit
-  val result : t -> (unit, string) result
-end
-
-val lamport_consistent : Event.t list -> (unit, string) result
-(** Check that every delivery's Lamport clock exceeds its send's, and that
-    each node's message clocks strictly increase in stream order. *)
 
 val critical_path :
   ?max_len:int ->

@@ -2,8 +2,8 @@
    recorded (in timestamp order, as the sinks received it) and either pass or
    return the first violation. Tests assert them over scenario runs; `opx
    trace` reports them over whole replays. Each checker is a per-event core
-   over small mutable state, so the batch functions and the streaming
-   {!Monitor} share one implementation (and produce identical messages). *)
+   over small mutable state, run by the streaming {!Monitor}; [check_all] is
+   that monitor folded over a whole list. *)
 
 type violation = { at : float; node : int; message : string }
 
@@ -52,17 +52,6 @@ let leader_check owners (e : Event.t) =
      is simply not leadership-relevant. *)
   | _ [@lint.allow "D4"] -> None
 
-let single_leader_per_ballot events =
-  let owners : (Event.ballot, int) Hashtbl.t = Hashtbl.create 64 in
-  let rec scan = function
-    | [] -> Ok ()
-    | e :: rest -> (
-        match leader_check owners e with
-        | None -> scan rest
-        | Some v -> Error v)
-  in
-  scan events
-
 (* Each server's decided index never moves backwards. Stable storage keeps
    the decided prefix across crashes, so this holds across recoveries too. *)
 let decided_check last (e : Event.t) =
@@ -85,28 +74,9 @@ let decided_check last (e : Event.t) =
   (* Event-stream filter: only [Decided] moves the decided index. *)
   | _ [@lint.allow "D4"] -> None
 
-let decided_prefix_monotonic events =
-  let last : (int, float * int) Hashtbl.t = Hashtbl.create 16 in
-  let rec scan = function
-    | [] -> Ok ()
-    | e :: rest -> (
-        match decided_check last e with
-        | None -> scan rest
-        | Some v -> Error v)
-  in
-  scan events
-
-let all =
-  [
-    ("single-leader-per-ballot", single_leader_per_ballot);
-    ("decided-prefix-monotonic", decided_prefix_monotonic);
-  ]
-
-let check_all events = List.map (fun (name, f) -> (name, f events)) all
-
-(* Streaming form: feed events one at a time; each invariant latches its
-   first violation (matching the batch functions' early return — state stops
-   updating once latched). Memory is O(distinct ballots + nodes). *)
+(* Feed events one at a time; each invariant latches its first violation
+   (its state stops updating once latched). Memory is O(distinct ballots +
+   nodes). *)
 module Monitor = struct
   type t = {
     owners : (Event.ballot, int) Hashtbl.t;
@@ -136,3 +106,8 @@ module Monitor = struct
       ("decided-prefix-monotonic", to_result t.decided_err);
     ]
 end
+
+let check_all events =
+  let m = Monitor.create () in
+  List.iter (Monitor.observe m) events;
+  Monitor.results m

@@ -6,21 +6,15 @@ type violation = { at : float; node : int; message : string }
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val single_leader_per_ballot : Event.t list -> (unit, violation) result
-(** At most one server acts as leader (sends Prepare or Accept) under any
-    given ballot, and only the server the ballot belongs to. *)
+(** Streaming checkers: feed events one at a time; each invariant latches
+    its first violation. Memory is O(distinct ballots + nodes). The
+    invariants, in [results] order:
 
-val decided_prefix_monotonic : Event.t list -> (unit, violation) result
-(** Each server's decided index never moves backwards (stable storage keeps
-    the decided prefix across crashes). *)
-
-val check_all : Event.t list -> (string * (unit, violation) result) list
-(** Run every checker; returns (name, result) pairs. *)
-
-(** Streaming form of {!check_all}: feed events one at a time; each
-    invariant latches its first violation. Memory is O(distinct ballots +
-    nodes). [results] pairs appear in {!check_all}'s order with identical
-    messages. *)
+    - [single-leader-per-ballot]: at most one server acts as leader (sends
+      Prepare or Accept) under any given ballot, and only the server the
+      ballot belongs to;
+    - [decided-prefix-monotonic]: each server's decided index never moves
+      backwards (stable storage keeps the decided prefix across crashes). *)
 module Monitor : sig
   type t
 
@@ -28,3 +22,6 @@ module Monitor : sig
   val observe : t -> Event.t -> unit
   val results : t -> (string * (unit, violation) result) list
 end
+
+val check_all : Event.t list -> (string * (unit, violation) result) list
+(** {!Monitor} run over a whole list: (name, result) pairs. *)

@@ -1,70 +1,33 @@
-(* Proposal-lifecycle spans: one per log index, assembled from a recorded
+(* Proposal-lifecycle spans: one per log index, tracked over a recorded
    event stream. The lifecycle of entry [i] on the happy path is
 
-     Chaos_invoke (client)            -> invoke_at    (when a client drove it)
      Proposed     (leader append)     -> proposed_at
      Accept_sent  covering i          -> first_accept_at
      Accepted_idx from quorum-1 peers -> quorum_ack_at
-     Decided      with idx > i        -> decided_at
-     Chaos_response (client)          -> applied_at
+     Decided      with idx > i        -> decided
 
    giving the per-entry latency breakdown: queueing (proposed -> first
    Accept), replication (first Accept -> quorum ack) and commit (quorum ack
    -> decided). A re-proposal at the same index after a leader change
    replaces the span — the earlier entry was never decided there. *)
 
-type t = {
-  log_idx : int;
-  cmd_id : int;  (* -1 for stop-signs *)
-  leader : int;
-  proposed_at : float;
-  invoke_at : float option;
-  first_accept_at : float option;
-  quorum_ack_at : float option;
-  decided_at : float option;
-  applied_at : float option;
-}
-
 type building = {
-  b_log_idx : int;
-  b_cmd_id : int;
   b_leader : int;
   b_proposed_at : float;
   mutable b_acks : int;  (* distinct followers past this entry *)
   mutable b_first_accept_at : float option;
   mutable b_quorum_ack_at : float option;
-  mutable b_decided_at : float option;
 }
-
-let total s =
-  match s.decided_at with Some d -> Some (d -. s.proposed_at) | None -> None
-
-let queueing s =
-  match s.first_accept_at with
-  | Some a -> Some (a -. s.proposed_at)
-  | None -> None
-
-let replication s =
-  match (s.first_accept_at, s.quorum_ack_at) with
-  | Some a, Some q -> Some (q -. a)
-  | _, _ -> None
-
-let commit s =
-  match (s.quorum_ack_at, s.decided_at) with
-  | Some q, Some d -> Some (d -. q)
-  | _, _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Streaming tracker: O(active spans) memory                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The batch [assemble] keeps every span until the end of the trace. The
-   tracker instead finalises a span the moment the decided watermark passes
-   its index and hands it back to the caller, so its live state is only the
+(* The tracker finalises a span the moment the decided watermark passes its
+   index and hands it back to the caller, so its live state is only the
    in-flight pipeline window (plus per-node ack watermarks). Decided spans
-   come out in ascending log-index order — the same order the batch
-   analyzer folds them in — so streaming aggregates (sums, percentiles)
-   match the batch results exactly. *)
+   come out in ascending log-index order, so aggregates over them (sums,
+   percentiles) are deterministic. *)
 
 module Tracker = struct
   type closed = {
@@ -97,20 +60,18 @@ module Tracker = struct
   (* [observe t ~quorum e] feeds one event; returns the spans this event
      finalised (decided), in ascending log-index order. [quorum] is the
      cluster quorum size — pass a constant when the cluster size is known
-     up front (the batch path), or a running value for single-pass use. *)
+     up front (file and in-memory analysis), or a running value for
+     single-pass use. *)
   let observe t ~quorum (e : Event.t) : closed list =
     match e.kind with
-    | Event.Proposed { log_idx; cmd_id } ->
+    | Event.Proposed { log_idx; _ } ->
         Hashtbl.replace t.spans log_idx
           {
-            b_log_idx = log_idx;
-            b_cmd_id = cmd_id;
             b_leader = e.node;
             b_proposed_at = e.time;
             b_acks = 0;
             b_first_accept_at = None;
             b_quorum_ack_at = None;
-            b_decided_at = None;
           };
         []
     | Event.Accept_sent { start_idx; count; _ } ->
@@ -125,6 +86,8 @@ module Tracker = struct
     | Event.Accepted_idx { log_idx = la; _ } ->
         let prev = Option.value (Hashtbl.find_opt t.acked e.node) ~default:0 in
         Hashtbl.replace t.acked e.node la;
+        (* A shrink means the follower's log was truncated during sync;
+           nothing to credit. *)
         if la > prev then
           for i = prev to la - 1 do
             match Hashtbl.find_opt t.spans i with
@@ -167,90 +130,3 @@ module Tracker = struct
     (* Event-stream filter: other kinds do not shape proposal spans. *)
     | _ [@lint.allow "D4"] -> []
 end
-
-let assemble ~n events =
-  let quorum = (n / 2) + 1 in
-  let spans : (int, building) Hashtbl.t = Hashtbl.create 256 in
-  (* Per-node cumulative acked length, to credit each (follower, entry)
-     pair exactly once. *)
-  let acked : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let decided_upto = ref 0 in
-  let invokes : (int, float) Hashtbl.t = Hashtbl.create 64 in
-  let responses : (int, float) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Event.t) ->
-      match e.kind with
-      | Event.Proposed { log_idx; cmd_id } ->
-          Hashtbl.replace spans log_idx
-            {
-              b_log_idx = log_idx;
-              b_cmd_id = cmd_id;
-              b_leader = e.node;
-              b_proposed_at = e.time;
-              b_acks = 0;
-              b_first_accept_at = None;
-              b_quorum_ack_at = None;
-              b_decided_at = None;
-            }
-      | Event.Accept_sent { start_idx; count; _ } ->
-          for i = start_idx to start_idx + count - 1 do
-            match Hashtbl.find_opt spans i with
-            | Some s
-              when s.b_leader = e.node && Option.is_none s.b_first_accept_at
-              ->
-                s.b_first_accept_at <- Some e.time
-            | Some _ | None -> ()
-          done
-      | Event.Accepted_idx { log_idx = la; _ } ->
-          let prev = Option.value (Hashtbl.find_opt acked e.node) ~default:0 in
-          Hashtbl.replace acked e.node la;
-          (* A shrink means the follower's log was truncated during sync;
-             nothing to credit. *)
-          if la > prev then
-            for i = prev to la - 1 do
-              match Hashtbl.find_opt spans i with
-              | Some s when e.node <> s.b_leader ->
-                  s.b_acks <- s.b_acks + 1;
-                  if
-                    s.b_acks >= quorum - 1
-                    && Option.is_none s.b_quorum_ack_at
-                  then s.b_quorum_ack_at <- Some e.time
-              | Some _ | None -> ()
-            done
-      | Event.Decided { decided_idx = d; _ } ->
-          if d > !decided_upto then begin
-            for i = !decided_upto to d - 1 do
-              match Hashtbl.find_opt spans i with
-              | Some s when Option.is_none s.b_decided_at ->
-                  s.b_decided_at <- Some e.time
-              | Some _ | None -> ()
-            done;
-            decided_upto := d
-          end
-      | Event.Chaos_invoke { op_id; _ } ->
-          if not (Hashtbl.mem invokes op_id) then
-            Hashtbl.replace invokes op_id e.time
-      | Event.Chaos_response { op_id; _ } ->
-          if not (Hashtbl.mem responses op_id) then
-            Hashtbl.replace responses op_id e.time
-      (* Event-stream filter: other kinds do not shape proposal spans. *)
-      | _ [@lint.allow "D4"] -> ())
-    events;
-  List.map
-    (fun (_, b) ->
-      {
-        log_idx = b.b_log_idx;
-        cmd_id = b.b_cmd_id;
-        leader = b.b_leader;
-        proposed_at = b.b_proposed_at;
-        invoke_at =
-          (if b.b_cmd_id >= 0 then Hashtbl.find_opt invokes b.b_cmd_id
-           else None);
-        first_accept_at = b.b_first_accept_at;
-        quorum_ack_at = b.b_quorum_ack_at;
-        decided_at = b.b_decided_at;
-        applied_at =
-          (if b.b_cmd_id >= 0 then Hashtbl.find_opt responses b.b_cmd_id
-           else None);
-      })
-    (Replog.Det.sorted_bindings ~compare_key:Int.compare spans)

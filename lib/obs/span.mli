@@ -1,49 +1,16 @@
-(** Proposal-lifecycle spans, assembled offline from a recorded event
-    stream: one span per log index, tracking a client command from the
-    moment it enters the leader's log to the moment it is decided (and, for
-    chaos-client commands, from invoke to applied).
-
-    Timestamps are [None] when the corresponding milestone never appears in
-    the trace — e.g. an entry proposed but never decided before a partition,
-    or a trace that ends mid-flight. *)
-
-type t = {
-  log_idx : int;
-  cmd_id : int;  (** command id, [-1] for stop-signs *)
-  leader : int;  (** node that appended the entry *)
-  proposed_at : float;  (** leader append ([Proposed] event) *)
-  invoke_at : float option;  (** chaos-client submit, matched by cmd id *)
-  first_accept_at : float option;  (** first [Accept_sent] covering it *)
-  quorum_ack_at : float option;
-      (** when the (quorum-1)-th distinct follower acknowledged past it *)
-  decided_at : float option;  (** first decide advancing past it *)
-  applied_at : float option;  (** chaos-client response, matched by cmd id *)
-}
-
-val assemble : n:int -> Event.t list -> t list
-(** Build spans from a trace of an [n]-node cluster; sorted by [log_idx].
-    A re-proposal at the same index (leader change) replaces the span. *)
-
-val total : t -> float option
-(** [decided_at - proposed_at]. *)
-
-val queueing : t -> float option
-(** [first_accept_at - proposed_at]: time buffered at the leader. *)
-
-val replication : t -> float option
-(** [quorum_ack_at - first_accept_at]: network + follower ack time. *)
-
-val commit : t -> float option
-(** [decided_at - quorum_ack_at]: quorum bookkeeping to decide. *)
+(** Proposal-lifecycle spans over a recorded event stream: one span per
+    log index, tracking a command from the moment it enters the leader's
+    log to the moment it is decided, split into queueing (proposed -> first
+    Accept), replication (first Accept -> quorum ack) and commit (quorum ack
+    -> decided). A re-proposal at the same index (leader change) replaces
+    the span. *)
 
 (** Streaming span tracker with O(active spans) memory: a span is finalised
     (and returned to the caller) the moment the decided watermark passes its
     index, so only the in-flight pipeline window stays live. Decided spans
-    are produced in ascending log-index order — the fold order of the batch
-    analyzer — so streaming aggregates match batch results exactly. Unlike
-    {!assemble}, the tracker does not match chaos-client invoke/response
-    timestamps (those need whole-trace cmd-id joins); the analyzer's latency
-    breakdown never used them. *)
+    are produced in ascending log-index order, so aggregates over them are
+    deterministic. A phase is [None] when its milestone never appeared in
+    the trace. *)
 module Tracker : sig
   type closed = {
     c_log_idx : int;

@@ -317,7 +317,9 @@ let read_svarint s = unzigzag (read_uvarint s)
 
 let read_raw_string s =
   let n = read_uvarint s in
-  if n > 16_777_216 then fail s "offset %d: unreasonable string length";
+  (* A 9-byte varint can set bit 62 and decode negative. *)
+  if n < 0 || n > 16_777_216 then
+    fail s "offset %d: unreasonable string length";
   let b = Bytes.create n in
   let filled = ref 0 in
   while !filled < n do

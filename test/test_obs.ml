@@ -1,7 +1,9 @@
 (* Unit tests for the observability layer (lib/obs): ring-buffer semantics,
-   tracer sink fan-out and state restoration, histogram bucketing, and the
-   trace-driven invariant checkers (including catching an injected
-   two-leaders-for-one-ballot split-brain trace). *)
+   tracer sink fan-out and state restoration, histogram bucketing, the
+   streaming trace checks the analyzer runs (invariant monitor, including an
+   injected two-leaders-for-one-ballot split-brain trace; causal monitor and
+   its open-send cap; span tracker), health detectors, binary trace decoding
+   of malformed input, and the profiler. *)
 
 module Ring = Obs.Ring
 module Trace = Obs.Trace
@@ -240,7 +242,12 @@ let test_event_json_roundtrip () =
   check "unknown kind rejected" true
     (Result.is_error (Event.of_json {|{"t":1.0,"node":0,"kind":"nope"}|}))
 
-(* ---------------- causal pairing ---------------- *)
+(* ---------------- causal monitor ---------------- *)
+
+let causal_of ?cap tr =
+  let m = Causal.Monitor.create ?cap () in
+  List.iter (Causal.Monitor.observe m) tr;
+  m
 
 let test_causal_pair () =
   let tr =
@@ -257,16 +264,23 @@ let test_causal_pair () =
         (Event.Msg_deliver { src = 0; size = 9; send_id = 99; lc = 9 });
     ]
   in
-  let edges, stats = Causal.pair tr in
-  check_int "one matched edge" 1 (List.length edges);
-  let e = List.hd edges in
-  check "edge endpoints" true
-    (e.Causal.src = 0 && e.Causal.dst = 1 && e.Causal.send_id = 0);
-  check "edge times" true
-    (e.Causal.sent_at = 1.0 && e.Causal.delivered_at = 1.5);
-  check_int "unmatched send counted" 1 stats.Causal.unmatched_sends;
-  check_int "orphan deliver counted" 1 stats.Causal.orphan_delivers;
-  check "clocks consistent" true (Causal.lamport_consistent tr = Ok ())
+  let m = causal_of tr in
+  check_int "one matched edge" 1 (Causal.Monitor.edges m);
+  check_int "unmatched send counted" 1 (Causal.Monitor.unmatched_sends m);
+  check_int "orphan deliver counted" 1 (Causal.Monitor.orphan_delivers m);
+  check "clocks consistent" true (Causal.Monitor.clocks m = Ok ());
+  (* A deliver consumes its send: a second deliver of the same id is an
+     orphan, not a second edge. *)
+  let m =
+    causal_of
+      (tr
+      @ [
+          ev ~time:4.0 ~node:1
+            (Event.Msg_deliver { src = 0; size = 10; send_id = 0; lc = 10 });
+        ])
+  in
+  check_int "redelivery adds no edge" 1 (Causal.Monitor.edges m);
+  check_int "redelivery is an orphan" 2 (Causal.Monitor.orphan_delivers m)
 
 let test_lamport_violation () =
   let tr =
@@ -279,7 +293,8 @@ let test_lamport_violation () =
     ]
   in
   check "non-increasing delivery clock detected" true
-    (Result.is_error (Causal.lamport_consistent tr));
+    (Causal.Monitor.clocks (causal_of tr)
+    = Error "deliver #0 at node 1 has lc 5 <= send lc 5");
   let tr =
     [
       ev ~time:1.0 ~node:0
@@ -287,10 +302,47 @@ let test_lamport_violation () =
       (* A node's own message clocks must strictly increase. *)
       ev ~time:2.0 ~node:0
         (Event.Msg_send { dst = 1; size = 10; send_id = 1; lc = 5 });
+      (* Latched: a later violation does not replace the first. *)
+      ev ~time:3.0 ~node:0
+        (Event.Msg_send { dst = 1; size = 10; send_id = 2; lc = 1 });
     ]
   in
-  check "stuck sender clock detected" true
-    (Result.is_error (Causal.lamport_consistent tr))
+  check "stuck sender clock detected, first violation latched" true
+    (Causal.Monitor.clocks (causal_of tr)
+    = Error "node 0 clock not increasing: 5 then 5 at t=2.000")
+
+(* The open-send cap evicts the oldest open send and counts it unmatched;
+   its late delivery is an unchecked orphan, so eviction may hide a clock
+   violation (deliver #0 has lc 1 <= its send's lc 1) but never invents
+   one. *)
+let test_causal_cap () =
+  let tr =
+    [
+      ev ~time:1.0 ~node:0
+        (Event.Msg_send { dst = 1; size = 1; send_id = 0; lc = 1 });
+      ev ~time:2.0 ~node:0
+        (Event.Msg_send { dst = 1; size = 1; send_id = 1; lc = 2 });
+      ev ~time:3.0 ~node:1
+        (Event.Msg_deliver { src = 0; size = 1; send_id = 0; lc = 1 });
+      ev ~time:4.0 ~node:1
+        (Event.Msg_deliver { src = 0; size = 1; send_id = 1; lc = 3 });
+    ]
+  in
+  let m = causal_of ~cap:1 tr in
+  check_int "only the newest send matched" 1 (Causal.Monitor.edges m);
+  check_int "evicted send counted unmatched" 1
+    (Causal.Monitor.unmatched_sends m);
+  check_int "evicted send's deliver is an orphan" 1
+    (Causal.Monitor.orphan_delivers m);
+  check "eviction fabricates no violation" true
+    (Causal.Monitor.clocks m = Ok ());
+  check "uncapped, the violation shows" true
+    (Result.is_error (Causal.Monitor.clocks (causal_of tr)));
+  check "cap 0 rejected" true
+    (try
+       ignore (Causal.Monitor.create ~cap:0 ());
+       false
+     with Invalid_argument _ -> true)
 
 let test_critical_path () =
   let arr =
@@ -316,7 +368,16 @@ let test_critical_path () =
   check "bounded walk" true
     (Causal.critical_path ~max_len:1 arr ~target:3 ~stop = [ 2; 3 ])
 
-(* ---------------- span assembly ---------------- *)
+(* ---------------- span tracker ---------------- *)
+
+(* Feed [tr] to a fresh tracker; returns it and the spans it closed, in
+   emission order. *)
+let track ~quorum tr =
+  let t = Span.Tracker.create () in
+  let closed =
+    List.concat_map (fun e -> Span.Tracker.observe t ~quorum e) tr
+  in
+  (t, closed)
 
 let test_span_assembly () =
   let b = { Event.n = 1; prio = 0; pid = 2 } in
@@ -328,55 +389,53 @@ let test_span_assembly () =
       ev ~time:4.0 ~node:2 (Event.Decided { b; decided_idx = 1 });
     ]
   in
-  let spans = Span.assemble ~n:3 tr in
-  check_int "one span" 1 (List.length spans);
-  let s = List.hd spans in
-  check_int "log idx" 0 s.Span.log_idx;
-  check_int "cmd id" 10 s.Span.cmd_id;
-  check_int "leader is the proposing node" 2 s.Span.leader;
-  check "proposed at" true (s.Span.proposed_at = 1.0);
-  check "first accept" true (s.Span.first_accept_at = Some 2.0);
   (* n=3: quorum 2, so one non-leader ack completes the quorum. *)
-  check "quorum ack" true (s.Span.quorum_ack_at = Some 3.0);
-  check "decided" true (s.Span.decided_at = Some 4.0);
-  check "total" true (Span.total s = Some 3.0);
-  check "queueing" true (Span.queueing s = Some 1.0);
-  check "replication" true (Span.replication s = Some 1.0);
-  check "commit" true (Span.commit s = Some 1.0)
+  let t, closed = track ~quorum:2 tr in
+  check_int "one span" 1 (Span.Tracker.total_spans t);
+  check_int "decided" 1 (Span.Tracker.decided_spans t);
+  check_int "none active" 0 (Span.Tracker.active t);
+  match closed with
+  | [ c ] ->
+      check_int "log idx" 0 c.Span.Tracker.c_log_idx;
+      check "total" true (c.Span.Tracker.c_total = 3.0);
+      check "queueing" true (c.Span.Tracker.c_queueing = Some 1.0);
+      check "replication" true (c.Span.Tracker.c_replication = Some 1.0);
+      check "commit" true (c.Span.Tracker.c_commit = Some 1.0)
+  | cs -> Alcotest.failf "expected one closed span, got %d" (List.length cs)
 
 let test_span_undecided_and_reproposal () =
-  let tr =
+  let b1 = { Event.n = 1; prio = 0; pid = 2 } in
+  let b2 = { Event.n = 2; prio = 0; pid = 1 } in
+  let proposals =
     [
       ev ~time:1.0 ~node:2 (Event.Proposed { log_idx = 0; cmd_id = 1 });
       (* Leader change: the same index is re-proposed by another node. *)
       ev ~time:2.0 ~node:1 (Event.Proposed { log_idx = 0; cmd_id = 2 });
     ]
   in
-  let spans = Span.assemble ~n:3 tr in
-  check_int "re-proposal replaces, not duplicates" 1 (List.length spans);
-  let s = List.hd spans in
-  check_int "latest proposer wins" 1 s.Span.leader;
-  check_int "latest command wins" 2 s.Span.cmd_id;
-  check "never decided" true (s.Span.decided_at = None);
-  check "no total without decide" true (Span.total s = None)
-
-let test_span_invoke_applied () =
-  let b = { Event.n = 1; prio = 0; pid = 0 } in
-  let tr =
-    [
-      ev ~time:0.5 ~node:0
-        (Event.Chaos_invoke { client = 1; op_id = 10; op = "put k 1" });
-      ev ~time:1.0 ~node:0 (Event.Proposed { log_idx = 0; cmd_id = 10 });
-      ev ~time:2.0 ~node:0 (Event.Accept_sent { b; start_idx = 0; count = 1 });
-      ev ~time:3.0 ~node:1 (Event.Accepted_idx { b; log_idx = 1 });
-      ev ~time:4.0 ~node:0 (Event.Decided { b; decided_idx = 1 });
-      ev ~time:5.0 ~node:0
-        (Event.Chaos_response { client = 1; op_id = 10; result = "ok" });
-    ]
+  let t, closed = track ~quorum:2 proposals in
+  check_int "re-proposal replaces, not duplicates" 1
+    (Span.Tracker.total_spans t);
+  check_int "never decided" 0 (Span.Tracker.decided_spans t);
+  check "no total without decide" true (closed = []);
+  (* The old leader's Accept no longer stamps the span; the new leader's
+     does, and the total runs from the re-proposal. *)
+  let _, closed =
+    track ~quorum:2
+      (proposals
+      @ [
+          ev ~time:3.0 ~node:2
+            (Event.Accept_sent { b = b1; start_idx = 0; count = 1 });
+          ev ~time:4.0 ~node:1
+            (Event.Accept_sent { b = b2; start_idx = 0; count = 1 });
+          ev ~time:5.0 ~node:1 (Event.Decided { b = b2; decided_idx = 1 });
+        ])
   in
-  let s = List.hd (Span.assemble ~n:3 tr) in
-  check "invoke matched by cmd id" true (s.Span.invoke_at = Some 0.5);
-  check "applied matched by cmd id" true (s.Span.applied_at = Some 5.0)
+  match closed with
+  | [ c ] ->
+      check "latest proposer wins" true (c.Span.Tracker.c_queueing = Some 2.0);
+      check "latest proposal wins" true (c.Span.Tracker.c_total = 3.0)
+  | cs -> Alcotest.failf "expected one closed span, got %d" (List.length cs)
 
 (* ---------------- health detectors ---------------- *)
 
@@ -517,11 +576,13 @@ let legit_trace =
     ev ~time:7.0 ~node:2 (Event.Decided { b = b1; decided_idx = 3 });
   ]
 
+let invariant name tr = List.assoc name (Invariant.check_all tr)
+
 let test_invariants_pass () =
   check "single leader ok" true
-    (Invariant.single_leader_per_ballot legit_trace = Ok ());
+    (invariant "single-leader-per-ballot" legit_trace = Ok ());
   check "monotone ok" true
-    (Invariant.decided_prefix_monotonic legit_trace = Ok ());
+    (invariant "decided-prefix-monotonic" legit_trace = Ok ());
   check "check_all all green" true
     (List.for_all (fun (_, r) -> r = Ok ()) (Invariant.check_all legit_trace))
 
@@ -533,16 +594,13 @@ let test_two_leaders_one_ballot () =
           (Event.Accept_sent { b = b1; start_idx = 3; count = 1 });
       ]
   in
-  match Invariant.single_leader_per_ballot bad with
+  match invariant "single-leader-per-ballot" bad with
   | Ok () -> Alcotest.fail "two leaders under one ballot not detected"
   | Error v ->
       check "violation at the offending event" true (v.Invariant.at = 8.0);
       check_int "offending node" 2 v.Invariant.node;
-      check "check_all reports it too" true
-        (List.exists
-           (fun (name, r) ->
-             name = "single-leader-per-ballot" && r <> Ok ())
-           (Invariant.check_all bad))
+      check "the other invariant still holds" true
+        (invariant "decided-prefix-monotonic" bad = Ok ())
 
 (* Compaction events interleaved with decides must not trip the monotone
    invariant: a snapshot install jumps a lagging node's decided index
@@ -560,7 +618,7 @@ let test_monotone_across_install () =
       ]
   in
   check "monotone across install" true
-    (Invariant.decided_prefix_monotonic tr = Ok ());
+    (invariant "decided-prefix-monotonic" tr = Ok ());
   check "check_all all green" true
     (List.for_all (fun (_, r) -> r = Ok ()) (Invariant.check_all tr))
 
@@ -568,9 +626,73 @@ let test_decided_regression_detected () =
   let bad =
     legit_trace @ [ ev ~time:9.0 ~node:2 (Event.Decided { b = b1; decided_idx = 1 }) ]
   in
-  match Invariant.decided_prefix_monotonic bad with
+  match invariant "decided-prefix-monotonic" bad with
   | Ok () -> Alcotest.fail "decided-index regression not detected"
   | Error v -> check_int "regressing node" 2 v.Invariant.node
+
+(* ---------------- binary trace decoding ---------------- *)
+
+module Tracebin = Obs.Tracebin
+
+(* A string length whose 9-byte varint sets bit 62, so it decodes to a
+   negative int. *)
+let negative_len = String.make 8 '\xff' ^ "\x7f"
+
+let test_tracebin_negative_length () =
+  (* In the header: version 1, one metadata pair whose key has that
+     length. *)
+  (match Tracebin.of_string ("opxtrace1\x01\x01" ^ negative_len) with
+  | _ -> Alcotest.fail "header with a negative string length accepted"
+  | exception Tracebin.Decode_error _ -> ());
+  (* In an event: no metadata, then a Chaos_fault (tag 24, dt 0, node 0,
+     step 0) whose inline fault string has that length. *)
+  let src =
+    Tracebin.of_string ("opxtrace1\x01\x00\x18\x00\x00\x00\x00" ^ negative_len)
+  in
+  check "event with a negative string length is an Error" true
+    (Result.is_error (Tracebin.iter src ignore))
+
+(* Seeded byte overwrites, long varints and truncation of a real binary
+   trace: a source either fails to construct with [Decode_error] or decodes
+   to [Ok]/[Error], never anything else. *)
+let test_tracebin_mutations () =
+  let buf = Buffer.create 4096 in
+  let w = Tracebin.writer ~meta:[ ("n", "3") ] (Buffer.add_string buf) in
+  Obs.Synth.iter ~events:300 (Tracebin.write w);
+  Tracebin.flush w;
+  let clean = Buffer.contents buf in
+  let rng = Random.State.make [| 7 |] in
+  for round = 1 to 500 do
+    let b = Bytes.of_string clean in
+    for _ = 1 to 1 + Random.State.int rng 4 do
+      Bytes.set_uint8 b
+        (Random.State.int rng (Bytes.length b))
+        (Random.State.int rng 256)
+    done;
+    (* Every other round also plants a random 9-byte varint in the header
+       or the first events; about half of those decode negative. *)
+    if round mod 2 = 0 then begin
+      let at = Random.State.int rng 64 in
+      Bytes.fill b at 8 '\xff';
+      Bytes.set_uint8 b (at + 8) (Random.State.int rng 128)
+    end;
+    let len =
+      if round mod 2 = 0 then Bytes.length b
+      else Random.State.int rng (Bytes.length b + 1)
+    in
+    let mutated = Bytes.sub_string b 0 len in
+    match Tracebin.of_string mutated with
+    | exception Tracebin.Decode_error _ -> ()
+    | exception exn ->
+        Alcotest.failf "round %d: of_string raised %s" round
+          (Printexc.to_string exn)
+    | src -> (
+        match Tracebin.iter src ignore with
+        | Ok () | Error _ -> ()
+        | exception exn ->
+            Alcotest.failf "round %d: iter raised %s" round
+              (Printexc.to_string exn))
+  done
 
 (* ------------------------- profiler ------------------------- *)
 
@@ -663,6 +785,7 @@ let () =
             test_event_json_roundtrip;
           Alcotest.test_case "send/deliver pairing" `Quick test_causal_pair;
           Alcotest.test_case "lamport violations" `Quick test_lamport_violation;
+          Alcotest.test_case "open-send cap" `Quick test_causal_cap;
           Alcotest.test_case "critical path" `Quick test_critical_path;
         ] );
       ( "span",
@@ -670,8 +793,6 @@ let () =
           Alcotest.test_case "lifecycle milestones" `Quick test_span_assembly;
           Alcotest.test_case "undecided and re-proposal" `Quick
             test_span_undecided_and_reproposal;
-          Alcotest.test_case "invoke/applied matching" `Quick
-            test_span_invoke_applied;
         ] );
       ( "health",
         [
@@ -683,6 +804,13 @@ let () =
             test_health_suspect_edges;
           Alcotest.test_case "recovery episodes" `Quick
             test_health_recovery_episode;
+        ] );
+      ( "tracebin",
+        [
+          Alcotest.test_case "negative string length" `Quick
+            test_tracebin_negative_length;
+          Alcotest.test_case "mutated traces never raise" `Quick
+            test_tracebin_mutations;
         ] );
       ( "profile",
         [
