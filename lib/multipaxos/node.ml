@@ -70,18 +70,21 @@ type t = {
   slots : (int, slot_state) Hashtbl.t;
   mutable next_slot : int;
   mutable pending_from : int;
+  (* Derived from the shared [Batching.config]: [max_batch] caps commands
+     per P2a; [eager_batch] is 0 (flush only on tick) or the adaptive
+     [min_batch]. *)
   max_batch : int;
-  eager_batch : int;  (* 0 = flush only on tick *)
+  eager_batch : int;
   (* Learner state. *)
   decided : Command.t Log.t;
   (* Compaction: [app] is the state machine covering exactly
      [0, first_idx decided); slots below the trim point survive only there. *)
   snapshot_interval : int;  (* 0 = compaction off *)
   retain : int;
-  on_compact : upto:int -> entries:int -> unit;
   on_install : int -> string -> unit;
   mutable app : Replog.Kv.t;
   mutable snap_client_cmds : int;
+  obs : Obs.Term_trace.t;
 }
 
 let noop_id = -1
@@ -92,11 +95,13 @@ let noop_id = -1
    deciding one. *)
 let decided_ballot pid = { n = max_int; pid }
 
-let create ~id ~peers ~election_ticks ~rand ?(max_batch = 4096)
-    ?(eager_batch = 0) ?(snapshot_interval = 0) ?(retain = 0)
-    ?(on_compact = fun ~upto:_ ~entries:_ -> ()) ?(on_install = fun _ _ -> ())
+let create ~id ~peers ~election_ticks ~rand
+    ?(batching = Omnipaxos.Batching.fixed)
+    ?(compaction = Omnipaxos.Compaction.disabled) ?(on_install = fun _ _ -> ())
     ~send ?(on_decide = fun _ -> ()) () =
   let n_total = List.length peers + 1 in
+  let b = Omnipaxos.Batching.validated batching in
+  let c = Omnipaxos.Compaction.validated compaction in
   {
     id;
     peers;
@@ -121,15 +126,15 @@ let create ~id ~peers ~election_ticks ~rand ?(max_batch = 4096)
     slots = Hashtbl.create 64;
     next_slot = 0;
     pending_from = 0;
-    max_batch = max 1 max_batch;
-    eager_batch;
+    max_batch = b.max_batch;
+    eager_batch = (if b.adaptive then b.min_batch else 0);
     decided = Log.create ();
-    snapshot_interval = max 0 snapshot_interval;
-    retain = max 0 retain;
-    on_compact;
+    snapshot_interval = c.snapshot_interval;
+    retain = c.retain;
     on_install;
     app = Replog.Kv.create ();
     snap_client_cmds = 0;
+    obs = Obs.Term_trace.create ();
   }
 
 let bit i = 1 lsl i
@@ -150,6 +155,11 @@ let trim_accepted t =
     t.acc_trim <- t.acc_trim + 1
   done
 
+let snapshot t =
+  Replog.Snapshot.encode
+    ~last_idx:(Log.first_idx t.decided)
+    ~client_cmds:t.snap_client_cmds t.app
+
 (* Fold the decided prefix below [upto] into the state machine, then trim.
    Purely local: every server compacts below its own decided watermark, and
    stragglers that later ask for discarded slots get the snapshot instead. *)
@@ -164,7 +174,13 @@ let compact_below t ~upto =
           t.snap_client_cmds <- t.snap_client_cmds + 1)
       (Log.sub t.decided ~pos:floor ~len:(upto - floor));
     Log.trim t.decided ~upto;
-    t.on_compact ~upto ~entries:(upto - floor)
+    if Obs.Trace.on () then begin
+      Obs.Trace.emit ~node:t.id
+        (Obs.Event.Snapshot_taken
+           { idx = upto; bytes = String.length (snapshot t) });
+      Obs.Trace.emit ~node:t.id
+        (Obs.Event.Log_trimmed { upto; entries = upto - floor })
+    end
   end
 
 let maybe_compact t =
@@ -174,12 +190,22 @@ let maybe_compact t =
       compact_below t ~upto:(len - t.retain)
   end
 
+let leader_pid t =
+  match t.fd_leader with
+  | Myself -> if state_is_active t.state then Some t.id else None
+  | Activated l -> Some l
+  | No_leader -> None
+
 let send_snapshot t ~dst =
-  let idx = Log.first_idx t.decided in
-  let payload =
-    Replog.Snapshot.encode ~last_idx:idx ~client_cmds:t.snap_client_cmds t.app
-  in
-  t.send ~dst (Snapshot { idx; payload })
+  t.send ~dst (Snapshot { idx = Log.first_idx t.decided; payload = snapshot t })
+
+(* Every decided-prefix advance reports the new length to [on_decide] and
+   then to the trace, with the ballot round as term. *)
+let decided t =
+  let upto = Log.length t.decided in
+  t.on_decide upto;
+  Obs.Term_trace.note_decided ~node:t.id ~term:t.ballot.n
+    ~leader:(leader_pid t) ~decided_idx:upto
 
 (* Followers hold the decided values in their accepted slots already, so the
    leader only broadcasts a watermark; full values are re-sent on demand
@@ -203,7 +229,7 @@ let advance_decided_prefix t =
   go ();
   if !advanced then begin
     trim_accepted t;
-    t.on_decide (Log.length t.decided);
+    decided t;
     broadcast_decisions t;
     maybe_compact t
   end
@@ -252,6 +278,10 @@ let propose t cmd =
        for the next tick. *)
     if t.eager_batch > 0 && t.next_slot - t.pending_from >= t.eager_batch then
       flush_p2a t;
+    if Obs.Trace.on () then
+      Obs.Trace.emit ~node:t.id
+        (Obs.Event.Proposed
+           { log_idx = t.next_slot - 1; cmd_id = cmd.Command.id });
     true
   end
   else false
@@ -420,7 +450,7 @@ let on_watermark t ~src ~b ~upto =
   go ();
   if !progressed then begin
     trim_accepted t;
-    t.on_decide (Log.length t.decided);
+    decided t;
     maybe_compact t
   end
 
@@ -433,7 +463,7 @@ let on_decision t ~src ~start_slot ~cmds =
     if not (List.is_empty fresh) then begin
       Log.append_list t.decided fresh;
       trim_accepted t;
-      t.on_decide (Log.length t.decided);
+      decided t;
       maybe_compact t
     end
   end
@@ -464,7 +494,11 @@ let on_snapshot t ~idx ~payload =
         Log.reset_to t.decided ~offset:idx;
         trim_accepted t;
         t.on_install idx payload;
-        t.on_decide (Log.length t.decided)
+        if Obs.Trace.on () then
+          Obs.Trace.emit ~node:t.id
+            (Obs.Event.Snapshot_installed
+               { idx; bytes = String.length payload });
+        decided t
     | Error _ -> ()
 
 let handle t ~src msg =
@@ -512,7 +546,7 @@ let retransmit_uncommitted t =
       List.iter (fun p -> t.send ~dst:p m) t.peers)
     (batches [] None sorted)
 
-let tick t =
+let step_tick t =
   t.tick_count <- t.tick_count + 1;
   if t.tick_count mod t.heartbeat_ticks = 0 then
     List.iter (fun p -> t.send ~dst:p Heartbeat) t.peers;
@@ -539,6 +573,13 @@ let tick t =
         if t.backoff > 0 then t.backoff <- t.backoff - 1 else start_scout t
       end
 
+(* Leader transitions are traced once per tick, with the ballot round as
+   term. *)
+let tick t =
+  step_tick t;
+  Obs.Term_trace.note_leader t.obs ~node:t.id ~leader:(leader_pid t)
+    ~term:t.ballot.n
+
 let session_reset t ~peer =
   (* Lost watermarks and P2as are recovered by the periodic announce and
      retransmission paths; re-announce the watermark eagerly. *)
@@ -549,22 +590,12 @@ let session_reset t ~peer =
 let state t = t.state
 let is_leader t = state_is_active t.state
 
-let leader_pid t =
-  match t.fd_leader with
-  | Myself -> if state_is_active t.state then Some t.id else None
-  | Activated l -> Some l
-  | No_leader -> None
-
 let current_ballot t = t.ballot
 let decided_log t = t.decided
 let decided_length t = Log.length t.decided
 let first_idx t = Log.first_idx t.decided
 let snapshot_client_cmds t = t.snap_client_cmds
 
-let snapshot t =
-  Replog.Snapshot.encode
-    ~last_idx:(Log.first_idx t.decided)
-    ~client_cmds:t.snap_client_cmds t.app
 let next_slot t = t.next_slot
 
 let cmds_size cmds = List.fold_left (fun acc c -> acc + Command.size c) 0 cmds

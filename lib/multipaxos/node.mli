@@ -53,28 +53,30 @@ val create :
   peers:int list ->
   election_ticks:int ->
   rand:Random.State.t ->
-  ?max_batch:int ->
-  ?eager_batch:int ->
-  ?snapshot_interval:int ->
-  ?retain:int ->
-  ?on_compact:(upto:int -> entries:int -> unit) ->
+  ?batching:Omnipaxos.Batching.config ->
+  ?compaction:Omnipaxos.Compaction.config ->
   ?on_install:(int -> string -> unit) ->
   send:(dst:int -> msg -> unit) ->
   ?on_decide:(int -> unit) ->
   unit ->
   t
-(** [max_batch] (default 4096) caps commands per P2a; [eager_batch]
-    (default 0 = off) flushes pending proposals as soon as that many slots
-    are queued instead of waiting for the next tick — the Multi-Paxos
-    mirror of the Omni-Paxos adaptive batching knob.
+(** [batching] (default {!Omnipaxos.Batching.fixed}) caps commands per P2a
+    at [max_batch]; an adaptive config also flushes pending proposals as
+    soon as [min_batch] slots are queued instead of waiting for the next
+    tick — the Multi-Paxos mirror of Omni-Paxos' adaptive batching.
 
-    [snapshot_interval] (default 0 = off) enables local log compaction: once
-    that many decided slots accumulate above the trim point, the server folds
-    the decided prefix (except the last [retain] slots, default 0) into its
-    KV snapshot and trims the decided log. Requests for discarded slots
-    (catch-up, scouts below the trim point) are answered with a [Snapshot]
-    message instead. [on_compact] fires after each local trim, [on_install]
-    after installing a peer's snapshot. *)
+    [compaction] (default {!Omnipaxos.Compaction.disabled}) enables local
+    log compaction: once [snapshot_interval] decided slots accumulate above
+    the trim point, the server folds the decided prefix (except the last
+    [retain] slots) into its KV snapshot and trims the decided log. Requests
+    for discarded slots (catch-up, scouts below the trim point) are answered
+    with a [Snapshot] message instead; [on_install] fires after installing a
+    peer's snapshot.
+
+    The node emits its own trace events: [Proposed] on an accepted
+    proposal, [Decided] (the ballot round as term) on every decided-prefix
+    advance, [Snapshot_taken]/[Log_trimmed] on a local trim,
+    [Snapshot_installed], and leader transitions once per [tick]. *)
 
 val handle : t -> src:int -> msg -> unit
 val tick : t -> unit

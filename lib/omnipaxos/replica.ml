@@ -16,7 +16,7 @@ type t = {
 
 let create ~id ~peers ?priority ?qc_signal ?connectivity_priority
     ?(hb_ticks = 10) ?batching ?compaction ~storage ~send ?on_decide
-    ?snapshotter ?on_snapshot () =
+    ?on_snapshot () =
   let sp_ref = ref None in
   let ble =
     Ble.create ~id ~peers ?priority ?qc_signal ?connectivity_priority
@@ -32,7 +32,7 @@ let create ~id ~peers ?priority ?qc_signal ?connectivity_priority
     Sequence_paxos.create ~id ~peers ~persistent:storage.Storage.sp ?batching
       ?compaction
       ~send:(fun ~dst m -> send ~dst (Sp_msg m))
-      ?on_decide ?snapshotter ?on_snapshot ()
+      ?on_decide ?on_snapshot ()
   in
   sp_ref := Some sp;
   { ble; sp; hb_ticks; tick_count = 0 }

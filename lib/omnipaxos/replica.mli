@@ -31,15 +31,14 @@ val create :
   storage:Storage.t ->
   send:(dst:int -> msg -> unit) ->
   ?on_decide:(int -> unit) ->
-  ?snapshotter:(unit -> string) ->
   ?on_snapshot:(int -> string -> unit) ->
   unit ->
   t
 (** [hb_ticks] defaults to 10. [batching] selects the Sequence Paxos
     batch-flush policy (default {!Batching.fixed}); [compaction] (default
-    {!Compaction.disabled}) the snapshot-and-trim trigger. [snapshotter] /
-    [on_snapshot] enable snapshot-based repair of followers below the trim
-    point; see {!Sequence_paxos.create}. *)
+    {!Compaction.disabled}) the snapshot-and-trim trigger, with
+    [on_snapshot] firing when a snapshot is installed; see
+    {!Sequence_paxos.create}. *)
 
 val handle : t -> src:int -> msg -> unit
 val tick : t -> unit

@@ -76,7 +76,6 @@ type t = {
   dur : persistent;
   send : dst:int -> msg -> unit;
   on_decide : int -> unit;
-  snapshotter : (unit -> string) option;
   on_snapshot : int -> string -> unit;
   batching : Batching.config;
   compaction : Compaction.config;
@@ -128,7 +127,7 @@ let find_stop_sign_from log ~from =
 
 let create ~id ~peers ~persistent ?(batching = Batching.fixed)
     ?(compaction = Compaction.disabled) ~send ?(on_decide = fun _ -> ())
-    ?snapshotter ?(on_snapshot = fun _ _ -> ()) () =
+    ?(on_snapshot = fun _ _ -> ()) () =
   let n_total = List.length peers + 1 in
   let width = 1 + List.fold_left max id peers in
   let batching = Batching.validated batching in
@@ -140,7 +139,6 @@ let create ~id ~peers ~persistent ?(batching = Batching.fixed)
     dur = persistent;
     send;
     on_decide;
-    snapshotter;
     on_snapshot;
     batching;
     compaction;
@@ -250,17 +248,11 @@ let advance_app t ~upto =
         | Entry.Stop_sign _ -> ())
       (Log.sub t.dur.log ~pos:from ~len:(upto - from))
 
-(* The encoded snapshot covering [0, first_idx): the application's own
-   [snapshotter] when one is registered, the internal KV snapshot
-   otherwise. *)
-let snapshot_bytes t =
-  match t.snapshotter with
-  | Some take -> take ()
-  | None ->
-      Replog.Snapshot.encode ~last_idx:(Log.first_idx t.dur.log)
-        ~client_cmds:t.dur.snap_client_cmds t.dur.app
+(* The encoded KV snapshot covering [0, first_idx). *)
+let snapshot t =
+  Replog.Snapshot.encode ~last_idx:(Log.first_idx t.dur.log)
+    ~client_cmds:t.dur.snap_client_cmds t.dur.app
 
-let snapshot t = snapshot_bytes t
 let snapshot_client_cmds t = t.dur.snap_client_cmds
 
 let trace_trim t ~upto ~entries =
@@ -268,10 +260,8 @@ let trace_trim t ~upto ~entries =
     Obs.Trace.emit ~node:t.id (Obs.Event.Log_trimmed { upto; entries })
 
 (* Install a state snapshot covering [0, idx): the log restarts at [idx]
-   and the durable snapshot state machine adopts the payload when it is
-   the internal envelope (an application [snapshotter]'s opaque bytes are
-   handled entirely by [on_snapshot]). Discards any local entries — the
-   caller appends the authoritative suffix on top. *)
+   and the durable snapshot state machine adopts the payload. Discards any
+   local entries — the caller appends the authoritative suffix on top. *)
 let install_snapshot t ~idx ~payload =
   Log.reset_to t.dur.log ~offset:idx;
   t.ss_idx <- None;
@@ -378,7 +368,7 @@ let maybe_compact t =
         if Obs.Trace.on () then
           Obs.Trace.emit ~node:t.id
             (Obs.Event.Snapshot_taken
-               { idx = upto; bytes = String.length (snapshot_bytes t) });
+               { idx = upto; bytes = String.length (snapshot t) });
         trace_trim t ~upto ~entries:(upto - floor);
         let m = Trim { n = t.dur.prom_rnd; trim_idx = upto } in
         List.iter (fun p -> t.send ~dst:p m) t.peers
@@ -425,17 +415,9 @@ let accept_sync_follower t ~dst ~(info : promise_info) ~max_acc_rnd =
   in
   let floor = Log.first_idx t.dur.log in
   (* A follower below our trim point (e.g. one that lost its disk) cannot be
-     repaired with entries alone: ship a state snapshot covering the trimmed
-     prefix, when the application provides one. Otherwise serve from the
-     trim point — safe in the normal case, where the region below it is
-     decided everywhere and already identical at the follower. *)
-  let snapshot =
-    if wanted < floor then
-      if Option.is_some t.snapshotter || Compaction.enabled t.compaction then
-        Some (floor, snapshot_bytes t)
-      else None
-    else None
-  in
+     repaired with entries alone: ship the state snapshot covering the
+     trimmed prefix. *)
+  let snapshot = if wanted < floor then Some (floor, snapshot t) else None in
   let sync_idx = max wanted floor in
   let suffix = Log.suffix t.dur.log ~from:sync_idx in
   if Obs.Trace.on () then
@@ -574,7 +556,7 @@ let on_prepare t ~src ~n ~l_acc_rnd ~l_log_idx ~l_decided_idx =
     let promise ~base =
       let from = max base floor in
       let snapshot =
-        if from > base then Some (floor, snapshot_bytes t) else None
+        if from > base then Some (floor, snapshot t) else None
       in
       (from, Log.suffix t.dur.log ~from, snapshot)
     in
@@ -837,7 +819,7 @@ let do_flush t ~trigger =
                sync_idx = floor;
                suffix;
                decided_idx = t.dur.decided_idx;
-               snapshot = Some (floor, snapshot_bytes t);
+               snapshot = Some (floor, snapshot t);
              });
         t.sent_idx.(f) <- len
       end
@@ -972,7 +954,6 @@ let copy t =
     dur = copy_persistent t.dur;
     send = t.send;
     on_decide = t.on_decide;
-    snapshotter = t.snapshotter;
     on_snapshot = t.on_snapshot;
     batching = t.batching;
     compaction = t.compaction;
@@ -1001,7 +982,6 @@ let state_key
       dur = { log; prom_rnd; acc_rnd; decided_idx; app; snap_client_cmds };
       send = _;
       on_decide = _;
-      snapshotter;
       on_snapshot = _;
       batching;
       compaction;
@@ -1022,7 +1002,7 @@ let state_key
   Marshal.to_string
     ( (id, peers, quorum, Log.first_idx log, Log.to_list log),
       (prom_rnd, acc_rnd, decided_idx, Replog.Kv.snapshot app),
-      (snap_client_cmds, Option.is_some snapshotter, batching, compaction),
+      (snap_client_cmds, batching, compaction),
       (role, Replog.Det.sorted_bindings ~compare_key:Int.compare promises),
       (List.of_seq (Queue.to_seq buffer), synced, acc_idx, sent_idx),
       (batch_cap, unflushed, ticks_since_flush, acked_idx, ack_pending, ss_idx)

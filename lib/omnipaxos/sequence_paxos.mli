@@ -80,7 +80,6 @@ val create :
   ?compaction:Compaction.config ->
   send:(dst:int -> msg -> unit) ->
   ?on_decide:(int -> unit) ->
-  ?snapshotter:(unit -> string) ->
   ?on_snapshot:(int -> string -> unit) ->
   unit ->
   t
@@ -90,12 +89,9 @@ val create :
     [compaction] (default {!Compaction.disabled}) enables automatic
     snapshot-and-trim on the leader once [snapshot_interval] decided
     entries accumulate above the trim point; the internal KV snapshot of
-    [persistent.app] then repairs followers that fell below it.
-    [snapshotter] supplies an opaque state-machine snapshot covering the
-    trimmed prefix, overriding the internal one (e.g. for applications
-    with their own state representation); [on_snapshot idx payload] fires
-    at the receiving side so the application can restore its state
-    machine. *)
+    [persistent.app] then repairs followers that fell below it, and
+    [on_snapshot idx payload] fires at the receiving side once it is
+    installed. *)
 
 val handle : t -> src:int -> msg -> unit
 (** Messages from a pid outside [\[0, 1 + max (id :: peers))] — never a
@@ -168,9 +164,8 @@ val first_idx : t -> int
 (** The log's trim point: entries below it live only in the snapshot. *)
 
 val snapshot : t -> string
-(** The encoded state snapshot covering [0, first_idx): the registered
-    [snapshotter]'s bytes when one exists, the internal
-    {!Replog.Snapshot} envelope otherwise. *)
+(** The {!Replog.Snapshot} envelope of the state covering
+    [0, first_idx). *)
 
 val snapshot_client_cmds : t -> int
 (** Client commands (id >= 0) contained in the trimmed prefix. *)

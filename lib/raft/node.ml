@@ -83,21 +83,21 @@ type t = {
   mutable tick_count : int;
   last_resp : (int, int) Hashtbl.t;  (* peer -> tick of last AppendResp *)
   last_send : (int, int) Hashtbl.t;  (* peer -> tick of last AppendEntries *)
-  (* Batching knobs, mirroring Omni-Paxos' [Batching.config] so the Fig 7/8
-     comparisons stay apples-to-apples. [max_batch] caps entries per
-     AppendEntries (large catch-ups stream as a pipeline of batches);
-     [eager_batch > 0] flushes a proposal burst as soon as that many
-     entries are pending for some peer instead of waiting for the tick. *)
+  (* Derived from the shared [Batching.config] so the Fig 7/8 comparisons
+     stay apples-to-apples. [max_batch] caps entries per AppendEntries
+     (large catch-ups stream as a pipeline of batches); [eager_batch > 0]
+     flushes a proposal burst as soon as that many entries are pending for
+     some peer instead of waiting for the tick. *)
   max_batch : int;
   eager_batch : int;
-  (* Local compaction knobs (every server trims below its own commit index,
-     the classic Raft local decision): snapshot-and-trim once
+  (* Local compaction (every server trims below its own commit index, the
+     classic Raft local decision): snapshot-and-trim once
      [snapshot_interval] committed entries sit above the trim point,
      keeping the newest [retain] of them. [0] disables compaction. *)
   snapshot_interval : int;
   retain : int;
-  on_compact : upto:int -> entries:int -> unit;
   on_install : int -> string -> unit;
+  obs : Obs.Term_trace.t;
 }
 
 let fresh_persistent () =
@@ -119,10 +119,11 @@ let reset_timeout t =
    answers the leader but never campaigns or votes until a committed Config
    entry promotes it. *)
 let create ~id ~voters ?(pre_vote = false) ?(check_quorum = false)
-    ?(max_batch = 4096) ?(eager_batch = 0) ?(snapshot_interval = 0)
-    ?(retain = 0) ?(on_compact = fun ~upto:_ ~entries:_ -> ())
-    ?(on_install = fun _ _ -> ()) ~election_ticks ~rand ~persistent ~send
-    ?(on_commit = fun _ -> ()) () =
+    ?(batching = Omnipaxos.Batching.fixed)
+    ?(compaction = Omnipaxos.Compaction.disabled) ?(on_install = fun _ _ -> ())
+    ~election_ticks ~rand ~persistent ~send ?(on_commit = fun _ -> ()) () =
+  let b = Omnipaxos.Batching.validated batching in
+  let c = Omnipaxos.Compaction.validated compaction in
   let t =
     {
       id;
@@ -153,12 +154,12 @@ let create ~id ~voters ?(pre_vote = false) ?(check_quorum = false)
       tick_count = 0;
       last_resp = Hashtbl.create 8;
       last_send = Hashtbl.create 8;
-      max_batch = max 1 max_batch;
-      eager_batch;
-      snapshot_interval;
-      retain;
-      on_compact;
+      max_batch = b.max_batch;
+      eager_batch = (if b.adaptive then b.min_batch else 0);
+      snapshot_interval = c.snapshot_interval;
+      retain = c.retain;
       on_install;
+      obs = Obs.Term_trace.create ();
     }
   in
   reset_timeout t;
@@ -202,6 +203,11 @@ let apply_configs t ~from ~upto =
     | Cmd _ -> ()
   done
 
+let snapshot t =
+  Replog.Snapshot.encode
+    ~last_idx:(Log.first_idx t.dur.log)
+    ~client_cmds:t.dur.snap_client_cmds t.dur.app
+
 (* Fold the entries [first_idx, upto) into the durable snapshot state
    machine, then trim. Runs below the local commit index only, so the
    committed prefix invariant (identical at every server) makes the
@@ -221,7 +227,13 @@ let compact_below t ~upto =
         | Config _ -> ())
       (Log.sub t.dur.log ~pos:floor ~len:(upto - floor));
     Log.trim t.dur.log ~upto;
-    t.on_compact ~upto ~entries:(upto - floor)
+    if Obs.Trace.on () then begin
+      Obs.Trace.emit ~node:t.id
+        (Obs.Event.Snapshot_taken
+           { idx = upto; bytes = String.length (snapshot t) });
+      Obs.Trace.emit ~node:t.id
+        (Obs.Event.Log_trimmed { upto; entries = upto - floor })
+    end
   end
 
 let maybe_compact t =
@@ -237,6 +249,8 @@ let advance_commit t c =
     t.commit_idx <- c;
     apply_configs t ~from ~upto:c;
     t.on_commit c;
+    Obs.Term_trace.note_decided ~node:t.id ~term:t.dur.term
+      ~leader:t.leader_id ~decided_idx:c;
     maybe_compact t
   end
 
@@ -384,7 +398,7 @@ let on_election_timeout t =
   if List.mem t.id t.voters then
     if t.pre_vote then start_pre_vote t else start_election t
 
-let tick t =
+let step_tick t =
   t.tick_count <- t.tick_count + 1;
   match t.role with
   | Leader ->
@@ -422,6 +436,12 @@ let tick t =
   | Follower | Candidate ->
       t.ticks_since_hb <- t.ticks_since_hb + 1;
       if t.ticks_since_hb >= t.timeout_ticks then on_election_timeout t
+
+(* Leader transitions are traced once per tick, with the term as ballot. *)
+let tick t =
+  step_tick t;
+  Obs.Term_trace.note_leader t.obs ~node:t.id ~leader:t.leader_id
+    ~term:t.dur.term
 
 let on_request_vote t ~src ~term ~last_log_idx ~last_log_term ~pre =
   if pre then begin
@@ -573,6 +593,10 @@ let on_install_snapshot t ~src ~term ~idx ~snap_term ~payload ~leader_commit =
             Log.reset_to t.dur.log ~offset:idx;
             t.commit_idx <- max t.commit_idx idx;
             t.on_install idx payload;
+            if Obs.Trace.on () then
+              Obs.Trace.emit ~node:t.id
+                (Obs.Event.Snapshot_installed
+                   { idx; bytes = String.length payload });
             idx
         | Error _ -> t.commit_idx
     in
@@ -630,6 +654,13 @@ let propose t cmd =
           if len - sent >= t.eager_batch then send_append t ~dst:p ~from:sent)
         (replication_targets t)
     end;
+    if Obs.Trace.on () then
+      Obs.Trace.emit ~node:t.id
+        (Obs.Event.Proposed
+           {
+             log_idx = Log.length t.dur.log - 1;
+             cmd_id = cmd.Replog.Command.id;
+           });
     true
   end
   else false
@@ -674,11 +705,6 @@ let commit_idx t = t.commit_idx
 let log_length t = Log.length t.dur.log
 let first_idx t = Log.first_idx t.dur.log
 let snapshot_client_cmds t = t.dur.snap_client_cmds
-
-let snapshot t =
-  Replog.Snapshot.encode
-    ~last_idx:(Log.first_idx t.dur.log)
-    ~client_cmds:t.dur.snap_client_cmds t.dur.app
 
 (* Entries below the trim point are unavailable; reads clamp to it. *)
 let read_committed t ~from =

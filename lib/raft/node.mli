@@ -77,11 +77,8 @@ val create :
   voters:int list ->
   ?pre_vote:bool ->
   ?check_quorum:bool ->
-  ?max_batch:int ->
-  ?eager_batch:int ->
-  ?snapshot_interval:int ->
-  ?retain:int ->
-  ?on_compact:(upto:int -> entries:int -> unit) ->
+  ?batching:Omnipaxos.Batching.config ->
+  ?compaction:Omnipaxos.Compaction.config ->
   ?on_install:(int -> string -> unit) ->
   election_ticks:int ->
   rand:Random.State.t ->
@@ -90,20 +87,26 @@ val create :
   ?on_commit:(int -> unit) ->
   unit ->
   t
-(** [voters] must include [id]. [max_batch] (default 4096) caps entries per
-    AppendEntries; [eager_batch] (default 0 = off) flushes a proposal burst
-    as soon as that many entries are pending for a peer, instead of on the
-    next tick — the Raft mirror of the Omni-Paxos adaptive batching knob,
-    keeping the throughput comparisons apples-to-apples.
+(** [voters] must include [id]. [batching] (default
+    {!Omnipaxos.Batching.fixed}) sets the cap on entries per AppendEntries
+    ([max_batch]); an adaptive config also flushes a proposal burst as soon
+    as [min_batch] entries are pending for a peer, instead of on the next
+    tick — the Raft mirror of Omni-Paxos' adaptive batching, keeping the
+    throughput comparisons apples-to-apples.
 
-    [snapshot_interval] (default 0 = off) enables local log compaction: once
-    that many committed entries accumulate above the trim point, the server
-    folds the committed prefix (except the last [retain] entries, default 0)
-    into its KV snapshot and trims the log. A leader repairs followers whose
-    next index fell below its trim point with [Install_snapshot].
-    [on_compact] fires after each local trim, [on_install] after installing
-    a leader-shipped snapshot. Note: [Config] entries are not carried by
-    snapshots — do not combine compaction with reconfiguration. *)
+    [compaction] (default {!Omnipaxos.Compaction.disabled}) enables local
+    log compaction: once [snapshot_interval] committed entries accumulate
+    above the trim point, the server folds the committed prefix (except the
+    last [retain] entries) into its KV snapshot and trims the log. A leader
+    repairs followers whose next index fell below its trim point with
+    [Install_snapshot]; [on_install] fires after installing one. Note:
+    [Config] entries are not carried by snapshots — do not combine
+    compaction with reconfiguration.
+
+    The node emits its own trace events: [Proposed] on an accepted
+    proposal, [Decided] (the term as ballot) on every commit advance,
+    [Snapshot_taken]/[Log_trimmed] on a local trim, [Snapshot_installed],
+    and leader transitions once per [tick]. *)
 
 val handle : t -> src:int -> msg -> unit
 val tick : t -> unit

@@ -3,7 +3,7 @@
 module N = Multipaxos.Node
 
 module Core = struct
-  type t = { id : int; node : N.t; obs : Protocol.Obs_hooks.t }
+  type t = N.t
   type msg = N.msg
   type config = unit
 
@@ -11,90 +11,29 @@ module Core = struct
   let layer = "multipaxos"
   let default = ()
 
-  let create () ?(batching = Omnipaxos.Batching.fixed)
-      ?(compaction = Omnipaxos.Compaction.disabled) ~id ~peers ~election_ticks
-      ~rand ~send ~on_decide ~on_install () =
-    let node_ref = ref None in
-    let on_decide upto =
-      on_decide upto;
-      match !node_ref with
-      | Some node ->
-          Protocol.Obs_hooks.note_decided ~node:id
-            ~term:(N.current_ballot node).N.n ~leader:(N.leader_pid node)
-            ~decided_idx:upto
-      | None -> ()
-    in
-    (* Same translation as the Raft adapter: cap P2a batches at [max_batch],
-       and under the adaptive policy flush eagerly at [min_batch] pending. *)
-    let b = Omnipaxos.Batching.validated batching in
-    let eager_batch =
-      if b.Omnipaxos.Batching.adaptive then b.Omnipaxos.Batching.min_batch else 0
-    in
-    (* Compaction translates the same way; the adapter supplies the trace
-       events Sequence Paxos emits internally. *)
-    let c = Omnipaxos.Compaction.validated compaction in
-    let on_compact ~upto ~entries =
-      if Obs.Trace.on () then begin
-        (match !node_ref with
-        | Some node ->
-            Obs.Trace.emit ~node:id
-              (Obs.Event.Snapshot_taken
-                 { idx = upto; bytes = String.length (N.snapshot node) })
-        | None -> ());
-        Obs.Trace.emit ~node:id (Obs.Event.Log_trimmed { upto; entries })
-      end
-    in
-    (* Fires before [on_decide] reports the installed watermark. *)
-    let on_install idx payload =
-      on_install idx payload;
-      if Obs.Trace.on () then
-        Obs.Trace.emit ~node:id
-          (Obs.Event.Snapshot_installed { idx; bytes = String.length payload })
-    in
-    let node =
-      N.create ~id ~peers ~election_ticks ~rand
-        ~max_batch:b.Omnipaxos.Batching.max_batch ~eager_batch
-        ~snapshot_interval:c.Omnipaxos.Compaction.snapshot_interval
-        ~retain:c.Omnipaxos.Compaction.retain ~on_compact ~on_install ~send
-        ~on_decide ()
-    in
-    node_ref := Some node;
-    { id; node; obs = Protocol.Obs_hooks.create () }
+  let create () ?batching ?compaction ~id ~peers ~election_ticks ~rand ~send
+      ~on_decide ~on_install () =
+    N.create ~id ~peers ~election_ticks ~rand ?batching ?compaction
+      ~on_install ~send ~on_decide ()
 
-  let handle c ~src msg = N.handle c.node ~src msg
-
-  let tick c =
-    N.tick c.node;
-    Protocol.Obs_hooks.note_leader c.obs ~node:c.id
-      ~leader:(N.leader_pid c.node)
-      ~term:(N.current_ballot c.node).N.n
-
-  let session_reset c ~peer = N.session_reset c.node ~peer
+  let handle = N.handle
+  let tick = N.tick
+  let session_reset = N.session_reset
 
   (* Multi-Paxos exposes no storage abstraction: model synchronous full-state
      persistence — a crash is a pause plus lost in-flight traffic, not an
      amnesia restart (which would forget Phase-1 promises and break safety). *)
   let restart _c = ()
-
-  (* Mirror of the Sequence Paxos [Proposed] emit: span assembly needs the
-     leader-append moment for every protocol, not just Omni-Paxos. *)
-  let propose c cmd =
-    let ok = N.propose c.node cmd in
-    if ok && Obs.Trace.on () then
-      Obs.Trace.emit ~node:c.id
-        (Obs.Event.Proposed
-           { log_idx = N.next_slot c.node - 1; cmd_id = cmd.Replog.Command.id });
-    ok
-
-  let is_leader c = N.is_leader c.node
-  let leader_pid c = N.leader_pid c.node
-  let decided_index c = N.decided_length c.node
+  let propose = N.propose
+  let is_leader = N.is_leader
+  let leader_pid = N.leader_pid
+  let decided_index = N.decided_length
   let msg_size = N.msg_size
 
   (* Slots below the trim point live only in the snapshot; the install hook
      already moved the cursor past them, the clamp is belt-and-braces. *)
   let iter_decided c ~from ~upto f =
-    let log = N.decided_log c.node in
+    let log = N.decided_log c in
     for i = max from (Replog.Log.first_idx log) to upto - 1 do
       f (Replog.Log.get log i).Replog.Command.id
     done
@@ -102,4 +41,4 @@ end
 
 include Adapter.Make (Core)
 
-let node t = (core t).Core.node
+let node = core

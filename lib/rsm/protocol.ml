@@ -35,18 +35,15 @@ module type PROTOCOL = sig
       timeouts, view-change timers) from it.
 
       [batching] (default {!Omnipaxos.Batching.fixed}) selects the hot-path
-      flush policy. Omni-Paxos variants and VR apply it to Sequence Paxos
-      directly; Raft and Multi-Paxos translate it to their own knobs
-      ([max_batch] caps entries per replication message, and an adaptive
-      config enables a size-triggered eager flush at [min_batch] pending
-      entries), so Figure 7/8 comparisons stay apples-to-apples.
-
-      [compaction] (default {!Omnipaxos.Compaction.disabled}) selects the
-      snapshot-and-trim trigger, translated the same way: Omni-Paxos
-      variants and VR run quorum-watermark compaction inside Sequence
-      Paxos; Raft and Multi-Paxos compact locally below their own
-      commit/decide watermark at the same [snapshot_interval]/[retain]
-      knobs, repairing stragglers with their own snapshot messages. *)
+      flush policy and [compaction] (default
+      {!Omnipaxos.Compaction.disabled}) the snapshot-and-trim trigger. Every
+      core reads the same two configs, so Figure 7/8 comparisons stay
+      apples-to-apples: Omni-Paxos variants and VR apply them to Sequence
+      Paxos (quorum-watermark compaction); Raft and Multi-Paxos cap their
+      replication batches at [max_batch], flush eagerly at [min_batch]
+      pending entries under an adaptive config, and compact locally below
+      their own commit/decide watermark, repairing stragglers with their own
+      snapshot messages. *)
 
   val handle : t -> src:int -> msg -> unit
   val tick : t -> unit
@@ -89,44 +86,6 @@ module type PROTOCOL = sig
   val msg_size : msg -> int
 end
 
-(* Shared trace instrumentation for the Raft, Multi-Paxos and VR cores:
-   terms/views map onto trace ballots as (term, 0, leader). [note_leader] is
-   called from a core's [tick] and emits Leader_elected/Leader_changed on
-   transitions; [note_decided] reports decided-index advances. Everything is
-   behind the [Obs.Trace.on] guard, so it costs one branch when tracing is
-   off. *)
-module Obs_hooks = struct
-  type t = { mutable last_leader : (int * int) option (* (pid, term) *) }
-
-  let create () = { last_leader = None }
-
-  let note_leader s ~node ~leader ~term =
-    if Obs.Trace.on () then
-      match leader with
-      | None -> ()
-      | Some pid ->
-          let same =
-            match s.last_leader with
-            | Some (p, t) -> Int.equal p pid && Int.equal t term
-            | None -> false
-          in
-          if not same then begin
-            let first = Option.is_none s.last_leader in
-            s.last_leader <- Some (pid, term);
-            let b = { Obs.Event.n = term; prio = 0; pid } in
-            Obs.Trace.emit ~node
-              (if first then Obs.Event.Leader_elected b
-               else Obs.Event.Leader_changed b)
-          end
-
-  let note_decided ~node ~term ~leader ~decided_idx =
-    if Obs.Trace.on () then
-      let b =
-        { Obs.Event.n = term; prio = 0; pid = Option.value leader ~default:(-1) }
-      in
-      Obs.Trace.emit ~node (Obs.Event.Decided { b; decided_idx })
-end
-
 (* Incrementally materialised list of decided command ids; [Adapter.Make]
    feeds it from the core's decide callback so queries are O(delta). *)
 module Decided_cache = struct
@@ -146,6 +105,6 @@ module Decided_cache = struct
   let count t = t.count
 
   let ids_from t ~from =
-    let from = max 0 from in
-    Array.to_list (Array.sub t.ids from (max 0 (t.count - from)))
+    let from = min t.count (max 0 from) in
+    Array.to_list (Array.sub t.ids from (t.count - from))
 end

@@ -4,7 +4,7 @@
 module N = Raft.Node
 
 module Core = struct
-  type t = { id : int; node : N.t; obs : Protocol.Obs_hooks.t }
+  type t = N.t
   type msg = N.msg
   type config = { pv_cq : bool }  (* PreVote and CheckQuorum together *)
 
@@ -12,88 +12,24 @@ module Core = struct
   let layer = "raft"
   let default = { pv_cq = false }
 
-  let create cfg ?(batching = Omnipaxos.Batching.fixed)
-      ?(compaction = Omnipaxos.Compaction.disabled) ~id ~peers ~election_ticks
-      ~rand ~send ~on_decide ~on_install () =
-    let node_ref = ref None in
-    let on_commit idx =
-      on_decide idx;
-      match !node_ref with
-      | Some node ->
-          Protocol.Obs_hooks.note_decided ~node:id ~term:(N.current_term node)
-            ~leader:(N.leader_pid node) ~decided_idx:idx
-      | None -> ()
-    in
-    (* Translate the shared batching knob: [max_batch] caps AppendEntries
-       batches, and an adaptive config turns on the eager size-triggered flush
-       at the same threshold Omni-Paxos starts from ([min_batch]). *)
-    let b = Omnipaxos.Batching.validated batching in
-    let eager_batch =
-      if b.Omnipaxos.Batching.adaptive then b.Omnipaxos.Batching.min_batch else 0
-    in
-    (* Translate the shared compaction knob the same way; Raft compacts
-       locally below its own commit index, so the adapter supplies the trace
-       events Sequence Paxos emits internally. *)
-    let c = Omnipaxos.Compaction.validated compaction in
-    let on_compact ~upto ~entries =
-      if Obs.Trace.on () then begin
-        (match !node_ref with
-        | Some node ->
-            Obs.Trace.emit ~node:id
-              (Obs.Event.Snapshot_taken
-                 { idx = upto; bytes = String.length (N.snapshot node) })
-        | None -> ());
-        Obs.Trace.emit ~node:id (Obs.Event.Log_trimmed { upto; entries })
-      end
-    in
-    let on_install idx payload =
-      on_install idx payload;
-      if Obs.Trace.on () then
-        Obs.Trace.emit ~node:id
-          (Obs.Event.Snapshot_installed { idx; bytes = String.length payload })
-    in
-    let node =
-      N.create ~id ~voters:(id :: peers) ~pre_vote:cfg.pv_cq
-        ~check_quorum:cfg.pv_cq
-        ~max_batch:b.Omnipaxos.Batching.max_batch ~eager_batch
-        ~snapshot_interval:c.Omnipaxos.Compaction.snapshot_interval
-        ~retain:c.Omnipaxos.Compaction.retain ~on_compact ~on_install
-        ~election_ticks ~rand ~persistent:(N.fresh_persistent ()) ~send
-        ~on_commit ()
-    in
-    node_ref := Some node;
-    { id; node; obs = Protocol.Obs_hooks.create () }
+  let create cfg ?batching ?compaction ~id ~peers ~election_ticks ~rand ~send
+      ~on_decide ~on_install () =
+    N.create ~id ~voters:(id :: peers) ~pre_vote:cfg.pv_cq
+      ~check_quorum:cfg.pv_cq ?batching ?compaction ~on_install ~election_ticks
+      ~rand ~persistent:(N.fresh_persistent ()) ~send ~on_commit:on_decide ()
 
-  let handle c ~src msg = N.handle c.node ~src msg
-
-  let tick c =
-    N.tick c.node;
-    Protocol.Obs_hooks.note_leader c.obs ~node:c.id
-      ~leader:(N.leader_pid c.node) ~term:(N.current_term c.node)
-
-  let session_reset c ~peer = N.session_reset c.node ~peer
+  let handle = N.handle
+  let tick = N.tick
+  let session_reset = N.session_reset
 
   (* Term, vote and log are Raft's persistent state (kept inside the node);
      [N.recover] resets the volatile role/leader/commit-index view, which is
      re-learned from the next leader's appends. *)
-  let restart c = N.recover c.node
-
-  (* Mirror of the Sequence Paxos [Proposed] emit: span assembly needs the
-     leader-append moment for every protocol, not just Omni-Paxos. *)
-  let propose c cmd =
-    let ok = N.propose c.node cmd in
-    if ok && Obs.Trace.on () then
-      Obs.Trace.emit ~node:c.id
-        (Obs.Event.Proposed
-           {
-             log_idx = N.log_length c.node - 1;
-             cmd_id = cmd.Replog.Command.id;
-           });
-    ok
-
-  let is_leader c = N.is_leader c.node
-  let leader_pid c = N.leader_pid c.node
-  let decided_index c = N.commit_idx c.node
+  let restart = N.recover
+  let propose = N.propose
+  let is_leader = N.is_leader
+  let leader_pid = N.leader_pid
+  let decided_index = N.commit_idx
   let msg_size = N.msg_size
 
   let rec iter_entries f ~upto i = function
@@ -105,13 +41,13 @@ module Core = struct
     | _ :: _ | [] -> ()
 
   let iter_decided c ~from ~upto f =
-    iter_entries f ~upto from (N.read_committed c.node ~from)
+    iter_entries f ~upto from (N.read_committed c ~from)
 end
 
 module Plain = struct
   include Adapter.Make (Core)
 
-  let node t = (core t).Core.node
+  let node = core
 end
 
 module Pv_cq = struct

@@ -31,6 +31,7 @@ type t = {
   mutable ticks_since_ping : int;
   mutable vc_ticks : int;
   mutable tick_count : int;
+  obs : Obs.Term_trace.t;
 }
 
 let leader_of t view = view mod t.n_total
@@ -67,6 +68,7 @@ let create ~id ~peers ~election_ticks ?batching ?compaction ?on_snapshot ~send
     ticks_since_ping = 0;
     vc_ticks = 0;
     tick_count = 0;
+    obs = Obs.Term_trace.create ();
   }
 
 let broadcast t m = List.iter (fun p -> t.send ~dst:p (Vr m)) t.peers
@@ -159,7 +161,7 @@ let handle t ~src msg =
 
 let is_leader t = status_is_normal t.status && leader_of t t.view = t.id
 
-let tick t =
+let step_tick t =
   t.tick_count <- t.tick_count + 1;
   Sp.flush t.sp;
   if is_leader t then begin
@@ -189,6 +191,14 @@ let view t = t.view
 
 let leader_pid t =
   match t.status with Normal -> Some (leader_of t t.view) | View_change -> None
+
+(* The embedded Sequence Paxos traces decides and installs itself; only
+   leader/view transitions are traced here, once per tick, with the view as
+   the term. *)
+let tick t =
+  step_tick t;
+  Obs.Term_trace.note_leader t.obs ~node:t.id ~leader:(leader_pid t)
+    ~term:t.view
 
 let sequence_paxos t = t.sp
 

@@ -38,7 +38,9 @@ val create :
 (** [batching] selects the flush policy of the inner Sequence Paxos
     instance (default {!Omnipaxos.Batching.fixed}); [compaction] (default
     {!Omnipaxos.Compaction.disabled}) its snapshot-and-trim trigger, with
-    [on_snapshot] firing when a leader-shipped snapshot is installed. *)
+    [on_snapshot] firing when a leader-shipped snapshot is installed.
+    Sequence Paxos traces the decides and installs; the node traces leader
+    transitions once per [tick], with the view as the term. *)
 
 val handle : t -> src:int -> msg -> unit
 val tick : t -> unit
