@@ -63,3 +63,41 @@ let restore payload =
     Hashtbl.replace t.table k v
   done;
   t
+
+(* [restorable] scans the exact grammar [snapshot] writes, without
+   allocating. [digits_end s pos i sep] is the position of the [sep] that
+   ends a run of 1 to 18 decimal digits starting at [pos] (short enough
+   that [int_of_string] cannot overflow), or -1. *)
+let rec digits_end s pos i sep =
+  if i >= String.length s || i - pos > 18 then -1
+  else
+    match s.[i] with
+    | '0' .. '9' -> digits_end s pos (i + 1) sep
+    | c when Char.equal c sep && i > pos -> i
+    | _ -> -1
+
+let rec digits_value s i stop acc =
+  if i >= stop then acc
+  else digits_value s (i + 1) stop ((10 * acc) + Char.code s.[i] - 48)
+
+(* The position after the "<len>:<len bytes>" field at [pos], or -1. *)
+let field_end s pos =
+  let stop = digits_end s pos pos ':' in
+  if stop < 0 then -1
+  else
+    let next = stop + 1 + digits_value s pos stop 0 in
+    if next <= String.length s then next else -1
+
+let rec pairs_ok s pos =
+  pos = String.length s
+  ||
+  let k_end = field_end s pos in
+  k_end >= 0
+  &&
+  let v_end = field_end s k_end in
+  v_end >= 0 && pairs_ok s v_end
+
+(* Whether [restore] reads [payload] without raising. *)
+let restorable payload =
+  let stop = digits_end payload 0 0 ';' in
+  stop >= 0 && pairs_ok payload (stop + 1)

@@ -50,9 +50,13 @@ let decode s =
                       int_of_string_opt ("0x" ^ sum_s) )
                   with
                   | Some last_idx, Some client_cmds, Some sum ->
-                      if sum <> checksum payload then
+                      if last_idx < 0 || client_cmds < 0 then
+                        fail "snapshot: negative last_idx or client_cmds"
+                      else if sum <> checksum payload then
                         fail "snapshot: checksum mismatch (%08x vs %08x)" sum
                           (checksum payload)
+                      else if not (Kv.restorable payload) then
+                        fail "snapshot: malformed KV payload"
                       else Ok { last_idx; client_cmds; payload }
                   | _ -> fail "snapshot: malformed header fields"))))
   | Some (m, _) -> fail "snapshot: bad magic %S (want %S)" m magic

@@ -29,7 +29,9 @@ val encode_payload :
 (** Like {!encode} for an already-serialised {!Kv.snapshot} payload. *)
 
 val decode : string -> (t, string) result
-(** Parse and verify (magic + checksum). *)
+(** Parse and verify: magic, non-negative header counts, checksum, and a KV
+    payload that {!restore} can read. Never raises, and {!restore} never
+    raises on a value it returns. *)
 
 val decode_exn : string -> t
 (** Raises [Invalid_argument] on a malformed snapshot. *)

@@ -75,6 +75,12 @@ let test_reannounce_no_duplicates () =
   Fake.decide c [ 10; 11; -1; 12 ];
   Alcotest.check ids "internal entries skipped" [ 10; 11; 12 ]
     (A.decided_ids a ~from:0);
+  (* Offsets at or past the end are empty, also past the cache's initial
+     capacity of 64. *)
+  List.iter
+    (fun from ->
+      Alcotest.check ids "from past the end" [] (A.decided_ids a ~from))
+    [ 3; 64; 65 ];
   (* A recovering core re-announces lower decided indexes. *)
   c.Fake.on_decide 2;
   c.Fake.on_decide 4;

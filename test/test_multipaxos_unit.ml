@@ -10,12 +10,13 @@ let check_int = Alcotest.(check int)
 
 type harness = { node : N.t; sent : (int * N.msg) list ref }
 
-let make ?(id = 0) () =
+let make ?(id = 0) ?batching ?compaction () =
   let sent = ref [] in
   let peers = List.filter (fun j -> j <> id) [ 0; 1; 2 ] in
   let node =
     N.create ~id ~peers ~election_ticks:10
       ~rand:(Random.State.make [| 1 |])
+      ?batching ?compaction
       ~send:(fun ~dst m -> sent := (dst, m) :: !sent)
       ()
   in
@@ -141,6 +142,87 @@ let test_p1b_reports_trimmed_decided_slots () =
         (List.for_all (fun (_, (bb : N.ballot), _) -> bb.N.n = max_int) acc)
   | None -> Alcotest.fail "no P1b sent"
 
+(* The shared batching config: an adaptive burst of [min_batch] proposals
+   ships without a tick, the fixed policy waits for the tick. *)
+let test_batching_config () =
+  let shipped h =
+    List.length
+      (List.filter
+         (function _, N.P2a { cmds = _ :: _; _ } -> true | _ -> false)
+         !(h.sent))
+  in
+  let burst h n =
+    for i = 1 to n do
+      ignore (N.propose h.node (cmd i))
+    done
+  in
+  let min_batch = Omnipaxos.Batching.adaptive.Omnipaxos.Batching.min_batch in
+  let h = make ~batching:Omnipaxos.Batching.adaptive () in
+  activate h;
+  burst h (min_batch - 1);
+  check_int "adaptive: below min_batch nothing ships" 0 (shipped h);
+  burst h 1;
+  check_int "adaptive: min_batch ships to both peers" 2 (shipped h);
+  let h = make ~batching:Omnipaxos.Batching.fixed () in
+  activate h;
+  burst h min_batch;
+  check_int "fixed: nothing ships before the tick" 0 (shipped h);
+  N.tick h.node;
+  check_int "fixed: the tick ships to both peers" 2 (shipped h)
+
+let recorded_kinds f =
+  let (), r = Obs.Trace.with_recording f in
+  List.map (fun (e : Obs.Event.t) -> e.Obs.Event.kind) r.Obs.Trace.events
+
+let ack h ~count =
+  N.handle h.node ~src:1
+    (N.P2b { b = N.current_ballot h.node; start_slot = 0; count })
+
+(* A bare node traces its own proposals, decides and leader transitions. *)
+let test_traces_propose_decide () =
+  let kinds =
+    recorded_kinds (fun () ->
+        let h = make () in
+        activate h;
+        N.tick h.node;
+        ignore (N.propose h.node (cmd 7));
+        ack h ~count:1)
+  in
+  let has what p = check what true (List.exists p kinds) in
+  has "leader elected" (function
+    | Obs.Event.Leader_elected { pid = 0; _ } -> true
+    | _ -> false);
+  has "proposed" (function
+    | Obs.Event.Proposed { log_idx = 0; cmd_id = 7 } -> true
+    | _ -> false);
+  has "decided with the ballot round as term" (function
+    | Obs.Event.Decided { b = { n; pid = 0; _ }; decided_idx = 1 } -> n > 0
+    | _ -> false)
+
+(* With a compaction config, deciding [snapshot_interval] slots snapshots
+   and trims locally, and both steps are traced. *)
+let test_traces_compaction () =
+  let first_idx = ref 0 in
+  let kinds =
+    recorded_kinds (fun () ->
+        let h = make ~compaction:(Omnipaxos.Compaction.make 4) () in
+        activate h;
+        for i = 0 to 3 do
+          ignore (N.propose h.node (cmd i))
+        done;
+        ack h ~count:4;
+        first_idx := N.first_idx h.node)
+  in
+  check_int "trimmed at the decided length" 4 !first_idx;
+  check "snapshot taken" true
+    (List.exists
+       (function
+         | Obs.Event.Snapshot_taken { idx = 4; bytes } -> bytes > 0
+         | _ -> false)
+       kinds);
+  check "log trimmed" true
+    (List.mem (Obs.Event.Log_trimmed { upto = 4; entries = 4 }) kinds)
+
 let () =
   Alcotest.run "multipaxos_unit"
     [
@@ -152,6 +234,7 @@ let () =
             test_preempted_steps_down_and_retries;
           Alcotest.test_case "lower-ballot scout preempted" `Quick
             test_p1a_lower_ballot_preempted;
+          Alcotest.test_case "batching config" `Quick test_batching_config;
         ] );
       ( "learner",
         [
@@ -161,5 +244,11 @@ let () =
             test_watermark_mismatch_requests_catchup;
           Alcotest.test_case "P1b reports trimmed decided" `Quick
             test_p1b_reports_trimmed_decided_slots;
+        ] );
+      ( "tracing",
+        [
+          Alcotest.test_case "proposals, decides and leaders" `Quick
+            test_traces_propose_decide;
+          Alcotest.test_case "compaction" `Quick test_traces_compaction;
         ] );
     ]

@@ -10,12 +10,14 @@ let check_int = Alcotest.(check int)
 
 type harness = { node : N.t; sent : (int * N.msg) list ref }
 
-let make ?(voters = [ 0; 1; 2 ]) ?pre_vote ?check_quorum ?prepare () =
+let make ?(voters = [ 0; 1; 2 ]) ?pre_vote ?check_quorum ?batching
+    ?compaction ?prepare () =
   let sent = ref [] in
   let persistent = N.fresh_persistent () in
   (match prepare with Some f -> f persistent | None -> ());
   let node =
-    N.create ~id:0 ~voters ?pre_vote ?check_quorum ~election_ticks:10
+    N.create ~id:0 ~voters ?pre_vote ?check_quorum ?batching ?compaction
+      ~election_ticks:10
       ~rand:(Random.State.make [| 1 |])
       ~persistent
       ~send:(fun ~dst m -> sent := (dst, m) :: !sent)
@@ -181,6 +183,88 @@ let test_learner_promotion_via_config () =
   check "config committed and applied" true
     (N.committed_config h.node = Some (1, [ 0; 1; 5 ]))
 
+(* The shared batching config: an adaptive burst of [min_batch] proposals
+   ships without a tick, the fixed policy waits for the tick. *)
+let test_batching_config () =
+  let shipped h =
+    List.length
+      (List.filter
+         (function
+           | _, N.Append_entries { entries = _ :: _; _ } -> true | _ -> false)
+         !(h.sent))
+  in
+  let burst h n =
+    for i = 1 to n do
+      ignore (N.propose h.node (Replog.Command.noop i))
+    done
+  in
+  let min_batch = Omnipaxos.Batching.adaptive.Omnipaxos.Batching.min_batch in
+  let h = make ~batching:Omnipaxos.Batching.adaptive () in
+  become_leader h;
+  burst h (min_batch - 1);
+  check_int "adaptive: below min_batch nothing ships" 0 (shipped h);
+  burst h 1;
+  check_int "adaptive: min_batch ships to both peers" 2 (shipped h);
+  let h = make ~batching:Omnipaxos.Batching.fixed () in
+  become_leader h;
+  burst h min_batch;
+  check_int "fixed: nothing ships before the tick" 0 (shipped h);
+  N.tick h.node;
+  check_int "fixed: the tick ships to both peers" 2 (shipped h)
+
+let recorded_kinds f =
+  let (), r = Obs.Trace.with_recording f in
+  List.map (fun (e : Obs.Event.t) -> e.Obs.Event.kind) r.Obs.Trace.events
+
+let ack h match_idx =
+  N.handle h.node ~src:1
+    (N.Append_resp { term = N.current_term h.node; success = true; match_idx })
+
+(* A bare node traces its own proposals, commits and leader transitions. *)
+let test_traces_propose_decide () =
+  let kinds =
+    recorded_kinds (fun () ->
+        let h = make () in
+        become_leader h;
+        N.tick h.node;
+        ignore (N.propose h.node (Replog.Command.noop 7));
+        ack h 1)
+  in
+  let has what p = check what true (List.exists p kinds) in
+  has "leader elected" (function
+    | Obs.Event.Leader_elected { pid = 0; _ } -> true
+    | _ -> false);
+  has "proposed" (function
+    | Obs.Event.Proposed { log_idx = 0; cmd_id = 7 } -> true
+    | _ -> false);
+  has "decided with the term as ballot" (function
+    | Obs.Event.Decided { b = { n; pid = 0; _ }; decided_idx = 1 } -> n > 0
+    | _ -> false)
+
+(* With a compaction config, committing [snapshot_interval] entries
+   snapshots and trims locally, and both steps are traced. *)
+let test_traces_compaction () =
+  let first_idx = ref 0 in
+  let kinds =
+    recorded_kinds (fun () ->
+        let h = make ~compaction:(Omnipaxos.Compaction.make 4) () in
+        become_leader h;
+        for i = 0 to 3 do
+          ignore (N.propose h.node (Replog.Command.noop i))
+        done;
+        ack h 4;
+        first_idx := N.first_idx h.node)
+  in
+  check_int "trimmed at the commit index" 4 !first_idx;
+  check "snapshot taken" true
+    (List.exists
+       (function
+         | Obs.Event.Snapshot_taken { idx = 4; bytes } -> bytes > 0
+         | _ -> false)
+       kinds);
+  check "log trimmed" true
+    (List.mem (Obs.Event.Log_trimmed { upto = 4; entries = 4 }) kinds)
+
 let () =
   Alcotest.run "raft_unit"
     [
@@ -200,6 +284,7 @@ let () =
           Alcotest.test_case "conflict truncation" `Quick
             test_append_entries_conflict_truncation;
           Alcotest.test_case "gap hint" `Quick test_append_gap_hint;
+          Alcotest.test_case "batching config" `Quick test_batching_config;
         ] );
       ( "leadership",
         [
@@ -209,5 +294,11 @@ let () =
             test_higher_term_deposes_leader;
           Alcotest.test_case "learner promotion" `Quick
             test_learner_promotion_via_config;
+        ] );
+      ( "tracing",
+        [
+          Alcotest.test_case "proposals, decides and leaders" `Quick
+            test_traces_propose_decide;
+          Alcotest.test_case "compaction" `Quick test_traces_compaction;
         ] );
     ]

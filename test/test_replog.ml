@@ -171,6 +171,76 @@ let test_snapshot_envelope () =
   check "truncated rejected" true
     (Result.is_error (Replog.Snapshot.decode (String.sub bytes 0 12)))
 
+(* Envelopes with a valid checksum over a payload [restore] cannot read,
+   or with negative header counts, are rejected by [decode]. *)
+let test_snapshot_bad_payloads () =
+  let wrap ?(last_idx = 3) ?(client_cmds = 2) payload =
+    Replog.Snapshot.encode_payload ~last_idx ~client_cmds ~payload
+  in
+  List.iter
+    (fun (what, bytes) ->
+      check what true (Result.is_error (Replog.Snapshot.decode bytes)))
+    [
+      ("no applied separator", wrap "x");
+      ("field longer than the payload", wrap "0;3:abc99:x");
+      ("negative field length", wrap "0;-1:a");
+      ("non-numeric applied count", wrap "zz;");
+      ("key without a value", wrap "0;1:a");
+      ("overflowing length", wrap "0;99999999999999999999:a");
+      ("negative last_idx", wrap ~last_idx:(-1) "0;");
+      ("negative client_cmds", wrap ~client_cmds:(-1) "0;");
+    ];
+  check "empty store still decodes" true
+    (Result.is_ok (Replog.Snapshot.decode (wrap "0;")))
+
+(* Seeded mutations of a real snapshot: byte overwrites (of the envelope,
+   and of the payload under a recomputed checksum) and truncation. [decode]
+   never raises, and [restore] never raises on what it accepts. *)
+let test_snapshot_mutations () =
+  let kv = Replog.Kv.create () in
+  for i = 0 to 19 do
+    ignore
+      (Replog.Kv.apply kv
+         (Command.make ~id:i
+            (Command.Kv_put (Printf.sprintf "key%d" i, String.make i 'v'))))
+  done;
+  let clean = Replog.Snapshot.encode ~last_idx:20 ~client_cmds:20 kv in
+  let payload = Replog.Kv.snapshot kv in
+  let rng = Random.State.make [| 11 |] in
+  let mutate s =
+    let b = Bytes.of_string s in
+    for _ = 1 to 1 + Random.State.int rng 4 do
+      Bytes.set_uint8 b
+        (Random.State.int rng (Bytes.length b))
+        (Random.State.int rng 256)
+    done;
+    Bytes.to_string b
+  in
+  let accepted = ref 0 in
+  for round = 1 to 1000 do
+    let bytes =
+      match round mod 3 with
+      | 0 -> mutate clean
+      | 1 ->
+          Replog.Snapshot.encode_payload ~last_idx:20 ~client_cmds:20
+            ~payload:(mutate payload)
+      | _ -> String.sub clean 0 (Random.State.int rng (String.length clean))
+    in
+    match Replog.Snapshot.decode bytes with
+    | Error _ -> ()
+    | Ok snap -> (
+        incr accepted;
+        match Replog.Snapshot.restore snap with
+        | _ -> ()
+        | exception exn ->
+            Alcotest.failf "round %d: restore raised %s" round
+              (Printexc.to_string exn))
+    | exception exn ->
+        Alcotest.failf "round %d: decode raised %s" round
+          (Printexc.to_string exn)
+  done;
+  check "some mutations still decode" true (!accepted > 0)
+
 (* Index translation at the compaction boundary: trim at 0, at the decided
    frontier, double-compaction, and the reset_to jump used by snapshot
    installs. *)
@@ -209,7 +279,11 @@ let prop_kv_snapshot_lossless =
         (fun i (k, v) ->
           ignore (Replog.Kv.apply kv (Command.make ~id:i (Command.Kv_put (k, v)))))
         pairs;
-      let restored = Replog.Kv.restore (Replog.Kv.snapshot kv) in
+      (* Through the envelope, so [decode] must accept every real state. *)
+      let restored =
+        Replog.Snapshot.(
+          restore (decode_exn (encode ~last_idx:0 ~client_cmds:0 kv)))
+      in
       List.for_all
         (fun (k, _) -> Replog.Kv.get restored k = Replog.Kv.get kv k)
         pairs)
@@ -259,6 +333,10 @@ let () =
           Alcotest.test_case "kv snapshot roundtrip" `Quick
             test_kv_snapshot_roundtrip;
           Alcotest.test_case "snapshot envelope" `Quick test_snapshot_envelope;
+          Alcotest.test_case "snapshot bad payloads" `Quick
+            test_snapshot_bad_payloads;
+          Alcotest.test_case "snapshot mutations never raise" `Quick
+            test_snapshot_mutations;
           Alcotest.test_case "trim index translation" `Quick
             test_trim_translation;
         ] );
