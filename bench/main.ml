@@ -1,12 +1,11 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§7) on the simulated network, plus Bechamel micro-benchmarks
-   of the core data paths. Each section also writes a machine-readable
+   evaluation (§7) on the simulated network. Each section also writes a machine-readable
    BENCH_<section>.json report (see lib/bench_report and EXPERIMENTS.md);
    bench/compare.exe gates those against a checked-in baseline.
 
    Usage: main.exe [section ...]
    Sections: table1 fig7 fig8a fig8b fig8c fig9a fig9b fig9c ablations
-   policy micro recovery profile compaction trace_scale mcheck. With no
+   policy recovery profile compaction trace_scale mcheck. With no
    arguments, all sections run; an unknown section
    name is an error (exit 2). Set BENCH_QUICK=1 for a reduced (faster,
    fewer seeds / shorter runs) configuration, and BENCH_OUT=<dir> to put

@@ -465,198 +465,6 @@ let run_ablations ~quick ~print =
   envelope ~section:"ablations" ~seeds ~quick ~rows
 
 (* ------------------------------------------------------------------ *)
-(* Micro-benchmarks (Bechamel)                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Wall-clock timings are inherently nondeterministic, so the JSON report
-   only records which benchmarks ran; the numbers stay on stdout. *)
-let micro_names =
-  [
-    "log: 1k appends";
-    "log: suffix of 1k";
-    "ballot: compare";
-    "seq-paxos: 100-cmd accept round";
-    "ble: 5-server heartbeat round";
-    "chaos: check 240-op history";
-    "chaos: one omni episode";
-  ]
-
-let micro_tests () =
-  let open Bechamel in
-  let log_append =
-    Test.make ~name:"log: 1k appends"
-      (Staged.stage (fun () ->
-           let log = Replog.Log.create () in
-           for i = 0 to 999 do
-             Replog.Log.append log i
-           done;
-           log))
-  in
-  let log_suffix =
-    let log = Replog.Log.of_list (List.init 10_000 Fun.id) in
-    Test.make ~name:"log: suffix of 1k"
-      (Staged.stage (fun () -> Replog.Log.suffix log ~from:9000))
-  in
-  let ballot_compare =
-    let a = Omnipaxos.Ballot.initial ~pid:1 ()
-    and b = Omnipaxos.Ballot.initial ~pid:2 () in
-    Test.make ~name:"ballot: compare"
-      (Staged.stage (fun () -> Omnipaxos.Ballot.compare a b))
-  in
-  (* Sequence Paxos accept path: a leader proposes and replicates a batch of
-     100 commands to two followers over an in-memory transport. *)
-  let sp_accept =
-    Test.make ~name:"seq-paxos: 100-cmd accept round"
-      (Staged.stage (fun () ->
-           let module Sp = Omnipaxos.Sequence_paxos in
-           let nodes = Array.make 3 None in
-           let queues = Array.make 3 [] in
-           let send src ~dst m = queues.(dst) <- (src, m) :: queues.(dst) in
-           for id = 0 to 2 do
-             let peers = List.filter (fun j -> j <> id) [ 0; 1; 2 ] in
-             nodes.(id) <-
-               Some
-                 (Sp.create ~id ~peers ~persistent:(Sp.fresh_persistent ())
-                    ~send:(send id) ())
-           done;
-           let node i = Option.get nodes.(i) in
-           let rec drain () =
-             let any = ref false in
-             for id = 0 to 2 do
-               let msgs = List.rev queues.(id) in
-               queues.(id) <- [];
-               List.iter
-                 (fun (src, m) ->
-                   any := true;
-                   Sp.handle (node id) ~src m)
-                 msgs
-             done;
-             if !any then drain ()
-           in
-           Sp.handle_leader (node 2)
-             { Omnipaxos.Ballot.n = 1; priority = 0; pid = 2 };
-           drain ();
-           for i = 0 to 99 do
-             ignore
-               (Sp.propose (node 2)
-                  (Omnipaxos.Entry.Cmd (Replog.Command.noop i)))
-           done;
-           Sp.flush (node 2);
-           drain ();
-           Sp.decided_idx (node 2)))
-  in
-  let ble_round =
-    Test.make ~name:"ble: 5-server heartbeat round"
-      (Staged.stage (fun () ->
-           let module B = Omnipaxos.Ble in
-           let nodes = Array.make 5 None in
-           let queues = Array.make 5 [] in
-           let send src ~dst m = queues.(dst) <- (src, m) :: queues.(dst) in
-           for id = 0 to 4 do
-             let peers = List.filter (fun j -> j <> id) [ 0; 1; 2; 3; 4 ] in
-             nodes.(id) <-
-               Some
-                 (B.create ~id ~peers ~persistent:(B.fresh_persistent ())
-                    ~send:(send id)
-                    ~on_leader:(fun _ -> ())
-                    ())
-           done;
-           let node i = Option.get nodes.(i) in
-           let drain () =
-             for id = 0 to 4 do
-               let msgs = List.rev queues.(id) in
-               queues.(id) <- [];
-               List.iter (fun (src, m) -> B.handle (node id) ~src m) msgs
-             done
-           in
-           for _ = 1 to 3 do
-             for id = 0 to 4 do
-               B.tick (node id)
-             done;
-             drain ();
-             drain ()
-           done;
-           B.leader (node 0)))
-  in
-  (* Chaos-harness data paths: the linearizability checker on an
-     episode-shaped history, and one whole seeded episode end to end. *)
-  let chaos_check =
-    let ops =
-      let rng = Random.State.make [| 11 |] in
-      let model = Hashtbl.create 4 in
-      List.init 240 (fun i ->
-          let t = float_of_int (2 * i) in
-          let key = "k" ^ string_of_int (Random.State.int rng 4) in
-          let base =
-            {
-              Chaos.Checker.o_id = i;
-              o_client = i mod 3;
-              o_key = key;
-              o_kind = Chaos.Checker.Get;
-              o_invoke = t;
-              o_return = Some (t +. 1.0);
-              o_result = None;
-            }
-          in
-          if Random.State.bool rng then begin
-            let v = "v" ^ string_of_int i in
-            Hashtbl.replace model key v;
-            { base with Chaos.Checker.o_kind = Chaos.Checker.Put v }
-          end
-          else
-            {
-              base with
-              Chaos.Checker.o_result = Some (Hashtbl.find_opt model key);
-            })
-    in
-    Test.make ~name:"chaos: check 240-op history"
-      (Staged.stage (fun () -> Chaos.Checker.check_ops ops))
-  in
-  let chaos_episode =
-    let module Oc = Chaos.Campaign.Make (Rsm.Omni_adapter) in
-    let cfg = { Chaos.Campaign.default_config with steps = 6 } in
-    let schedule = Oc.schedule_of_seed cfg ~seed:5 in
-    Test.make ~name:"chaos: one omni episode"
-      (Staged.stage (fun () -> Oc.run_schedule cfg ~seed:5 ~schedule))
-  in
-  Test.make_grouped ~name:"micro"
-    [
-      log_append; log_suffix; ballot_compare; sp_accept; ble_round;
-      chaos_check; chaos_episode;
-    ]
-
-let run_micro ~quick ~print =
-  header print "Micro-benchmarks (Bechamel): core data-path costs";
-  let open Bechamel in
-  let open Toolkit in
-  let raw =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~kde:(Some 500) ()
-    in
-    Benchmark.all cfg instances (micro_tests ())
-  in
-  let results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Instance.monotonic_clock raw
-  in
-  say print "%-40s %16s\n" "benchmark" "ns/run";
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> say print "%-40s %16.1f\n" name est
-      | Some _ | None -> say print "%-40s %16s\n" name "n/a")
-    results;
-  envelope ~section:"micro" ~seeds:[] ~quick
-    ~rows:(J.List (List.map (fun n -> J.Obj [ ("name", J.String n) ]) micro_names))
-
-(* ------------------------------------------------------------------ *)
-(* Dispatch                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
 (* Recovery latency (health-monitor methodology)                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -1000,10 +808,14 @@ let run_mcheck ~quick ~print =
   in
   envelope ~section:"mcheck" ~seeds:[] ~quick ~rows:(J.List rows)
 
+(* ------------------------------------------------------------------ *)
+(* Dispatch                                                            *)
+(* ------------------------------------------------------------------ *)
+
 let all_names =
   [
     "table1"; "fig7"; "fig8a"; "fig8b"; "fig8c"; "fig9a"; "fig9b"; "fig9c";
-    "ablations"; "policy"; "micro"; "recovery"; "profile"; "compaction";
+    "ablations"; "policy"; "recovery"; "profile"; "compaction";
     "trace_scale"; "mcheck";
   ]
 
@@ -1058,7 +870,6 @@ let run name ~quick ~print =
            ~quick ~print)
   | "ablations" -> Some (run_ablations ~quick ~print)
   | "policy" -> Some (run_policy ~quick ~print)
-  | "micro" -> Some (run_micro ~quick ~print)
   | "recovery" -> Some (run_recovery ~quick ~print)
   | "profile" -> Some (run_profile ~quick ~print)
   | "compaction" -> Some (run_compaction ~quick ~print)

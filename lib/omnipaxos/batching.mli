@@ -1,6 +1,6 @@
-(** Batch-flush policy of the Sequence Paxos leader (and, mirrored through
-    the adapters in [lib/rsm], of the Raft and Multi-Paxos baselines, so the
-    Figure 7/8 comparisons stay apples-to-apples).
+(** Batch-flush policy of the Sequence Paxos leader (and, read by their
+    cores too, of the Raft and Multi-Paxos baselines, so the Figure 7/8
+    comparisons stay apples-to-apples).
 
     The {e fixed} policy is the historical behaviour: the leader accumulates
     proposals and, on every driver tick, sends one [Accept] per follower

@@ -3,8 +3,9 @@
    owns everything the cluster harness needs from every protocol alike: the
    decided-id cache and its scan cursor, the snapshot-install bookkeeping,
    the profiler frames around [handle]/[tick], and the query forwards.
-   What differs between protocols (trace emits, knob translation, restart
-   semantics) stays in the core's own adapter file. *)
+   The cores read the shared batching/compaction configs and emit their
+   own trace events, so a core's adapter file only wires the node's
+   functions to {!CORE} and states its restart semantics. *)
 
 module type CORE = sig
   type t
