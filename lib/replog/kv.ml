@@ -41,33 +41,11 @@ let snapshot t =
     t.table;
   Buffer.contents buf
 
-let restore payload =
-  let t = create () in
-  let pos = ref 0 in
-  let read_until sep =
-    let stop = String.index_from payload !pos sep in
-    let s = String.sub payload !pos (stop - !pos) in
-    pos := stop + 1;
-    s
-  in
-  let read_field () =
-    let len = int_of_string (read_until ':') in
-    let s = String.sub payload !pos len in
-    pos := !pos + len;
-    s
-  in
-  t.applied <- int_of_string (read_until ';');
-  while !pos < String.length payload do
-    let k = read_field () in
-    let v = read_field () in
-    Hashtbl.replace t.table k v
-  done;
-  t
-
-(* [restorable] scans the exact grammar [snapshot] writes, without
-   allocating. [digits_end s pos i sep] is the position of the [sep] that
-   ends a run of 1 to 18 decimal digits starting at [pos] (short enough
-   that [int_of_string] cannot overflow), or -1. *)
+(* The grammar [snapshot] writes, "<applied>;" then "<len>:<bytes>"
+   fields alternating key and value, scanned without allocating.
+   [digits_end s pos i sep] is the position of the [sep] that ends a run of
+   1 to 18 decimal digits starting at [pos] (short enough not to
+   overflow), or -1. *)
 let rec digits_end s pos i sep =
   if i >= String.length s || i - pos > 18 then -1
   else
@@ -97,7 +75,26 @@ let rec pairs_ok s pos =
   let v_end = field_end s k_end in
   v_end >= 0 && pairs_ok s v_end
 
-(* Whether [restore] reads [payload] without raising. *)
+(* Whether [restore] can read [payload]. *)
 let restorable payload =
   let stop = digits_end payload 0 0 ';' in
   stop >= 0 && pairs_ok payload (stop + 1)
+
+(* Requires [restorable payload]. *)
+let restore payload =
+  let t = create () in
+  let field pos =
+    let stop = digits_end payload pos pos ':' in
+    String.sub payload (stop + 1) (field_end payload pos - stop - 1)
+  in
+  let rec pairs pos =
+    if pos < String.length payload then begin
+      let k_end = field_end payload pos in
+      Hashtbl.replace t.table (field pos) (field k_end);
+      pairs (field_end payload k_end)
+    end
+  in
+  let stop = digits_end payload 0 0 ';' in
+  t.applied <- digits_value payload 0 stop 0;
+  pairs (stop + 1);
+  t
