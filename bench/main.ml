@@ -1,7 +1,8 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§7) on the simulated network. Each section also writes a machine-readable
-   BENCH_<section>.json report (see lib/bench_report and EXPERIMENTS.md);
-   bench/compare.exe gates those against a checked-in baseline.
+   evaluation (§7) on the simulated network. Each section also writes a
+   machine-readable BENCH_<section>.json report (see lib/bench_report and
+   EXPERIMENTS.md); bench/compare.exe gates those against a checked-in
+   baseline.
 
    Usage: main.exe [section ...]
    Sections: table1 fig7 fig8a fig8b fig8c fig9a fig9b fig9c ablations
