@@ -1,6 +1,6 @@
 (* Metrics: counters, gauges and log-scale histograms behind a string-keyed
-   registry. Everything is plain mutable ints/floats — recording is a few
-   stores, cheap enough for hot paths.
+   registry. Everything is plain mutable ints and unboxed floats, and no
+   recording call allocates, so they are cheap enough for hot paths.
 
    Histograms use base-2 log-scale buckets: bucket 0 holds [0, 1), bucket i
    (i >= 1) holds [2^(i-1), 2^i). 63 buckets cover up to 2^62, far beyond
@@ -32,28 +32,32 @@ end
 module Histogram = struct
   let nbuckets = 63
 
-  type t = {
-    buckets : int array;
-    mutable count : int;
+  (* An all-float record is stored flat, so updating these fields never
+     boxes a float (a float field of a mixed record would). *)
+  type floats = {
     mutable sum : float;
     mutable minv : float;
     mutable maxv : float;
   }
 
+  type t = { buckets : int array; mutable count : int; f : floats }
+
   let create () =
     {
       buckets = Array.make nbuckets 0;
       count = 0;
-      sum = 0.0;
-      minv = infinity;
-      maxv = neg_infinity;
+      f = { sum = 0.0; minv = infinity; maxv = neg_infinity };
     }
 
-  let bucket_of x =
+  (* The bucket is the binary exponent read from the IEEE bits: for
+     x >= 1 the biased exponent e gives [Float.frexp x = (_, e - 1022)].
+     [infinity] and [nan] (exponent field all ones) land in bucket 0, as
+     [frexp]'s exponent 0 put them there. *)
+  let[@inline] bucket_of x =
     if x < 1.0 then 0
     else
-      let _, e = Float.frexp x in
-      min (nbuckets - 1) e
+      let e = (Int64.to_int (Int64.bits_of_float x) lsr 52) land 0x7ff in
+      if e = 0x7ff then 0 else min (nbuckets - 1) (e - 1022)
 
   (* Bucket i covers [lower_bound i, upper_bound i). *)
   let lower_bound i = if i = 0 then 0.0 else Float.ldexp 1.0 (i - 1)
@@ -62,23 +66,33 @@ module Histogram = struct
   let reset t =
     Array.fill t.buckets 0 nbuckets 0;
     t.count <- 0;
-    t.sum <- 0.0;
-    t.minv <- infinity;
-    t.maxv <- neg_infinity
+    t.f.sum <- 0.0;
+    t.f.minv <- infinity;
+    t.f.maxv <- neg_infinity
 
-  let observe t x =
-    let x = Float.max x 0.0 in
-    t.buckets.(bucket_of x) <- t.buckets.(bucket_of x) + 1;
-    t.count <- t.count + 1;
-    t.sum <- t.sum +. x;
-    if x < t.minv then t.minv <- x;
-    if x > t.maxv then t.maxv <- x
+  let observe_n t x k =
+    if k > 0 then begin
+      let x = Float.max x 0.0 in
+      let b = bucket_of x in
+      t.buckets.(b) <- t.buckets.(b) + k;
+      t.count <- t.count + k;
+      let f = t.f in
+      (* k separate additions, not one [x *. k]: the sum stays bit-identical
+         to k calls of [observe]. *)
+      for _ = 1 to k do
+        f.sum <- f.sum +. x
+      done;
+      if x < f.minv then f.minv <- x;
+      if x > f.maxv then f.maxv <- x
+    end
+
+  let observe t x = observe_n t x 1
 
   let count t = t.count
-  let sum t = t.sum
-  let min_value t = if t.count = 0 then nan else t.minv
-  let max_value t = if t.count = 0 then nan else t.maxv
-  let mean t = if t.count = 0 then nan else t.sum /. float_of_int t.count
+  let sum t = t.f.sum
+  let min_value t = if t.count = 0 then nan else t.f.minv
+  let max_value t = if t.count = 0 then nan else t.f.maxv
+  let mean t = if t.count = 0 then nan else t.f.sum /. float_of_int t.count
 
   (* Linear interpolation inside the target bucket; exact min/max at the
      extremes. *)
@@ -87,15 +101,15 @@ module Histogram = struct
     else begin
       let target = p /. 100.0 *. float_of_int t.count in
       let rec find i cum =
-        if i >= nbuckets then t.maxv
+        if i >= nbuckets then t.f.maxv
         else
           let cum' = cum + t.buckets.(i) in
           if float_of_int cum' >= target && t.buckets.(i) > 0 then begin
             let within =
               (target -. float_of_int cum) /. float_of_int t.buckets.(i)
             in
-            let lo = Float.max (lower_bound i) t.minv in
-            let hi = Float.min (upper_bound i) t.maxv in
+            let lo = Float.max (lower_bound i) t.f.minv in
+            let hi = Float.min (upper_bound i) t.f.maxv in
             lo +. (within *. (hi -. lo))
           end
           else find (i + 1) cum'

@@ -1,6 +1,7 @@
 (** Metrics: counters, gauges and base-2 log-scale histograms behind a
-    string-keyed registry. Recording is a few plain stores — cheap enough
-    for hot paths.
+    string-keyed registry. Recording ([Counter.incr]/[add], [Gauge.set]/
+    [add], [Histogram.observe]/[observe_n]) allocates nothing: it is a few
+    integer and unboxed-float stores, cheap enough for hot paths.
 
     Histograms keep exact count/sum/min/max alongside the buckets, so
     [mean] is exact; only [percentile] is bucket-interpolated. Spreads and
@@ -33,6 +34,18 @@ module Histogram : sig
 
   val observe : t -> float -> unit
   (** Record a sample. Negative samples are clamped to 0. *)
+
+  val observe_n : t -> float -> int -> unit
+  (** [observe_n t x k] records [k] samples of value [x]: the same buckets,
+      count, min, max and percentiles as [k] calls of [observe t x], and a
+      bit-identical [sum] ([x] is added [k] times, not multiplied). Its cost
+      is one bucket update plus [k] float additions. No-op when [k <= 0]. *)
+
+  val bucket_of : float -> int
+  (** The bucket a (clamped) sample falls in: 0 for [x < 1], for [infinity]
+      and for [nan]; otherwise the binary exponent of [x] ([snd (Float.frexp
+      x)]), capped at 62. Read from the IEEE exponent bits, so it allocates
+      nothing. *)
 
   val count : t -> int
   val sum : t -> float

@@ -29,10 +29,66 @@ type t = {
   (* Client-visible command latency: submission times of in-flight commands
      in FIFO order. Commands decide in submission order under the closed
      loop, so each decide pops the oldest submission; abandoned commands are
-     dropped without a sample. *)
-  submits : float Queue.t;
-  mutable latency : Obs.Metric.Histogram.t;
+     dropped without a sample. Stored run-length: one run per accepted
+     [propose_batch] (its submit time and how many commands it holds) in a
+     growable ring of [sub_times]/[sub_counts], so a poll's cost grows with
+     the batches it retires, not with the commands in them. *)
+  mutable sub_times : Float.Array.t;
+  mutable sub_counts : int array;
+  mutable sub_head : int;  (* slot of the oldest run *)
+  mutable sub_runs : int;  (* runs in the ring *)
+  mutable sub_cmds : int;  (* commands across all runs *)
+  latency : Obs.Metric.Histogram.t;
 }
+
+let initial_runs = 16
+
+(* Append a run of [count] commands submitted at [time], doubling the ring
+   (oldest run first) when it is full. *)
+let push_run c time count =
+  let cap = Array.length c.sub_counts in
+  if c.sub_runs = cap then begin
+    let times = Float.Array.make (2 * cap) 0.0 in
+    let counts = Array.make (2 * cap) 0 in
+    for i = 0 to cap - 1 do
+      let j = (c.sub_head + i) land (cap - 1) in
+      Float.Array.set times i (Float.Array.get c.sub_times j);
+      counts.(i) <- c.sub_counts.(j)
+    done;
+    c.sub_times <- times;
+    c.sub_counts <- counts;
+    c.sub_head <- 0
+  end;
+  let slot = (c.sub_head + c.sub_runs) land (Array.length c.sub_counts - 1) in
+  Float.Array.set c.sub_times slot time;
+  c.sub_counts.(slot) <- count;
+  c.sub_runs <- c.sub_runs + 1;
+  c.sub_cmds <- c.sub_cmds + count
+
+(* Retire the [k] oldest submitted commands decided at [time]: whole runs
+   are popped, a partial one is shortened in place. *)
+let retire c time k =
+  let k = ref (min k c.sub_cmds) in
+  c.sub_cmds <- c.sub_cmds - !k;
+  while !k > 0 do
+    let slot = c.sub_head in
+    let run = c.sub_counts.(slot) in
+    let take = min run !k in
+    Obs.Metric.Histogram.observe_n c.latency
+      (time -. Float.Array.get c.sub_times slot)
+      take;
+    if take = run then begin
+      c.sub_head <- (slot + 1) land (Array.length c.sub_counts - 1);
+      c.sub_runs <- c.sub_runs - 1
+    end
+    else c.sub_counts.(slot) <- run - take;
+    k := !k - take
+  done
+
+let clear_runs c =
+  c.sub_head <- 0;
+  c.sub_runs <- 0;
+  c.sub_cmds <- 0
 
 let poll c =
   let time = c.cb.now () in
@@ -42,9 +98,7 @@ let poll c =
     c.last_decided <- decided;
     c.in_flight <- max 0 (c.in_flight - newly);
     c.last_progress <- time;
-    for _ = 1 to min newly (Queue.length c.submits) do
-      Obs.Metric.Histogram.observe c.latency (time -. Queue.pop c.submits)
-    done
+    retire c time newly
   end;
   Metrics.Series.push c.series ~time ~count:decided;
   (* Count a leader change whenever a leader emerges that differs from the
@@ -59,7 +113,7 @@ let poll c =
   if c.in_flight > 0 && time -. c.last_progress > c.retry_ms then begin
     c.in_flight <- 0;
     c.last_progress <- time;
-    Queue.clear c.submits
+    clear_runs c
   end;
   if c.in_flight < c.cp then begin
     match lead with
@@ -71,9 +125,7 @@ let poll c =
         in
         c.next_id <- c.next_id + got;
         c.in_flight <- c.in_flight + got;
-        for _ = 1 to got do
-          Queue.push time c.submits
-        done
+        if got > 0 then push_run c time got
   end
 
 let start ?(retry_ms = 200.0) ~poll_ms ~cp cb =
@@ -91,7 +143,11 @@ let start ?(retry_ms = 200.0) ~poll_ms ~cp cb =
       last_leader = None;
       leader_changes = 0;
       running = true;
-      submits = Queue.create ();
+      sub_times = Float.Array.make initial_runs 0.0;
+      sub_counts = Array.make initial_runs 0;
+      sub_head = 0;
+      sub_runs = 0;
+      sub_cmds = 0;
       latency = Obs.Metric.Histogram.create ();
     }
   in
@@ -110,7 +166,7 @@ let series c = c.series
 let leader_changes c = c.leader_changes
 let decided c = c.last_decided
 let latency c = c.latency
-let reset_latency c = c.latency <- Obs.Metric.Histogram.create ()
+let reset_latency c = Obs.Metric.Histogram.reset c.latency
 
 (* ------------------------------------------------------------------ *)
 (* Client-visible histories (the chaos campaign's linearizability       *)

@@ -33,7 +33,8 @@ val latency : t -> Obs.Metric.Histogram.t
     path contribute no sample. *)
 
 val reset_latency : t -> unit
-(** Discard latency samples collected so far (e.g. after warmup). *)
+(** Discard latency samples collected so far (e.g. after warmup). The
+    histogram is reset in place: [latency] keeps returning the same one. *)
 
 (** Client-visible operation histories: the raw material of the chaos
     campaign's linearizability check (see [lib/chaos]). Every operation is

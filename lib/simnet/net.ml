@@ -1,33 +1,51 @@
-(* A message waiting in (or being drained from) a sender's egress queue. *)
-type 'm pending = {
-  p_dst : int;
-  p_msg : 'm;
-  p_session : int;
-  p_size : int;
-  p_send_id : int;
-  p_lc : int;
-  mutable p_remaining : int;
+(* Messages on one directed link, in a growable ring. [head], [fly] and
+   [tail] only grow; slot [i] is [i land (capacity - 1)]. Messages in
+   [head, fly) have left the sender (each has, or is about to get, a
+   delivery event naming this link); those in [fly, tail) wait in the
+   sender's egress queue, which is empty when the bandwidth model is off.
+   Delivery times on a link never decrease ([last_delivery]) and equal
+   times pop in push order, so the heap delivers a link's messages in ring
+   order and a delivery event only has to name the link.
+
+   A slot keeps its message until the ring wraps over it. [meta] holds
+   [meta_width] ints per slot (see the offsets below). *)
+type 'm link = {
+  mutable msgs : 'm array;
+  mutable meta : int array;
+  mutable head : int;
+  mutable fly : int;
+  mutable tail : int;
 }
 
-type 'm event =
-  | Deliver of {
-      src : int;
-      dst : int;
-      session : int;
-      size : int;
-      send_id : int;
-      lc : int;
-      msg : 'm;
-    }
-  | Timer of (unit -> unit)
-  | Session_reset of { node : int; peer : int; session : int }
-  | Egress_step of { src : int; gen : int; completed : 'm pending option }
+let meta_width = 5
+let m_session = 0
+let m_size = 1
+let m_send_id = 2
+let m_lc = 3
+let m_remaining = 4  (* bytes still to transmit *)
+
+(* Event payloads: the kind in the low two bits (also the index into
+   [dispatched]), the rest names the event:
+   - timer: a slot of [timers];
+   - deliver: the link [src * n + dst];
+   - session reset: [(session * n + node) * n + peer];
+   - egress step: [gen * n + src], the message it completes (if any) being
+     [egress_done.(src)]. *)
+let k_timer = 0
+let k_deliver = 1
+let k_session_reset = 2
+let k_egress_step = 3
 
 type 'm t = {
   n : int;
   rng : Random.State.t;
-  events : 'm event Event_heap.t;
-  mutable clock : float;
+  events : Event_heap.t;
+  (* An all-float record, so advancing the clock does not box. *)
+  clock : Event_heap.clock;
+  (* The clock boxed for readers that take a float (the tracer's and the
+     profiler's clocks, [now], trace timestamps): boxed again only once the
+     clock has moved, so the readers of one instant share one box. *)
+  mutable now_box : float;
   (* Topology. [up.(a).(b)] is the a->b direction. *)
   up : bool array array;
   latency : float array array;
@@ -40,13 +58,21 @@ type 'm t = {
      sender's other traffic (TCP flows interleave at packet granularity). *)
   egress_bw : float;
   egress_chunk : int;
-  egress_queues : 'm pending Queue.t array array;  (* per src, per dst *)
+  links : 'm link array;  (* per (src, dst), index [src * n + dst] *)
   egress_busy : bool array;
   egress_rr : int array;  (* next destination to serve, per src *)
   egress_gen : int array;  (* bumped on crash to cancel stale pump chains *)
-  (* Per (src, dst) pair: last scheduled delivery time, to enforce FIFO even
-     if latency changes between sends. *)
-  last_delivery : float array array;
+  (* Per src: the destination of the message whose last chunk is on the
+     wire (its delivery is scheduled when the chunk's step fires), or -1. *)
+  egress_done : int array;
+  egress_step_at : Float.Array.t;  (* per src: when the chunk on the wire ends *)
+  (* Per link: last scheduled delivery time, to enforce FIFO even if latency
+     changes between sends. Also the time cell a delivery is pushed from. *)
+  last_delivery : Float.Array.t;
+  (* Timer callbacks by slot, with a stack of free slots. *)
+  mutable timers : (unit -> unit) array;
+  mutable timer_free : int array;
+  mutable n_free : int;
   handlers : (src:int -> 'm -> unit) option array;
   session_handlers : (peer:int -> unit) option array;
   sent_bytes : int array;
@@ -79,6 +105,13 @@ type heap_stats = Event_heap.stats = {
   hs_pops : int;
 }
 
+let nop () = ()
+let initial_timers = 16
+
+let boxed_now t =
+  if t.now_box <> t.clock.now then t.now_box <- t.clock.now;
+  t.now_box
+
 let create ?(seed = 42) ?(latency = 0.1) ?(egress_bw = infinity)
     ?(egress_chunk = 4096) ~num_nodes () =
   let n = num_nodes in
@@ -87,19 +120,26 @@ let create ?(seed = 42) ?(latency = 0.1) ?(egress_bw = infinity)
     n;
     rng = Random.State.make [| seed |];
     events = Event_heap.create ();
-    clock = 0.0;
+    clock = { Event_heap.now = 0.0 };
+    now_box = 0.0;
     up = Array.make_matrix n n true;
     latency = Array.make_matrix n n latency;
     session = Array.make_matrix n n 0;
     node_up = Array.make n true;
     egress_bw;
     egress_chunk;
-    egress_queues =
-      Array.init n (fun _ -> Array.init n (fun _ -> Queue.create ()));
+    links =
+      Array.init (n * n) (fun _ ->
+          { msgs = [||]; meta = [||]; head = 0; fly = 0; tail = 0 });
     egress_busy = Array.make n false;
     egress_rr = Array.make n 0;
     egress_gen = Array.make n 0;
-    last_delivery = Array.make_matrix n n 0.0;
+    egress_done = Array.make n (-1);
+    egress_step_at = Float.Array.make n 0.0;
+    last_delivery = Float.Array.make (n * n) 0.0;
+    timers = Array.make initial_timers nop;
+    timer_free = Array.init initial_timers (fun i -> initial_timers - 1 - i);
+    n_free = initial_timers;
     handlers = Array.make n None;
     session_handlers = Array.make n None;
     sent_bytes = Array.make n 0;
@@ -120,8 +160,8 @@ let create ?(seed = 42) ?(latency = 0.1) ?(egress_bw = infinity)
   (* Trace events emitted by the protocol layers carry simulated time; the
      latest-created network owns the tracer clock (runs are sequential).
      The profiler samples the same clock for its sim-time column. *)
-  Obs.Trace.set_clock (fun () -> t.clock);
-  Obs.Profile.set_clock (fun () -> t.clock);
+  Obs.Trace.set_clock (fun () -> boxed_now t);
+  Obs.Profile.set_clock (fun () -> boxed_now t);
   (* Binary trace headers record the run parameters of the simulation that
      produced them (the writer snapshots this at its first event). *)
   Obs.Trace.set_run_meta
@@ -132,7 +172,7 @@ let create ?(seed = 42) ?(latency = 0.1) ?(egress_bw = infinity)
     ];
   t
 
-let now t = t.clock
+let now t = boxed_now t
 let num_nodes t = t.n
 let rng t = t.rng
 
@@ -147,51 +187,102 @@ let set_session_handler t i f =
   check_node t i;
   t.session_handlers.(i) <- Some f
 
+let grow_timers t =
+  let cap = Array.length t.timers in
+  let timers = Array.make (2 * cap) nop in
+  Array.blit t.timers 0 timers 0 cap;
+  t.timers <- timers;
+  (* Every slot is taken when this runs: the new ones are all free. *)
+  t.timer_free <- Array.init (2 * cap) (fun i -> (2 * cap) - 1 - i);
+  t.n_free <- cap
+
 let schedule t ~delay f =
   if delay < 0.0 then invalid_arg "Net.schedule: negative delay";
-  Event_heap.push t.events ~time:(t.clock +. delay) (Timer f)
+  if t.n_free = 0 then grow_timers t;
+  t.n_free <- t.n_free - 1;
+  let slot = t.timer_free.(t.n_free) in
+  t.timers.(slot) <- f;
+  Event_heap.push t.events ~time:(t.clock.now +. delay)
+    ((slot lsl 2) lor k_timer)
 
 let pair_connected t a b = t.up.(a).(b) && t.up.(b).(a)
 
-let schedule_delivery t ~src ~dst ~session ~size ~send_id ~lc msg =
-  let arrival = t.clock +. t.latency.(src).(dst) in
-  let arrival = Float.max arrival t.last_delivery.(src).(dst) in
-  t.last_delivery.(src).(dst) <- arrival;
+(* Double a link's ring (an empty ring gets 4 slots), oldest message first.
+   [msg] fills the fresh message array. *)
+let grow_link l msg =
+  let cap = Array.length l.msgs in
+  let cap' = if cap = 0 then 4 else 2 * cap in
+  let msgs = Array.make cap' msg and meta = Array.make (cap' * meta_width) 0 in
+  for k = 0 to l.tail - l.head - 1 do
+    let s = (l.head + k) land (cap - 1) in
+    msgs.(k) <- l.msgs.(s);
+    Array.blit l.meta (s * meta_width) meta (k * meta_width) meta_width
+  done;
+  l.msgs <- msgs;
+  l.meta <- meta;
+  l.fly <- l.fly - l.head;
+  l.tail <- l.tail - l.head;
+  l.head <- 0
+
+let enqueue l msg ~session ~size ~send_id ~lc =
+  if l.tail - l.head = Array.length l.msgs then grow_link l msg;
+  let s = l.tail land (Array.length l.msgs - 1) in
+  l.msgs.(s) <- msg;
+  let m = s * meta_width in
+  l.meta.(m + m_session) <- session;
+  l.meta.(m + m_size) <- size;
+  l.meta.(m + m_send_id) <- send_id;
+  l.meta.(m + m_lc) <- lc;
+  l.meta.(m + m_remaining) <- size;
+  l.tail <- l.tail + 1
+
+(* Schedule the delivery of the latest message to leave [src] for [dst]:
+   [latency] from now, and never before the link's previous arrival. *)
+let schedule_delivery t ~src ~dst =
+  let link = (src * t.n) + dst in
+  let arrival = t.clock.now +. t.latency.(src).(dst) in
+  let arrival = Float.max arrival (Float.Array.get t.last_delivery link) in
+  Float.Array.set t.last_delivery link arrival;
   t.deliver_in_flight <- t.deliver_in_flight + 1;
-  Event_heap.push t.events ~time:arrival
-    (Deliver { src; dst; session; size; send_id; lc; msg })
+  Event_heap.push_cell t.events t.last_delivery link ((link lsl 2) lor k_deliver)
 
 (* Transmit the next chunk of the round-robin schedule. Must be called with
    the sender idle at the current clock. *)
 let pump_egress t src =
-  let queues = t.egress_queues.(src) in
-  let rec find i tries =
-    if tries = t.n then None
-    else if not (Queue.is_empty queues.(i)) then Some i
-    else find ((i + 1) mod t.n) (tries + 1)
-  in
-  match find t.egress_rr.(src) 0 with
-  | None -> t.egress_busy.(src) <- false
-  | Some d ->
-      let item = Queue.peek queues.(d) in
-      let chunk = min t.egress_chunk (max 1 item.p_remaining) in
-      (* Bytes are accounted when they leave the NIC, so windowed egress
-         readings are physical. *)
-      t.sent_bytes.(src) <- t.sent_bytes.(src) + chunk;
-      t.sent_bytes_to.(src).(d) <- t.sent_bytes_to.(src).(d) + chunk;
-      item.p_remaining <- item.p_remaining - chunk;
-      let completed =
-        if item.p_remaining <= 0 then begin
-          t.egress_depth.(src) <- t.egress_depth.(src) - 1;
-          Some (Queue.pop queues.(d))
-        end
-        else None
-      in
-      t.egress_rr.(src) <- (d + 1) mod t.n;
-      t.egress_busy.(src) <- true;
-      let tx = float_of_int chunk /. t.egress_bw in
-      Event_heap.push t.events ~time:(t.clock +. tx)
-        (Egress_step { src; gen = t.egress_gen.(src); completed })
+  let base = src * t.n in
+  let d = ref (-1) and i = ref t.egress_rr.(src) and tries = ref 0 in
+  while !d < 0 && !tries < t.n do
+    let l = t.links.(base + !i) in
+    if l.tail > l.fly then d := !i
+    else begin
+      i := (!i + 1) mod t.n;
+      incr tries
+    end
+  done;
+  if !d < 0 then t.egress_busy.(src) <- false
+  else begin
+    let d = !d in
+    let l = t.links.(base + d) in
+    let m = ((l.fly land (Array.length l.msgs - 1)) * meta_width) + m_remaining in
+    let remaining = l.meta.(m) in
+    let chunk = min t.egress_chunk (max 1 remaining) in
+    (* Bytes are accounted when they leave the NIC, so windowed egress
+       readings are physical. *)
+    t.sent_bytes.(src) <- t.sent_bytes.(src) + chunk;
+    t.sent_bytes_to.(src).(d) <- t.sent_bytes_to.(src).(d) + chunk;
+    l.meta.(m) <- remaining - chunk;
+    if remaining - chunk <= 0 then begin
+      t.egress_depth.(src) <- t.egress_depth.(src) - 1;
+      l.fly <- l.fly + 1;
+      t.egress_done.(src) <- d
+    end;
+    t.egress_rr.(src) <- (d + 1) mod t.n;
+    t.egress_busy.(src) <- true;
+    let tx = float_of_int chunk /. t.egress_bw in
+    Float.Array.set t.egress_step_at src (t.clock.now +. tx);
+    Event_heap.push_cell t.events t.egress_step_at src
+      ((((t.egress_gen.(src) * t.n) + src) lsl 2) lor k_egress_step)
+  end
 
 let send t ~src ~dst ~size msg =
   check_node t src;
@@ -205,26 +296,18 @@ let send t ~src ~dst ~size msg =
     let lc = t.lamport.(src) + 1 in
     t.lamport.(src) <- lc;
     if Obs.Trace.on () then
-      Obs.Trace.emit_at ~time:t.clock ~node:src
+      Obs.Trace.emit_at ~time:(boxed_now t) ~node:src
         (Obs.Event.Msg_send { dst; size; send_id; lc });
     let session = t.session.(src).(dst) in
+    let l = t.links.((src * t.n) + dst) in
+    enqueue l msg ~session ~size ~send_id ~lc;
     if t.egress_bw = infinity then begin
       t.sent_bytes.(src) <- t.sent_bytes.(src) + size;
       t.sent_bytes_to.(src).(dst) <- t.sent_bytes_to.(src).(dst) + size;
-      schedule_delivery t ~src ~dst ~session ~size ~send_id ~lc msg
+      l.fly <- l.tail;
+      schedule_delivery t ~src ~dst
     end
     else begin
-      Queue.add
-        {
-          p_dst = dst;
-          p_msg = msg;
-          p_session = session;
-          p_size = size;
-          p_send_id = send_id;
-          p_lc = lc;
-          p_remaining = size;
-        }
-        t.egress_queues.(src).(dst);
       t.egress_depth.(src) <- t.egress_depth.(src) + 1;
       if t.egress_depth.(src) > t.egress_depth_hw.(src) then
         t.egress_depth_hw.(src) <- t.egress_depth.(src);
@@ -232,7 +315,7 @@ let send t ~src ~dst ~size msg =
     end
   end
   else if Obs.Trace.on () then
-    Obs.Trace.emit_at ~time:t.clock ~node:src
+    Obs.Trace.emit_at ~time:(boxed_now t) ~node:src
       (Obs.Event.Msg_drop
          {
            src;
@@ -247,16 +330,16 @@ let bump_session t a b =
   t.session.(a).(b) <- s;
   t.session.(b).(a) <- s;
   if Obs.Trace.on () then begin
-    Obs.Trace.emit_at ~time:t.clock ~node:a
+    Obs.Trace.emit_at ~time:(boxed_now t) ~node:a
       (Obs.Event.Session_up { peer = b; session = s });
-    Obs.Trace.emit_at ~time:t.clock ~node:b
+    Obs.Trace.emit_at ~time:(boxed_now t) ~node:b
       (Obs.Event.Session_up { peer = a; session = s })
   end;
   (* Notify both endpoints once the (zero-latency) reconnection completes.
      Delivered as events so handlers run in timestamp order. *)
   let notify node peer =
-    Event_heap.push t.events ~time:t.clock
-      (Session_reset { node; peer; session = s })
+    Event_heap.push t.events ~time:(boxed_now t)
+      (((((s * t.n) + node) * t.n) + peer) lsl 2 lor k_session_reset)
   in
   notify a b;
   notify b a
@@ -265,14 +348,14 @@ let bump_session t a b =
    direction also drops the transport session at both endpoints. *)
 let trace_link_change t ~src ~dst ~was_connected ~up =
   if Obs.Trace.on () then begin
-    Obs.Trace.emit_at ~time:t.clock ~node:src
+    Obs.Trace.emit_at ~time:(boxed_now t) ~node:src
       (if up then Obs.Event.Link_heal { a = src; b = dst }
        else Obs.Event.Link_cut { a = src; b = dst });
     if was_connected && not (pair_connected t src dst) then begin
       let s = t.session.(src).(dst) in
-      Obs.Trace.emit_at ~time:t.clock ~node:src
+      Obs.Trace.emit_at ~time:(boxed_now t) ~node:src
         (Obs.Event.Session_drop { peer = dst; session = s });
-      Obs.Trace.emit_at ~time:t.clock ~node:dst
+      Obs.Trace.emit_at ~time:(boxed_now t) ~node:dst
         (Obs.Event.Session_drop { peer = src; session = s })
     end
   end
@@ -315,9 +398,9 @@ let reset_session t a b =
        with a real TCP reset; both endpoints are notified of the new one. *)
     if Obs.Trace.on () then begin
       let s = t.session.(a).(b) in
-      Obs.Trace.emit_at ~time:t.clock ~node:a
+      Obs.Trace.emit_at ~time:(boxed_now t) ~node:a
         (Obs.Event.Session_drop { peer = b; session = s });
-      Obs.Trace.emit_at ~time:t.clock ~node:b
+      Obs.Trace.emit_at ~time:(boxed_now t) ~node:b
         (Obs.Event.Session_drop { peer = a; session = s })
     end;
     bump_session t a b
@@ -355,11 +438,21 @@ let crash t i =
   check_node t i;
   t.node_up.(i) <- false;
   if Obs.Trace.on () then
-    Obs.Trace.emit_at ~time:t.clock ~node:i Obs.Event.Crashed;
+    Obs.Trace.emit_at ~time:(boxed_now t) ~node:i Obs.Event.Crashed;
   t.handlers.(i) <- None;
   t.session_handlers.(i) <- None;
-  (* Unsent egress data is lost with the process. *)
-  Array.iter Queue.clear t.egress_queues.(i);
+  (* Unsent egress data is lost with the process, including a message whose
+     last chunk is on the wire: its delivery was never scheduled. *)
+  let d = t.egress_done.(i) in
+  if d >= 0 then begin
+    let l = t.links.((i * t.n) + d) in
+    l.fly <- l.fly - 1;
+    t.egress_done.(i) <- -1
+  end;
+  for j = 0 to t.n - 1 do
+    let l = t.links.((i * t.n) + j) in
+    l.tail <- l.fly
+  done;
   t.egress_depth.(i) <- 0;
   t.egress_busy.(i) <- false;
   t.egress_gen.(i) <- t.egress_gen.(i) + 1
@@ -368,7 +461,7 @@ let recover t i =
   check_node t i;
   t.node_up.(i) <- true;
   if Obs.Trace.on () then
-    Obs.Trace.emit_at ~time:t.clock ~node:i Obs.Event.Recovered;
+    Obs.Trace.emit_at ~time:(boxed_now t) ~node:i Obs.Event.Recovered;
   (* Transport connections did not survive: bump the session with every
      currently-reachable peer so both sides observe a reconnection. *)
   for j = 0 to t.n - 1 do
@@ -379,101 +472,116 @@ let is_up t i =
   check_node t i;
   t.node_up.(i)
 
-let dispatch t event =
-  match event with
-  | Timer f ->
-      t.dispatched.(0) <- t.dispatched.(0) + 1;
-      f ()
-  | Deliver { src; dst; session; size; send_id; lc; msg } ->
-      t.dispatched.(1) <- t.dispatched.(1) + 1;
-      t.deliver_in_flight <- t.deliver_in_flight - 1;
-      if
-        t.node_up.(dst) && t.node_up.(src) && t.up.(src).(dst)
-        && session = t.session.(src).(dst)
-      then begin
-        match t.handlers.(dst) with
-        | Some h ->
-            t.delivered <- t.delivered + 1;
-            t.delivered_msgs.(dst) <- t.delivered_msgs.(dst) + 1;
-            t.delivered_bytes.(dst) <- t.delivered_bytes.(dst) + size;
-            t.delivered_bytes_total <- t.delivered_bytes_total + size;
-            (* Lamport merge: the receipt happens-after both the local past
-               and the send. *)
-            let rlc = 1 + max t.lamport.(dst) lc in
-            t.lamport.(dst) <- rlc;
-            if Obs.Trace.on () then
-              Obs.Trace.emit_at ~time:t.clock ~node:dst
-                (Obs.Event.Msg_deliver { src; size; send_id; lc = rlc });
-            h ~src msg
-        | None -> ()
-      end
-      else if Obs.Trace.on () then begin
-        let reason =
-          if not t.node_up.(dst) then "dst-down"
-          else if not t.node_up.(src) then "src-down"
-          else if not t.up.(src).(dst) then "link-down"
-          else "stale-session"
-        in
-        Obs.Trace.emit_at ~time:t.clock ~node:dst
-          (Obs.Event.Msg_drop { src; dst; reason; session; send_id })
-      end
-  | Session_reset { node; peer; session } ->
-      t.dispatched.(2) <- t.dispatched.(2) + 1;
-      if t.node_up.(node) && session = t.session.(node).(peer) then begin
-        match t.session_handlers.(node) with
-        | Some h -> h ~peer
-        | None -> ()
-      end
-  | Egress_step { src; gen; completed } ->
-      t.dispatched.(3) <- t.dispatched.(3) + 1;
-      if gen = t.egress_gen.(src) then begin
-        (match completed with
-        | Some item ->
-            schedule_delivery t ~src ~dst:item.p_dst ~session:item.p_session
-              ~size:item.p_size ~send_id:item.p_send_id ~lc:item.p_lc
-              item.p_msg
-        | None -> ());
-        pump_egress t src
-      end
+let deliver t link =
+  t.dispatched.(k_deliver) <- t.dispatched.(k_deliver) + 1;
+  t.deliver_in_flight <- t.deliver_in_flight - 1;
+  let src = link / t.n and dst = link mod t.n in
+  let l = t.links.(link) in
+  let s = l.head land (Array.length l.msgs - 1) in
+  let msg = l.msgs.(s) in
+  let m = s * meta_width in
+  let session = l.meta.(m + m_session) and size = l.meta.(m + m_size) in
+  let send_id = l.meta.(m + m_send_id) and lc = l.meta.(m + m_lc) in
+  l.head <- l.head + 1;
+  if
+    t.node_up.(dst) && t.node_up.(src) && t.up.(src).(dst)
+    && session = t.session.(src).(dst)
+  then begin
+    match t.handlers.(dst) with
+    | Some h ->
+        t.delivered <- t.delivered + 1;
+        t.delivered_msgs.(dst) <- t.delivered_msgs.(dst) + 1;
+        t.delivered_bytes.(dst) <- t.delivered_bytes.(dst) + size;
+        t.delivered_bytes_total <- t.delivered_bytes_total + size;
+        (* Lamport merge: the receipt happens-after both the local past
+           and the send. *)
+        let rlc = 1 + max t.lamport.(dst) lc in
+        t.lamport.(dst) <- rlc;
+        if Obs.Trace.on () then
+          Obs.Trace.emit_at ~time:(boxed_now t) ~node:dst
+            (Obs.Event.Msg_deliver { src; size; send_id; lc = rlc });
+        h ~src msg
+    | None -> ()
+  end
+  else if Obs.Trace.on () then begin
+    let reason =
+      if not t.node_up.(dst) then "dst-down"
+      else if not t.node_up.(src) then "src-down"
+      else if not t.up.(src).(dst) then "link-down"
+      else "stale-session"
+    in
+    Obs.Trace.emit_at ~time:(boxed_now t) ~node:dst
+      (Obs.Event.Msg_drop { src; dst; reason; session; send_id })
+  end
 
-let dispatch_label = function
-  | Timer _ -> "simnet/timer"
-  | Deliver _ -> "simnet/deliver"
-  | Session_reset _ -> "simnet/session_reset"
-  | Egress_step _ -> "simnet/egress"
+let dispatch t payload =
+  let kind = payload land 3 and id = payload lsr 2 in
+  if kind = k_deliver then deliver t id
+  else if kind = k_timer then begin
+    t.dispatched.(k_timer) <- t.dispatched.(k_timer) + 1;
+    let f = t.timers.(id) in
+    t.timers.(id) <- nop;
+    t.timer_free.(t.n_free) <- id;
+    t.n_free <- t.n_free + 1;
+    f ()
+  end
+  else if kind = k_session_reset then begin
+    t.dispatched.(k_session_reset) <- t.dispatched.(k_session_reset) + 1;
+    let peer = id mod t.n and node = id / t.n mod t.n in
+    let session = id / (t.n * t.n) in
+    if t.node_up.(node) && session = t.session.(node).(peer) then begin
+      match t.session_handlers.(node) with
+      | Some h -> h ~peer
+      | None -> ()
+    end
+  end
+  else begin
+    t.dispatched.(k_egress_step) <- t.dispatched.(k_egress_step) + 1;
+    let src = id mod t.n and gen = id / t.n in
+    if gen = t.egress_gen.(src) then begin
+      let d = t.egress_done.(src) in
+      if d >= 0 then begin
+        t.egress_done.(src) <- -1;
+        schedule_delivery t ~src ~dst:d
+      end;
+      pump_egress t src
+    end
+  end
+
+let dispatch_label payload =
+  let kind = payload land 3 in
+  if kind = k_timer then "simnet/timer"
+  else if kind = k_deliver then "simnet/deliver"
+  else if kind = k_session_reset then "simnet/session_reset"
+  else "simnet/egress"
 
 let step t =
-  match Event_heap.pop t.events with
-  | None -> false
-  | Some (time, event) ->
-      if Obs.Profile.on () then begin
-        (* The clock advance happens inside the frame, so the sim-time
-           column of a dispatch label accumulates the simulated time that
-           passed waiting for events of that class; handler frames opened
-           within (protocol adapters, flush) nest as children. The cold
-           branch below is duplicated rather than wrapped in a closure so
-           the profiler-off path allocates nothing extra. *)
-        Obs.Profile.enter (dispatch_label event);
-        t.clock <- Float.max t.clock time;
-        dispatch t event;
-        Obs.Profile.leave ()
-      end
-      else begin
-        t.clock <- Float.max t.clock time;
-        dispatch t event
-      end;
-      true
+  if Event_heap.is_empty t.events then false
+  else begin
+    if Obs.Profile.on () then begin
+      (* [pop_payload] advances the clock, inside the frame, so the
+         sim-time column of a dispatch label accumulates the simulated time
+         that passed waiting for events of that class; handler frames
+         opened within (protocol adapters, flush) nest as children. The
+         cold branch is duplicated rather than wrapped in a closure so the
+         profiler-off path allocates nothing. *)
+      Obs.Profile.enter (dispatch_label (Event_heap.min_payload t.events));
+      dispatch t (Event_heap.pop_payload t.events t.clock);
+      Obs.Profile.leave ()
+    end
+    else dispatch t (Event_heap.pop_payload t.events t.clock);
+    true
+  end
 
 let run_until t deadline =
-  let continue = ref true in
-  while !continue do
-    match Event_heap.peek_time t.events with
-    | Some time when time <= deadline -> ignore (step t)
-    | Some _ | None -> continue := false
+  (* [due] is false on an empty heap, so an infinite deadline returns once
+     the events run out. *)
+  while Event_heap.due t.events deadline do
+    ignore (step t : bool)
   done;
-  t.clock <- Float.max t.clock deadline
+  t.clock.now <- Float.max t.clock.now deadline
 
-let run_for t d = run_until t (t.clock +. d)
+let run_for t d = run_until t (t.clock.now +. d)
 
 let drain t = while step t do () done
 
@@ -520,7 +628,8 @@ let deliver_in_flight t = t.deliver_in_flight
 let link_queue_depth t ~src ~dst =
   check_node t src;
   check_node t dst;
-  Queue.length t.egress_queues.(src).(dst)
+  let l = t.links.((src * t.n) + dst) in
+  l.tail - l.fly
 
 let egress_queue_depth t i =
   check_node t i;

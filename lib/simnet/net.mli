@@ -171,7 +171,8 @@ val deliver_in_flight : 'm t -> int
 
 val link_queue_depth : 'm t -> src:int -> dst:int -> int
 (** Messages waiting in the [src -> dst] egress queue (0 when the egress
-    bandwidth model is off — messages then go straight into the heap). *)
+    bandwidth model is off — messages are then in flight once sent). A
+    message leaves the queue when its last chunk starts transmitting. *)
 
 val egress_queue_depth : 'm t -> int -> int
 (** Messages queued by a sender across all destinations. *)

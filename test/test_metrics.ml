@@ -1,7 +1,8 @@
 (* Unit tests for the measurement utilities: the decided-count series (the
    source of every down-time and throughput figure), the t-distribution
-   statistics, and the metric registry's reset/iteration/exposition
-   surface. *)
+   statistics, the metric registry's reset/iteration/exposition surface,
+   and the histogram's allocation-free recording ([observe_n], the
+   bit-based bucket). *)
 
 module Series = Rsm.Metrics.Series
 module Stats = Rsm.Metrics.Stats
@@ -108,6 +109,82 @@ let test_histogram_reset () =
   checkf "min restarts" 2.0 (M.Histogram.min_value h);
   checkf "max restarts" 2.0 (M.Histogram.max_value h)
 
+(* The bucket as it was computed with [Float.frexp], before the bit-based
+   version: the reference the new one must match. *)
+let frexp_bucket x =
+  if x < 1.0 then 0
+  else
+    let _, e = Float.frexp x in
+    min 62 e
+
+let test_bucket_of_matches_frexp () =
+  let pow2 k = Float.ldexp 1.0 k in
+  let values =
+    [ 0.0; -0.0; -1.0; 4.9e-324; Float.min_float; 0.5; 1.0; 1.5; 3.0;
+      Float.max_float; infinity; neg_infinity; nan; Float.ldexp 1.0 62 *. 3.0;
+      pow2 63; pow2 100; pow2 1023 ]
+    @ List.concat_map
+        (fun k -> [ pow2 k; Float.pred (pow2 k); Float.succ (pow2 k) ])
+        (List.init 2098 (fun i -> i - 1074))
+  in
+  List.iter
+    (fun x ->
+      check_int (Printf.sprintf "bucket of %h" x) (frexp_bucket x)
+        (M.Histogram.bucket_of x))
+    values;
+  check_int "infinity stays in bucket 0" 0 (M.Histogram.bucket_of infinity);
+  check_int "nan stays in bucket 0" 0 (M.Histogram.bucket_of nan)
+
+(* Everything a histogram exposes, with floats compared bit for bit (nan
+   included). *)
+let histogram_view h =
+  let bits x = Int64.bits_of_float x in
+  ( M.Histogram.buckets h,
+    M.Histogram.count h,
+    List.map bits
+      [
+        M.Histogram.sum h;
+        M.Histogram.mean h;
+        M.Histogram.min_value h;
+        M.Histogram.max_value h;
+      ],
+    List.map
+      (fun p -> bits (M.Histogram.percentile h ~p))
+      [ 0.0; 1.0; 50.0; 90.0; 99.0; 99.9; 100.0 ] )
+
+(* [observe_n h x k] against k calls of [observe h x], over random runs of
+   (value, repeat) pairs that include zero, negative and non-integral
+   values and k = 0. *)
+let prop_observe_n =
+  QCheck.Test.make ~name:"observe_n x k = k x observe x" ~count:300
+    QCheck.(
+      list_of_size Gen.(0 -- 40)
+        (pair (float_range (-10.0) 5000.0) (int_bound 50)))
+    (fun runs ->
+      let a = M.Histogram.create () and b = M.Histogram.create () in
+      List.iter
+        (fun (x, k) ->
+          M.Histogram.observe_n a x k;
+          for _ = 1 to k do
+            M.Histogram.observe b x
+          done)
+        runs;
+      histogram_view a = histogram_view b)
+
+(* The samples are constants: a float computed at the call site would be
+   boxed by the caller to be passed, which is not the histogram's cost. *)
+let test_observe_alloc_free () =
+  let h = M.Histogram.create () in
+  let words () = int_of_float (Gc.minor_words ()) in
+  let w0 = words () in
+  for _ = 1 to 10_000 do
+    M.Histogram.observe h 0.25;
+    M.Histogram.observe h 1e6;
+    M.Histogram.observe_n h 3.0 3;
+    M.Histogram.observe_n h 7.5 0
+  done;
+  check_int "observe and observe_n allocate nothing" 0 (words () - w0)
+
 let test_registry_sorted () =
   let r = M.Registry.create () in
   (* Register out of order: iteration must come back sorted by key. *)
@@ -179,6 +256,11 @@ let () =
         [
           Alcotest.test_case "gauge reset" `Quick test_gauge_reset;
           Alcotest.test_case "histogram reset" `Quick test_histogram_reset;
+          Alcotest.test_case "bucket_of matches frexp" `Quick
+            test_bucket_of_matches_frexp;
+          QCheck_alcotest.to_alcotest prop_observe_n;
+          Alcotest.test_case "recording allocates nothing" `Quick
+            test_observe_alloc_free;
           Alcotest.test_case "registry sorted iteration" `Quick
             test_registry_sorted;
           Alcotest.test_case "prometheus exposition" `Quick test_exposition;

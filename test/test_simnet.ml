@@ -16,17 +16,34 @@ let collect net dst log =
 
 (* ------------------------- event heap ------------------------- *)
 
+(* Pop every event, returning (time, payload) pairs in pop order. *)
+let drain_heap h =
+  let clock = { Heap.now = 0.0 } in
+  let rec go acc =
+    if Heap.is_empty h then List.rev acc
+    else
+      let time = Heap.min_time h in
+      let p = Heap.pop_payload h clock in
+      go ((time, p) :: acc)
+  in
+  go []
+
 let test_heap_order () =
   let h = Heap.create () in
   List.iter (fun (t, v) -> Heap.push h ~time:t v)
-    [ (3.0, "c"); (1.0, "a"); (2.0, "b"); (1.0, "a2") ];
-  let pop () = snd (Option.get (Heap.pop h)) in
-  let p1 = pop () in
-  let p2 = pop () in
-  let p3 = pop () in
-  let p4 = pop () in
-  check "time order with FIFO ties" true ([ p1; p2; p3; p4 ] = [ "a"; "a2"; "b"; "c" ]);
-  check "empty" true (Heap.pop h = None)
+    [ (3.0, 3); (1.0, 1); (2.0, 2); (1.0, 10) ];
+  check "next payload" true (Heap.min_payload h = 1);
+  check "time order with FIFO ties" true
+    (List.map snd (drain_heap h) = [ 1; 10; 2; 3 ]);
+  check "empty" true (Heap.is_empty h);
+  check "min_time of an empty heap is infinity" true
+    (Heap.min_time h = infinity);
+  check "nothing is due on an empty heap, not even at infinity" false
+    (Heap.due h infinity);
+  check "pop of an empty heap raises" true
+    (match Heap.pop_payload h { Heap.now = 0.0 } with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let test_heap_many () =
   let h = Heap.create () in
@@ -34,34 +51,157 @@ let test_heap_many () =
   for i = 0 to 999 do
     Heap.push h ~time:(Random.State.float rand 100.0) i
   done;
-  let last = ref neg_infinity in
-  let ok = ref true in
-  for _ = 0 to 999 do
-    let t, _ = Option.get (Heap.pop h) in
-    if t < !last then ok := false;
-    last := t
-  done;
-  check "1000 random pushes pop sorted" true !ok
+  let times = List.map fst (drain_heap h) in
+  check "1000 random pushes pop sorted" true (List.sort Float.compare times = times)
+
+let test_heap_clock () =
+  let h = Heap.create () in
+  let cells = Float.Array.of_list [ 5.0; 2.0 ] in
+  Heap.push_cell h cells 0 0;
+  Heap.push_cell h cells 1 1;
+  check "push_cell reads the time from its cell" true (Heap.min_time h = 2.0);
+  check "due at the next time" true (Heap.due h 2.0);
+  check "not due before it" false (Heap.due h 1.5);
+  let clock = { Heap.now = 3.0 } in
+  check_int "earliest first" 1 (Heap.pop_payload h clock);
+  check "an earlier event does not move the clock back" true (clock.Heap.now = 3.0);
+  check_int "then the later one" 0 (Heap.pop_payload h clock);
+  check "a later event advances the clock" true (clock.Heap.now = 5.0)
 
 let test_heap_stats () =
   let h = Heap.create () in
+  let clock = { Heap.now = 0.0 } in
   let s = Heap.stats h in
   check "fresh heap all zero" true
     (s = { Heap.hs_size = 0; hs_high_water = 0; hs_pushes = 0; hs_pops = 0 });
-  List.iter (fun t -> Heap.push h ~time:t t) [ 1.0; 2.0; 3.0 ];
-  ignore (Heap.pop h);
+  List.iter (fun t -> Heap.push h ~time:t 0) [ 1.0; 2.0; 3.0 ];
+  ignore (Heap.pop_payload h clock : int);
   let s = Heap.stats h in
   check_int "size after 3 pushes, 1 pop" 2 s.Heap.hs_size;
   check_int "high-water is the peak size" 3 s.Heap.hs_high_water;
   check_int "pushes count every insertion" 3 s.Heap.hs_pushes;
   check_int "pops" 1 s.Heap.hs_pops;
-  List.iter (fun t -> Heap.push h ~time:t t) [ 4.0; 5.0 ];
+  List.iter (fun t -> Heap.push h ~time:t 0) [ 4.0; 5.0 ];
   check_int "high-water advances past the old peak" 4
     (Heap.stats h).Heap.hs_high_water;
-  while Heap.pop h <> None do () done;
+  while not (Heap.is_empty h) do
+    ignore (Heap.pop_payload h clock : int)
+  done;
   let s = Heap.stats h in
   check_int "drained size" 0 s.Heap.hs_size;
   check "pushes = pops when drained" true (s.Heap.hs_pushes = s.Heap.hs_pops)
+
+(* Interleaved pushes and pops against a model: the heap pops exactly what
+   a stable sort of the pending events by (time, insertion seq) puts first.
+   Times come from a small set so ties are frequent. *)
+let prop_heap_stable_order =
+  QCheck.Test.make ~name:"heap pops in stable (time, seq) order" ~count:200
+    QCheck.(list_of_size Gen.(0 -- 300) (option (int_bound 7)))
+    (fun script ->
+      let h = Heap.create () in
+      let clock = { Heap.now = 0.0 } in
+      let pending = ref [] (* (time, seq), newest first *) in
+      let seq = ref 0 in
+      let ok = ref true in
+      let pop () =
+        let expected =
+          List.hd
+            (List.stable_sort
+               (fun (a, _) (b, _) -> Float.compare a b)
+               (List.rev !pending))
+        in
+        let time = Heap.min_time h in
+        let p = Heap.pop_payload h clock in
+        if (time, p) <> expected then ok := false;
+        pending := List.filter (fun e -> e <> expected) !pending
+      in
+      List.iter
+        (function
+          | Some k ->
+              let time = float_of_int k /. 2.0 in
+              Heap.push h ~time !seq;
+              pending := (time, !seq) :: !pending;
+              incr seq
+          | None -> if !pending <> [] then pop ())
+        script;
+      while !pending <> [] do
+        pop ()
+      done;
+      !ok && Heap.is_empty h)
+
+(* [run_until] stops when nothing is due. An empty heap's [min_time] is
+   [infinity], which is [<= infinity]: a loop on that comparison would
+   spin here. *)
+let test_run_until_infinity () =
+  let net = make () in
+  Net.run_until net infinity;
+  check "an empty network runs to infinity and returns" true
+    (Net.now net = infinity);
+  let net = make () in
+  let log = ref [] in
+  collect net 1 log;
+  Net.send net ~src:0 ~dst:1 ~size:1 "x";
+  Net.run_until net infinity;
+  check "the pending event ran first" true (List.map snd !log = [ "x" ])
+
+(* ------------------------- allocation ------------------------- *)
+
+let minor_words () = int_of_float (Gc.minor_words ())
+
+(* Steady state: the arrays have grown to the high-water mark, so a push
+   and a pop move floats and ints between slots and allocate nothing. *)
+let test_heap_alloc_free () =
+  let h = Heap.create () in
+  let clock = { Heap.now = 0.0 } in
+  let cells = Float.Array.init 64 (fun i -> float_of_int (i mod 7)) in
+  for i = 0 to 63 do
+    Heap.push_cell h cells i i
+  done;
+  let round () =
+    for i = 0 to 63 do
+      Heap.push h ~time:1.5 i;
+      ignore (Heap.pop_payload h clock : int);
+      Heap.push_cell h cells i i;
+      ignore (Heap.pop_payload h clock : int)
+    done
+  in
+  round ();
+  let w0 = minor_words () in
+  for _ = 1 to 100 do
+    round ()
+  done;
+  check_int "push + pop_payload allocate nothing" 0 (minor_words () - w0)
+
+(* Net.send + Net.step of a preallocated message: the message goes into
+   its link's ring and the heap entry names the link, so neither side
+   allocates once the ring and heap have grown. *)
+let net_alloc_words ?egress_bw () =
+  let net = make ?egress_bw ~n:3 () in
+  let got = ref 0 in
+  Net.set_handler net 1 (fun ~src:_ _ -> incr got);
+  let msg = "m" in
+  let round () =
+    for _ = 1 to 8 do
+      Net.send net ~src:0 ~dst:1 ~size:100 msg
+    done;
+    while Net.step net do
+      ()
+    done
+  in
+  round ();
+  let w0 = minor_words () in
+  for _ = 1 to 100 do
+    round ()
+  done;
+  let words = minor_words () - w0 in
+  check_int "every message delivered" (8 * 101) !got;
+  words
+
+let test_net_alloc_free () =
+  check_int "infinite egress: send + step allocate nothing" 0
+    (net_alloc_words ());
+  check_int "finite egress: send + step allocate nothing" 0
+    (net_alloc_words ~egress_bw:50.0 ())
 
 (* ------------------------- net instrumentation ------------------------- *)
 
@@ -272,6 +412,28 @@ let test_crash_clears_egress () =
   Net.drain net;
   check "transfer aborted by sender crash" true (!log = [])
 
+(* A message whose last chunk is on the wire when the sender crashes is
+   lost with it (its delivery was never scheduled), queued ones too; after
+   recovery the link carries new messages normally. *)
+let test_crash_mid_chunk () =
+  let net = make ~latency:1.0 ~egress_bw:10.0 () in
+  let log = ref [] in
+  collect net 1 log;
+  Net.send net ~src:0 ~dst:1 ~size:10 "on-the-wire";
+  Net.send net ~src:0 ~dst:1 ~size:10 "queued";
+  check_int "one message queued behind the wire" 1
+    (Net.link_queue_depth net ~src:0 ~dst:1);
+  Net.run_until net 0.5;
+  Net.crash net 0;
+  check_int "crash empties the link queue" 0
+    (Net.link_queue_depth net ~src:0 ~dst:1);
+  Net.recover net 0;
+  Net.send net ~src:0 ~dst:1 ~size:10 "after";
+  Net.drain net;
+  check "only the post-recovery message arrives" true
+    (List.map snd !log = [ "after" ]);
+  check_int "nothing left in flight" 0 (Net.deliver_in_flight net)
+
 (* ------------------------- determinism ------------------------- *)
 
 let run_deterministic seed =
@@ -330,6 +492,14 @@ let () =
           Alcotest.test_case "order" `Quick test_heap_order;
           Alcotest.test_case "many" `Quick test_heap_many;
           Alcotest.test_case "stats" `Quick test_heap_stats;
+          Alcotest.test_case "clock and time cells" `Quick test_heap_clock;
+          Alcotest.test_case "run_until infinity returns" `Quick
+            test_run_until_infinity;
+          QCheck_alcotest.to_alcotest prop_heap_stable_order;
+          Alcotest.test_case "push + pop allocate nothing" `Quick
+            test_heap_alloc_free;
+          Alcotest.test_case "send + step allocate nothing" `Quick
+            test_net_alloc_free;
           Alcotest.test_case "net instrumentation" `Quick
             test_net_instrumentation;
         ] );
@@ -358,6 +528,8 @@ let () =
             test_bytes_accounted_at_transmission;
           Alcotest.test_case "crash clears egress" `Quick
             test_crash_clears_egress;
+          Alcotest.test_case "crash with a chunk on the wire" `Quick
+            test_crash_mid_chunk;
         ] );
       ( "determinism",
         [ Alcotest.test_case "trace equality" `Quick test_determinism ] );
