@@ -4,12 +4,12 @@
 
     Stored as a struct of arrays (a [Float.Array] of times, [int] arrays of
     sequence numbers and payloads), so that once the arrays have grown to
-    the high-water mark no operation allocates. The library is compiled
-    without cross-module inlining, so a float passed to or returned from a
-    function here is boxed at the call. The hot operations therefore move
-    times through flat float storage instead: {!push_cell} reads the time
-    from a [Float.Array] cell, {!pop_payload} writes it into a {!clock}, and
-    {!due} compares inside the heap. *)
+    the high-water mark no operation allocates. Dev builds (dune's default
+    profile, [-opaque]) inline nothing across modules, so a float passed to
+    or returned from a function here is boxed at the call. The hot
+    operations therefore move times through flat float storage instead:
+    {!push_cell} reads the time from a [Float.Array] cell, {!pop_payload}
+    writes it into a {!clock}, and {!due} compares inside the heap. *)
 
 type clock = { mutable now : float }
 (** A simulated clock. An all-float record is stored flat, so reading and

@@ -7,10 +7,16 @@
    times pop in push order, so the heap delivers a link's messages in ring
    order and a delivery event only has to name the link.
 
-   A slot keeps its message until the ring wraps over it. [meta] holds
-   [meta_width] ints per slot (see the offsets below). *)
+   A delivered slot is overwritten with [filler], the first message the
+   link ever carried: a delivered message left in the ring would stay
+   reachable from this long-lived array, and a minor collection would
+   promote it. [meta] holds [meta_width] ints per slot (see the offsets
+   below). *)
 type 'm link = {
+  src : int;
+  dst : int;
   mutable msgs : 'm array;
+  mutable filler : 'm option;  (* [Some] once [msgs] is allocated *)
   mutable meta : int array;
   mutable head : int;
   mutable fly : int;
@@ -129,8 +135,17 @@ let create ?(seed = 42) ?(latency = 0.1) ?(egress_bw = infinity)
     egress_bw;
     egress_chunk;
     links =
-      Array.init (n * n) (fun _ ->
-          { msgs = [||]; meta = [||]; head = 0; fly = 0; tail = 0 });
+      Array.init (n * n) (fun link ->
+          {
+            src = link / n;
+            dst = link mod n;
+            msgs = [||];
+            filler = None;
+            meta = [||];
+            head = 0;
+            fly = 0;
+            tail = 0;
+          });
     egress_busy = Array.make n false;
     egress_rr = Array.make n 0;
     egress_gen = Array.make n 0;
@@ -211,6 +226,7 @@ let pair_connected t a b = t.up.(a).(b) && t.up.(b).(a)
    [msg] fills the fresh message array. *)
 let grow_link l msg =
   let cap = Array.length l.msgs in
+  if cap = 0 then l.filler <- Some msg;
   let cap' = if cap = 0 then 4 else 2 * cap in
   let msgs = Array.make cap' msg and meta = Array.make (cap' * meta_width) 0 in
   for k = 0 to l.tail - l.head - 1 do
@@ -475,13 +491,14 @@ let is_up t i =
 let deliver t link =
   t.dispatched.(k_deliver) <- t.dispatched.(k_deliver) + 1;
   t.deliver_in_flight <- t.deliver_in_flight - 1;
-  let src = link / t.n and dst = link mod t.n in
   let l = t.links.(link) in
+  let src = l.src and dst = l.dst in
   let s = l.head land (Array.length l.msgs - 1) in
   let msg = l.msgs.(s) in
   let m = s * meta_width in
   let session = l.meta.(m + m_session) and size = l.meta.(m + m_size) in
   let send_id = l.meta.(m + m_send_id) and lc = l.meta.(m + m_lc) in
+  (match l.filler with Some f -> l.msgs.(s) <- f | None -> ());
   l.head <- l.head + 1;
   if
     t.node_up.(dst) && t.node_up.(src) && t.up.(src).(dst)

@@ -17,8 +17,8 @@ type step = {
   reset : bool;  (** call [reset_latency] after the poll *)
 }
 
-(* The client's poll as it was with a [float Queue.t] of per-command submit
-   times: the reference model. *)
+(* The client's poll over a [float Queue.t] of per-command submit times:
+   the reference model. *)
 module Queue_model = struct
   type t = {
     cp : int;

@@ -109,8 +109,8 @@ let test_histogram_reset () =
   checkf "min restarts" 2.0 (M.Histogram.min_value h);
   checkf "max restarts" 2.0 (M.Histogram.max_value h)
 
-(* The bucket as it was computed with [Float.frexp], before the bit-based
-   version: the reference the new one must match. *)
+(* The bucket by way of [Float.frexp]: the reference the bit-based
+   [bucket_of] must match. *)
 let frexp_bucket x =
   if x < 1.0 then 0
   else
