@@ -52,7 +52,8 @@ let test_heap_many () =
     Heap.push h ~time:(Random.State.float rand 100.0) i
   done;
   let times = List.map fst (drain_heap h) in
-  check "1000 random pushes pop sorted" true (List.sort Float.compare times = times)
+  check "1000 random pushes pop sorted" true
+    (List.sort Float.compare times = times)
 
 let test_heap_clock () =
   let h = Heap.create () in
