@@ -35,15 +35,6 @@ let state_is_passive = function Passive -> true | Scouting | Active -> false
    watched stale leader stays alive) from the recoverable scenarios. *)
 type fd_target = No_leader | Myself | Activated of int
 
-(* An in-flight proposal at the active leader. [acks] is a bitmask of
-   acceptors, including self. *)
-type slot_state = {
-  s_cmd : Command.t;
-  mutable acks : int;
-  mutable committed : bool;
-  mutable born : int;
-}
-
 type t = {
   id : int;
   peers : int list;
@@ -54,11 +45,17 @@ type t = {
   send : dst:int -> msg -> unit;
   on_decide : int -> unit;
   mutable tick_count : int;
-  last_heard : (int, int) Hashtbl.t;
-  (* Acceptor state. *)
+  (* Tick of the last message from each pid in [0, 1 + max (id :: peers));
+     -1 = never heard. *)
+  last_heard : int array;
+  (* Acceptor state: a window over the slots [acc_trim, acc_end), ring
+     position [slot land (capacity - 1)]. Slots below [acc_trim] were
+     decided; [bottom] marks a slot with nothing accepted. *)
   mutable prom : ballot;
-  accepted : (int, ballot * Command.t) Hashtbl.t;
-  mutable acc_trim : int;  (* accepted slots below this were decided *)
+  mutable acc_trim : int;
+  mutable acc_end : int;
+  mutable acc_ballot : ballot array;
+  mutable acc_cmd : Command.t array;
   (* Proposer state. *)
   mutable state : state;
   mutable ballot : ballot;
@@ -67,7 +64,17 @@ type t = {
   p1bs : (int, (int * ballot * Command.t) list) Hashtbl.t;
   mutable scout_ticks : int;
   mutable backoff : int;
-  slots : (int, slot_state) Hashtbl.t;
+  (* The active leader's in-flight proposals: a window over the slots
+     [w_base, next_slot), ring position [slot land (capacity - 1)], holding
+     each slot's command, ack bitmask over acceptors (self included),
+     committed flag and the tick it was last sent. Restarted at the decided
+     prefix on activation and popped at the front as the prefix advances.
+     [pending_from] is the first slot not yet shipped in a P2a. *)
+  mutable w_base : int;
+  mutable w_cmd : Command.t array;
+  mutable w_acks : int array;
+  mutable w_committed : bool array;
+  mutable w_born : int array;
   mutable next_slot : int;
   mutable pending_from : int;
   (* Derived from the shared [Batching.config]: [max_batch] caps commands
@@ -95,11 +102,14 @@ let noop_id = -1
    deciding one. *)
 let decided_ballot pid = { n = max_int; pid }
 
+let window_capacity = 64
+
 let create ~id ~peers ~election_ticks ~rand
     ?(batching = Omnipaxos.Batching.fixed)
     ?(compaction = Omnipaxos.Compaction.disabled) ?(on_install = fun _ _ -> ())
     ~send ?(on_decide = fun _ -> ()) () =
   let n_total = List.length peers + 1 in
+  let filler = Command.noop noop_id in
   let b = Omnipaxos.Batching.validated batching in
   let c = Omnipaxos.Compaction.validated compaction in
   {
@@ -112,10 +122,12 @@ let create ~id ~peers ~election_ticks ~rand
     send;
     on_decide;
     tick_count = 0;
-    last_heard = Hashtbl.create 8;
+    last_heard = Array.make (1 + List.fold_left max id peers) (-1);
     prom = bottom;
-    accepted = Hashtbl.create 64;
     acc_trim = 0;
+    acc_end = 0;
+    acc_ballot = Array.make window_capacity bottom;
+    acc_cmd = Array.make window_capacity filler;
     state = Passive;
     ballot = { n = 0; pid = id };
     max_seen = bottom;
@@ -123,7 +135,11 @@ let create ~id ~peers ~election_ticks ~rand
     p1bs = Hashtbl.create 8;
     scout_ticks = 0;
     backoff = Random.State.int rand (election_ticks + 1);
-    slots = Hashtbl.create 64;
+    w_base = 0;
+    w_cmd = Array.make window_capacity filler;
+    w_acks = Array.make window_capacity 0;
+    w_committed = Array.make window_capacity false;
+    w_born = Array.make window_capacity 0;
     next_slot = 0;
     pending_from = 0;
     max_batch = b.max_batch;
@@ -144,16 +160,66 @@ let popcount m =
   go m 0
 
 let alive t p =
-  match Hashtbl.find_opt t.last_heard p with
-  | Some last -> t.tick_count - last < t.election_ticks
-  | None -> false
+  p >= 0
+  && p < Array.length t.last_heard
+  && t.last_heard.(p) >= 0
+  && t.tick_count - t.last_heard.(p) < t.election_ticks
 
-let trim_accepted t =
+(* Ring position of [slot] in a window whose arrays have [cap] cells. *)
+let pos cap slot = slot land (cap - 1)
+
+(* Double the accepted window, keeping [acc_trim, acc_end) at their slots. *)
+let grow_accepted t =
+  let cap = Array.length t.acc_ballot in
+  let ballots = Array.make (2 * cap) bottom in
+  let cmds = Array.make (2 * cap) t.acc_cmd.(0) in
+  for s = t.acc_trim to t.acc_end - 1 do
+    ballots.(pos (2 * cap) s) <- t.acc_ballot.(pos cap s);
+    cmds.(pos (2 * cap) s) <- t.acc_cmd.(pos cap s)
+  done;
+  t.acc_ballot <- ballots;
+  t.acc_cmd <- cmds
+
+(* Accept [cmd] at [slot] under [b]. Slots below [acc_trim] are decided and
+   never read again, so a late write there is dropped. *)
+let accept t slot b cmd =
+  if slot >= t.acc_trim then begin
+    if slot >= t.acc_end then begin
+      while slot - t.acc_trim >= Array.length t.acc_ballot do
+        grow_accepted t
+      done;
+      let cap = Array.length t.acc_ballot in
+      for s = t.acc_end to slot - 1 do
+        t.acc_ballot.(pos cap s) <- bottom
+      done;
+      t.acc_end <- slot + 1
+    end;
+    let i = pos (Array.length t.acc_ballot) slot in
+    t.acc_ballot.(i) <- b;
+    t.acc_cmd.(i) <- cmd
+  end
+
+let rec accept_list t b slot = function
+  | [] -> ()
+  | cmd :: rest ->
+      accept t slot b cmd;
+      accept_list t b (slot + 1) rest
+
+(* The ballot [slot] was accepted under, [bottom] if none. *)
+let accepted_ballot t slot =
+  if slot >= t.acc_trim && slot < t.acc_end then
+    t.acc_ballot.(pos (Array.length t.acc_ballot) slot)
+  else bottom
+
+(* Both windows start at the decided prefix: accepted slots below it are
+   never read again, and a proposal below it is already decided. *)
+let trim_below_decided t =
   let len = Log.length t.decided in
-  while t.acc_trim < len do
-    Hashtbl.remove t.accepted t.acc_trim;
-    t.acc_trim <- t.acc_trim + 1
-  done
+  if t.acc_trim < len then begin
+    t.acc_trim <- len;
+    if t.acc_end < len then t.acc_end <- len
+  end;
+  if t.w_base < len then t.w_base <- min len t.next_slot
 
 let snapshot t =
   Replog.Snapshot.encode
@@ -166,13 +232,12 @@ let snapshot t =
 let compact_below t ~upto =
   let floor = Log.first_idx t.decided in
   if upto > floor then begin
-    List.iter
-      (fun (c : Command.t) ->
-        (match Replog.Kv.apply t.app c with
-        | Replog.Kv.Ok_unit | Replog.Kv.Value _ -> ());
-        if c.Command.id >= 0 then
-          t.snap_client_cmds <- t.snap_client_cmds + 1)
-      (Log.sub t.decided ~pos:floor ~len:(upto - floor));
+    for i = floor to upto - 1 do
+      let c = Log.get t.decided i in
+      (match Replog.Kv.apply t.app c with
+      | Replog.Kv.Ok_unit | Replog.Kv.Value _ -> ());
+      if c.Command.id >= 0 then t.snap_client_cmds <- t.snap_client_cmds + 1
+    done;
     Log.trim t.decided ~upto;
     if Obs.Trace.on () then begin
       Obs.Trace.emit ~node:t.id
@@ -214,60 +279,84 @@ let broadcast_decisions t =
   let m = Decided_watermark { b = t.ballot; upto = Log.length t.decided } in
   List.iter (fun p -> t.send ~dst:p m) t.peers
 
+(* Pop the committed front of the window into the decided log. The front
+   is the next decided slot unless the prefix was learned past the window
+   (then nothing here can extend it). *)
 let advance_decided_prefix t =
-  let advanced = ref false in
-  let rec go () =
-    let next = Log.length t.decided in
-    match Hashtbl.find_opt t.slots next with
-    | Some s when s.committed ->
-        Log.append t.decided s.s_cmd;
-        Hashtbl.remove t.slots next;
-        advanced := true;
-        go ()
-    | Some _ | None -> ()
-  in
-  go ();
-  if !advanced then begin
-    trim_accepted t;
+  let start = Log.length t.decided in
+  if t.w_base = start then begin
+    let cap = Array.length t.w_cmd in
+    while t.w_base < t.next_slot && t.w_committed.(pos cap t.w_base) do
+      Log.append t.decided t.w_cmd.(pos cap t.w_base);
+      t.w_base <- t.w_base + 1
+    done
+  end;
+  if Log.length t.decided > start then begin
+    trim_below_decided t;
     decided t;
     broadcast_decisions t;
     maybe_compact t
   end
 
-(* Marks the slot committed; the caller advances the decided prefix once per
-   batch (advancing per slot would broadcast one watermark per entry). *)
-let try_commit_slot t slot =
-  match Hashtbl.find_opt t.slots slot with
-  | Some s when (not s.committed) && popcount s.acks >= t.quorum ->
-      s.committed <- true
-  | Some _ | None -> ()
+(* Marks the slot at ring position [i] committed; the caller advances the
+   decided prefix once per batch (advancing per slot would broadcast one
+   watermark per entry). *)
+let try_commit_slot t i =
+  if (not t.w_committed.(i)) && popcount t.w_acks.(i) >= t.quorum then
+    t.w_committed.(i) <- true
+
+(* The window's commands at [from, from + count), in slot order. *)
+let window_cmds t ~from ~count =
+  let cap = Array.length t.w_cmd in
+  let cmds = ref [] in
+  for s = from + count - 1 downto from do
+    cmds := t.w_cmd.(pos cap s) :: !cmds
+  done;
+  !cmds
 
 (* Cap on commands per P2a is [t.max_batch]; a large backlog streams across
-   flushes. *)
+   flushes. Every peer gets the same message. *)
 let flush_p2a t =
-  if state_is_active t.state && t.pending_from < t.next_slot then begin
-    let count = min t.max_batch (t.next_slot - t.pending_from) in
-    let cmds =
-      List.filter_map
-        (fun slot ->
-          Option.map (fun s -> s.s_cmd) (Hashtbl.find_opt t.slots slot))
-        (List.init count (fun i -> t.pending_from + i))
+  let from = max t.pending_from t.w_base in
+  if state_is_active t.state && from < t.next_slot then begin
+    let count = min t.max_batch (t.next_slot - from) in
+    let m =
+      P2a { b = t.ballot; start_slot = from; cmds = window_cmds t ~from ~count }
     in
-    let m = P2a { b = t.ballot; start_slot = t.pending_from; cmds } in
     List.iter (fun p -> t.send ~dst:p m) t.peers;
-    t.pending_from <- t.pending_from + count
+    t.pending_from <- from + count
   end
 
-let self_accept t slot cmd =
-  Hashtbl.replace t.accepted slot (t.ballot, cmd)
+(* Double the proposal window, keeping [w_base, next_slot) at their slots. *)
+let grow_window t =
+  let cap = Array.length t.w_cmd in
+  let cmds = Array.make (2 * cap) t.w_cmd.(0) in
+  let acks = Array.make (2 * cap) 0 in
+  let committed = Array.make (2 * cap) false in
+  let born = Array.make (2 * cap) 0 in
+  for s = t.w_base to t.next_slot - 1 do
+    let i = pos cap s and j = pos (2 * cap) s in
+    cmds.(j) <- t.w_cmd.(i);
+    acks.(j) <- t.w_acks.(i);
+    committed.(j) <- t.w_committed.(i);
+    born.(j) <- t.w_born.(i)
+  done;
+  t.w_cmd <- cmds;
+  t.w_acks <- acks;
+  t.w_committed <- committed;
+  t.w_born <- born
 
 let propose_in_slot t cmd =
   let slot = t.next_slot in
+  if slot - t.w_base = Array.length t.w_cmd then grow_window t;
+  let i = pos (Array.length t.w_cmd) slot in
+  t.w_cmd.(i) <- cmd;
+  t.w_acks.(i) <- bit t.id;
+  t.w_committed.(i) <- false;
+  t.w_born.(i) <- t.tick_count;
   t.next_slot <- slot + 1;
-  self_accept t slot cmd;
-  Hashtbl.replace t.slots slot
-    { s_cmd = cmd; acks = bit t.id; committed = false; born = t.tick_count };
-  try_commit_slot t slot;
+  accept t slot t.ballot cmd;
+  try_commit_slot t i;
   if t.quorum = 1 then advance_decided_prefix t
 
 let propose t cmd =
@@ -306,6 +395,7 @@ let become_active t =
           end)
         lst)
     t.p1bs;
+  t.w_base <- from_slot;
   t.next_slot <- from_slot;
   t.pending_from <- from_slot;
   for slot = from_slot to !max_slot do
@@ -325,10 +415,13 @@ let check_scout_quorum t =
     become_active t
 
 let own_accepted_from t from_slot =
-  List.filter_map
-    (fun (slot, (b, cmd)) ->
-      if slot >= from_slot then Some (slot, b, cmd) else None)
-    (Replog.Det.sorted_bindings ~compare_key:Int.compare t.accepted)
+  let acc = ref [] in
+  for slot = t.acc_end - 1 downto max from_slot t.acc_trim do
+    let b = accepted_ballot t slot in
+    if ballot_compare b bottom <> 0 then
+      acc := (slot, b, t.acc_cmd.(pos (Array.length t.acc_cmd) slot)) :: !acc
+  done;
+  !acc
 
 (* Decided slots may have been trimmed from [accepted]; report them with the
    sentinel ballot. Slots below the trim point live only in the snapshot,
@@ -387,9 +480,7 @@ let on_p2a t ~src ~b ~start_slot ~cmds =
       t.fd_leader <- Activated b.pid;
       if not (state_is_passive t.state) then t.state <- Passive
     end;
-    List.iteri
-      (fun i cmd -> Hashtbl.replace t.accepted (start_slot + i) (b, cmd))
-      cmds;
+    accept_list t b start_slot cmds;
     if not (List.is_empty cmds) then
       t.send ~dst:src (P2b { b; start_slot; count = List.length cmds })
   end
@@ -406,13 +497,12 @@ let on_p2a t ~src ~b ~start_slot ~cmds =
 
 let on_p2b t ~src ~b ~start_slot ~count =
   if state_is_active t.state && ballot_compare b t.ballot = 0 then begin
-    for i = 0 to count - 1 do
-      let slot = start_slot + i in
-      match Hashtbl.find_opt t.slots slot with
-      | Some s ->
-          s.acks <- s.acks lor bit src;
-          try_commit_slot t slot
-      | None -> ()
+    let cap = Array.length t.w_acks in
+    for slot = max start_slot t.w_base to min (start_slot + count) t.next_slot - 1
+    do
+      let i = pos cap slot in
+      t.w_acks.(i) <- t.w_acks.(i) lor bit src;
+      try_commit_slot t i
     done;
     advance_decided_prefix t
   end
@@ -440,16 +530,16 @@ let on_watermark t ~src ~b ~upto =
   let rec go () =
     let len = Log.length t.decided in
     if len < upto then
-      match Hashtbl.find_opt t.accepted len with
-      | Some (b', cmd) when ballot_compare b' b = 0 ->
-          Log.append t.decided cmd;
-          progressed := true;
-          go ()
-      | Some _ | None -> t.send ~dst:src (Decision_req { from = len })
+      if ballot_compare (accepted_ballot t len) b = 0 then begin
+        Log.append t.decided t.acc_cmd.(pos (Array.length t.acc_cmd) len);
+        progressed := true;
+        go ()
+      end
+      else t.send ~dst:src (Decision_req { from = len })
   in
   go ();
   if !progressed then begin
-    trim_accepted t;
+    trim_below_decided t;
     decided t;
     maybe_compact t
   end
@@ -462,7 +552,7 @@ let on_decision t ~src ~start_slot ~cmds =
     let fresh = List.filteri (fun i _ -> i >= skip) cmds in
     if not (List.is_empty fresh) then begin
       Log.append_list t.decided fresh;
-      trim_accepted t;
+      trim_below_decided t;
       decided t;
       maybe_compact t
     end
@@ -492,7 +582,7 @@ let on_snapshot t ~idx ~payload =
         t.app <- Replog.Snapshot.restore s;
         t.snap_client_cmds <- s.Replog.Snapshot.client_cmds;
         Log.reset_to t.decided ~offset:idx;
-        trim_accepted t;
+        trim_below_decided t;
         t.on_install idx payload;
         if Obs.Trace.on () then
           Obs.Trace.emit ~node:t.id
@@ -502,7 +592,8 @@ let on_snapshot t ~idx ~payload =
     | Error _ -> ()
 
 let handle t ~src msg =
-  Hashtbl.replace t.last_heard src t.tick_count;
+  if src >= 0 && src < Array.length t.last_heard then
+    t.last_heard.(src) <- t.tick_count;
   match msg with
   | Heartbeat -> ()
   | P1a { b; from_slot } -> on_p1a t ~src ~b ~from_slot
@@ -515,36 +606,30 @@ let handle t ~src msg =
   | Decision_req { from } -> on_decision_req t ~src ~from
   | Snapshot { idx; payload } -> on_snapshot t ~idx ~payload
 
-(* Retransmit batches for old uncommitted slots (covers lost messages). *)
+(* Retransmit old uncommitted slots (covers lost messages), one P2a per
+   run of consecutive due slots. All runs are built before the first send. *)
 let retransmit_uncommitted t =
-  let sorted =
-    List.filter_map
-      (fun (slot, s) ->
-        if (not s.committed) && t.tick_count - s.born >= t.election_ticks
-        then begin
-          s.born <- t.tick_count;
-          Some (slot, s.s_cmd)
-        end
-        else None)
-      (Replog.Det.sorted_bindings ~compare_key:Int.compare t.slots)
+  let cap = Array.length t.w_cmd in
+  let due slot =
+    let i = pos cap slot in
+    (not t.w_committed.(i)) && t.tick_count - t.w_born.(i) >= t.election_ticks
   in
-  let rec batches acc current rest =
-    match (rest, current) with
-    | [], None -> List.rev acc
-    | [], Some c -> List.rev (c :: acc)
-    | (slot, cmd) :: tl, Some (start, cmds_rev)
-      when start + List.length cmds_rev = slot ->
-        batches acc (Some (start, cmd :: cmds_rev)) tl
-    | (slot, cmd) :: tl, Some c -> batches (c :: acc) (Some (slot, [ cmd ])) tl
-    | (slot, cmd) :: tl, None -> batches acc (Some (slot, [ cmd ])) tl
-  in
-  List.iter
-    (fun (start, cmds_rev) ->
-      let m =
-        P2a { b = t.ballot; start_slot = start; cmds = List.rev cmds_rev }
-      in
-      List.iter (fun p -> t.send ~dst:p m) t.peers)
-    (batches [] None sorted)
+  let runs = ref [] in
+  let slot = ref t.w_base in
+  while !slot < t.next_slot do
+    if due !slot then begin
+      let start = !slot in
+      while !slot < t.next_slot && due !slot do
+        t.w_born.(pos cap !slot) <- t.tick_count;
+        incr slot
+      done;
+      let cmds = window_cmds t ~from:start ~count:(!slot - start) in
+      runs := P2a { b = t.ballot; start_slot = start; cmds } :: !runs
+    end
+    else incr slot
+  done;
+  List.iter (fun m -> List.iter (fun p -> t.send ~dst:p m) t.peers)
+    (List.rev !runs)
 
 let step_tick t =
   t.tick_count <- t.tick_count + 1;

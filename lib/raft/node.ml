@@ -54,7 +54,7 @@ let role_is_candidate = function Candidate -> true | Follower | Leader -> false
 type t = {
   id : int;
   mutable voters : int list;  (** includes [id] *)
-  learners : (int, unit) Hashtbl.t;
+  mutable learners : int list;  (** ascending *)
   pre_vote : bool;
   check_quorum : bool;
   election_ticks : int;
@@ -72,17 +72,34 @@ type t = {
   votes : (int, unit) Hashtbl.t;
   pre_votes : (int, unit) Hashtbl.t;
   mutable in_pre_vote : bool;
-  (* Leader state: counts of log entries known sent / replicated per peer. *)
-  next_idx : (int, int) Hashtbl.t;
-  sent_idx : (int, int) Hashtbl.t;
-  match_idx : (int, int) Hashtbl.t;
+  (* Leader state, one cell per pid, -1 = absent: counts of log entries
+     known sent / replicated per peer. The arrays grow to cover every pid
+     that is a replication target or answers the leader. *)
+  mutable next_idx : int array;
+  mutable sent_idx : int array;
+  mutable match_idx : int array;
   (* CheckQuorum state. *)
   quorum_acks : (int, unit) Hashtbl.t;
   mutable cq_window : int;
   mutable last_config : (int * int list) option;
   mutable tick_count : int;
-  last_resp : (int, int) Hashtbl.t;  (* peer -> tick of last AppendResp *)
-  last_send : (int, int) Hashtbl.t;  (* peer -> tick of last AppendEntries *)
+  mutable last_resp : int array;  (* pid -> tick of last AppendResp *)
+  mutable last_send : int array;  (* pid -> tick of last AppendEntries *)
+  (* Derived from [voters] and [learners], recomputed only when either
+     changes: [targets] is [peer_voters] followed by the learners in pid
+     order; [quorum_buf] is the scratch buffer of [try_commit]. *)
+  mutable quorum : int;
+  mutable peer_voters : int array;
+  mutable targets : int array;
+  mutable quorum_buf : int array;
+  (* The entries of the last AppendEntries built: [Log.sub] of
+     [batch_count] entries from [batch_from] in term [batch_term]. A leader
+     only appends within its term, so a later batch with the same key
+     holds the same entries and shares the list. *)
+  mutable batch_term : int;
+  mutable batch_from : int;
+  mutable batch_count : int;
+  mutable batch : entry list;
   (* Derived from the shared [Batching.config] so the Fig 7/8 comparisons
      stay apples-to-apples. [max_batch] caps entries per AppendEntries
      (large catch-ups stream as a pipeline of batches); [eager_batch > 0]
@@ -115,6 +132,34 @@ let reset_timeout t =
   t.timeout_ticks <-
     t.election_ticks + Random.State.int t.rand (t.election_ticks + 1)
 
+(* Grow the per-pid leader arrays to cover [pid]; new cells are absent. *)
+let ensure_pid t pid =
+  let width = Array.length t.next_idx in
+  if pid >= width then begin
+    let widen a =
+      let a' = Array.make (max (pid + 1) (2 * width)) (-1) in
+      Array.blit a 0 a' 0 width;
+      a'
+    in
+    t.next_idx <- widen t.next_idx;
+    t.sent_idx <- widen t.sent_idx;
+    t.match_idx <- widen t.match_idx;
+    t.last_resp <- widen t.last_resp;
+    t.last_send <- widen t.last_send
+  end
+
+(* The value [a] holds for [pid], or [default] when absent. *)
+let lookup a pid ~default =
+  if pid < Array.length a && a.(pid) >= 0 then a.(pid) else default
+
+let recompute_targets t =
+  let peers = List.filter (fun v -> v <> t.id) t.voters in
+  t.quorum <- (List.length t.voters / 2) + 1;
+  t.peer_voters <- Array.of_list peers;
+  t.targets <- Array.of_list (peers @ t.learners);
+  t.quorum_buf <- Array.make (1 + Array.length t.peer_voters) 0;
+  Array.iter (ensure_pid t) t.targets
+
 (* A node whose id is not in [voters] is a learner: it accepts entries and
    answers the leader but never campaigns or votes until a committed Config
    entry promotes it. *)
@@ -128,7 +173,7 @@ let create ~id ~voters ?(pre_vote = false) ?(check_quorum = false)
     {
       id;
       voters;
-      learners = Hashtbl.create 4;
+      learners = [];
       pre_vote;
       check_quorum;
       election_ticks;
@@ -145,15 +190,23 @@ let create ~id ~voters ?(pre_vote = false) ?(check_quorum = false)
       votes = Hashtbl.create 8;
       pre_votes = Hashtbl.create 8;
       in_pre_vote = false;
-      next_idx = Hashtbl.create 8;
-      sent_idx = Hashtbl.create 8;
-      match_idx = Hashtbl.create 8;
+      next_idx = [||];
+      sent_idx = [||];
+      match_idx = [||];
       quorum_acks = Hashtbl.create 8;
       cq_window = 0;
       last_config = None;
       tick_count = 0;
-      last_resp = Hashtbl.create 8;
-      last_send = Hashtbl.create 8;
+      last_resp = [||];
+      last_send = [||];
+      quorum = 1;
+      peer_voters = [||];
+      targets = [||];
+      quorum_buf = [||];
+      batch_term = -1;
+      batch_from = 0;
+      batch_count = 0;
+      batch = [];
       max_batch = b.max_batch;
       eager_batch = (if b.adaptive then b.min_batch else 0);
       snapshot_interval = c.snapshot_interval;
@@ -162,14 +215,9 @@ let create ~id ~voters ?(pre_vote = false) ?(check_quorum = false)
       obs = Obs.Term_trace.create ();
     }
   in
+  recompute_targets t;
   reset_timeout t;
   t
-
-let quorum t = (List.length t.voters / 2) + 1
-let peer_voters t = List.filter (fun v -> v <> t.id) t.voters
-
-let replication_targets t =
-  peer_voters t @ Replog.Det.sorted_keys ~compare_key:Int.compare t.learners
 
 let last_log_term t =
   match Log.last t.dur.log with Some e -> e.term | None -> t.dur.snap_term
@@ -198,7 +246,8 @@ let apply_configs t ~from ~upto =
     | Config { config_id; voters } ->
         t.voters <- voters;
         t.last_config <- Some (config_id, voters);
-        List.iter (fun v -> Hashtbl.remove t.learners v) voters;
+        t.learners <- List.filter (fun l -> not (List.mem l voters)) t.learners;
+        recompute_targets t;
         if not (List.mem t.id voters) then t.role <- Follower
     | Cmd _ -> ()
   done
@@ -216,16 +265,15 @@ let compact_below t ~upto =
   let floor = Log.first_idx t.dur.log in
   if upto > floor then begin
     t.dur.snap_term <- (Log.get t.dur.log (upto - 1)).term;
-    List.iter
-      (fun e ->
-        match e.data with
-        | Cmd c ->
-            (match Replog.Kv.apply t.dur.app c with
-            | Replog.Kv.Ok_unit | Replog.Kv.Value _ -> ());
-            if c.Replog.Command.id >= 0 then
-              t.dur.snap_client_cmds <- t.dur.snap_client_cmds + 1
-        | Config _ -> ())
-      (Log.sub t.dur.log ~pos:floor ~len:(upto - floor));
+    for i = floor to upto - 1 do
+      match (Log.get t.dur.log i).data with
+      | Cmd c ->
+          (match Replog.Kv.apply t.dur.app c with
+          | Replog.Kv.Ok_unit | Replog.Kv.Value _ -> ());
+          if c.Replog.Command.id >= 0 then
+            t.dur.snap_client_cmds <- t.dur.snap_client_cmds + 1
+      | Config _ -> ()
+    done;
     Log.trim t.dur.log ~upto;
     if Obs.Trace.on () then begin
       Obs.Trace.emit ~node:t.id
@@ -257,17 +305,25 @@ let advance_commit t c =
 let advance_commit_follower t leader_commit =
   advance_commit t (min leader_commit (Log.length t.dur.log))
 
+(* Insert [v] into the descending prefix [buf.(0 .. n-1)]. *)
+let rec insert_desc (buf : int array) n v =
+  if n > 0 && buf.(n - 1) < v then begin
+    buf.(n) <- buf.(n - 1);
+    insert_desc buf (n - 1) v
+  end
+  else buf.(n) <- v
+
 (* Leader: commit the largest index replicated on a quorum of voters, but
-   only if that entry is from the current term (Raft's commit rule). *)
+   only if that entry is from the current term (Raft's commit rule). The
+   quorum index is the [quorum]-th largest of our log length and the peer
+   voters' match indexes, sorted in the scratch buffer. *)
 let try_commit t =
-  let matches =
-    Log.length t.dur.log
-    :: List.map
-         (fun v -> Option.value (Hashtbl.find_opt t.match_idx v) ~default:0)
-         (peer_voters t)
-  in
-  let sorted = List.sort (fun a b -> Int.compare b a) matches in
-  let n = List.nth sorted (quorum t - 1) in
+  let buf = t.quorum_buf in
+  buf.(0) <- Log.length t.dur.log;
+  for k = 0 to Array.length t.peer_voters - 1 do
+    insert_desc buf (k + 1) (lookup t.match_idx t.peer_voters.(k) ~default:0)
+  done;
+  let n = buf.(t.quorum - 1) in
   if
     n > t.commit_idx
     && n > 0
@@ -297,8 +353,21 @@ let send_install t ~dst =
          payload;
          commit_idx = t.commit_idx;
        });
-  Hashtbl.replace t.last_send dst t.tick_count;
-  Hashtbl.replace t.sent_idx dst floor
+  t.last_send.(dst) <- t.tick_count;
+  t.sent_idx.(dst) <- floor
+
+let batch_entries t ~from ~count =
+  if
+    not
+      (t.batch_term = t.dur.term && t.batch_from = from
+     && t.batch_count = count)
+  then begin
+    t.batch <- Log.sub t.dur.log ~pos:from ~len:count;
+    t.batch_term <- t.dur.term;
+    t.batch_from <- from;
+    t.batch_count <- count
+  end;
+  t.batch
 
 let send_append t ~dst ~from =
   let log = t.dur.log in
@@ -316,21 +385,18 @@ let send_append t ~dst ~from =
            term = t.dur.term;
            prev_idx;
            prev_term;
-           entries = Log.sub log ~pos:from ~len:count;
+           entries = batch_entries t ~from ~count;
            commit_idx = t.commit_idx;
          });
-    Hashtbl.replace t.last_send dst t.tick_count;
-    Hashtbl.replace t.sent_idx dst (from + count)
+    t.last_send.(dst) <- t.tick_count;
+    t.sent_idx.(dst) <- from + count
   end
 
 (* Heartbeats probe at the follower's confirmed position (next_idx), not at
    the end of the in-flight pipeline — probing ahead would be rejected while
    batches are still draining and trigger spurious re-streams. *)
 let send_heartbeat t ~dst =
-  let sent =
-    Option.value (Hashtbl.find_opt t.next_idx dst)
-      ~default:(Log.length t.dur.log)
-  in
+  let sent = lookup t.next_idx dst ~default:(Log.length t.dur.log) in
   if sent < Log.first_idx t.dur.log then send_install t ~dst
   else begin
     let prev_idx = sent - 1 in
@@ -350,19 +416,19 @@ let become_leader t =
   t.role <- Leader;
   t.leader_id <- Some t.id;
   t.in_pre_vote <- false;
-  Hashtbl.reset t.next_idx;
-  Hashtbl.reset t.sent_idx;
-  Hashtbl.reset t.match_idx;
+  Array.fill t.next_idx 0 (Array.length t.next_idx) (-1);
+  Array.fill t.sent_idx 0 (Array.length t.sent_idx) (-1);
+  Array.fill t.match_idx 0 (Array.length t.match_idx) (-1);
   Hashtbl.reset t.quorum_acks;
   t.cq_window <- 0;
   let len = Log.length t.dur.log in
-  List.iter
+  Array.iter
     (fun p ->
-      Hashtbl.replace t.next_idx p len;
-      Hashtbl.replace t.sent_idx p len;
-      Hashtbl.replace t.match_idx p 0;
+      t.next_idx.(p) <- len;
+      t.sent_idx.(p) <- len;
+      t.match_idx.(p) <- 0;
       send_heartbeat t ~dst:p)
-    (replication_targets t)
+    t.targets
 
 let request_votes t ~pre =
   let rv =
@@ -374,7 +440,7 @@ let request_votes t ~pre =
         pre_vote = pre;
       }
   in
-  List.iter (fun p -> t.send ~dst:p rv) (peer_voters t)
+  Array.iter (fun p -> t.send ~dst:p rv) t.peer_voters
 
 let start_election t =
   t.dur.term <- t.dur.term + 1;
@@ -385,14 +451,14 @@ let start_election t =
   Hashtbl.reset t.votes;
   Hashtbl.replace t.votes t.id ();
   reset_timeout t;
-  if quorum t = 1 then become_leader t else request_votes t ~pre:false
+  if t.quorum = 1 then become_leader t else request_votes t ~pre:false
 
 let start_pre_vote t =
   t.in_pre_vote <- true;
   Hashtbl.reset t.pre_votes;
   Hashtbl.replace t.pre_votes t.id ();
   reset_timeout t;
-  if quorum t = 1 then start_election t else request_votes t ~pre:true
+  if t.quorum = 1 then start_election t else request_votes t ~pre:true
 
 let on_election_timeout t =
   if List.mem t.id t.voters then
@@ -404,16 +470,12 @@ let step_tick t =
   | Leader ->
       t.ticks_since_hb <- t.ticks_since_hb + 1;
       let len = Log.length t.dur.log in
-      List.iter
+      Array.iter
         (fun p ->
-          let sent = Option.value (Hashtbl.find_opt t.sent_idx p) ~default:len in
-          let next = Option.value (Hashtbl.find_opt t.next_idx p) ~default:len in
-          let last_resp =
-            Option.value (Hashtbl.find_opt t.last_resp p) ~default:t.tick_count
-          in
-          let last_send =
-            Option.value (Hashtbl.find_opt t.last_send p) ~default:t.tick_count
-          in
+          let sent = lookup t.sent_idx p ~default:len in
+          let next = lookup t.next_idx p ~default:len in
+          let last_resp = lookup t.last_resp p ~default:t.tick_count in
+          let last_send = lookup t.last_send p ~default:t.tick_count in
           let quiet = t.tick_count - max last_resp last_send in
           if next < sent && quiet >= 2 * t.election_ticks then
             (* Nothing sent and nothing heard for two timeouts with an
@@ -423,12 +485,12 @@ let step_tick t =
           else if sent < len then send_append t ~dst:p ~from:sent
           else if t.ticks_since_hb mod t.heartbeat_ticks = 0 then
             send_heartbeat t ~dst:p)
-        (replication_targets t);
+        t.targets;
       if t.check_quorum then begin
         t.cq_window <- t.cq_window + 1;
         if t.cq_window >= t.election_ticks then begin
           let heard = Hashtbl.length t.quorum_acks + 1 in
-          if heard < quorum t then become_follower t ~term:t.dur.term;
+          if heard < t.quorum then become_follower t ~term:t.dur.term;
           Hashtbl.reset t.quorum_acks;
           t.cq_window <- 0
         end
@@ -476,13 +538,13 @@ let on_vote t ~src ~term ~granted ~pre =
        && term = t.dur.term + 1
     then begin
       Hashtbl.replace t.pre_votes src ();
-      if Hashtbl.length t.pre_votes >= quorum t then start_election t
+      if Hashtbl.length t.pre_votes >= t.quorum then start_election t
     end
   end
   else if term > t.dur.term then become_follower t ~term
   else if role_is_candidate t.role && term = t.dur.term && granted then begin
     Hashtbl.replace t.votes src ();
-    if Hashtbl.length t.votes >= quorum t then become_leader t
+    if Hashtbl.length t.votes >= t.quorum then become_leader t
   end
 
 let on_append_entries t ~src ~term ~prev_idx ~prev_term ~entries ~leader_commit
@@ -539,20 +601,19 @@ let on_append_resp t ~src ~term ~success ~match_idx =
   if term > t.dur.term then become_follower t ~term
   else if role_is_leader t.role && term = t.dur.term then begin
     Hashtbl.replace t.quorum_acks src ();
-    Hashtbl.replace t.last_resp src t.tick_count;
+    ensure_pid t src;
+    t.last_resp.(src) <- t.tick_count;
     if success then begin
-      let prev = Option.value (Hashtbl.find_opt t.match_idx src) ~default:0 in
-      if match_idx > prev then Hashtbl.replace t.match_idx src match_idx;
-      Hashtbl.replace t.next_idx src
-        (max match_idx
-           (Option.value (Hashtbl.find_opt t.next_idx src) ~default:0));
+      let prev = lookup t.match_idx src ~default:0 in
+      if match_idx > prev then t.match_idx.(src) <- match_idx;
+      t.next_idx.(src) <- max match_idx (lookup t.next_idx src ~default:0);
       try_commit t
     end
     else begin
       (* Back off to the follower's hint and retransmit on the next tick. *)
-      let next = Option.value (Hashtbl.find_opt t.next_idx src) ~default:0 in
-      Hashtbl.replace t.next_idx src (min next match_idx);
-      Hashtbl.replace t.sent_idx src (min next match_idx)
+      let next = lookup t.next_idx src ~default:0 in
+      t.next_idx.(src) <- min next match_idx;
+      t.sent_idx.(src) <- min next match_idx
     end
   end
 
@@ -624,9 +685,10 @@ let session_reset t ~peer =
   if role_is_leader t.role then begin
     (* In-flight batches were lost: rewind the pipeline to the last index
        known replicated. *)
-    let m = Option.value (Hashtbl.find_opt t.match_idx peer) ~default:0 in
-    Hashtbl.replace t.next_idx peer m;
-    Hashtbl.replace t.sent_idx peer m
+    ensure_pid t peer;
+    let m = lookup t.match_idx peer ~default:0 in
+    t.next_idx.(peer) <- m;
+    t.sent_idx.(peer) <- m
   end
 
 let recover t =
@@ -640,19 +702,18 @@ let recover t =
 let propose t cmd =
   if role_is_leader t.role then begin
     Log.append t.dur.log { term = t.dur.term; data = Cmd cmd };
-    if quorum t = 1 then try_commit t;
+    if t.quorum = 1 then try_commit t;
     (* Eager size-triggered flush (adaptive batching, mirrored from
        Omni-Paxos): once a burst fills [eager_batch] for some peer, ship it
        now instead of on the next tick. *)
     if t.eager_batch > 0 then begin
       let len = Log.length t.dur.log in
-      List.iter
-        (fun p ->
-          let sent =
-            Option.value (Hashtbl.find_opt t.sent_idx p) ~default:len
-          in
-          if len - sent >= t.eager_batch then send_append t ~dst:p ~from:sent)
-        (replication_targets t)
+      let targets = t.targets in
+      for k = 0 to Array.length targets - 1 do
+        let p = targets.(k) in
+        let sent = lookup t.sent_idx p ~default:len in
+        if len - sent >= t.eager_batch then send_append t ~dst:p ~from:sent
+      done
     end;
     if Obs.Trace.on () then
       Obs.Trace.emit ~node:t.id
@@ -669,20 +730,19 @@ let add_learners t ids =
   if role_is_leader t.role then
     List.iter
       (fun l ->
-        if (not (List.mem l t.voters)) && not (Hashtbl.mem t.learners l) then begin
-          Hashtbl.replace t.learners l ();
-          Hashtbl.replace t.next_idx l 0;
-          Hashtbl.replace t.sent_idx l 0;
-          Hashtbl.replace t.match_idx l 0
+        if (not (List.mem l t.voters)) && not (List.mem l t.learners) then begin
+          t.learners <- List.sort Int.compare (l :: t.learners);
+          recompute_targets t;
+          t.next_idx.(l) <- 0;
+          t.sent_idx.(l) <- 0;
+          t.match_idx.(l) <- 0
         end)
       ids
 
 let learners_caught_up t =
   List.for_all
-    (fun l ->
-      Option.value (Hashtbl.find_opt t.match_idx l) ~default:0
-      >= Log.length t.dur.log)
-    (Replog.Det.sorted_keys ~compare_key:Int.compare t.learners)
+    (fun l -> lookup t.match_idx l ~default:0 >= Log.length t.dur.log)
+    t.learners
 
 let propose_config t ~config_id ~voters =
   if role_is_leader t.role then begin
@@ -707,9 +767,10 @@ let first_idx t = Log.first_idx t.dur.log
 let snapshot_client_cmds t = t.dur.snap_client_cmds
 
 (* Entries below the trim point are unavailable; reads clamp to it. *)
-let read_committed t ~from =
-  let from = max from (Log.first_idx t.dur.log) in
-  Log.sub t.dur.log ~pos:from ~len:(t.commit_idx - from)
+let iter_committed t ~from ~upto f =
+  for i = max from (Log.first_idx t.dur.log) to min upto t.commit_idx - 1 do
+    f (Log.get t.dur.log i)
+  done
 
 (* Per-entry wire overhead beyond the command payload: terms are
    run-length encoded in practice, so they amortise to ~2 bytes/entry. *)

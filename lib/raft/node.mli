@@ -142,7 +142,9 @@ val snapshot_client_cmds : t -> int
 val snapshot : t -> string
 (** The encoded {!Replog.Snapshot} envelope covering [0, first_idx). *)
 
-val read_committed : t -> from:int -> entry list
-(** Committed entries from [from] (clamped to the trim point). *)
+val iter_committed : t -> from:int -> upto:int -> (entry -> unit) -> unit
+(** [iter_committed t ~from ~upto f] applies [f] to the committed entries
+    at [\[from, upto)] in index order, reading the log in place ([from] is
+    clamped to the trim point, [upto] to the commit index). *)
 
 val msg_size : msg -> int

@@ -32,16 +32,11 @@ module Core = struct
   let decided_index = N.commit_idx
   let msg_size = N.msg_size
 
-  let rec iter_entries f ~upto i = function
-    | (e : N.entry) :: rest when i < upto ->
-        (match e.N.data with
-        | N.Cmd cmd -> f cmd.Replog.Command.id
-        | N.Config _ -> ());
-        iter_entries f ~upto (i + 1) rest
-    | _ :: _ | [] -> ()
-
   let iter_decided c ~from ~upto f =
-    iter_entries f ~upto from (N.read_committed c ~from)
+    N.iter_committed c ~from ~upto (fun (e : N.entry) ->
+        match e.N.data with
+        | N.Cmd cmd -> f cmd.Replog.Command.id
+        | N.Config _ -> ())
 end
 
 module Plain = struct

@@ -1,7 +1,8 @@
 (* Handler-level Multi-Paxos unit tests: scout/phase-1 adoption with no-op
    gap filling, the decided-watermark learner path and its catch-up
-   fallback, preemption behaviour, and P1b reporting of trimmed decided
-   slots. *)
+   fallback, preemption behaviour, P1b reporting of trimmed decided slots,
+   agreement across a re-election, and the allocation-free per-slot
+   paths. *)
 
 module N = Multipaxos.Node
 
@@ -10,15 +11,17 @@ let check_int = Alcotest.(check int)
 
 type harness = { node : N.t; sent : (int * N.msg) list ref }
 
-let make ?(id = 0) ?batching ?compaction () =
+(* [quiet] sends into a stub that allocates nothing and records nothing. *)
+let make ?(id = 0) ?batching ?compaction ?(quiet = false) () =
   let sent = ref [] in
   let peers = List.filter (fun j -> j <> id) [ 0; 1; 2 ] in
+  let send =
+    if quiet then fun ~dst:_ _ -> () else fun ~dst m -> sent := (dst, m) :: !sent
+  in
   let node =
     N.create ~id ~peers ~election_ticks:10
       ~rand:(Random.State.make [| 1 |])
-      ?batching ?compaction
-      ~send:(fun ~dst m -> sent := (dst, m) :: !sent)
-      ()
+      ?batching ?compaction ~send ()
   in
   { node; sent }
 
@@ -223,6 +226,131 @@ let test_traces_compaction () =
   check "log trimmed" true
     (List.mem (Obs.Event.Log_trimmed { upto = 4; entries = 4 }) kinds)
 
+(* Deliver what [a] sent to [b_id] to [b], and [b]'s replies to [a_id] to
+   [a], in send order, until neither has anything left for the other.
+   Messages to anyone else are dropped. *)
+let rec exchange a ~a_id b ~b_id =
+  let outbox h dst =
+    let msgs = List.rev !(h.sent) in
+    h.sent := [];
+    List.filter_map (fun (d, m) -> if d = dst then Some m else None) msgs
+  in
+  let to_b = outbox a b_id and to_a = outbox b a_id in
+  if not (List.is_empty to_b && List.is_empty to_a) then begin
+    List.iter (N.handle b.node ~src:a_id) to_b;
+    List.iter (N.handle a.node ~src:b_id) to_a;
+    exchange a ~a_id b ~b_id
+  end
+
+let decided_id h slot =
+  (Replog.Log.get (N.decided_log h.node) slot).Replog.Command.id
+
+(* A re-elected leader keeps nothing below the decided prefix it learned
+   while deposed. Node 0 proposes 100 at slot 0 and gets no acks; node 1
+   preempts it and decides 200 there; node 2 accepted 200 but missed that
+   watermark. If node 0, active again, resent 100 at its new ballot, node 2
+   would accept it and decide 100 on node 0's next watermark. *)
+let test_reelected_leader_drops_stale_slots () =
+  let h0 = make ~id:0 () and h2 = make ~id:2 () in
+  activate h0;
+  ignore (N.propose h0.node (cmd 100));
+  let b2 = b ((N.current_ballot h0.node).N.n + 1) 1 in
+  N.handle h2.node ~src:1
+    (N.P2a { b = b2; start_slot = 0; cmds = [ cmd 200 ] });
+  N.handle h0.node ~src:1 (N.Preempted { b = b2 });
+  N.handle h0.node ~src:1 (N.Decided_watermark { b = b2; upto = 1 });
+  N.handle h0.node ~src:1 (N.Decision { start_slot = 0; cmds = [ cmd 200 ] });
+  check_int "node 0 learned slot 0" 1 (N.decided_length h0.node);
+  activate h0;
+  (* Past a retransmission tick of the new ballot. *)
+  for _ = 1 to 25 do
+    N.tick h0.node
+  done;
+  check "no P2a below the decided prefix" true
+    (List.for_all
+       (function
+         | _, N.P2a { start_slot; cmds = _ :: _; _ } -> start_slot >= 1
+         | _ -> true)
+       !(h0.sent));
+  N.session_reset h0.node ~peer:2;
+  exchange h0 ~a_id:0 h2 ~b_id:2;
+  check_int "node 2 decided slot 0" 1 (N.decided_length h2.node);
+  check_int "node 0 holds 200 at slot 0" 200 (decided_id h0 0);
+  check_int "node 2 agrees" 200 (decided_id h2 0)
+
+(* ------------------------- allocation ------------------------- *)
+
+let minor_words () = int_of_float (Gc.minor_words ())
+
+(* Words allocated by the last of three rounds. The first two grow the
+   slot windows and the decided log; the third stays inside them at k = 10
+   (30 slots in a 32-slot log) and grows the log only on the major heap at
+   k = 1000 (its 4096-slot array is too large for the minor heap).
+   [prepare r] runs before round [r], unmeasured. *)
+let third_round_words ?(prepare = fun _ -> ()) round =
+  for r = 0 to 1 do
+    prepare r;
+    round r
+  done;
+  prepare 2;
+  let w0 = minor_words () in
+  round 2;
+  minor_words () - w0
+
+(* A follower handling a k-command P2a and the watermark deciding it: the
+   accepted window takes the commands in place, so the words do not grow
+   with k. *)
+let follower_words k =
+  let h = make ~id:2 ~quiet:true () in
+  let ballot = b 5 0 in
+  let msgs =
+    Array.init 3 (fun r ->
+        let start_slot = r * k in
+        ( N.P2a
+            {
+              b = ballot;
+              start_slot;
+              cmds = List.init k (fun i -> cmd (start_slot + i));
+            },
+          N.Decided_watermark { b = ballot; upto = start_slot + k } ))
+  in
+  let words =
+    third_round_words (fun r ->
+        let p2a, watermark = msgs.(r) in
+        N.handle h.node ~src:0 p2a;
+        N.handle h.node ~src:0 watermark)
+  in
+  check_int "every slot decided" (3 * k) (N.decided_length h.node);
+  words
+
+let test_follower_alloc_flat () =
+  check_int "P2a + watermark words at k = 10 and k = 1000" (follower_words 10)
+    (follower_words 1000)
+
+(* A leader handling the P2b of a k-slot batch: committing and popping the
+   slot window allocates the same words whatever k. *)
+let leader_ack_words k =
+  let h = make ~quiet:true () in
+  activate h;
+  let ballot = N.current_ballot h.node in
+  let acks =
+    Array.init 3 (fun r -> N.P2b { b = ballot; start_slot = r * k; count = k })
+  in
+  let prepare r =
+    for i = r * k to ((r + 1) * k) - 1 do
+      ignore (N.propose h.node (cmd i))
+    done
+  in
+  let words =
+    third_round_words ~prepare (fun r -> N.handle h.node ~src:1 acks.(r))
+  in
+  check_int "every slot decided" (3 * k) (N.decided_length h.node);
+  words
+
+let test_leader_acks_alloc_flat () =
+  check_int "P2b words at k = 10 and k = 1000" (leader_ack_words 10)
+    (leader_ack_words 1000)
+
 let () =
   Alcotest.run "multipaxos_unit"
     [
@@ -235,6 +363,8 @@ let () =
           Alcotest.test_case "lower-ballot scout preempted" `Quick
             test_p1a_lower_ballot_preempted;
           Alcotest.test_case "batching config" `Quick test_batching_config;
+          Alcotest.test_case "re-elected leader drops stale slots" `Quick
+            test_reelected_leader_drops_stale_slots;
         ] );
       ( "learner",
         [
@@ -250,5 +380,12 @@ let () =
           Alcotest.test_case "proposals, decides and leaders" `Quick
             test_traces_propose_decide;
           Alcotest.test_case "compaction" `Quick test_traces_compaction;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "follower P2a words flat in k" `Quick
+            test_follower_alloc_flat;
+          Alcotest.test_case "leader P2b words flat in k" `Quick
+            test_leader_acks_alloc_flat;
         ] );
     ]

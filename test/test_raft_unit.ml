@@ -1,7 +1,9 @@
 (* Handler-level Raft unit tests: vote-granting rules, the current-term
    commit restriction, log matching and conflict truncation, PreVote's
-   non-disruption, and CheckQuorum step-down. Messages are fed directly to
-   a single node; its outgoing messages are collected for inspection. *)
+   non-disruption, CheckQuorum step-down, the shared AppendEntries batch,
+   committed-entry reads and the allocation-free leader paths. Messages are
+   fed directly to a single node; its outgoing messages are collected for
+   inspection. *)
 
 module N = Raft.Node
 
@@ -10,18 +12,20 @@ let check_int = Alcotest.(check int)
 
 type harness = { node : N.t; sent : (int * N.msg) list ref }
 
+(* [quiet] sends into a stub that allocates nothing and records nothing. *)
 let make ?(voters = [ 0; 1; 2 ]) ?pre_vote ?check_quorum ?batching
-    ?compaction ?prepare () =
+    ?compaction ?prepare ?(quiet = false) () =
   let sent = ref [] in
   let persistent = N.fresh_persistent () in
   (match prepare with Some f -> f persistent | None -> ());
+  let send =
+    if quiet then fun ~dst:_ _ -> () else fun ~dst m -> sent := (dst, m) :: !sent
+  in
   let node =
     N.create ~id:0 ~voters ?pre_vote ?check_quorum ?batching ?compaction
       ~election_ticks:10
       ~rand:(Random.State.make [| 1 |])
-      ~persistent
-      ~send:(fun ~dst m -> sent := (dst, m) :: !sent)
-      ()
+      ~persistent ~send ()
   in
   { node; sent }
 
@@ -64,13 +68,15 @@ let test_vote_log_up_to_date () =
   request_vote ~term:4 ~last_log_idx:2 ~last_log_term:2 2 h;
   check "same term equal length granted" true (last_vote h = Some (2, true))
 
-let become_leader h =
-  (* Time out, then win the election. *)
+let become_leader ?(voters = 3) h =
+  (* Time out, then win the election with a vote from every peer. *)
   for _ = 1 to 25 do
     N.tick h.node
   done;
   let term = N.current_term h.node in
-  N.handle h.node ~src:1 (N.Vote { term; granted = true; pre_vote = false });
+  for src = 1 to voters - 1 do
+    N.handle h.node ~src (N.Vote { term; granted = true; pre_vote = false })
+  done;
   check "is leader" true (N.is_leader h.node);
   h.sent := []
 
@@ -212,6 +218,101 @@ let test_batching_config () =
   N.tick h.node;
   check_int "fixed: the tick ships to both peers" 2 (shipped h)
 
+(* One flush builds one entries list: followers at the same position get
+   the same (physically shared) batch. *)
+let test_flush_shares_entries () =
+  let h = make () in
+  become_leader h;
+  for i = 1 to 5 do
+    ignore (N.propose h.node (Replog.Command.noop i))
+  done;
+  N.tick h.node;
+  match
+    List.filter_map
+      (function
+        | _, N.Append_entries { entries = _ :: _ as e; _ } -> Some e
+        | _ -> None)
+      !(h.sent)
+  with
+  | [ e1; e2 ] ->
+      check_int "the whole burst" 5 (List.length e1);
+      check "one list for both followers" true (e1 == e2)
+  | l -> Alcotest.failf "expected two batches, got %d" (List.length l)
+
+(* [iter_committed] reads committed entries in place: [from] clamps to the
+   trim point, [upto] to the commit index. *)
+let test_iter_committed () =
+  let h = make ~compaction:(Omnipaxos.Compaction.make ~retain:2 4) () in
+  become_leader h;
+  for i = 0 to 5 do
+    ignore (N.propose h.node (Replog.Command.noop i))
+  done;
+  N.handle h.node ~src:1
+    (N.Append_resp { term = N.current_term h.node; success = true; match_idx = 5 });
+  check_int "five committed" 5 (N.commit_idx h.node);
+  check_int "trimmed below 3" 3 (N.first_idx h.node);
+  let ids = ref [] in
+  N.iter_committed h.node ~from:0 ~upto:10 (fun (e : N.entry) ->
+      match e.N.data with
+      | N.Cmd c -> ids := c.Replog.Command.id :: !ids
+      | N.Config _ -> ());
+  check "entries 3 and 4, in order" true (List.rev !ids = [ 3; 4 ])
+
+(* ------------------------- allocation ------------------------- *)
+
+let minor_words () = int_of_float (Gc.minor_words ())
+
+(* 100 proposals at a leader with [voters] voters. The eager-flush
+   threshold sits above the burst, so every call checks each target and
+   none ships. *)
+let propose_words voters =
+  let batching =
+    { Omnipaxos.Batching.adaptive with Omnipaxos.Batching.min_batch = 4096 }
+  in
+  let h = make ~voters:(List.init voters Fun.id) ~batching ~quiet:true () in
+  become_leader ~voters h;
+  let cmds = Array.init 200 Replog.Command.noop in
+  for i = 0 to 99 do
+    ignore (N.propose h.node cmds.(i))
+  done;
+  let w0 = minor_words () in
+  for i = 100 to 199 do
+    ignore (N.propose h.node cmds.(i))
+  done;
+  let words = minor_words () - w0 in
+  check_int "all appended" 200 (N.log_length h.node);
+  words
+
+let test_propose_alloc_flat () =
+  check_int "propose words with 3 voters and with 9" (propose_words 3)
+    (propose_words 9)
+
+(* Acks that advance the commit index entry by entry: match and next
+   indexes live in pid-indexed arrays and the quorum index is picked in a
+   scratch buffer. *)
+let test_append_resp_alloc_free () =
+  let h = make ~voters:[ 0; 1; 2; 3; 4 ] ~quiet:true () in
+  become_leader ~voters:5 h;
+  for i = 1 to 100 do
+    ignore (N.propose h.node (Replog.Command.noop i))
+  done;
+  let term = N.current_term h.node in
+  let resp match_idx = N.Append_resp { term; success = true; match_idx } in
+  (* First contact from each follower registers it with CheckQuorum's
+     table. *)
+  for src = 1 to 4 do
+    N.handle h.node ~src (resp 0)
+  done;
+  let acks = Array.init 400 (fun i -> (1 + (i mod 4), resp (1 + (i / 4)))) in
+  let w0 = minor_words () in
+  for i = 0 to Array.length acks - 1 do
+    let src, m = acks.(i) in
+    N.handle h.node ~src m
+  done;
+  let words = minor_words () - w0 in
+  check_int "everything committed" 100 (N.commit_idx h.node);
+  check_int "acks allocate nothing" 0 words
+
 let recorded_kinds f =
   let (), r = Obs.Trace.with_recording f in
   List.map (fun (e : Obs.Event.t) -> e.Obs.Event.kind) r.Obs.Trace.events
@@ -285,6 +386,9 @@ let () =
             test_append_entries_conflict_truncation;
           Alcotest.test_case "gap hint" `Quick test_append_gap_hint;
           Alcotest.test_case "batching config" `Quick test_batching_config;
+          Alcotest.test_case "flush shares one entries list" `Quick
+            test_flush_shares_entries;
+          Alcotest.test_case "iter_committed" `Quick test_iter_committed;
         ] );
       ( "leadership",
         [
@@ -300,5 +404,12 @@ let () =
           Alcotest.test_case "proposals, decides and leaders" `Quick
             test_traces_propose_decide;
           Alcotest.test_case "compaction" `Quick test_traces_compaction;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "propose words flat in voters" `Quick
+            test_propose_alloc_flat;
+          Alcotest.test_case "append responses allocate nothing" `Quick
+            test_append_resp_alloc_free;
         ] );
     ]
