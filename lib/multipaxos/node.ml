@@ -1,5 +1,12 @@
 module Log = Replog.Log
 module Command = Replog.Command
+module Store = Omnipaxos.Compaction.Store
+
+module Fold = Store.Fold (struct
+  type t = Command.t
+
+  let iter_command f c = f c
+end)
 
 type ballot = { n : int; pid : int }
 
@@ -84,13 +91,11 @@ type t = {
   eager_batch : int;
   (* Learner state. *)
   decided : Command.t Log.t;
-  (* Compaction: [app] is the state machine covering exactly
-     [0, first_idx decided); slots below the trim point survive only there. *)
-  snapshot_interval : int;  (* 0 = compaction off *)
-  retain : int;
+  (* Compaction: [store] covers exactly [0, first_idx decided); slots below
+     the trim point survive only there. *)
+  compaction : Omnipaxos.Compaction.config;
   on_install : int -> string -> unit;
-  mutable app : Replog.Kv.t;
-  mutable snap_client_cmds : int;
+  store : Store.t;
   obs : Obs.Term_trace.t;
 }
 
@@ -111,7 +116,6 @@ let create ~id ~peers ~election_ticks ~rand
   let n_total = List.length peers + 1 in
   let filler = Command.noop noop_id in
   let b = Omnipaxos.Batching.validated batching in
-  let c = Omnipaxos.Compaction.validated compaction in
   {
     id;
     peers;
@@ -145,11 +149,9 @@ let create ~id ~peers ~election_ticks ~rand
     max_batch = b.max_batch;
     eager_batch = (if b.adaptive then b.min_batch else 0);
     decided = Log.create ();
-    snapshot_interval = c.snapshot_interval;
-    retain = c.retain;
+    compaction = Omnipaxos.Compaction.validated compaction;
     on_install;
-    app = Replog.Kv.create ();
-    snap_client_cmds = 0;
+    store = Store.create ();
     obs = Obs.Term_trace.create ();
   }
 
@@ -221,39 +223,14 @@ let trim_below_decided t =
   end;
   if t.w_base < len then t.w_base <- min len t.next_slot
 
-let snapshot t =
-  Replog.Snapshot.encode
-    ~last_idx:(Log.first_idx t.decided)
-    ~client_cmds:t.snap_client_cmds t.app
-
-(* Fold the decided prefix below [upto] into the state machine, then trim.
-   Purely local: every server compacts below its own decided watermark, and
-   stragglers that later ask for discarded slots get the snapshot instead. *)
-let compact_below t ~upto =
-  let floor = Log.first_idx t.decided in
-  if upto > floor then begin
-    for i = floor to upto - 1 do
-      let c = Log.get t.decided i in
-      (match Replog.Kv.apply t.app c with
-      | Replog.Kv.Ok_unit | Replog.Kv.Value _ -> ());
-      if c.Command.id >= 0 then t.snap_client_cmds <- t.snap_client_cmds + 1
-    done;
-    Log.trim t.decided ~upto;
-    if Obs.Trace.on () then begin
-      Obs.Trace.emit ~node:t.id
-        (Obs.Event.Snapshot_taken
-           { idx = upto; bytes = String.length (snapshot t) });
-      Obs.Trace.emit ~node:t.id
-        (Obs.Event.Log_trimmed { upto; entries = upto - floor })
-    end
-  end
-
+(* Purely local: every server compacts below its own decided watermark,
+   and stragglers that later ask for discarded slots get the snapshot
+   instead. *)
 let maybe_compact t =
-  if t.snapshot_interval > 0 then begin
-    let len = Log.length t.decided in
-    if len - Log.first_idx t.decided >= t.snapshot_interval then
-      compact_below t ~upto:(len - t.retain)
-  end
+  Fold.compact t.store t.decided ~node:t.id ~taken:true
+    ~upto:
+      (Omnipaxos.Compaction.trim_point t.compaction
+         ~floor:(Log.first_idx t.decided) ~decided:(Log.length t.decided))
 
 let leader_pid t =
   match t.fd_leader with
@@ -262,7 +239,9 @@ let leader_pid t =
   | No_leader -> None
 
 let send_snapshot t ~dst =
-  t.send ~dst (Snapshot { idx = Log.first_idx t.decided; payload = snapshot t })
+  t.send ~dst
+    (Snapshot
+       { idx = Log.first_idx t.decided; payload = Store.encode t.store t.decided })
 
 (* Every decided-prefix advance reports the new length to [on_decide] and
    then to the trace, with the ballot round as term. *)
@@ -577,17 +556,11 @@ let on_decision_req t ~src ~from =
    stale or duplicate snapshot is ignored. *)
 let on_snapshot t ~idx ~payload =
   if idx > Log.length t.decided then
-    match Replog.Snapshot.decode payload with
-    | Ok s ->
-        t.app <- Replog.Snapshot.restore s;
-        t.snap_client_cmds <- s.Replog.Snapshot.client_cmds;
-        Log.reset_to t.decided ~offset:idx;
+    match Store.decode ~idx payload with
+    | Ok snap ->
+        Store.install t.store t.decided ~node:t.id snap;
         trim_below_decided t;
         t.on_install idx payload;
-        if Obs.Trace.on () then
-          Obs.Trace.emit ~node:t.id
-            (Obs.Event.Snapshot_installed
-               { idx; bytes = String.length payload });
         decided t
     | Error _ -> ()
 
@@ -679,7 +652,7 @@ let current_ballot t = t.ballot
 let decided_log t = t.decided
 let decided_length t = Log.length t.decided
 let first_idx t = Log.first_idx t.decided
-let snapshot_client_cmds t = t.snap_client_cmds
+let snapshot_client_cmds t = Store.client_cmds t.store
 
 let next_slot t = t.next_slot
 

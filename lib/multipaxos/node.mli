@@ -98,9 +98,6 @@ val first_idx : t -> int
 val snapshot_client_cmds : t -> int
 (** Client commands (id >= 0) contained in the trimmed prefix. *)
 
-val snapshot : t -> string
-(** The encoded {!Replog.Snapshot} envelope covering [0, first_idx). *)
-
 val next_slot : t -> int
 (** Leader-side: the next free slot (slots below it hold proposals). *)
 

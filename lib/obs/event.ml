@@ -41,36 +41,6 @@ type kind =
 
 type t = { time : float; node : int; kind : kind }
 
-let kind_name = function
-  | Ballot_increment _ -> "ballot_increment"
-  | Leader_elected _ -> "leader_elected"
-  | Leader_changed _ -> "leader_changed"
-  | Prepare_round _ -> "prepare"
-  | Promise_sent _ -> "promise"
-  | Accept_sent _ -> "accept"
-  | Accepted_idx _ -> "accepted"
-  | Decided _ -> "decide"
-  | Proposed _ -> "proposed"
-  | Batch_flush _ -> "batch_flush"
-  | Cap_change _ -> "cap_change"
-  | Session_drop _ -> "session_drop"
-  | Session_up _ -> "session_up"
-  | Link_cut _ -> "link_cut"
-  | Link_heal _ -> "link_heal"
-  | Crashed -> "crash"
-  | Recovered -> "recover"
-  | Reconfig _ -> "reconfig"
-  | Msg_send _ -> "send"
-  | Msg_deliver _ -> "deliver"
-  | Msg_drop _ -> "drop"
-  | Snapshot_taken _ -> "snapshot_taken"
-  | Snapshot_installed _ -> "snapshot_installed"
-  | Log_trimmed _ -> "log_trimmed"
-  | Chaos_fault _ -> "chaos_fault"
-  | Chaos_invoke _ -> "chaos_invoke"
-  | Chaos_response _ -> "chaos_response"
-  | Chaos_timeout _ -> "chaos_timeout"
-
 (* Stable numeric tag per constructor, in declaration order. The binary
    codec (Tracebin) and the sampler index per-kind state by this tag; a new
    constructor must be appended (never renumbered) so old binary traces
@@ -105,38 +75,24 @@ let kind_tag = function
   | Chaos_response _ -> 26
   | Chaos_timeout _ -> 27
 
-let num_kinds = 28
+(* Kind names, indexed by [kind_tag]. *)
+let names =
+  [|
+    "ballot_increment"; "leader_elected"; "leader_changed"; "prepare";
+    "promise"; "accept"; "accepted"; "decide"; "proposed"; "batch_flush";
+    "cap_change"; "session_drop"; "session_up"; "link_cut"; "link_heal";
+    "crash"; "recover"; "reconfig"; "send"; "deliver"; "drop";
+    "snapshot_taken"; "snapshot_installed"; "log_trimmed"; "chaos_fault";
+    "chaos_invoke"; "chaos_response"; "chaos_timeout";
+  |]
 
-let tag_name = function
-  | 0 -> "ballot_increment"
-  | 1 -> "leader_elected"
-  | 2 -> "leader_changed"
-  | 3 -> "prepare"
-  | 4 -> "promise"
-  | 5 -> "accept"
-  | 6 -> "accepted"
-  | 7 -> "decide"
-  | 8 -> "proposed"
-  | 9 -> "batch_flush"
-  | 10 -> "cap_change"
-  | 11 -> "session_drop"
-  | 12 -> "session_up"
-  | 13 -> "link_cut"
-  | 14 -> "link_heal"
-  | 15 -> "crash"
-  | 16 -> "recover"
-  | 17 -> "reconfig"
-  | 18 -> "send"
-  | 19 -> "deliver"
-  | 20 -> "drop"
-  | 21 -> "snapshot_taken"
-  | 22 -> "snapshot_installed"
-  | 23 -> "log_trimmed"
-  | 24 -> "chaos_fault"
-  | 25 -> "chaos_invoke"
-  | 26 -> "chaos_response"
-  | 27 -> "chaos_timeout"
-  | t -> invalid_arg (Printf.sprintf "Event.tag_name: unknown tag %d" t)
+let num_kinds = Array.length names
+let kind_name k = names.(kind_tag k)
+
+let tag_name tag =
+  if tag < 0 || tag >= num_kinds then
+    invalid_arg (Printf.sprintf "Event.tag_name: unknown tag %d" tag);
+  names.(tag)
 
 let pp_ballot ppf b =
   Format.fprintf ppf "(n=%d,prio=%d,pid=%d)" b.n b.prio b.pid

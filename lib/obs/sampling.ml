@@ -37,21 +37,6 @@ let init policies =
     policies;
   { policies; head_left; until_next = Array.make Event.num_kinds 0 }
 
-let of_policies ps =
-  let policies = Array.make Event.num_kinds None in
-  List.iter
-    (fun (name, p) ->
-      if p.rate < 1 then invalid_arg "Sampling: rate must be >= 1";
-      let tag = ref (-1) in
-      for i = 0 to Event.num_kinds - 1 do
-        if String.equal (Event.tag_name i) name then tag := i
-      done;
-      if !tag < 0 then
-        invalid_arg (Printf.sprintf "Sampling: unknown kind %S" name);
-      policies.(!tag) <- Some p)
-    ps;
-  init policies
-
 let create ?(head = 1_000) ~rate () =
   if rate < 1 then invalid_arg "Sampling.create: rate must be >= 1";
   let policies = Array.make Event.num_kinds None in

@@ -24,10 +24,6 @@ val create : ?head:int -> rate:int -> unit -> t
 (** Uniform policy over the sampleable kinds; [head] defaults to 1000.
     Raises [Invalid_argument] if [rate < 1]. *)
 
-val of_policies : (string * policy) list -> t
-(** Per kind-name policies (names as in {!Event.kind_name}); unlisted
-    kinds are always kept. Raises [Invalid_argument] on an unknown name. *)
-
 val keep : t -> Event.kind -> bool
 (** Decide one event. Stateful (advances per-kind counters) but
     deterministic: the same event sequence always keeps the same subset. *)

@@ -79,8 +79,6 @@ let emit ~node kind =
     | Some _ | None -> dispatch { Event.time = !clock (); node; kind }
   end
 
-let ring_sink ring : sink = fun e -> Ring.push ring e
-
 let jsonl_sink oc : sink =
  fun e ->
   output_string oc (Event.to_json e);
@@ -172,5 +170,3 @@ let with_file ~file ~format f =
       with_sink
         ~make_sink:(fun () -> fun e -> Tracebin.write (get_writer ()) e)
         ~close f
-
-let with_jsonl ~file f = with_file ~file ~format:Tracebin.Jsonl f

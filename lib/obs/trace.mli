@@ -52,7 +52,6 @@ val emit_at : time:float -> node:int -> Event.kind -> unit
 (** Emit with an explicit timestamp (used by the simulator, which knows its
     own clock). No-op unless {!on}. *)
 
-val ring_sink : Event.t Ring.t -> sink
 val jsonl_sink : out_channel -> sink
 (** One [Event.to_json] object per line. *)
 
@@ -78,6 +77,3 @@ val with_file : file:string -> format:Tracebin.format -> (unit -> 'a) -> 'a
     restoring tracer state and closing the file afterwards. For
     [Tracebin.Bin] the header records {!run_meta} and the sampler's rates
     as of the first traced event. *)
-
-val with_jsonl : file:string -> (unit -> 'a) -> 'a
-(** [with_file ~format:Tracebin.Jsonl]. *)

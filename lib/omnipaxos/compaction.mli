@@ -1,5 +1,5 @@
-(** Snapshot/compaction trigger policy, shared by all four protocols via
-    [Rsm.Cluster.config].
+(** Log compaction, shared by all four protocols via [Rsm.Cluster.config]:
+    the trigger policy, and the store that holds the compacted prefix.
 
     When enabled, a node snapshots its state machine and truncates the log
     below the snapshot watermark once the retained decided prefix reaches
@@ -34,3 +34,71 @@ val make : ?retain:int -> int -> config
 
 val validated : config -> config
 (** Raises [Invalid_argument] on negative fields. *)
+
+val trim_point : config -> floor:int -> decided:int -> int
+(** The interval trigger, for a log trimmed at [floor] and decided up to
+    [decided]: [decided - retain] once compaction is enabled and
+    [decided - floor >= snapshot_interval], otherwise [floor]. A result
+    [<= floor] means there is nothing to compact. *)
+
+(** The compacted prefix of one log.
+
+    A store holds the KV state machine and the client-command count
+    (commands with id >= 0) of exactly the trimmed prefix
+    [\[0, Log.first_idx log)] of the log it is used with. It is the only
+    code that folds entries into that state, trims the log, encodes the
+    {!Replog.Snapshot} envelope, and installs a received one, so the
+    invariant holds wherever the trim point moves. A core keeps it in its
+    durable state: a trim is only safe once the snapshot below it survives
+    a crash.
+
+    Trace contract: [compact] emits [snapshot_taken] (when [taken]) then
+    [log_trimmed], after the trim; {!install} emits [snapshot_installed]
+    after the state and the log changed. *)
+module Store : sig
+  type t
+
+  val create : unit -> t
+  val copy : t -> t
+  val client_cmds : t -> int
+
+  val key : t -> string * int
+  (** The store's state as data: equal keys, equal stores. *)
+
+  val encode : t -> 'e Replog.Log.t -> string
+  (** The snapshot envelope covering [\[0, Log.first_idx log)]. *)
+
+  module type ENTRY = sig
+    type t
+
+    val iter_command : (Replog.Command.t -> unit) -> t -> unit
+    (** [iter_command f e] applies [f] to the client command [e] carries,
+        if any. *)
+  end
+
+  module Fold (E : ENTRY) : sig
+    val compact :
+      t -> E.t Replog.Log.t -> node:int -> upto:int -> taken:bool -> unit
+    (** Fold the entries [\[first_idx, upto)] into the state in place, then
+        trim the log at [upto]; a no-op when [upto <= Log.first_idx log].
+        [taken] says whether the trace records [snapshot_taken] before
+        [log_trimmed]: true when the node compacts on its own trigger,
+        false when it follows a trim order. Allocates nothing per entry. *)
+  end
+
+  type received = private {
+    idx : int;  (** the snapshot covers [\[0, idx)] *)
+    envelope : string;  (** the bytes as received *)
+    snapshot : Replog.Snapshot.t;
+  }
+  (** A received snapshot that decoded; only {!decode} makes one. *)
+
+  val decode : idx:int -> string -> (received, string) result
+  (** Decode an envelope shipped as covering [\[0, idx)]: [Error] when it
+      is malformed or covers another prefix. Never raises. *)
+
+  val install : t -> 'e Replog.Log.t -> node:int -> received -> unit
+  (** Adopt the received state and restart the log at its [idx],
+      discarding every local entry. Stale-install guards are the caller's:
+      each protocol knows which prefix its application has already seen. *)
+end

@@ -1,4 +1,6 @@
 module Log = Replog.Log
+module Store = Compaction.Store
+module Fold = Store.Fold (Entry)
 
 type msg =
   | Prepare of {
@@ -41,13 +43,10 @@ type persistent = {
   mutable prom_rnd : Ballot.t;
   mutable acc_rnd : Ballot.t;
   mutable decided_idx : int;
-  (* Snapshot state backing log compaction: [app] is the KV state machine
-     for exactly the trimmed prefix [0, Log.first_idx log), and
-     [snap_client_cmds] counts the client commands (id >= 0) inside it.
-     Durable alongside the log: a snapshot must survive the crash of the
-     node that trimmed below it, or the prefix would be lost forever. *)
-  mutable app : Replog.Kv.t;
-  mutable snap_client_cmds : int;
+  (* The compacted prefix [0, Log.first_idx log). Durable alongside the
+     log: a snapshot must survive the crash of the node that trimmed below
+     it, or the prefix would be lost forever. *)
+  store : Store.t;
 }
 
 type role = Follower | Leader_prepare | Leader_accept
@@ -66,7 +65,7 @@ type promise_info = {
   p_decided_idx : int;
   p_suffix_from : int;
   p_suffix : Entry.t list;
-  p_snapshot : (int * string) option;
+  p_snapshot : Store.received option;
 }
 
 type t = {
@@ -112,8 +111,7 @@ let fresh_persistent () =
     prom_rnd = Ballot.bottom;
     acc_rnd = Ballot.bottom;
     decided_idx = 0;
-    app = Replog.Kv.create ();
-    snap_client_cmds = 0;
+    store = Store.create ();
   }
 
 let trace_ballot (b : Ballot.t) =
@@ -230,51 +228,9 @@ let trace_proposed t e =
 
 let first_idx t = Log.first_idx t.dur.log
 
-(* Fold the entries [first_idx, upto) into the durable snapshot state
-   machine. Must run before every trim so the invariant "[dur.app] covers
-   exactly [0, first_idx)" holds at all times; replaying the remaining log
-   on top of the snapshot then never double-applies a command. *)
-let advance_app t ~upto =
-  let from = Log.first_idx t.dur.log in
-  if upto > from then
-    List.iter
-      (fun e ->
-        match e with
-        | Entry.Cmd c ->
-            (match Replog.Kv.apply t.dur.app c with
-            | Replog.Kv.Ok_unit | Replog.Kv.Value _ -> ());
-            if c.Replog.Command.id >= 0 then
-              t.dur.snap_client_cmds <- t.dur.snap_client_cmds + 1
-        | Entry.Stop_sign _ -> ())
-      (Log.sub t.dur.log ~pos:from ~len:(upto - from))
-
 (* The encoded KV snapshot covering [0, first_idx). *)
-let snapshot t =
-  Replog.Snapshot.encode ~last_idx:(Log.first_idx t.dur.log)
-    ~client_cmds:t.dur.snap_client_cmds t.dur.app
-
-let snapshot_client_cmds t = t.dur.snap_client_cmds
-
-let trace_trim t ~upto ~entries =
-  if Obs.Trace.on () then
-    Obs.Trace.emit ~node:t.id (Obs.Event.Log_trimmed { upto; entries })
-
-(* Install a state snapshot covering [0, idx): the log restarts at [idx]
-   and the durable snapshot state machine adopts the payload. Discards any
-   local entries — the caller appends the authoritative suffix on top. *)
-let install_snapshot t ~idx ~payload =
-  Log.reset_to t.dur.log ~offset:idx;
-  t.ss_idx <- None;
-  t.dur.decided_idx <- max t.dur.decided_idx idx;
-  (match Replog.Snapshot.decode payload with
-  | Ok s ->
-      t.dur.app <- Replog.Snapshot.restore s;
-      t.dur.snap_client_cmds <- s.Replog.Snapshot.client_cmds
-  | Error _ -> ());
-  if Obs.Trace.on () then
-    Obs.Trace.emit ~node:t.id
-      (Obs.Event.Snapshot_installed { idx; bytes = String.length payload });
-  t.on_snapshot idx payload
+let snapshot t = Store.encode t.dur.store t.dur.log
+let snapshot_client_cmds t = Store.client_cmds t.dur.store
 
 (* Adopt a snapshot + entry suffix pair from a peer whose log starts at
    [idx]. A snapshot at or below our decided index is stale — the
@@ -283,10 +239,15 @@ let install_snapshot t ~idx ~payload =
    (e.g. a leader answering two Promises from the same session-reset
    sends the same install twice; the second arrives after we advanced).
    Skip it and splice the suffix into the log instead, dropping any
-   overlap below our own trim floor. *)
-let adopt_snapshot_suffix t ~idx ~payload ~suffix =
+   overlap below our own trim floor. An install discards every local
+   entry; the suffix goes on top. *)
+let adopt_snapshot_suffix t (snap : Store.received) ~suffix =
+  let idx = snap.idx in
   if idx > t.dur.decided_idx then begin
-    install_snapshot t ~idx ~payload;
+    Store.install t.dur.store t.dur.log ~node:t.id snap;
+    t.ss_idx <- None;
+    t.dur.decided_idx <- idx;
+    t.on_snapshot idx snap.envelope;
     sync_log t ~at:idx suffix
   end
   else begin
@@ -350,26 +311,15 @@ let trim_cap t ~upto =
    based rather than all-peers: a crashed or partitioned straggler must not
    block compaction — it is repaired later with a snapshot install. *)
 let maybe_compact t =
-  if Compaction.enabled t.compaction && role_is_leader_accept t.role then begin
+  if role_is_leader_accept t.role then begin
     let floor = Log.first_idx t.dur.log in
-    if
-      t.dur.decided_idx - floor >= t.compaction.Compaction.snapshot_interval
-    then begin
-      let upto =
-        trim_cap t
-          ~upto:
-            (min
-               (t.dur.decided_idx - t.compaction.Compaction.retain)
-               (quorum_acc_idx t))
-      in
+    let due =
+      Compaction.trim_point t.compaction ~floor ~decided:t.dur.decided_idx
+    in
+    if due > floor then begin
+      let upto = trim_cap t ~upto:(min due (quorum_acc_idx t)) in
       if upto > floor then begin
-        advance_app t ~upto;
-        Log.trim t.dur.log ~upto;
-        if Obs.Trace.on () then
-          Obs.Trace.emit ~node:t.id
-            (Obs.Event.Snapshot_taken
-               { idx = upto; bytes = String.length (snapshot t) });
-        trace_trim t ~upto ~entries:(upto - floor);
+        Fold.compact t.dur.store t.dur.log ~node:t.id ~upto ~taken:true;
         let m = Trim { n = t.dur.prom_rnd; trim_idx = upto } in
         List.iter (fun p -> t.send ~dst:p m) t.peers
       end
@@ -467,8 +417,7 @@ let complete_prepare t =
         non-chosen proposals): install its snapshot first, then adopt the
         suffix on top of it. *)
      match info.p_snapshot with
-     | Some (idx, payload) ->
-         adopt_snapshot_suffix t ~idx ~payload ~suffix:info.p_suffix
+     | Some snap -> adopt_snapshot_suffix t snap ~suffix:info.p_suffix
      | None -> sync_log t ~at:info.p_suffix_from info.p_suffix);
   let max_acc_rnd = fst !best_key in
   t.dur.acc_rnd <- n;
@@ -605,12 +554,12 @@ let on_promise t ~src ~n ~(info : promise_info) =
 let on_accept_sync t ~n ~sync_idx ~suffix ~l_decided_idx ~snapshot =
   if Ballot.equal n t.dur.prom_rnd then begin
     match snapshot with
-    | Some (idx, payload) ->
-        (* Install the state snapshot (the log restarts at [idx]; the
+    | Some snap ->
+        (* Install the state snapshot (the log restarts at its index; the
            application restores its state machine from the payload) —
            unless it is stale, in which case only the suffix is adopted. *)
         t.dur.acc_rnd <- n;
-        adopt_snapshot_suffix t ~idx ~payload ~suffix;
+        adopt_snapshot_suffix t snap ~suffix;
         if Obs.Trace.on () then
           Obs.Trace.emit ~node:t.id
             (Obs.Event.Accepted_idx
@@ -686,14 +635,8 @@ let on_trim t ~n ~trim_idx =
     Ballot.equal n t.dur.prom_rnd
     && trim_idx <= t.dur.decided_idx
     && trim_idx <= Log.length t.dur.log
-  then begin
-    let floor = Log.first_idx t.dur.log in
-    if trim_idx > floor then begin
-      advance_app t ~upto:trim_idx;
-      Log.trim t.dur.log ~upto:trim_idx;
-      trace_trim t ~upto:trim_idx ~entries:(trim_idx - floor)
-    end
-  end
+  then
+    Fold.compact t.dur.store t.dur.log ~node:t.id ~upto:trim_idx ~taken:false
 
 (* Log compaction (§6 / the omnipaxos crate's [trim]): the leader may
    discard a decided prefix once every server has accepted it, and tells
@@ -707,12 +650,7 @@ let request_trim t ~upto =
   if role_is_leader_accept t.role && upto <= t.dur.decided_idx
      && all_peers_accepted
   then begin
-    let floor = Log.first_idx t.dur.log in
-    if upto > floor then begin
-      advance_app t ~upto;
-      Log.trim t.dur.log ~upto;
-      trace_trim t ~upto ~entries:(upto - floor)
-    end;
+    Fold.compact t.dur.store t.dur.log ~node:t.id ~upto ~taken:false;
     let m = Trim { n = t.dur.prom_rnd; trim_idx = upto } in
     List.iter (fun p -> t.send ~dst:p m) t.peers;
     true
@@ -748,6 +686,13 @@ let resend_prepare_to t ~dst =
    not a member: its messages and session resets are dropped. *)
 let in_range t pid = pid >= 0 && pid < Array.length t.synced
 
+(* A shipped snapshot is decoded on receipt: a Promise or AcceptSync whose
+   snapshot does not decode is dropped whole, before it is counted, acked
+   or changes any state. *)
+let decode_snapshot = function
+  | None -> Ok None
+  | Some (idx, payload) -> Result.map Option.some (Store.decode ~idx payload)
+
 let handle t ~src msg =
   if in_range t src then
     match msg with
@@ -755,20 +700,27 @@ let handle t ~src msg =
         on_prepare t ~src ~n ~l_acc_rnd:acc_rnd ~l_log_idx:log_idx
           ~l_decided_idx:decided_idx
     | Promise
-        { n; acc_rnd; log_idx; decided_idx; suffix_from; suffix; snapshot } ->
-        on_promise t ~src ~n
-          ~info:
-            {
-              p_acc_rnd = acc_rnd;
-              p_log_idx = log_idx;
-              p_decided_idx = decided_idx;
-              p_suffix_from = suffix_from;
-              p_suffix = suffix;
-              p_snapshot = snapshot;
-            }
-    | Accept_sync { n; sync_idx; suffix; decided_idx; snapshot } ->
-        on_accept_sync t ~n ~sync_idx ~suffix ~l_decided_idx:decided_idx
-          ~snapshot
+        { n; acc_rnd; log_idx; decided_idx; suffix_from; suffix; snapshot }
+      -> (
+        match decode_snapshot snapshot with
+        | Ok p_snapshot ->
+            on_promise t ~src ~n
+              ~info:
+                {
+                  p_acc_rnd = acc_rnd;
+                  p_log_idx = log_idx;
+                  p_decided_idx = decided_idx;
+                  p_suffix_from = suffix_from;
+                  p_suffix = suffix;
+                  p_snapshot;
+                }
+        | Error _ -> ())
+    | Accept_sync { n; sync_idx; suffix; decided_idx; snapshot } -> (
+        match decode_snapshot snapshot with
+        | Ok snapshot ->
+            on_accept_sync t ~n ~sync_idx ~suffix ~l_decided_idx:decided_idx
+              ~snapshot
+        | Error _ -> ())
     | Accept { n; start_idx; entries; decided_idx } ->
         on_accept t ~n ~start_idx ~entries ~l_decided_idx:decided_idx
     | Accepted { n; log_idx } -> on_accepted t ~src ~n ~f_log_idx:log_idx
@@ -941,10 +893,9 @@ let session_reset t ~peer =
    [state_key] a record pattern naming every field, so a new field fails to
    compile here until it is copied and keyed. *)
 
-let copy_persistent
-    { log; prom_rnd; acc_rnd; decided_idx; app; snap_client_cmds } =
-  let log = Log.copy log and app = Replog.Kv.copy app in
-  { log; prom_rnd; acc_rnd; decided_idx; app; snap_client_cmds }
+let copy_persistent { log; prom_rnd; acc_rnd; decided_idx; store } =
+  let log = Log.copy log and store = Store.copy store in
+  { log; prom_rnd; acc_rnd; decided_idx; store }
 
 let copy t =
   {
@@ -979,7 +930,7 @@ let state_key
       id;
       peers;
       quorum;
-      dur = { log; prom_rnd; acc_rnd; decided_idx; app; snap_client_cmds };
+      dur = { log; prom_rnd; acc_rnd; decided_idx; store };
       send = _;
       on_decide = _;
       on_snapshot = _;
@@ -1001,8 +952,8 @@ let state_key
     } =
   Marshal.to_string
     ( (id, peers, quorum, Log.first_idx log, Log.to_list log),
-      (prom_rnd, acc_rnd, decided_idx, Replog.Kv.snapshot app),
-      (snap_client_cmds, batching, compaction),
+      (prom_rnd, acc_rnd, decided_idx, Store.key store),
+      (batching, compaction),
       (role, Replog.Det.sorted_bindings ~compare_key:Int.compare promises),
       (List.of_seq (Queue.to_seq buffer), synced, acc_idx, sent_idx),
       (batch_cap, unflushed, ticks_since_flush, acked_idx, ack_pending, ss_idx)

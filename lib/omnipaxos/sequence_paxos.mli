@@ -58,12 +58,10 @@ type persistent = {
   mutable prom_rnd : Ballot.t;  (** highest round promised *)
   mutable acc_rnd : Ballot.t;  (** round of the last accepted entry *)
   mutable decided_idx : int;
-  mutable app : Replog.Kv.t;
-      (** snapshot state machine covering exactly [0, first_idx log): kept
-          in the durable record because a trim is only safe once the
-          snapshot below it survives a crash *)
-  mutable snap_client_cmds : int;
-      (** client commands (id >= 0) folded into [app] *)
+  store : Compaction.Store.t;
+      (** the compacted prefix [0, first_idx log): kept in the durable
+          record because a trim is only safe once the snapshot below it
+          survives a crash *)
 }
 
 type role = Follower | Leader_prepare | Leader_accept
@@ -88,8 +86,8 @@ val create :
     the historical flush-on-every-tick behaviour; see [batching.mli]).
     [compaction] (default {!Compaction.disabled}) enables automatic
     snapshot-and-trim on the leader once [snapshot_interval] decided
-    entries accumulate above the trim point; the internal KV snapshot of
-    [persistent.app] then repairs followers that fell below it, and
+    entries accumulate above the trim point; the snapshot of
+    [persistent.store] then repairs followers that fell below it, and
     [on_snapshot idx payload] fires at the receiving side once it is
     installed. *)
 

@@ -1,10 +1,19 @@
 module Log = Replog.Log
+module Store = Omnipaxos.Compaction.Store
 
 type entry_data =
   | Cmd of Replog.Command.t
   | Config of { config_id : int; voters : int list }
 
 type entry = { term : int; data : entry_data }
+
+module Entry = struct
+  type t = entry
+
+  let iter_command f e = match e.data with Cmd c -> f c | Config _ -> ()
+end
+
+module Fold = Store.Fold (Entry)
 
 type msg =
   | Request_vote of {
@@ -34,15 +43,12 @@ type persistent = {
   mutable term : int;
   mutable voted_for : int option;
   log : entry Replog.Log.t;
-  (* Snapshot state backing log compaction: [app] is the KV state machine
-     for exactly the trimmed prefix [0, Log.first_idx log), [snap_term] the
-     term of its last entry (needed for the AppendEntries consistency check
-     at the boundary), [snap_client_cmds] the client commands (id >= 0) it
-     contains. Durable: a trim is only safe once the snapshot below it
-     survives a crash. *)
-  mutable app : Replog.Kv.t;
+  (* The compacted prefix [0, Log.first_idx log), and [snap_term] the term
+     of its last entry (needed for the AppendEntries consistency check at
+     the boundary). Durable: a trim is only safe once the snapshot below
+     it survives a crash. *)
+  store : Store.t;
   mutable snap_term : int;
-  mutable snap_client_cmds : int;
 }
 
 type role = Follower | Candidate | Leader
@@ -107,12 +113,9 @@ type t = {
      some peer instead of waiting for the tick. *)
   max_batch : int;
   eager_batch : int;
-  (* Local compaction (every server trims below its own commit index, the
-     classic Raft local decision): snapshot-and-trim once
-     [snapshot_interval] committed entries sit above the trim point,
-     keeping the newest [retain] of them. [0] disables compaction. *)
-  snapshot_interval : int;
-  retain : int;
+  (* Local compaction: every server trims below its own commit index, the
+     classic Raft local decision. *)
+  compaction : Omnipaxos.Compaction.config;
   on_install : int -> string -> unit;
   obs : Obs.Term_trace.t;
 }
@@ -122,9 +125,8 @@ let fresh_persistent () =
     term = 0;
     voted_for = None;
     log = Log.create ();
-    app = Replog.Kv.create ();
+    store = Store.create ();
     snap_term = 0;
-    snap_client_cmds = 0;
   }
 
 let reset_timeout t =
@@ -168,7 +170,6 @@ let create ~id ~voters ?(pre_vote = false) ?(check_quorum = false)
     ?(compaction = Omnipaxos.Compaction.disabled) ?(on_install = fun _ _ -> ())
     ~election_ticks ~rand ~persistent ~send ?(on_commit = fun _ -> ()) () =
   let b = Omnipaxos.Batching.validated batching in
-  let c = Omnipaxos.Compaction.validated compaction in
   let t =
     {
       id;
@@ -209,8 +210,7 @@ let create ~id ~voters ?(pre_vote = false) ?(check_quorum = false)
       batch = [];
       max_batch = b.max_batch;
       eager_batch = (if b.adaptive then b.min_batch else 0);
-      snapshot_interval = c.snapshot_interval;
-      retain = c.retain;
+      compaction = Omnipaxos.Compaction.validated compaction;
       on_install;
       obs = Obs.Term_trace.create ();
     }
@@ -252,43 +252,18 @@ let apply_configs t ~from ~upto =
     | Cmd _ -> ()
   done
 
-let snapshot t =
-  Replog.Snapshot.encode
-    ~last_idx:(Log.first_idx t.dur.log)
-    ~client_cmds:t.dur.snap_client_cmds t.dur.app
-
-(* Fold the entries [first_idx, upto) into the durable snapshot state
-   machine, then trim. Runs below the local commit index only, so the
-   committed prefix invariant (identical at every server) makes the
-   snapshot identical to what every other server will compute. *)
-let compact_below t ~upto =
-  let floor = Log.first_idx t.dur.log in
-  if upto > floor then begin
-    t.dur.snap_term <- (Log.get t.dur.log (upto - 1)).term;
-    for i = floor to upto - 1 do
-      match (Log.get t.dur.log i).data with
-      | Cmd c ->
-          (match Replog.Kv.apply t.dur.app c with
-          | Replog.Kv.Ok_unit | Replog.Kv.Value _ -> ());
-          if c.Replog.Command.id >= 0 then
-            t.dur.snap_client_cmds <- t.dur.snap_client_cmds + 1
-      | Config _ -> ()
-    done;
-    Log.trim t.dur.log ~upto;
-    if Obs.Trace.on () then begin
-      Obs.Trace.emit ~node:t.id
-        (Obs.Event.Snapshot_taken
-           { idx = upto; bytes = String.length (snapshot t) });
-      Obs.Trace.emit ~node:t.id
-        (Obs.Event.Log_trimmed { upto; entries = upto - floor })
-    end
-  end
-
+(* Compaction runs below the local commit index only, so the committed
+   prefix invariant (identical at every server) makes the snapshot
+   identical to what every other server will compute. *)
 let maybe_compact t =
-  if t.snapshot_interval > 0 then begin
-    let floor = Log.first_idx t.dur.log in
-    if t.commit_idx - floor >= t.snapshot_interval then
-      compact_below t ~upto:(t.commit_idx - t.retain)
+  let log = t.dur.log in
+  let upto =
+    Omnipaxos.Compaction.trim_point t.compaction ~floor:(Log.first_idx log)
+      ~decided:t.commit_idx
+  in
+  if upto > Log.first_idx log then begin
+    t.dur.snap_term <- (Log.get log (upto - 1)).term;
+    Fold.compact t.dur.store log ~node:t.id ~upto ~taken:true
   end
 
 let advance_commit t c =
@@ -340,17 +315,13 @@ let prev_term_at t prev_idx =
 
 let send_install t ~dst =
   let floor = Log.first_idx t.dur.log in
-  let payload =
-    Replog.Snapshot.encode ~last_idx:floor
-      ~client_cmds:t.dur.snap_client_cmds t.dur.app
-  in
   t.send ~dst
     (Install_snapshot
        {
          term = t.dur.term;
          idx = floor;
          snap_term = t.dur.snap_term;
-         payload;
+         payload = Store.encode t.dur.store t.dur.log;
          commit_idx = t.commit_idx;
        });
   t.last_send.(dst) <- t.tick_count;
@@ -646,18 +617,12 @@ let on_install_snapshot t ~src ~term ~idx ~snap_term ~payload ~leader_commit =
     let ack =
       if idx <= t.commit_idx then t.commit_idx
       else
-        match Replog.Snapshot.decode payload with
-        | Ok s ->
-            t.dur.app <- Replog.Snapshot.restore s;
-            t.dur.snap_client_cmds <- s.Replog.Snapshot.client_cmds;
+        match Store.decode ~idx payload with
+        | Ok snap ->
+            Store.install t.dur.store t.dur.log ~node:t.id snap;
             t.dur.snap_term <- snap_term;
-            Log.reset_to t.dur.log ~offset:idx;
-            t.commit_idx <- max t.commit_idx idx;
+            t.commit_idx <- idx;
             t.on_install idx payload;
-            if Obs.Trace.on () then
-              Obs.Trace.emit ~node:t.id
-                (Obs.Event.Snapshot_installed
-                   { idx; bytes = String.length payload });
             idx
         | Error _ -> t.commit_idx
     in
@@ -764,7 +729,7 @@ let current_term t = t.dur.term
 let commit_idx t = t.commit_idx
 let log_length t = Log.length t.dur.log
 let first_idx t = Log.first_idx t.dur.log
-let snapshot_client_cmds t = t.dur.snap_client_cmds
+let snapshot_client_cmds t = Store.client_cmds t.dur.store
 
 (* Entries below the trim point are unavailable; reads clamp to it. *)
 let iter_committed t ~from ~upto f =

@@ -26,6 +26,10 @@ type entry_data =
 
 type entry = { term : int; data : entry_data }
 
+module Entry : Omnipaxos.Compaction.Store.ENTRY with type t = entry
+(** What compaction folds of an entry: its client command; [Config]
+    entries carry none. *)
+
 type msg =
   | Request_vote of {
       term : int;
@@ -58,12 +62,10 @@ type persistent = {
   mutable term : int;
   mutable voted_for : int option;
   log : entry Replog.Log.t;
-  mutable app : Replog.Kv.t;
-      (** snapshot state machine covering exactly [0, first_idx log); durable
-          because a trim is only safe once the snapshot survives a crash *)
-  mutable snap_term : int;  (** term of the last entry folded into [app] *)
-  mutable snap_client_cmds : int;
-      (** client commands (id >= 0) folded into [app] *)
+  store : Omnipaxos.Compaction.Store.t;
+      (** the compacted prefix [0, first_idx log); durable because a trim
+          is only safe once the snapshot survives a crash *)
+  mutable snap_term : int;  (** term of the last entry folded into [store] *)
 }
 
 type role = Follower | Candidate | Leader
@@ -138,9 +140,6 @@ val first_idx : t -> int
 
 val snapshot_client_cmds : t -> int
 (** Client commands (id >= 0) contained in the trimmed prefix. *)
-
-val snapshot : t -> string
-(** The encoded {!Replog.Snapshot} envelope covering [0, first_idx). *)
 
 val iter_committed : t -> from:int -> upto:int -> (entry -> unit) -> unit
 (** [iter_committed t ~from ~upto f] applies [f] to the committed entries

@@ -82,8 +82,6 @@ type 'm t = {
   handlers : (src:int -> 'm -> unit) option array;
   session_handlers : (peer:int -> unit) option array;
   sent_bytes : int array;
-  sent_bytes_to : int array array;
-  sent_msgs : int array;
   (* Causal metadata: a per-node Lamport clock (ticked on every send and
      merged on every delivery) and a network-unique id per transmission.
      Maintained unconditionally — it is a handful of integer ops, so the
@@ -91,7 +89,6 @@ type 'm t = {
   lamport : int array;
   mutable next_send_id : int;
   mutable delivered : int;
-  delivered_msgs : int array;  (* per receiving node *)
   delivered_bytes : int array;  (* per receiving node *)
   mutable delivered_bytes_total : int;
   (* Internals instrumentation (a few integer ops per event, maintained
@@ -158,12 +155,9 @@ let create ?(seed = 42) ?(latency = 0.1) ?(egress_bw = infinity)
     handlers = Array.make n None;
     session_handlers = Array.make n None;
     sent_bytes = Array.make n 0;
-    sent_bytes_to = Array.make_matrix n n 0;
-    sent_msgs = Array.make n 0;
       lamport = Array.make n 0;
       next_send_id = 0;
       delivered = 0;
-      delivered_msgs = Array.make n 0;
       delivered_bytes = Array.make n 0;
       delivered_bytes_total = 0;
       dispatched = Array.make 4 0;
@@ -285,7 +279,6 @@ let pump_egress t src =
     (* Bytes are accounted when they leave the NIC, so windowed egress
        readings are physical. *)
     t.sent_bytes.(src) <- t.sent_bytes.(src) + chunk;
-    t.sent_bytes_to.(src).(d) <- t.sent_bytes_to.(src).(d) + chunk;
     l.meta.(m) <- remaining - chunk;
     if remaining - chunk <= 0 then begin
       t.egress_depth.(src) <- t.egress_depth.(src) - 1;
@@ -306,7 +299,6 @@ let send t ~src ~dst ~size msg =
   if size < 0 then invalid_arg "Net.send: negative size";
   if src = dst then invalid_arg "Net.send: src = dst";
   if t.node_up.(src) && t.up.(src).(dst) then begin
-    t.sent_msgs.(src) <- t.sent_msgs.(src) + 1;
     let send_id = t.next_send_id in
     t.next_send_id <- send_id + 1;
     let lc = t.lamport.(src) + 1 in
@@ -319,7 +311,6 @@ let send t ~src ~dst ~size msg =
     enqueue l msg ~session ~size ~send_id ~lc;
     if t.egress_bw = infinity then begin
       t.sent_bytes.(src) <- t.sent_bytes.(src) + size;
-      t.sent_bytes_to.(src).(dst) <- t.sent_bytes_to.(src).(dst) + size;
       l.fly <- l.tail;
       schedule_delivery t ~src ~dst
     end
@@ -422,11 +413,6 @@ let reset_session t a b =
     bump_session t a b
   end
 
-let link_latency t a b =
-  check_node t a;
-  check_node t b;
-  t.latency.(a).(b)
-
 let set_latency t a b l =
   check_node t a;
   check_node t b;
@@ -507,7 +493,6 @@ let deliver t link =
     match t.handlers.(dst) with
     | Some h ->
         t.delivered <- t.delivered + 1;
-        t.delivered_msgs.(dst) <- t.delivered_msgs.(dst) + 1;
         t.delivered_bytes.(dst) <- t.delivered_bytes.(dst) + size;
         t.delivered_bytes_total <- t.delivered_bytes_total + size;
         (* Lamport merge: the receipt happens-after both the local past
@@ -606,21 +591,8 @@ let bytes_sent t i =
   check_node t i;
   t.sent_bytes.(i)
 
-let bytes_sent_to t ~src ~dst =
-  check_node t src;
-  check_node t dst;
-  t.sent_bytes_to.(src).(dst)
-
-let messages_sent t i =
-  check_node t i;
-  t.sent_msgs.(i)
-
 let messages_delivered t = t.delivered
 let bytes_delivered t = t.delivered_bytes_total
-
-let messages_delivered_at t i =
-  check_node t i;
-  t.delivered_msgs.(i)
 
 let bytes_delivered_at t i =
   check_node t i;

@@ -92,9 +92,6 @@ val link_up : 'm t -> int -> int -> bool
 val set_latency : 'm t -> int -> int -> float -> unit
 (** Set the one-way delay of both directions of the [a <-> b] link. *)
 
-val link_latency : 'm t -> int -> int -> float
-(** The current one-way delay of the [a -> b] direction. *)
-
 val reset_session : 'm t -> int -> int -> unit
 (** Tear down and immediately re-establish the transport session of a
     connected pair (the equivalent of a TCP reset): in-flight messages of
@@ -129,18 +126,12 @@ val is_up : 'm t -> int -> bool
 val bytes_sent : 'm t -> int -> int
 (** Total bytes successfully handed to the network by a node. *)
 
-val bytes_sent_to : 'm t -> src:int -> dst:int -> int
-val messages_sent : 'm t -> int -> int
-
 val messages_delivered : 'm t -> int
 (** Total messages delivered across the whole network. *)
 
 val bytes_delivered : 'm t -> int
 (** Total bytes delivered across the whole network (payload sizes of the
     messages that reached a handler). *)
-
-val messages_delivered_at : 'm t -> int -> int
-(** Messages delivered to (received by) a given node. *)
 
 val bytes_delivered_at : 'm t -> int -> int
 (** Bytes delivered to (received by) a given node. *)

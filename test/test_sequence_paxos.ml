@@ -363,6 +363,81 @@ let test_snapshot_repairs_below_trim () =
   check "tail readable above the snapshot" true
     (List.length (Sp.read_decided h.nodes.(2) ~from:0) = 3)
 
+(* A follower of round (2, 0) holding [k] entries, all decided. *)
+let decided_follower ?(send = fun ~dst:_ _ -> ()) ?on_snapshot k =
+  let persistent = Sp.fresh_persistent () in
+  Log.append_list persistent.Sp.log (List.init k cmd);
+  persistent.Sp.prom_rnd <- ballot 2 0;
+  persistent.Sp.acc_rnd <- ballot 2 0;
+  persistent.Sp.decided_idx <- k;
+  Sp.create ~id:1 ~peers:[ 0; 2 ] ~persistent ~send ?on_snapshot ()
+
+(* A snapshot that does not decode drops its AcceptSync on receipt: no
+   install, no ack, no state change. *)
+let test_accept_sync_bad_snapshot_dropped () =
+  let sent = ref 0 and installs = ref 0 in
+  let sp =
+    decided_follower 10
+      ~send:(fun ~dst:_ _ -> incr sent)
+      ~on_snapshot:(fun _ _ -> incr installs)
+  in
+  Sp.handle sp ~src:0
+    (Sp.Accept_sync
+       {
+         n = ballot 2 0;
+         sync_idx = 50;
+         suffix = [];
+         decided_idx = 50;
+         snapshot = Some (50, "garbage");
+       });
+  check_int "trim point unchanged" 0 (Sp.first_idx sp);
+  check_int "decided index unchanged" 10 (Sp.decided_idx sp);
+  check_int "log unchanged" 10 (Sp.log_length sp);
+  check_int "no install" 0 !installs;
+  check_int "no ack" 0 !sent
+
+(* Likewise a Promise: it is not counted towards the Prepare quorum. *)
+let test_promise_bad_snapshot_dropped () =
+  let sent = ref 0 and installs = ref 0 in
+  let sp =
+    Sp.create ~id:0 ~peers:[ 1; 2 ] ~persistent:(Sp.fresh_persistent ())
+      ~send:(fun ~dst:_ _ -> incr sent)
+      ~on_snapshot:(fun _ _ -> incr installs)
+      ()
+  in
+  Sp.handle_leader sp (ballot 2 0);
+  let prepares = !sent in
+  let promise snapshot =
+    Sp.Promise
+      {
+        n = ballot 2 0;
+        acc_rnd = ballot 1 1;
+        log_idx = 50;
+        decided_idx = 50;
+        suffix_from = 50;
+        suffix = [];
+        snapshot;
+      }
+  in
+  Sp.handle sp ~src:1 (promise (Some (50, "garbage")));
+  check "not counted: still preparing" true (Sp.role sp = Sp.Leader_prepare);
+  check_int "no install" 0 !installs;
+  check_int "nothing sent" prepares !sent;
+  check_int "log unchanged" 0 (Sp.log_length sp);
+  Sp.handle sp ~src:2
+    (Sp.Promise
+       {
+         n = ballot 2 0;
+         acc_rnd = Ballot.bottom;
+         log_idx = 0;
+         decided_idx = 0;
+         suffix_from = 0;
+         suffix = [];
+         snapshot = None;
+       });
+  check "a valid promise completes the quorum" true
+    (Sp.role sp = Sp.Leader_accept)
+
 let test_single_node_cluster () =
   let h = make ~n:1 () in
   Sp.handle_leader h.nodes.(0) (ballot 1 0);
@@ -619,6 +694,19 @@ let test_flush_shares_batch () =
   Alcotest.(check (float 0.)) "n=33 minus n=5 independent of the batch"
     (extra 1) (extra 50)
 
+(* A follower's Trim folds the compacted prefix in place: the words it
+   allocates do not grow with the number of entries trimmed. *)
+let test_trim_alloc_flat () =
+  let cost k =
+    let sp = decided_follower k in
+    let trim = Sp.Trim { n = ballot 2 0; trim_idx = k } in
+    let words = minor_words (fun () -> Sp.handle sp ~src:0 trim) in
+    check_int "trimmed" k (Sp.first_idx sp);
+    words
+  in
+  Alcotest.(check (float 0.)) "a Trim of 100 and of 10,000 entries"
+    (cost 100) (cost 10_000)
+
 (* Pids outside [0, 1 + max (id :: peers)) are not members: their messages
    and session resets are dropped instead of indexing the follower arrays. *)
 let test_out_of_range_pid_dropped () =
@@ -682,6 +770,12 @@ let () =
             test_election_after_trim;
           Alcotest.test_case "snapshot repairs below trim" `Quick
             test_snapshot_repairs_below_trim;
+          Alcotest.test_case "undecodable AcceptSync snapshot dropped" `Quick
+            test_accept_sync_bad_snapshot_dropped;
+          Alcotest.test_case "undecodable Promise snapshot dropped" `Quick
+            test_promise_bad_snapshot_dropped;
+          Alcotest.test_case "trim allocation flat in k" `Quick
+            test_trim_alloc_flat;
         ] );
       ( "fan-out",
         [
