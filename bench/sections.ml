@@ -631,7 +631,7 @@ let run_trace_scale ~quick ~print =
   let jsonl_bytes = ref 0 in
   let t0 = Sys.time () in
   synth events (fun e ->
-      jsonl_bytes := !jsonl_bytes + String.length (Obs.Event.to_json e) + 1);
+      jsonl_bytes := !jsonl_bytes + String.length (Obs.Tracebin.to_json e) + 1);
   let jsonl_s = Sys.time () -. t0 in
   let bin_bytes = ref 0 in
   let t0 = Sys.time () in

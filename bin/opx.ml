@@ -467,9 +467,9 @@ let convert_cmd =
               Obs.Tracebin.flush w;
               r
           | Obs.Tracebin.Jsonl ->
+              let sink = Obs.Trace.jsonl_sink oc in
               Obs.Tracebin.iter s (fun e ->
-                  output_string oc (Obs.Event.to_json e);
-                  output_char oc '\n';
+                  sink e;
                   incr n)
         in
         Result.map
@@ -539,10 +539,7 @@ let trace_run_cmd =
         let oc = open_out_bin file in
         let each f = List.iter (fun (tr : E.traced_run) -> List.iter f tr.E.tr_events) runs in
         (match format with
-        | Obs.Tracebin.Jsonl ->
-            each (fun e ->
-                output_string oc (Obs.Event.to_json e);
-                output_char oc '\n')
+        | Obs.Tracebin.Jsonl -> each (Obs.Trace.jsonl_sink oc)
         | Obs.Tracebin.Bin ->
             let w =
               Obs.Tracebin.writer ~meta:(Obs.Trace.run_meta ())

@@ -140,31 +140,13 @@ let execute env st fault =
       Net.isolate env.net i;
       true
   | Quorum_loss { hub } ->
-      let n = Net.num_nodes env.net in
-      for a = 0 to n - 1 do
-        for b = a + 1 to n - 1 do
-          if a <> hub && b <> hub then Net.set_link env.net a b false
-        done
-      done;
+      Rsm.Scenario.quorum_loss env.net ~hub;
       true
   | Constrained { qc; leader } ->
-      let n = Net.num_nodes env.net in
-      Net.isolate env.net leader;
-      for a = 0 to n - 1 do
-        for b = a + 1 to n - 1 do
-          if a <> qc && b <> qc && a <> leader && b <> leader then
-            Net.set_link env.net a b false
-        done
-      done;
+      Rsm.Scenario.constrained env.net ~qc ~leader;
       true
   | Chain order ->
-      let arr = Array.of_list order in
-      let m = Array.length arr in
-      for i = 0 to m - 1 do
-        for j = i + 2 to m - 1 do
-          Net.set_link env.net arr.(i) arr.(j) false
-        done
-      done;
+      Rsm.Scenario.chain_of env.net ~order;
       true
   | Latency_spike { a; b; ms } ->
       Net.set_latency env.net a b ms;

@@ -2,10 +2,11 @@
     network. Protocol-agnostic: ballots are (n, prio, pid) triples, so Raft
     terms and VR views map onto them as (term, 0, leader).
 
-    Events serialise to one JSON object per line (JSONL); the schema is
-    documented in the README's "Trace format" section (schema v2: message
-    events carry a cluster-unique [send_id] and a Lamport clock [lc], and
-    drops carry the transport [session] they were judged against). *)
+    {!Tracebin} is the one module that encodes and decodes events, as JSONL
+    ({!Tracebin.to_json}) or binary; the schema is documented in the
+    README's "Trace format" section (schema v2: message events carry a
+    cluster-unique [send_id] and a Lamport clock [lc], and drops carry the
+    transport [session] they were judged against). *)
 
 type ballot = { n : int; prio : int; pid : int }
 
@@ -91,7 +92,7 @@ val kind_name : kind -> string
 
 val kind_tag : kind -> int
 (** Stable numeric tag per constructor (declaration order, [0 ..
-    num_kinds - 1]). The binary codec and the sampler index per-kind state
+    num_kinds - 1]). The trace codec and the sampler index per-kind state
     by this tag; new constructors are appended, never renumbered, so old
     binary traces keep decoding. *)
 
@@ -100,13 +101,6 @@ val num_kinds : int
 val tag_name : int -> string
 (** [kind_name] of the constructor with that {!kind_tag}. Raises
     [Invalid_argument] on an unknown tag. *)
-
-val to_json : t -> string
-(** One JSON object, no trailing newline. *)
-
-val of_json : string -> (t, string) result
-(** Parse one JSONL line back into an event (inverse of {!to_json}).
-    Unknown kinds and missing fields are reported as [Error]. *)
 
 val pp : Format.formatter -> t -> unit
 val pp_ballot : Format.formatter -> ballot -> unit

@@ -81,7 +81,7 @@ let emit ~node kind =
 
 let jsonl_sink oc : sink =
  fun e ->
-  output_string oc (Event.to_json e);
+  output_string oc (Tracebin.to_json e);
   output_char oc '\n'
 
 type recording = {

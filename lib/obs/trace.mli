@@ -53,7 +53,7 @@ val emit_at : time:float -> node:int -> Event.kind -> unit
     own clock). No-op unless {!on}. *)
 
 val jsonl_sink : out_channel -> sink
-(** One [Event.to_json] object per line. *)
+(** One [Tracebin.to_json] object per line. *)
 
 type recording = {
   events : Event.t list;  (** oldest-first; the ring's surviving suffix *)

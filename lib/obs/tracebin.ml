@@ -1,6 +1,10 @@
-(* Compact binary trace codec (container format v1, magic "opxtrace1").
+(* The trace format: JSONL and the compact binary container (format v1,
+   magic "opxtrace1"), both encoded by one writer table ([write_fields])
+   and decoded by one reader table ([Read]). Each kind's fields are listed
+   once per direction, in order, with their JSONL keys; the binary format
+   ignores the keys.
 
-   Layout:
+   Binary layout:
 
      magic   "opxtrace1"                      9 raw bytes
      version uvarint                          currently 1
@@ -20,10 +24,14 @@
    table index. Encoder and decoder grow their tables under the identical
    rule, so no table is stored in the file.
 
-   Times are stored as microsecond deltas. [Event.to_json] prints times
-   with [%.3f] (millisecond values, microsecond precision), so rounding to
-   integer microseconds loses nothing relative to the JSONL round trip —
-   binary-decoded and JSONL-round-tripped events compare equal.
+   Times are stored as microsecond deltas. JSONL prints times with [%.3f]
+   (millisecond values, microsecond precision), so rounding to integer
+   microseconds loses nothing relative to the JSONL round trip —
+   binary-decoded and JSONL-round-tripped events compare equal. Both
+   formats accept only times below 2^51 us (about 71 years) in magnitude,
+   where a double in ms still resolves 1 us: the encoders raise
+   [Invalid_argument] for any other time (including nan and infinities)
+   and the decoders report an error.
 
    Everything works over [Bytes]/[Buffer] plus an abstract chunk sink and a
    pushback chunk reader, so encoding to memory, files or pipes (including
@@ -65,7 +73,11 @@ let add_raw_string buf s =
 
 let default_max_interned = 65_536
 
+(* [Jsonl] writers exist only inside [to_json], where the field writers
+   append JSON straight to [buf]; every other field is binary-only, and
+   [to_json] fills them with shared empty values. *)
 type writer = {
+  fmt : format;
   out : string -> unit;
   buf : Buffer.t;
   scratch : Bytes.t;
@@ -127,6 +139,7 @@ let writer ?(meta = []) ?(max_interned = default_max_interned) out =
     meta;
   let w =
     {
+      fmt = Bin;
       out;
       buf;
       scratch = Bytes.create scratch_len;
@@ -150,103 +163,190 @@ let add_interned w s =
       if Hashtbl.length w.interned < w.max_interned then
         Hashtbl.replace w.interned s (Hashtbl.length w.interned)
 
-let time_to_us t = int_of_float (Float.round (t *. 1000.0))
+(* Both formats keep whole microseconds only below 2^51 us in magnitude,
+   where a double in milliseconds still resolves one. *)
+let max_abs_us = 1 lsl 51
+let round_us t = Float.round (t *. 1000.0)
+
+(* False for nan too. *)
+let us_in_range us = Float.abs us < 0x1p51
+
+let time_to_us t =
+  let us = round_us t in
+  if us_in_range us then int_of_float us
+  else
+    invalid_arg (Printf.sprintf "Tracebin: time %g ms is not below 2^51 us" t)
+
 let us_to_time us = float_of_int us /. 1000.0
 
-let put_ballot w (b : Event.ballot) =
-  put_svarint w b.Event.n;
-  put_svarint w b.Event.prio;
-  put_svarint w b.Event.pid
+let json_key w key =
+  Buffer.add_string w.buf {|,"|};
+  Buffer.add_string w.buf key;
+  Buffer.add_string w.buf {|":|}
+
+(* JSON string escaping; reasons and milestones are short ASCII
+   identifiers, but escape defensively anyway. *)
+let add_json_string buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf {|\"|}
+      | '\\' -> Buffer.add_string buf {|\\|}
+      | '\n' -> Buffer.add_string buf {|\n|}
+      | c when Char.code c < 0x20 ->
+          Printf.bprintf buf "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+(* The three field writers: a zigzag varint, an interned string or three
+   varints in binary; [,"key":value] in JSONL. *)
+let int_field w key v =
+  match w.fmt with
+  | Bin -> put_svarint w v
+  | Jsonl ->
+      json_key w key;
+      Buffer.add_string w.buf (string_of_int v)
+
+let str_field w key v =
+  match w.fmt with
+  | Bin -> add_interned w v
+  | Jsonl ->
+      json_key w key;
+      add_json_string w.buf v
+
+let ballot_field w key (b : Event.ballot) =
+  match w.fmt with
+  | Bin ->
+      put_svarint w b.n;
+      put_svarint w b.prio;
+      put_svarint w b.pid
+  | Jsonl ->
+      json_key w key;
+      Printf.bprintf w.buf {|{"n":%d,"prio":%d,"pid":%d}|} b.n b.prio b.pid
+
+(* The writer table: every kind's fields, in order, with their JSONL keys.
+   [Read.kind] below reads them back in the same order. *)
+let write_fields w (k : Event.kind) =
+  match k with
+  | Ballot_increment b | Leader_elected b | Leader_changed b ->
+      ballot_field w "ballot" b
+  | Prepare_round { b; log_idx; decided_idx }
+  | Promise_sent { b; log_idx; decided_idx } ->
+      ballot_field w "ballot" b;
+      int_field w "log_idx" log_idx;
+      int_field w "decided_idx" decided_idx
+  | Accept_sent { b; start_idx; count } ->
+      ballot_field w "ballot" b;
+      int_field w "start_idx" start_idx;
+      int_field w "count" count
+  | Accepted_idx { b; log_idx } ->
+      ballot_field w "ballot" b;
+      int_field w "log_idx" log_idx
+  | Decided { b; decided_idx } ->
+      ballot_field w "ballot" b;
+      int_field w "decided_idx" decided_idx
+  | Proposed { log_idx; cmd_id } ->
+      int_field w "log_idx" log_idx;
+      int_field w "cmd_id" cmd_id
+  | Batch_flush { entries; followers; cap; trigger } ->
+      int_field w "entries" entries;
+      int_field w "followers" followers;
+      int_field w "cap" cap;
+      str_field w "trigger" trigger
+  | Cap_change { cap_from; cap_to } ->
+      int_field w "cap_from" cap_from;
+      int_field w "cap_to" cap_to
+  | Session_drop { peer; session } | Session_up { peer; session } ->
+      int_field w "peer" peer;
+      int_field w "session" session
+  | Link_cut { a; b } | Link_heal { a; b } ->
+      int_field w "a" a;
+      int_field w "b" b
+  | Crashed | Recovered -> ()
+  | Reconfig { config_id; milestone } ->
+      int_field w "config_id" config_id;
+      str_field w "milestone" milestone
+  | Msg_send { dst; size; send_id; lc } ->
+      int_field w "dst" dst;
+      int_field w "size" size;
+      int_field w "send_id" send_id;
+      int_field w "lc" lc
+  | Msg_deliver { src; size; send_id; lc } ->
+      int_field w "src" src;
+      int_field w "size" size;
+      int_field w "send_id" send_id;
+      int_field w "lc" lc
+  | Msg_drop { src; dst; reason; session; send_id } ->
+      int_field w "src" src;
+      int_field w "dst" dst;
+      str_field w "reason" reason;
+      int_field w "session" session;
+      int_field w "send_id" send_id
+  | Snapshot_taken { idx; bytes } | Snapshot_installed { idx; bytes } ->
+      int_field w "idx" idx;
+      int_field w "bytes" bytes
+  | Log_trimmed { upto; entries } ->
+      int_field w "upto" upto;
+      int_field w "entries" entries
+  | Chaos_fault { step; fault } ->
+      int_field w "step" step;
+      str_field w "fault" fault
+  | Chaos_invoke { client; op_id; op } ->
+      int_field w "client" client;
+      int_field w "op_id" op_id;
+      str_field w "op" op
+  | Chaos_response { client; op_id; result } ->
+      int_field w "client" client;
+      int_field w "op_id" op_id;
+      str_field w "result" result
+  | Chaos_timeout { client; op_id } ->
+      int_field w "client" client;
+      int_field w "op_id" op_id
 
 let write w (e : Event.t) =
+  (* First, so an out-of-range time leaves the writer untouched. *)
+  let us = time_to_us e.time in
   let before = Buffer.length w.buf in
   put_byte w (Event.kind_tag e.kind);
-  let us = time_to_us e.time in
   put_svarint w (us - w.last_us);
   w.last_us <- us;
   put_svarint w e.node;
-  (match e.kind with
-  | Event.Ballot_increment b | Event.Leader_elected b | Event.Leader_changed b
-    ->
-      put_ballot w b
-  | Event.Prepare_round { b; log_idx; decided_idx }
-  | Event.Promise_sent { b; log_idx; decided_idx } ->
-      put_ballot w b;
-      put_svarint w log_idx;
-      put_svarint w decided_idx
-  | Event.Accept_sent { b; start_idx; count } ->
-      put_ballot w b;
-      put_svarint w start_idx;
-      put_svarint w count
-  | Event.Accepted_idx { b; log_idx } ->
-      put_ballot w b;
-      put_svarint w log_idx
-  | Event.Decided { b; decided_idx } ->
-      put_ballot w b;
-      put_svarint w decided_idx
-  | Event.Proposed { log_idx; cmd_id } ->
-      put_svarint w log_idx;
-      put_svarint w cmd_id
-  | Event.Batch_flush { entries; followers; cap; trigger } ->
-      put_svarint w entries;
-      put_svarint w followers;
-      put_svarint w cap;
-      add_interned w trigger
-  | Event.Cap_change { cap_from; cap_to } ->
-      put_svarint w cap_from;
-      put_svarint w cap_to
-  | Event.Session_drop { peer; session } | Event.Session_up { peer; session }
-    ->
-      put_svarint w peer;
-      put_svarint w session
-  | Event.Link_cut { a; b } | Event.Link_heal { a; b } ->
-      put_svarint w a;
-      put_svarint w b
-  | Event.Crashed | Event.Recovered -> ()
-  | Event.Reconfig { config_id; milestone } ->
-      put_svarint w config_id;
-      add_interned w milestone
-  | Event.Msg_send { dst; size; send_id; lc } ->
-      put_svarint w dst;
-      put_svarint w size;
-      put_svarint w send_id;
-      put_svarint w lc
-  | Event.Msg_deliver { src; size; send_id; lc } ->
-      put_svarint w src;
-      put_svarint w size;
-      put_svarint w send_id;
-      put_svarint w lc
-  | Event.Msg_drop { src; dst; reason; session; send_id } ->
-      put_svarint w src;
-      put_svarint w dst;
-      add_interned w reason;
-      put_svarint w session;
-      put_svarint w send_id
-  | Event.Snapshot_taken { idx; bytes } | Event.Snapshot_installed { idx; bytes }
-    ->
-      put_svarint w idx;
-      put_svarint w bytes
-  | Event.Log_trimmed { upto; entries } ->
-      put_svarint w upto;
-      put_svarint w entries
-  | Event.Chaos_fault { step; fault } ->
-      put_svarint w step;
-      add_interned w fault
-  | Event.Chaos_invoke { client; op_id; op } ->
-      put_svarint w client;
-      put_svarint w op_id;
-      add_interned w op
-  | Event.Chaos_response { client; op_id; result } ->
-      put_svarint w client;
-      put_svarint w op_id;
-      add_interned w result
-  | Event.Chaos_timeout { client; op_id } ->
-      put_svarint w client;
-      put_svarint w op_id);
+  write_fields w e.kind;
   sflush w;
   w.w_events <- w.w_events + 1;
   w.w_bytes <- w.w_bytes + (Buffer.length w.buf - before);
   if Buffer.length w.buf >= 61_440 then flush w
+
+(* Never written to: [str_field] only interns for [Bin] writers. *)
+let no_interned : (string, int) Hashtbl.t = Hashtbl.create 1
+
+(* One JSON object, no trailing newline. Every object has "t" (simulated
+   ms), "node" and "kind"; the other fields are the kind's, in table
+   order. Raises [Invalid_argument] for a time [write] would reject. *)
+let to_json (e : Event.t) =
+  ignore (time_to_us e.time : int);
+  let buf = Buffer.create 128 in
+  let w =
+    {
+      fmt = Jsonl;
+      out = ignore;
+      buf;
+      scratch = Bytes.empty;
+      spos = 0;
+      interned = no_interned;
+      max_interned = 0;
+      last_us = 0;
+      w_events = 0;
+      w_bytes = 0;
+    }
+  in
+  Printf.bprintf buf {|{"t":%.3f,"node":%d,"kind":"%s"|} e.time e.node
+    (Event.kind_name e.kind);
+  write_fields w e.kind;
+  Buffer.add_char buf '}';
+  Buffer.contents buf
 
 let written_events w = w.w_events
 let written_bytes w = w.w_bytes
@@ -403,135 +503,202 @@ let of_string str =
 let source_format s = s.fmt
 let meta s = s.s_meta
 
-let read_ballot s =
-  let n = read_svarint s in
-  let prio = read_svarint s in
-  let pid = read_svarint s in
-  { Event.n; prio; pid }
+(* A source of field values, read by key (JSONL) or in order (binary). A
+   missing or malformed field raises [Decode_error]. *)
+module type FIELDS = sig
+  type src
+
+  val int : src -> string -> int
+  val str : src -> string -> string
+  val ballot : src -> string -> Event.ballot
+end
+
+(* The reader table: every kind's fields in [write_fields] order. Callers
+   pass a tag below [Event.num_kinds]. *)
+module Read (F : FIELDS) = struct
+  let kind s tag : Event.kind =
+    match tag with
+    | 0 -> Ballot_increment (F.ballot s "ballot")
+    | 1 -> Leader_elected (F.ballot s "ballot")
+    | 2 -> Leader_changed (F.ballot s "ballot")
+    | 3 | 4 ->
+        let b = F.ballot s "ballot" in
+        let log_idx = F.int s "log_idx" in
+        let decided_idx = F.int s "decided_idx" in
+        if tag = 3 then Prepare_round { b; log_idx; decided_idx }
+        else Promise_sent { b; log_idx; decided_idx }
+    | 5 ->
+        let b = F.ballot s "ballot" in
+        let start_idx = F.int s "start_idx" in
+        let count = F.int s "count" in
+        Accept_sent { b; start_idx; count }
+    | 6 ->
+        let b = F.ballot s "ballot" in
+        let log_idx = F.int s "log_idx" in
+        Accepted_idx { b; log_idx }
+    | 7 ->
+        let b = F.ballot s "ballot" in
+        let decided_idx = F.int s "decided_idx" in
+        Decided { b; decided_idx }
+    | 8 ->
+        let log_idx = F.int s "log_idx" in
+        let cmd_id = F.int s "cmd_id" in
+        Proposed { log_idx; cmd_id }
+    | 9 ->
+        let entries = F.int s "entries" in
+        let followers = F.int s "followers" in
+        let cap = F.int s "cap" in
+        let trigger = F.str s "trigger" in
+        Batch_flush { entries; followers; cap; trigger }
+    | 10 ->
+        let cap_from = F.int s "cap_from" in
+        let cap_to = F.int s "cap_to" in
+        Cap_change { cap_from; cap_to }
+    | 11 | 12 ->
+        let peer = F.int s "peer" in
+        let session = F.int s "session" in
+        if tag = 11 then Session_drop { peer; session }
+        else Session_up { peer; session }
+    | 13 | 14 ->
+        let a = F.int s "a" in
+        let b = F.int s "b" in
+        if tag = 13 then Link_cut { a; b } else Link_heal { a; b }
+    | 15 -> Crashed
+    | 16 -> Recovered
+    | 17 ->
+        let config_id = F.int s "config_id" in
+        let milestone = F.str s "milestone" in
+        Reconfig { config_id; milestone }
+    | 18 ->
+        let dst = F.int s "dst" in
+        let size = F.int s "size" in
+        let send_id = F.int s "send_id" in
+        let lc = F.int s "lc" in
+        Msg_send { dst; size; send_id; lc }
+    | 19 ->
+        let src = F.int s "src" in
+        let size = F.int s "size" in
+        let send_id = F.int s "send_id" in
+        let lc = F.int s "lc" in
+        Msg_deliver { src; size; send_id; lc }
+    | 20 ->
+        let src = F.int s "src" in
+        let dst = F.int s "dst" in
+        let reason = F.str s "reason" in
+        let session = F.int s "session" in
+        let send_id = F.int s "send_id" in
+        Msg_drop { src; dst; reason; session; send_id }
+    | 21 | 22 ->
+        let idx = F.int s "idx" in
+        let bytes = F.int s "bytes" in
+        if tag = 21 then Snapshot_taken { idx; bytes }
+        else Snapshot_installed { idx; bytes }
+    | 23 ->
+        let upto = F.int s "upto" in
+        let entries = F.int s "entries" in
+        Log_trimmed { upto; entries }
+    | 24 ->
+        let step = F.int s "step" in
+        let fault = F.str s "fault" in
+        Chaos_fault { step; fault }
+    | 25 ->
+        let client = F.int s "client" in
+        let op_id = F.int s "op_id" in
+        let op = F.str s "op" in
+        Chaos_invoke { client; op_id; op }
+    | 26 ->
+        let client = F.int s "client" in
+        let op_id = F.int s "op_id" in
+        let result = F.str s "result" in
+        Chaos_response { client; op_id; result }
+    | 27 ->
+        let client = F.int s "client" in
+        let op_id = F.int s "op_id" in
+        Chaos_timeout { client; op_id }
+    | tag -> invalid_arg (Printf.sprintf "Tracebin.Read.kind: tag %d" tag)
+end
+
+module Bin_read = Read (struct
+  type src = source
+
+  let int s _ = read_svarint s
+  let str s _ = read_interned s
+
+  let ballot s _ =
+    let n = read_svarint s in
+    let prio = read_svarint s in
+    let pid = read_svarint s in
+    { Event.n; prio; pid }
+end)
+
+module J = Bench_report.Json
+
+let decode_error fmt = Printf.ksprintf (fun m -> raise (Decode_error m)) fmt
+
+(* Int fields must be JSON integers: a float such as [2.7] or [1e300]
+   has no faithful int, so it is an error rather than a truncation. *)
+module Json_fields = struct
+  type src = J.t
+
+  let int j key =
+    match J.member key j with
+    | Some (J.Int i) -> i
+    | Some _ -> decode_error "field %S is not an integer" key
+    | None -> decode_error "missing int field %S" key
+
+  let str j key =
+    match J.member key j with
+    | Some (J.String s) -> s
+    | _ -> decode_error "missing string field %S" key
+
+  let ballot j key =
+    match J.member key j with
+    | Some (J.Obj _ as b) ->
+        let n = int b "n" in
+        let prio = int b "prio" in
+        let pid = int b "pid" in
+        { Event.n; prio; pid }
+    | _ -> decode_error "missing %s" key
+end
+
+module Json_read = Read (Json_fields)
+
+let tag_of_name name =
+  let rec go tag =
+    if tag >= Event.num_kinds then decode_error "unknown kind %S" name
+    else if String.equal (Event.tag_name tag) name then tag
+    else go (tag + 1)
+  in
+  go 0
+
+let of_json line =
+  match J.of_string line with
+  | Error _ as e -> e
+  | Ok j -> (
+      try
+        let time =
+          match J.member "t" j with
+          | Some (J.Float f) -> f
+          | Some (J.Int i) -> float_of_int i
+          | _ -> decode_error "missing number field \"t\""
+        in
+        if not (us_in_range (round_us time)) then
+          decode_error "\"t\" %g ms is not below 2^51 us" time;
+        let node = Json_fields.int j "node" in
+        let tag = tag_of_name (Json_fields.str j "kind") in
+        Ok { Event.time; node; kind = Json_read.kind j tag }
+      with Decode_error m -> Error m)
 
 let read_bin_event s : Event.t =
   let tag = read_byte s in
   let dt = read_svarint s in
   s.last_us <- s.last_us + dt;
+  if s.last_us >= max_abs_us || s.last_us <= -max_abs_us then
+    fail s "offset %d: time not below 2^51 us";
   let time = us_to_time s.last_us in
   let node = read_svarint s in
-  let i () = read_svarint s in
-  let kind =
-    match tag with
-    | 0 -> Event.Ballot_increment (read_ballot s)
-    | 1 -> Event.Leader_elected (read_ballot s)
-    | 2 -> Event.Leader_changed (read_ballot s)
-    | 3 ->
-        let b = read_ballot s in
-        let log_idx = i () in
-        let decided_idx = i () in
-        Event.Prepare_round { b; log_idx; decided_idx }
-    | 4 ->
-        let b = read_ballot s in
-        let log_idx = i () in
-        let decided_idx = i () in
-        Event.Promise_sent { b; log_idx; decided_idx }
-    | 5 ->
-        let b = read_ballot s in
-        let start_idx = i () in
-        let count = i () in
-        Event.Accept_sent { b; start_idx; count }
-    | 6 ->
-        let b = read_ballot s in
-        let log_idx = i () in
-        Event.Accepted_idx { b; log_idx }
-    | 7 ->
-        let b = read_ballot s in
-        let decided_idx = i () in
-        Event.Decided { b; decided_idx }
-    | 8 ->
-        let log_idx = i () in
-        let cmd_id = i () in
-        Event.Proposed { log_idx; cmd_id }
-    | 9 ->
-        let entries = i () in
-        let followers = i () in
-        let cap = i () in
-        let trigger = read_interned s in
-        Event.Batch_flush { entries; followers; cap; trigger }
-    | 10 ->
-        let cap_from = i () in
-        let cap_to = i () in
-        Event.Cap_change { cap_from; cap_to }
-    | 11 ->
-        let peer = i () in
-        let session = i () in
-        Event.Session_drop { peer; session }
-    | 12 ->
-        let peer = i () in
-        let session = i () in
-        Event.Session_up { peer; session }
-    | 13 ->
-        let a = i () in
-        let b = i () in
-        Event.Link_cut { a; b }
-    | 14 ->
-        let a = i () in
-        let b = i () in
-        Event.Link_heal { a; b }
-    | 15 -> Event.Crashed
-    | 16 -> Event.Recovered
-    | 17 ->
-        let config_id = i () in
-        let milestone = read_interned s in
-        Event.Reconfig { config_id; milestone }
-    | 18 ->
-        let dst = i () in
-        let size = i () in
-        let send_id = i () in
-        let lc = i () in
-        Event.Msg_send { dst; size; send_id; lc }
-    | 19 ->
-        let src = i () in
-        let size = i () in
-        let send_id = i () in
-        let lc = i () in
-        Event.Msg_deliver { src; size; send_id; lc }
-    | 20 ->
-        let src = i () in
-        let dst = i () in
-        let reason = read_interned s in
-        let session = i () in
-        let send_id = i () in
-        Event.Msg_drop { src; dst; reason; session; send_id }
-    | 21 ->
-        let idx = i () in
-        let bytes = i () in
-        Event.Snapshot_taken { idx; bytes }
-    | 22 ->
-        let idx = i () in
-        let bytes = i () in
-        Event.Snapshot_installed { idx; bytes }
-    | 23 ->
-        let upto = i () in
-        let entries = i () in
-        Event.Log_trimmed { upto; entries }
-    | 24 ->
-        let step = i () in
-        let fault = read_interned s in
-        Event.Chaos_fault { step; fault }
-    | 25 ->
-        let client = i () in
-        let op_id = i () in
-        let op = read_interned s in
-        Event.Chaos_invoke { client; op_id; op }
-    | 26 ->
-        let client = i () in
-        let op_id = i () in
-        let result = read_interned s in
-        Event.Chaos_response { client; op_id; result }
-    | 27 ->
-        let client = i () in
-        let op_id = i () in
-        Event.Chaos_timeout { client; op_id }
-    | t -> fail s "offset %d: unknown event tag %d" t
-  in
-  { Event.time; node; kind }
+  if tag >= Event.num_kinds then fail s "offset %d: unknown event tag %d" tag;
+  { Event.time; node; kind = Bin_read.kind s tag }
 
 (* Read one JSONL line (without the newline); None at EOF. *)
 let read_line s =
@@ -564,7 +731,7 @@ let iter s f =
         | None -> Ok ()
         | Some "" -> loop (lineno + 1)
         | Some line -> (
-            match Event.of_json line with
+            match of_json line with
             | Ok e ->
                 f e;
                 loop (lineno + 1)
@@ -602,7 +769,7 @@ let events s =
               Seq.Nil
           | Some "" -> next ()
           | Some line -> (
-              match Event.of_json line with
+              match of_json line with
               | Ok e -> Seq.Cons (Ok e, next)
               | Error msg ->
                   exhausted := true;

@@ -1,4 +1,8 @@
-(** Compact binary trace codec (container format v1, magic ["opxtrace1"]).
+(** The trace format: the one module that encodes and decodes
+    {!Event.t}, as JSONL ({!to_json} / {!of_json}) or as the compact binary
+    container (format v1, magic ["opxtrace1"]). Both formats go through one
+    writer table and one reader table, which list every kind's fields once,
+    in order, with their JSONL keys.
 
     A binary trace is the magic, a version, a list of header metadata
     pairs (run parameters and per-kind sampling rates, see the README
@@ -10,9 +14,13 @@
     table itself is never stored.
 
     Times round to integer microseconds — exactly the precision
-    [Event.to_json] keeps (it prints milliseconds with [%.3f]), so a
+    {!to_json} keeps (it prints milliseconds with [%.3f]), so a
     binary round trip and a JSONL round trip of the same event stream
-    compare equal.
+    compare equal. That holds below 2^51 us (about 71 years) in magnitude,
+    where a double in milliseconds still resolves one microsecond, so both
+    formats accept only such times: {!to_json} and {!write} raise
+    [Invalid_argument] for any other time (nan and infinities included),
+    and the decoders report an error.
 
     Reading is format-agnostic: {!of_channel} / {!of_string} sniff the
     magic and fall back to JSONL, so every consumer (analyzer, converter,
@@ -26,7 +34,20 @@ exception Decode_error of string
     header is parsed eagerly) — event-level errors surface as [Error]
     results from {!iter} / {!fold} / {!events} instead. *)
 
-(** {1 Encoding} *)
+(** {1 JSONL} *)
+
+val to_json : Event.t -> string
+(** One JSON object, no trailing newline: ["t"] (simulated ms, [%.3f]),
+    ["node"], ["kind"], then the kind's fields. Raises [Invalid_argument]
+    for a time not below 2^51 us in magnitude. *)
+
+val of_json : string -> (Event.t, string) result
+(** Parse one JSONL line back into an event (inverse of {!to_json}).
+    Unknown kinds, missing fields, non-integer numbers in int fields and a
+    ["t"] not below 2^51 us in magnitude are reported as [Error]; it never
+    raises. *)
+
+(** {1 Binary encoding} *)
 
 type writer
 
@@ -39,6 +60,8 @@ val writer :
     the string table; strings past the cap are written inline. *)
 
 val write : writer -> Event.t -> unit
+(** Raises [Invalid_argument], leaving the writer unchanged, for a time
+    not below 2^51 us in magnitude. *)
 
 val flush : writer -> unit
 (** Hand any buffered bytes to the writer's sink. Safe to call repeatedly;

@@ -2,27 +2,14 @@ type config = {
   adaptive : bool;
   max_batch : int;
   min_batch : int;
-  deadline_ticks : int;
   ack_every : int;
 }
 
 let fixed =
-  {
-    adaptive = false;
-    max_batch = 4096;
-    min_batch = 4096;
-    deadline_ticks = 1;
-    ack_every = 1;
-  }
+  { adaptive = false; max_batch = 4096; min_batch = 4096; ack_every = 1 }
 
 let adaptive =
-  {
-    adaptive = true;
-    max_batch = 4096;
-    min_batch = 64;
-    deadline_ticks = 1;
-    ack_every = 4;
-  }
+  { adaptive = true; max_batch = 4096; min_batch = 64; ack_every = 4 }
 
 let name c = if c.adaptive then "adaptive" else "fixed"
 
@@ -32,6 +19,5 @@ let validated c =
     c with
     min_batch;
     max_batch = max min_batch c.max_batch;
-    deadline_ticks = max 1 c.deadline_ticks;
     ack_every = max 1 c.ack_every;
   }

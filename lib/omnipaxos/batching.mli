@@ -8,7 +8,7 @@
     immediately. Decide latency is therefore bounded below by the tick
     period regardless of load.
 
-    The {e adaptive} policy keeps the tick as a deadline but adds:
+    The {e adaptive} policy still flushes on every tick but adds:
 
     - {b size-triggered flushes}: a proposal burst is flushed as soon as the
       unsent backlog reaches the current batch cap, without waiting for the
@@ -23,9 +23,9 @@
       [ack_every] appended entries, deferring the rest to their next tick,
       which trims the ack storm that eager flushing would otherwise cause.
 
-    With [deadline_ticks = 1], [min_batch = max_batch] and [ack_every = 1]
-    the adaptive policy degenerates exactly to the fixed one (a property
-    checked by [test/test_batching.ml]). *)
+    With [min_batch = max_batch] and [ack_every = 1] the adaptive policy
+    degenerates exactly to the fixed one (a property checked by
+    [test/test_batching.ml]). *)
 
 type config = {
   adaptive : bool;  (** [false]: the historical fixed policy *)
@@ -33,9 +33,6 @@ type config = {
   min_batch : int;
       (** adaptive: floor of the batch cap and initial eager-flush
           threshold *)
-  deadline_ticks : int;
-      (** adaptive: a pending entry waits at most this many ticks before a
-          flush is forced (1 = flush every tick, as the fixed policy) *)
   ack_every : int;
       (** adaptive: followers coalesce [Accepted] acknowledgements, sending
           at most one per this many appended entries (plus one per tick for
@@ -48,11 +45,11 @@ val fixed : config
 
 val adaptive : config
 (** Default adaptive policy: cap in [64, 4096] (AIMD), eager size-triggered
-    flushes, 1-tick deadline, acks coalesced 4:1. *)
+    flushes, acks coalesced 4:1. *)
 
 val name : config -> string
 (** ["fixed"] or ["adaptive"] — the label used in benchmark reports. *)
 
 val validated : config -> config
-(** Clamp nonsensical values ([min_batch], [ack_every], [deadline_ticks]
-    below 1; [max_batch] below [min_batch]) into a safe configuration. *)
+(** Clamp nonsensical values ([min_batch] and [ack_every] below 1;
+    [max_batch] below [min_batch]) into a safe configuration. *)

@@ -14,13 +14,11 @@ type t = {
   mutable tick_count : int;
 }
 
-let create ~id ~peers ?priority ?qc_signal ?connectivity_priority
-    ?(hb_ticks = 10) ?batching ?compaction ~storage ~send ?on_decide
-    ?on_snapshot () =
+let create ~id ~peers ?qc_signal ?(hb_ticks = 10) ?batching ?compaction
+    ~storage ~send ?on_decide ?on_snapshot () =
   let sp_ref = ref None in
   let ble =
-    Ble.create ~id ~peers ?priority ?qc_signal ?connectivity_priority
-      ~persistent:storage.Storage.ble
+    Ble.create ~id ~peers ?qc_signal ~persistent:storage.Storage.ble
       ~send:(fun ~dst m -> send ~dst (Ble_msg m))
       ~on_leader:(fun b ->
         match !sp_ref with

@@ -22,9 +22,7 @@ type t
 val create :
   id:int ->
   peers:int list ->
-  ?priority:int ->
   ?qc_signal:bool ->
-  ?connectivity_priority:bool ->
   ?hb_ticks:int ->
   ?batching:Batching.config ->
   ?compaction:Compaction.config ->

@@ -94,11 +94,10 @@ type t = {
   quorum_buf : int array;
   (* Adaptive-batching state (see batching.mli). [batch_cap] is the AIMD
      per-Accept entry cap; [unflushed] counts leader appends since the last
-     flush (the size trigger); [ticks_since_flush] drives the deadline.
-     [acked_idx]/[ack_pending] implement follower-side ack coalescing. *)
+     flush (the size trigger). [acked_idx]/[ack_pending] implement
+     follower-side ack coalescing. *)
   mutable batch_cap : int;
   mutable unflushed : int;
-  mutable ticks_since_flush : int;
   mutable acked_idx : int;
   mutable ack_pending : bool;
   (* Index of the stop-sign entry in the log, if any. *)
@@ -149,7 +148,6 @@ let create ~id ~peers ~persistent ?(batching = Batching.fixed)
     quorum_buf = Array.make (width + 1) 0;
     batch_cap = batching.Batching.min_batch;
     unflushed = 0;
-    ticks_since_flush = 0;
     acked_idx = 0;
     ack_pending = false;
     ss_idx = find_stop_sign_from persistent.log ~from:0;
@@ -453,7 +451,6 @@ let start_prepare t =
   reset_followers t;
   t.batch_cap <- t.batching.Batching.min_batch;
   t.unflushed <- 0;
-  t.ticks_since_flush <- 0;
   t.ack_pending <- false;
   if Obs.Trace.on () then
     Obs.Trace.emit ~node:t.id
@@ -829,7 +826,6 @@ let do_flush t ~trigger =
         (Obs.Event.Cap_change { cap_from = before; cap_to = t.batch_cap })
   end;
   t.unflushed <- 0;
-  t.ticks_since_flush <- 0;
   if t.quorum = 1 then try_decide t
 
 (* Follower half of ack coalescing: a deferred Accepted is swept out on the
@@ -873,11 +869,7 @@ let propose t entry =
       end
 
 let flush t =
-  if role_is_leader_accept t.role then begin
-    t.ticks_since_flush <- t.ticks_since_flush + 1;
-    if t.ticks_since_flush >= t.batching.Batching.deadline_ticks then
-      do_flush t ~trigger:"deadline"
-  end
+  if role_is_leader_accept t.role then do_flush t ~trigger:"deadline"
   else flush_acks t
 
 let recover t =
@@ -917,7 +909,6 @@ let copy t =
     quorum_buf = Array.copy t.quorum_buf;
     batch_cap = t.batch_cap;
     unflushed = t.unflushed;
-    ticks_since_flush = t.ticks_since_flush;
     acked_idx = t.acked_idx;
     ack_pending = t.ack_pending;
     ss_idx = t.ss_idx;
@@ -945,7 +936,6 @@ let state_key
       quorum_buf = _;
       batch_cap;
       unflushed;
-      ticks_since_flush;
       acked_idx;
       ack_pending;
       ss_idx;
@@ -956,7 +946,7 @@ let state_key
       (batching, compaction),
       (role, Replog.Det.sorted_bindings ~compare_key:Int.compare promises),
       (List.of_seq (Queue.to_seq buffer), synced, acc_idx, sent_idx),
-      (batch_cap, unflushed, ticks_since_flush, acked_idx, ack_pending, ss_idx)
+      (batch_cap, unflushed, acked_idx, ack_pending, ss_idx)
     )
     [ Marshal.No_sharing ]
 

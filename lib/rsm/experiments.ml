@@ -179,22 +179,8 @@ module Run (P : Protocol.PROTOCOL) = struct
             | Some (qc, leader) -> Scenario.constrained (C.net c) ~qc ~leader
             | None -> ())
         | Chained ->
-            (* With 3 servers, one cut link forms the chain of Figure 1c;
-               with more servers, form a full chain with the leader at one
-               end, leaving no fully-connected server. *)
-            let leader = Option.value (C.leader c) ~default:0 in
-            if cfg.Cluster.n <= 3 then begin
-              let other = if leader = 0 then 1 else 0 in
-              Scenario.chained (C.net c) ~a:leader ~b:other
-            end
-            else begin
-              let rest =
-                List.filter
-                  (fun i -> i <> leader)
-                  (List.init cfg.Cluster.n Fun.id)
-              in
-              Scenario.chain_of (C.net c) ~order:(leader :: rest)
-            end);
+            Scenario.chain_from (C.net c)
+              ~leader:(Option.value (C.leader c) ~default:0));
     Net.schedule (C.net c) ~delay:(warmup +. partition_ms) (fun () ->
         Scenario.heal (C.net c));
     C.run_ms c (warmup +. partition_ms +. (10.0 *. timeout));

@@ -107,8 +107,8 @@ module Omni = struct
     mutable received : int array;  (** entries received per segment *)
     mutable attempts : int array;
         (** re-request count per segment, for donor rotation *)
-    mutable store : Omnipaxos.Entry.t list list array;
-        (** per segment: the received chunks, most recent first *)
+    mutable tail_cmds : int;
+        (** client commands in the tail entries received so far *)
     mutable remaining_segments : int;
     mutable snap_pending : bool;
         (** waiting for the base snapshot before striping the tail *)
@@ -234,12 +234,7 @@ module Omni = struct
     (from_idx, min m.total (from_idx + m.seg_size))
 
   let finish_migration t s ~cfg ~nodes m =
-    let base =
-      List.concat
-        (Array.to_list
-           (Array.map (fun chunks -> List.concat (List.rev chunks)) m.store))
-    in
-    s.base_cmds <- m.snap_cmds + count_client_cmds base;
+    s.base_cmds <- m.snap_cmds + m.tail_cmds;
     s.migration <- None;
     start_replica t s ~cfg ~nodes ~storage:(R.Storage.create ());
     check_all_running t ~cfg
@@ -253,7 +248,7 @@ module Omni = struct
     let nsegs = (span + m.seg_size - 1) / m.seg_size in
     m.received <- Array.make nsegs 0;
     m.attempts <- Array.make nsegs 0;
-    m.store <- Array.make nsegs [];
+    m.tail_cmds <- 0;
     m.remaining_segments <- nsegs;
     if nsegs = 0 then finish_migration t s ~cfg ~nodes:t.p.new_nodes m
     else
@@ -276,7 +271,7 @@ module Omni = struct
         seg_size = t.p.segment_entries;
         received = [||];
         attempts = [||];
-        store = [||];
+        tail_cmds = 0;
         remaining_segments = 0;
         snap_pending = false;
         snap_attempts = 0;
@@ -331,8 +326,8 @@ module Omni = struct
         else if idx > m.tail_from && m.remaining_segments > 0 then begin
           (* Donors compacted past the tail base mid-migration (a donor
              answered a below-floor [Seg_req] with its snapshot): restart
-             the tail on the newer base. The discarded chunks only fed the
-             command count, which [cmds] now covers. *)
+             the tail on the newer base, which drops the count from the
+             discarded chunks; [cmds] covers their commands. *)
           m.snap_cmds <- cmds;
           start_tail t s ~cfg m ~from:idx
         end
@@ -352,7 +347,7 @@ module Omni = struct
           let fresh = List.filteri (fun i _ -> i >= skip) entries in
           let fresh_len = List.length fresh in
           if fresh_len > 0 then begin
-            m.store.(seg) <- fresh :: m.store.(seg);
+            m.tail_cmds <- m.tail_cmds + count_client_cmds fresh;
             m.received.(seg) <- m.received.(seg) + fresh_len;
             if m.received.(seg) = seg_upto - seg_from then begin
               m.remaining_segments <- m.remaining_segments - 1;

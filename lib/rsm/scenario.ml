@@ -47,4 +47,16 @@ let chain_of net ~order =
     done
   done
 
+(* The chained scenario with [leader] at one end: with three or fewer
+   servers one cut between [leader] and the lowest other server (Figure
+   1c); with more, a full chain over [leader] and then the others in
+   ascending order, leaving no fully-connected server. *)
+let chain_from net ~leader =
+  let n = Net.num_nodes net in
+  match List.filter (fun i -> i <> leader) (List.init n Fun.id) with
+  | [] -> ()
+  | first :: _ as rest ->
+      if n <= 3 then chained net ~a:leader ~b:first
+      else chain_of net ~order:(leader :: rest)
+
 let heal = Net.heal_all

@@ -23,5 +23,11 @@ val chain_of : 'm Simnet.Net.t -> order:int list -> unit
     configuration in which the paper shows Raft and Multi-Paxos
     livelock. *)
 
+val chain_from : 'm Simnet.Net.t -> leader:int -> unit
+(** The chained scenario with [leader] at one end: {!chained} between
+    [leader] and the lowest other server when there are three servers or
+    fewer, else {!chain_of} over [leader] followed by the others in
+    ascending order. *)
+
 val heal : 'm Simnet.Net.t -> unit
 (** Restore all links. *)

@@ -114,18 +114,8 @@ module Make (P : Protocol.PROTOCOL) = struct
             (* Chain partition over the middle of the run: leader at one
                end, healed at 75% so recovery shows up in the frames. *)
             Net.schedule (C.net c) ~delay:(duration_ms *. 0.4) (fun () ->
-                let leader = Option.value (C.leader c) ~default:0 in
-                let rest =
-                  List.filter
-                    (fun i -> i <> leader)
-                    (List.init cfg.Cluster.n Fun.id)
-                in
-                match rest with
-                | [] -> ()
-                | first :: _ ->
-                    if cfg.Cluster.n <= 3 then
-                      Scenario.chained (C.net c) ~a:leader ~b:first
-                    else Scenario.chain_of (C.net c) ~order:(leader :: rest));
+                Scenario.chain_from (C.net c)
+                  ~leader:(Option.value (C.leader c) ~default:0));
             Net.schedule (C.net c) ~delay:(duration_ms *. 0.75) (fun () ->
                 Scenario.heal (C.net c)));
         let last_decided = ref 0 in

@@ -1,8 +1,8 @@
 (* Batch-flush policy tests at the Sequence Paxos handler level: backlog
    pipelining across flushes, the adaptive size trigger and AIMD cap, ack
    coalescing, session resets racing a half-flushed batch, and the
-   degeneracy property (adaptive with deadline_ticks = 1, min = max and
-   ack_every = 1 produces the exact message trace of the fixed policy).
+   degeneracy property (adaptive with min = max and ack_every = 1
+   produces the exact message trace of the fixed policy).
    The transport is the same hand-driven queue as test_sequence_paxos, plus
    a trace of every send so message counts and batch sizes can be
    asserted. *)
@@ -113,14 +113,13 @@ let test_backlog_pipelines_across_flushes () =
 
 (* Under the adaptive policy a proposal burst reaching the current cap is
    flushed (and can decide) without any tick; a full flush doubles the
-   cap. The deadline is set absurdly high so a tick flush cannot help. *)
+   cap. The test never calls [flush], so no tick flush can help. *)
 let test_eager_flush_without_tick () =
   let batching =
     {
       B.adaptive = true;
       max_batch = 4096;
       min_batch = 2;
-      deadline_ticks = 1000;
       ack_every = 1;
     }
   in
@@ -143,7 +142,6 @@ let test_cap_decays_when_drained () =
       B.adaptive = true;
       max_batch = 4096;
       min_batch = 2;
-      deadline_ticks = 1;
       ack_every = 1;
     }
   in
@@ -169,7 +167,6 @@ let test_ack_coalescing_defers_to_tick () =
       B.adaptive = true;
       max_batch = 4096;
       min_batch = 64;
-      deadline_ticks = 1;
       ack_every = 3;
     }
   in
@@ -236,9 +233,8 @@ let test_session_reset_mid_batch_resyncs () =
 
 (* ---------------- degeneracy ---------------- *)
 
-(* With deadline_ticks = 1, min_batch = max_batch and ack_every = 1 the
-   adaptive policy is the fixed policy: same workload, byte-identical
-   message trace. *)
+(* With min_batch = max_batch and ack_every = 1 the adaptive policy is the
+   fixed policy: same workload, byte-identical message trace. *)
 let degenerate_workload batching =
   let h = make ~batching () in
   elect h;
@@ -262,7 +258,6 @@ let test_adaptive_degenerates_to_fixed () =
       B.adaptive = true;
       max_batch = B.fixed.B.max_batch;
       min_batch = B.fixed.B.max_batch;
-      deadline_ticks = 1;
       ack_every = 1;
     }
   in

@@ -149,7 +149,7 @@ let test_traced_episode_determinism () =
       Obs.Trace.with_recording (fun () ->
           Omni_campaign.run_schedule cfg ~seed:11 ~schedule)
     in
-    List.map Obs.Event.to_json recording.Obs.Trace.events
+    List.map Obs.Tracebin.to_json recording.Obs.Trace.events
   in
   let a = record () and b = record () in
   check_int "same number of events" (List.length a) (List.length b);

@@ -13,6 +13,7 @@ module Invariant = Obs.Invariant
 module Causal = Obs.Causal
 module Span = Obs.Span
 module Health = Obs.Health
+module Tracebin = Obs.Tracebin
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -121,12 +122,13 @@ let test_with_recording () =
 let test_event_json () =
   let b = { Event.n = 3; prio = 1; pid = 2 } in
   let j =
-    Event.to_json (ev ~time:12.5 ~node:1 (Event.Decided { b; decided_idx = 7 }))
+    Tracebin.to_json
+      (ev ~time:12.5 ~node:1 (Event.Decided { b; decided_idx = 7 }))
   in
   check "decide json" true
     (j = {|{"t":12.500,"node":1,"kind":"decide","ballot":{"n":3,"prio":1,"pid":2},"decided_idx":7}|});
   let j =
-    Event.to_json
+    Tracebin.to_json
       (ev
          (Event.Msg_drop
             { src = 0; dst = 1; reason = "link-down"; session = 4; send_id = 9 }))
@@ -142,7 +144,8 @@ let test_event_json () =
     go 0
   in
   let j =
-    Event.to_json (ev (Event.Reconfig { config_id = 1; milestone = {|a"b|} }))
+    Tracebin.to_json
+      (ev (Event.Reconfig { config_id = 1; milestone = {|a"b|} }))
   in
   check "escaped quote" true (contains j {|a\"b|})
 
@@ -231,16 +234,16 @@ let test_event_json_roundtrip () =
   in
   List.iter
     (fun e ->
-      match Event.of_json (Event.to_json e) with
+      match Tracebin.of_json (Tracebin.to_json e) with
       | Ok e' -> check (Event.kind_name e.Event.kind) true (e = e')
       | Error msg ->
           Alcotest.failf "of_json failed for %s: %s"
             (Event.kind_name e.Event.kind)
             msg)
     samples;
-  check "malformed json rejected" true (Result.is_error (Event.of_json "{"));
+  check "malformed json rejected" true (Result.is_error (Tracebin.of_json "{"));
   check "unknown kind rejected" true
-    (Result.is_error (Event.of_json {|{"t":1.0,"node":0,"kind":"nope"}|}))
+    (Result.is_error (Tracebin.of_json {|{"t":1.0,"node":0,"kind":"nope"}|}))
 
 (* ---------------- causal monitor ---------------- *)
 
@@ -632,8 +635,6 @@ let test_decided_regression_detected () =
 
 (* ---------------- binary trace decoding ---------------- *)
 
-module Tracebin = Obs.Tracebin
-
 (* A string length whose 9-byte varint sets bit 62, so it decodes to a
    negative int. *)
 let negative_len = String.make 8 '\xff' ^ "\x7f"
@@ -651,6 +652,21 @@ let test_tracebin_negative_length () =
   in
   check "event with a negative string length is an Error" true
     (Result.is_error (Tracebin.iter src ignore))
+
+(* Decoding a mutated trace may fail, but only with [Decode_error] from
+   [of_string] (the binary header) or an [Error] from [iter]. *)
+let decode_never_raises ~round mutated =
+  match Tracebin.of_string mutated with
+  | exception Tracebin.Decode_error _ -> ()
+  | exception exn ->
+      Alcotest.failf "round %d: of_string raised %s" round
+        (Printexc.to_string exn)
+  | src -> (
+      match Tracebin.iter src ignore with
+      | Ok () | Error _ -> ()
+      | exception exn ->
+          Alcotest.failf "round %d: iter raised %s" round
+            (Printexc.to_string exn))
 
 (* Seeded byte overwrites, long varints and truncation of a real binary
    trace: a source either fails to construct with [Decode_error] or decodes
@@ -680,19 +696,217 @@ let test_tracebin_mutations () =
       if round mod 2 = 0 then Bytes.length b
       else Random.State.int rng (Bytes.length b + 1)
     in
-    let mutated = Bytes.sub_string b 0 len in
-    match Tracebin.of_string mutated with
-    | exception Tracebin.Decode_error _ -> ()
-    | exception exn ->
-        Alcotest.failf "round %d: of_string raised %s" round
-          (Printexc.to_string exn)
-    | src -> (
-        match Tracebin.iter src ignore with
-        | Ok () | Error _ -> ()
-        | exception exn ->
-            Alcotest.failf "round %d: iter raised %s" round
-              (Printexc.to_string exn))
+    decode_never_raises ~round (Bytes.sub_string b 0 len)
   done
+
+(* The JSONL counterpart: half the planted bytes come from JSON's own
+   alphabet, so mutations also reach the field decoders (a digit turned
+   into '.', a quote dropped from a key) rather than only the parser. *)
+let test_jsonl_mutations () =
+  let clean =
+    String.concat ""
+      (List.map
+         (fun e -> Tracebin.to_json e ^ "\n")
+         (Obs.Synth.to_list ~events:300 ()))
+  in
+  let json_chars = {|0123456789.eE-+"\,:{}[] |} in
+  let rng = Random.State.make [| 11 |] in
+  for round = 1 to 500 do
+    let b = Bytes.of_string clean in
+    for _ = 1 to 1 + Random.State.int rng 4 do
+      let c =
+        if Random.State.bool rng then Char.chr (Random.State.int rng 256)
+        else json_chars.[Random.State.int rng (String.length json_chars)]
+      in
+      Bytes.set b (Random.State.int rng (Bytes.length b)) c
+    done;
+    let len =
+      if round mod 2 = 0 then Bytes.length b
+      else Random.State.int rng (Bytes.length b + 1)
+    in
+    decode_never_raises ~round (Bytes.sub_string b 0 len)
+  done
+
+(* An int field holding a JSON float ([1e300], [2.7]) has no faithful int
+   value, so decoding reports an error instead of truncating it. *)
+let test_jsonl_non_integer_rejected () =
+  let decide ~node ~decided_idx =
+    Printf.sprintf
+      {|{"t":1.000,"node":%s,"kind":"decide","ballot":{"n":1,"prio":0,"pid":0},"decided_idx":%s}|}
+      node decided_idx
+  in
+  check "integers accepted" true
+    (Result.is_ok (Tracebin.of_json (decide ~node:"2" ~decided_idx:"7")));
+  List.iter
+    (fun (label, line) ->
+      check label true (Result.is_error (Tracebin.of_json line)))
+    [
+      ("decided_idx 1e300", decide ~node:"2" ~decided_idx:"1e300");
+      ("decided_idx 2.7", decide ~node:"2" ~decided_idx:"2.7");
+      ("node 2.5", decide ~node:"2.5" ~decided_idx:"7");
+    ]
+
+(* Both formats keep whole microseconds only below 2^51 us in magnitude
+   (from about 2^52 us a double in milliseconds no longer resolves one);
+   any other time is refused by the encoders and rejected by the
+   decoders. *)
+let representable t = Float.abs (Float.round (t *. 1000.0)) < 0x1p51
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_time_range () =
+  let crash t = { Event.time = t; node = 0; kind = Event.Crashed } in
+  let line t = Printf.sprintf {|{"t":%s,"node":0,"kind":"crash"}|} t in
+  (* 2^51 us = 2251799813685.248 ms. *)
+  check "just below 2^51 us accepted" true
+    (Tracebin.of_json (line "2251799813685.247")
+    = Ok (crash 2251799813685.247));
+  List.iter
+    (fun t ->
+      check ("of_json t=" ^ t) true
+        (Result.is_error (Tracebin.of_json (line t))))
+    [
+      "2251799813685.248"; "-2251799813685.248"; "1e300"; "4611686018427387903";
+    ];
+  let buf = Buffer.create 64 in
+  let w = Tracebin.writer (Buffer.add_string buf) in
+  List.iter
+    (fun t ->
+      let label = Printf.sprintf "t=%g" t in
+      check ("to_json raises " ^ label) true
+        (raises_invalid (fun () -> Tracebin.to_json (crash t)));
+      check ("write raises " ^ label) true
+        (raises_invalid (fun () -> Tracebin.write w (crash t))))
+    [
+      0x1p51 /. 1000.0; Float.of_int max_int /. 1000.0; Float.infinity; Float.nan;
+    ];
+  (* A refused event leaves the writer as it was. *)
+  Tracebin.write w (crash 5.0);
+  Tracebin.flush w;
+  check "writer intact after refusals" true
+    (Tracebin.fold (Tracebin.of_string (Buffer.contents buf)) ~init:[]
+       ~f:(fun acc e -> e :: acc)
+    = Ok [ crash 5.0 ]);
+  (* A binary Crashed event (tag 15) whose time delta is 2^51 us: the
+     zigzag value 2^52 as an 8-byte varint. *)
+  let dt = String.make 7 '\x80' ^ "\x08" in
+  check "binary time 2^51 us is an Error" true
+    (Result.is_error
+       (Tracebin.iter
+          (Tracebin.of_string ("opxtrace1\x01\x00\x0f" ^ dt ^ "\x00"))
+          ignore))
+
+(* Random events of every kind through both formats: full-range ints,
+   arbitrary byte strings (half drawn from a small pool, so the binary
+   string table is hit as well as grown), and times in whole microseconds
+   over the full int range, with the values around the 2^51 us bound.
+   Representable events come back exactly; every other one is refused by
+   both encoders, and a JSONL line carrying its time is rejected. *)
+let gen_event =
+  let open QCheck.Gen in
+  let i =
+    oneof [ int; small_signed_int; oneofl [ min_int; max_int; 0; -1 ] ]
+  in
+  let s =
+    oneof [ string_size ~gen:char (int_bound 12); oneofl [ "ok"; "" ] ]
+  in
+  let bal = map3 (fun n prio pid -> { Event.n; prio; pid }) i i i in
+  let bound = 1 lsl 51 in
+  let time =
+    map
+      (fun us -> float_of_int us /. 1000.0)
+      (oneof
+         [ i; oneofl [ bound - 1; bound; -(bound - 1); -bound; 2 * bound + 1 ] ])
+  in
+  int_bound (Event.num_kinds - 1) >>= fun tag ->
+  i >>= fun x ->
+  i >>= fun y ->
+  i >>= fun z ->
+  i >>= fun u ->
+  i >>= fun v ->
+  s >>= fun str ->
+  bal >>= fun b ->
+  time >>= fun time ->
+  i >>= fun node ->
+  let kind : Event.kind =
+    match tag with
+    | 0 -> Ballot_increment b
+    | 1 -> Leader_elected b
+    | 2 -> Leader_changed b
+    | 3 -> Prepare_round { b; log_idx = x; decided_idx = y }
+    | 4 -> Promise_sent { b; log_idx = x; decided_idx = y }
+    | 5 -> Accept_sent { b; start_idx = x; count = y }
+    | 6 -> Accepted_idx { b; log_idx = x }
+    | 7 -> Decided { b; decided_idx = x }
+    | 8 -> Proposed { log_idx = x; cmd_id = y }
+    | 9 -> Batch_flush { entries = x; followers = y; cap = z; trigger = str }
+    | 10 -> Cap_change { cap_from = x; cap_to = y }
+    | 11 -> Session_drop { peer = x; session = y }
+    | 12 -> Session_up { peer = x; session = y }
+    | 13 -> Link_cut { a = x; b = y }
+    | 14 -> Link_heal { a = x; b = y }
+    | 15 -> Crashed
+    | 16 -> Recovered
+    | 17 -> Reconfig { config_id = x; milestone = str }
+    | 18 -> Msg_send { dst = x; size = y; send_id = z; lc = u }
+    | 19 -> Msg_deliver { src = x; size = y; send_id = z; lc = u }
+    | 20 ->
+        Msg_drop { src = x; dst = y; reason = str; session = u; send_id = v }
+    | 21 -> Snapshot_taken { idx = x; bytes = y }
+    | 22 -> Snapshot_installed { idx = x; bytes = y }
+    | 23 -> Log_trimmed { upto = x; entries = y }
+    | 24 -> Chaos_fault { step = x; fault = str }
+    | 25 -> Chaos_invoke { client = x; op_id = y; op = str }
+    | 26 -> Chaos_response { client = x; op_id = y; result = str }
+    | 27 -> Chaos_timeout { client = x; op_id = y }
+    | tag -> failwith (Printf.sprintf "gen_event: add kind tag %d" tag)
+  in
+  return { Event.time; node; kind }
+
+let decode_list s =
+  let acc = ref [] in
+  match Tracebin.iter (Tracebin.of_string s) (fun e -> acc := e :: !acc) with
+  | Ok () -> List.rev !acc
+  | Error m -> failwith m
+
+let prop_round_trip =
+  QCheck.Test.make ~name:"tracebin round trip, every kind, both formats"
+    ~count:500
+    (QCheck.make
+       ~print:(fun es -> String.concat "\n" (List.map Tracebin.to_json es))
+       QCheck.Gen.(list_size (int_range 1 20) gen_event))
+    (fun events ->
+      let buf = Buffer.create 256 and jsonl = Buffer.create 256 in
+      let w = Tracebin.writer (Buffer.add_string buf) in
+      let kept =
+        List.filter
+          (fun (e : Event.t) ->
+            if representable e.time then begin
+              Tracebin.write w e;
+              Buffer.add_string jsonl (Tracebin.to_json e ^ "\n");
+              true
+            end
+            else
+              (* [to_json] of the same event at time 0 starts with the
+                 11 bytes {"t":0.000, which carry its time. *)
+              let rest = Tracebin.to_json { e with time = 0.0 } in
+              let line =
+                Printf.sprintf {|{"t":%.3f,|} e.time
+                ^ String.sub rest 11 (String.length rest - 11)
+              in
+              if not (raises_invalid (fun () -> Tracebin.write w e)) then
+                QCheck.Test.fail_reportf "write accepted time %h" e.time
+              else if not (raises_invalid (fun () -> Tracebin.to_json e)) then
+                QCheck.Test.fail_reportf "to_json accepted time %h" e.time
+              else if Result.is_ok (Tracebin.of_json line) then
+                QCheck.Test.fail_reportf "of_json accepted %s" line
+              else false)
+          events
+      in
+      Tracebin.flush w;
+      decode_list (Buffer.contents buf) = kept
+      && decode_list (Buffer.contents jsonl) = kept)
 
 (* ------------------------- profiler ------------------------- *)
 
@@ -811,6 +1025,13 @@ let () =
             test_tracebin_negative_length;
           Alcotest.test_case "mutated traces never raise" `Quick
             test_tracebin_mutations;
+          Alcotest.test_case "mutated jsonl never raises" `Quick
+            test_jsonl_mutations;
+          Alcotest.test_case "jsonl non-integer int fields rejected" `Quick
+            test_jsonl_non_integer_rejected;
+          Alcotest.test_case "times outside 2^51 us rejected" `Quick
+            test_time_range;
+          QCheck_alcotest.to_alcotest prop_round_trip;
         ] );
       ( "profile",
         [

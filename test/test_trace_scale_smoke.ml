@@ -23,7 +23,7 @@ let jsonl_of evs =
   let b = Buffer.create (events * 64) in
   List.iter
     (fun e ->
-      Buffer.add_string b (Obs.Event.to_json e);
+      Buffer.add_string b (Obs.Tracebin.to_json e);
       Buffer.add_char b '\n')
     evs;
   Buffer.contents b

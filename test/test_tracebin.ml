@@ -9,7 +9,7 @@
    minimal failing schedule re-run with the tracer on, which exercises the
    codec over realistic timestamps, interned strings and event mixes.
 
-   Equality is compared on [Event.to_json] lines: JSONL prints times as
+   Equality is compared on [Tracebin.to_json] lines: JSONL prints times as
    milliseconds with three decimals and the binary codec stores integer
    microseconds, so both encodings normalise to the same precision and a
    faithful codec reproduces the JSON stream byte for byte. The test also
@@ -91,7 +91,7 @@ let one_of_each : Ev.t list =
   ]
 
 let jsonl_of events =
-  String.concat "" (List.map (fun e -> Ev.to_json e ^ "\n") events)
+  String.concat "" (List.map (fun e -> Tb.to_json e ^ "\n") events)
 
 let bin_of ?meta events =
   let buf = Buffer.create 4096 in
