@@ -39,7 +39,7 @@
     The unit of attribution is the {e toplevel} binding: effects of nested
     [let]s, lambdas and local functions fold into the enclosing toplevel
     definition. Definitions are keyed by dotted display names
-    ([Omnipaxos.Ble_core.step]) matching how cross-unit [Path]s print. *)
+    ([Omnipaxos.Ble_core.tick]) matching how cross-unit [Path]s print. *)
 
 open Typedtree
 
@@ -204,7 +204,7 @@ let external_flags facts name =
 (* ------------------------------------------------------------------ *)
 
 type def = {
-  key : string;  (** dotted display name, e.g. "Omnipaxos.Ble_core.step" *)
+  key : string;  (** dotted display name, e.g. "Omnipaxos.Ble_core.tick" *)
   d_unit : string;  (** display unit name, e.g. "Omnipaxos.Ble_core" *)
   d_src : string;  (** source path of the defining unit *)
   d_line : int;

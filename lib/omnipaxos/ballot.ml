@@ -16,4 +16,5 @@ let ( > ) a b = compare a b > 0
 let ( >= ) a b = compare a b >= 0
 let ( < ) a b = compare a b < 0
 let bump_above mine target = { mine with n = target.n + 1 }
+let to_event b = { Obs.Event.n = b.n; prio = b.priority; pid = b.pid }
 let pp ppf b = Format.fprintf ppf "(n=%d,prio=%d,pid=%d)" b.n b.priority b.pid

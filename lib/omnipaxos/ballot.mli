@@ -25,4 +25,7 @@ val bump_above : t -> t -> t
 (** [bump_above mine target] is [mine] with [n] raised to [target.n + 1]:
     the takeover step of BLE. *)
 
+val to_event : t -> Obs.Event.ballot
+(** The ballot as trace events carry it. *)
+
 val pp : Format.formatter -> t -> unit

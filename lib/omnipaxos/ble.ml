@@ -1,9 +1,13 @@
-(* Effectful adapter around the pure BLE transition core ([Ble_core]).
-   Owns the mutable current state, the stable-storage ballot cell and the
-   transport/election callbacks; each driver call runs one [Ble_core.step]
-   and interprets the outputs in order. This module is the sanctioned
-   emission shim for BLE (allow_emit in effects.facts): everything that
-   decides is in the core, everything that performs is here. *)
+(* Effectful adapter around the pure BLE decision core ([Ble_core]). Owns
+   the mutable current state, the open round's replies, the stable-storage
+   ballot cell and the transport/election callbacks. A heartbeat costs no
+   allocation: replies land in pid-indexed arrays, and a request is echoed
+   with the one reply cached for its round. Each tick folds the replies
+   into a [Ble_core.summary], runs [Ble_core.tick] and interprets its
+   decision before sending the next round's request. This module is the
+   sanctioned emission shim for BLE (allow_emit in effects.facts):
+   everything that decides is in the core, everything that performs is
+   here. *)
 
 type msg = Ble_core.msg =
   | Hb_request of { round : int }
@@ -19,6 +23,17 @@ type t = {
   send : dst:int -> msg -> unit;
   on_leader : Ballot.t -> unit;
   mutable state : Ble_core.state;
+  (* The open round's replies, indexed by source pid: the round each was
+     stamped with (-1 = none yet), its ballot and QC flag. A later reply
+     from the same source overwrites the earlier one. Only configuration
+     members are recorded. *)
+  member : bool array;
+  reply_round : int array;
+  reply_ballot : Ballot.t array;
+  reply_qc : bool array;
+  (* The reply to a request, built once per requested round; [None] after
+     a tick, which is the only place ballot and QC change. *)
+  mutable reply : msg option;
 }
 
 let create ~id ~peers ?(priority = 0) ?(qc_signal = true)
@@ -26,43 +41,94 @@ let create ~id ~peers ?(priority = 0) ?(qc_signal = true)
   let config =
     Ble_core.make_config ~id ~peers ~qc_signal ~connectivity_priority ()
   in
+  let size = 1 + List.fold_left max id peers in
+  let member = Array.make size false in
+  List.iter (fun p -> if p >= 0 then member.(p) <- true) peers;
   {
     config;
     persistent;
     send;
     on_leader;
     state = Ble_core.init ~priority ~ballot_n:persistent.ballot_n config;
+    member;
+    reply_round = Array.make size (-1);
+    reply_ballot = Array.make size Ballot.bottom;
+    reply_qc = Array.make size false;
+    reply = None;
   }
 
 let current_ballot t = t.state.Ble_core.ballot
 let leader t = t.state.Ble_core.leader
 let is_quorum_connected t = t.state.Ble_core.qc
 
-let trace_ballot (b : Ballot.t) =
-  { Obs.Event.n = b.Ballot.n; prio = b.priority; pid = b.pid }
+(* One scan of the reply table for the round closing now. *)
+let summarise t =
+  let round = t.state.Ble_core.round in
+  let heard = ref 0 in
+  let max_qc = ref Ballot.bottom and max_seen = ref Ballot.bottom in
+  for p = 0 to Array.length t.reply_round - 1 do
+    if t.reply_round.(p) = round then begin
+      let b = t.reply_ballot.(p) in
+      incr heard;
+      max_seen := Ballot.max !max_seen b;
+      if t.reply_qc.(p) then max_qc := Ballot.max !max_qc b
+    end
+  done;
+  { Ble_core.heard = !heard; max_qc = !max_qc; max_seen = !max_seen }
 
 let apply_output t (o : Ble_core.output) =
+  let node = t.config.Ble_core.id in
   match o with
-  | Ble_core.Send { dst; msg } -> t.send ~dst msg
   | Ble_core.Elected { ballot; first } ->
       if Obs.Trace.on () then
-        Obs.Trace.emit ~node:t.config.Ble_core.id
-          (if first then Obs.Event.Leader_elected (trace_ballot ballot)
-           else Obs.Event.Leader_changed (trace_ballot ballot));
+        Obs.Trace.emit ~node
+          (if first then Obs.Event.Leader_elected (Ballot.to_event ballot)
+           else Obs.Event.Leader_changed (Ballot.to_event ballot));
       t.on_leader ballot
   | Ble_core.Ballot_bumped ballot ->
       (* Persist before anything can observe the new ballot: LE3 requires
          ballot numbers monotone across crashes. *)
       t.persistent.ballot_n <- ballot.Ballot.n;
       if Obs.Trace.on () then
-        Obs.Trace.emit ~node:t.config.Ble_core.id
-          (Obs.Event.Ballot_increment (trace_ballot ballot))
+        Obs.Trace.emit ~node
+          (Obs.Event.Ballot_increment (Ballot.to_event ballot))
 
-let run t input =
-  let state, outputs = Ble_core.step t.config t.state input in
+let rec send_all send msg = function
+  | [] -> ()
+  | dst :: rest ->
+      send ~dst msg;
+      send_all send msg rest
+
+let tick t =
+  let state, output = Ble_core.tick t.config t.state (summarise t) in
   t.state <- state;
-  List.iter (apply_output t) outputs
+  t.reply <- None;
+  (match output with Some o -> apply_output t o | None -> ());
+  send_all t.send
+    (Hb_request { round = state.Ble_core.round })
+    t.config.Ble_core.peers
 
-let tick t = run t Ble_core.Tick
-let handle t ~src msg = run t (Ble_core.Deliver { src; msg })
+let reply_for t round =
+  match t.reply with
+  | Some (Hb_reply r as m) when r.round = round -> m
+  | Some _ | None ->
+      let s = t.state in
+      let m =
+        Hb_reply { round; ballot = s.Ble_core.ballot; qc = s.Ble_core.qc }
+      in
+      t.reply <- Some m;
+      m
+
+let handle t ~src msg =
+  match msg with
+  | Hb_request { round } -> t.send ~dst:src (reply_for t round)
+  | Hb_reply { round; ballot; qc } ->
+      if round = t.state.Ble_core.round && src >= 0
+         && src < Array.length t.member && t.member.(src)
+      then begin
+        t.reply_round.(src) <- round;
+        t.reply_ballot.(src) <- ballot;
+        t.reply_qc.(src) <- qc
+      end
+
 let msg_size = Ble_core.msg_size

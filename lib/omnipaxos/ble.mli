@@ -14,10 +14,13 @@
     The module is transport-agnostic: it emits messages through the [send]
     callback and is driven by [tick] (one call = one heartbeat round).
 
-    All election logic lives in the pure transition core [Ble_core]; this
-    module is the effectful adapter that owns the mutable state, interprets
-    the core's outputs (sends, traces, persistence, the [on_leader] signal)
-    and keeps the historical callback API for the simnet harness. *)
+    All election logic lives in the pure decision core [Ble_core]; this
+    module is the effectful adapter that owns the mutable state and the
+    round's reply table, sends the heartbeats, interprets the core's
+    decisions (traces, persistence, the [on_leader] signal) and keeps the
+    historical callback API for the simnet harness. In steady state a
+    heartbeat allocates nothing, and a round sends one shared request
+    value to every peer. *)
 
 type msg = Ble_core.msg =
   | Hb_request of { round : int }
@@ -58,6 +61,9 @@ val tick : t -> unit
     next one. Call once per election timeout. *)
 
 val handle : t -> src:int -> msg -> unit
+(** A request is answered with our ballot and QC flag. A reply counts
+    toward the open round only if it carries that round and comes from one
+    of [peers]; the latest such reply from a source wins. *)
 
 val current_ballot : t -> Ballot.t
 val leader : t -> Ballot.t option

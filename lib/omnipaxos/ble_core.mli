@@ -1,11 +1,11 @@
-(** Pure transition core of Ballot Leader Election (BLE, §5.2).
+(** Pure decision core of Ballot Leader Election (BLE, §5.2).
 
-    [step config state input] is a total function returning the successor
-    state and an ordered list of outputs; it performs no effects. The clock
-    arrives as the [Tick] input (one per election timeout), sends leave as
-    [Send] outputs, and election / takeover decisions leave as [Elected] /
-    [Ballot_bumped] outputs for the adapter ([Ble]) to trace, persist and
-    signal. Every definition is [@pure]-annotated and listed in the
+    [tick config state summary] closes a heartbeat round: it is a total
+    function returning the successor state and at most one decision, and it
+    performs no effects. The adapter ([Ble]) keeps the round's replies and
+    hands the core only their [summary]; it also sends the heartbeats, and
+    it traces, persists and signals the [Elected] / [Ballot_bumped]
+    decisions. Every definition is [@pure]-annotated and listed in the
     [pure_core] manifest of effects.facts: opxlint rule E1 fails the build
     if an inferred write, io or ambient effect creeps in. *)
 
@@ -30,16 +30,20 @@ type state = {
   ballot : Ballot.t;
   leader : Ballot.t option;
   qc : bool;  (** quorum-connected as of the last completed round *)
-  round : int;
-  replies : (int * (Ballot.t * bool)) list;
-      (** replies of the open round: [(src, (ballot, qc))], in descending
-          [src] order, at most one entry per source *)
+  round : int;  (** the open round; only replies stamped with it count *)
 }
 
-type input = Tick | Deliver of { src : int; msg : msg }
+type summary = {
+  heard : int;  (** distinct peers that replied in the open round *)
+  max_qc : Ballot.t;
+      (** highest ballot among those replies flagged QC, [Ballot.bottom]
+          if none *)
+  max_seen : Ballot.t;
+      (** highest ballot among all those replies, [Ballot.bottom] if none *)
+}
+(** What checkLeader needs to know of one round's replies. *)
 
 type output =
-  | Send of { dst : int; msg : msg }
   | Elected of { ballot : Ballot.t; first : bool }
       (** a new leader was elected; [first] distinguishes the initial
           election from a change *)
@@ -58,15 +62,12 @@ val make_config :
 val init : ?priority:int -> ballot_n:int -> config -> state
 (** [ballot_n] is the recovered persistent ballot number. *)
 
-val check_round : config -> state -> state * output list
-(** The checkLeader step of Figure 4, closing a heartbeat round. Exposed for
-    direct property testing; [step] calls it from [Tick]. *)
+val check_round : config -> state -> summary -> state * output option
+(** The checkLeader step of Figure 4 over the closing round's replies.
+    Exposed for direct property testing; [tick] calls it from round 2 on. *)
 
-val tick : config -> state -> state * output list
-val handle : config -> state -> src:int -> msg -> state * output list
-
-val step : config -> state -> input -> state * output list
-(** [Tick] closes the round then broadcasts the next round's heartbeat
-    requests; [Deliver] processes one incoming message. *)
+val tick : config -> state -> summary -> state * output option
+(** Close the open round and open the next one. The first two rounds only
+    propagate QC flags. *)
 
 val msg_size : msg -> int

@@ -14,12 +14,26 @@ type t = {
   mutable tick_count : int;
 }
 
+(* [wrap] with a one-entry memo on physical equality: a message sent to
+   many peers (a heartbeat request or reply, a shared Accept or Decide) is
+   boxed once, not once per peer. [init] only seeds the memo. *)
+let memo_wrap wrap init =
+  let last_in = ref init and last_out = ref (wrap init) in
+  fun m ->
+    if m != !last_in then begin
+      last_in := m;
+      last_out := wrap m
+    end;
+    !last_out
+
 let create ~id ~peers ?qc_signal ?(hb_ticks = 10) ?batching ?compaction
     ~storage ~send ?on_decide ?on_snapshot () =
   let sp_ref = ref None in
+  let ble_msg = memo_wrap (fun m -> Ble_msg m) (Ble.Hb_request { round = 0 }) in
+  let sp_msg = memo_wrap (fun m -> Sp_msg m) Sequence_paxos.Prepare_req in
   let ble =
     Ble.create ~id ~peers ?qc_signal ~persistent:storage.Storage.ble
-      ~send:(fun ~dst m -> send ~dst (Ble_msg m))
+      ~send:(fun ~dst m -> send ~dst (ble_msg m))
       ~on_leader:(fun b ->
         match !sp_ref with
         | Some sp -> Sequence_paxos.handle_leader sp b
@@ -29,7 +43,7 @@ let create ~id ~peers ?qc_signal ?(hb_ticks = 10) ?batching ?compaction
   let sp =
     Sequence_paxos.create ~id ~peers ~persistent:storage.Storage.sp ?batching
       ?compaction
-      ~send:(fun ~dst m -> send ~dst (Sp_msg m))
+      ~send:(fun ~dst m -> send ~dst (sp_msg m))
       ?on_decide ?on_snapshot ()
   in
   sp_ref := Some sp;

@@ -113,9 +113,6 @@ let fresh_persistent () =
     store = Store.create ();
   }
 
-let trace_ballot (b : Ballot.t) =
-  { Obs.Event.n = b.Ballot.n; prio = b.Ballot.priority; pid = b.Ballot.pid }
-
 let find_stop_sign_from log ~from =
   let found = ref None in
   Log.iteri_from log ~from (fun i e ->
@@ -330,7 +327,8 @@ let advance_decided t d =
     t.dur.decided_idx <- d;
     if Obs.Trace.on () then
       Obs.Trace.emit ~node:t.id
-        (Obs.Event.Decided { b = trace_ballot t.dur.acc_rnd; decided_idx = d });
+        (Obs.Event.Decided
+           { b = Ballot.to_event t.dur.acc_rnd; decided_idx = d });
     t.on_decide d;
     maybe_compact t
   end
@@ -372,7 +370,7 @@ let accept_sync_follower t ~dst ~(info : promise_info) ~max_acc_rnd =
     Obs.Trace.emit ~node:t.id
       (Obs.Event.Accept_sent
          {
-           b = trace_ballot t.dur.prom_rnd;
+           b = Ballot.to_event t.dur.prom_rnd;
            start_idx = sync_idx;
            count = List.length suffix;
          });
@@ -456,7 +454,7 @@ let start_prepare t =
     Obs.Trace.emit ~node:t.id
       (Obs.Event.Prepare_round
          {
-           b = trace_ballot t.dur.prom_rnd;
+           b = Ballot.to_event t.dur.prom_rnd;
            log_idx = Log.length t.dur.log;
            decided_idx = t.dur.decided_idx;
          });
@@ -518,7 +516,7 @@ let on_prepare t ~src ~n ~l_acc_rnd ~l_log_idx ~l_decided_idx =
       Obs.Trace.emit ~node:t.id
         (Obs.Event.Promise_sent
            {
-             b = trace_ballot n;
+             b = Ballot.to_event n;
              log_idx = Log.length t.dur.log;
              decided_idx = t.dur.decided_idx;
            });
@@ -560,7 +558,7 @@ let on_accept_sync t ~n ~sync_idx ~suffix ~l_decided_idx ~snapshot =
         if Obs.Trace.on () then
           Obs.Trace.emit ~node:t.id
             (Obs.Event.Accepted_idx
-               { b = trace_ballot n; log_idx = Log.length t.dur.log });
+               { b = Ballot.to_event n; log_idx = Log.length t.dur.log });
         t.acked_idx <- Log.length t.dur.log;
         t.ack_pending <- false;
         t.send ~dst:n.Ballot.pid (Accepted { n; log_idx = Log.length t.dur.log });
@@ -573,7 +571,7 @@ let on_accept_sync t ~n ~sync_idx ~suffix ~l_decided_idx ~snapshot =
           if Obs.Trace.on () then
             Obs.Trace.emit ~node:t.id
               (Obs.Event.Accepted_idx
-                 { b = trace_ballot n; log_idx = Log.length t.dur.log });
+                 { b = Ballot.to_event n; log_idx = Log.length t.dur.log });
           t.acked_idx <- Log.length t.dur.log;
           t.ack_pending <- false;
           t.send ~dst:n.Ballot.pid
@@ -598,7 +596,7 @@ let on_accept t ~n ~start_idx ~entries ~l_decided_idx =
     let len = Log.length t.dur.log in
     if Obs.Trace.on () then
       Obs.Trace.emit ~node:t.id
-        (Obs.Event.Accepted_idx { b = trace_ballot n; log_idx = len });
+        (Obs.Event.Accepted_idx { b = Ballot.to_event n; log_idx = len });
     (* Ack coalescing (adaptive policy): acknowledge at most once per
        [ack_every] appended entries; anything deferred is swept by the next
        tick's [flush]. The fixed policy acknowledges every batch. *)
@@ -665,7 +663,7 @@ let resend_prepare_to t ~dst =
     Obs.Trace.emit ~node:t.id
       (Obs.Event.Prepare_round
          {
-           b = trace_ballot t.dur.prom_rnd;
+           b = Ballot.to_event t.dur.prom_rnd;
            log_idx = Log.length t.dur.log;
            decided_idx = t.dur.decided_idx;
          });
@@ -757,7 +755,7 @@ let do_flush t ~trigger =
           Obs.Trace.emit ~node:t.id
             (Obs.Event.Accept_sent
                {
-                 b = trace_ballot t.dur.prom_rnd;
+                 b = Ballot.to_event t.dur.prom_rnd;
                  start_idx = floor;
                  count = List.length suffix;
                });
@@ -781,7 +779,7 @@ let do_flush t ~trigger =
           Obs.Trace.emit ~node:t.id
             (Obs.Event.Accept_sent
                {
-                 b = trace_ballot t.dur.prom_rnd;
+                 b = Ballot.to_event t.dur.prom_rnd;
                  start_idx = from;
                  count;
                });

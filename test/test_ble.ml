@@ -1,6 +1,8 @@
 (* Unit tests for Ballot Leader Election with hand-driven message delivery:
    the LE1-LE3 properties of §5.1, the takeover mechanics of each §2
-   scenario at the BLE level, and the QC-signal ablation. *)
+   scenario at the BLE level, the QC-signal ablation, the adapter's
+   per-source reply handling (latest reply wins; stale rounds and
+   non-members ignored) and its allocation-free heartbeat path. *)
 
 module Ble = Omnipaxos.Ble
 module Ballot = Omnipaxos.Ballot
@@ -16,12 +18,14 @@ type harness = {
   queues : (int * int * Ble.msg) Queue.t;  (* src, dst, msg *)
   link : bool array array;
   elected : (int * Ballot.t) list ref;  (* every on_leader event, per node *)
+  muted : bool ref;  (* drop every send instead of queueing it *)
 }
 
 let make_harness ?(qc_signal = true) ?(connectivity_priority = false)
     ?priority_of n =
   let queues = Queue.create () in
   let elected = ref [] in
+  let muted = ref false in
   let instances =
     Array.init n (fun id ->
         let peers = List.filter (fun j -> j <> id) (List.init n Fun.id) in
@@ -30,11 +34,11 @@ let make_harness ?(qc_signal = true) ?(connectivity_priority = false)
         in
         Ble.create ~id ~peers ~qc_signal ~connectivity_priority ~priority
           ~persistent:(Ble.fresh_persistent ())
-          ~send:(fun ~dst m -> Queue.add (id, dst, m) queues)
+          ~send:(fun ~dst m -> if not !muted then Queue.add (id, dst, m) queues)
           ~on_leader:(fun b -> elected := (id, b) :: !elected)
           ())
   in
-  { n; instances; queues; link = Array.make_matrix n n true; elected }
+  { n; instances; queues; link = Array.make_matrix n n true; elected; muted }
 
 let drain h =
   while not (Queue.is_empty h.queues) do
@@ -236,22 +240,145 @@ let test_without_connectivity_priority_pid_wins () =
     (Option.get (leader_of h 0)).Ballot.pid
 
 let test_priority_breaks_ties () =
-  let queues = Queue.create () in
-  let elected = ref [] in
-  let n = 3 in
-  let instances =
-    Array.init n (fun id ->
-        let peers = List.filter (fun j -> j <> id) (List.init n Fun.id) in
-        (* Node 0 gets the highest priority. *)
-        Ble.create ~id ~peers ~priority:(10 - id)
-          ~persistent:(Ble.fresh_persistent ())
-          ~send:(fun ~dst m -> Queue.add (id, dst, m) queues)
-          ~on_leader:(fun b -> elected := (id, b) :: !elected)
-          ())
-  in
-  let h = { n; instances; queues; link = Array.make_matrix n n true; elected } in
+  (* Node 0 gets the highest priority. *)
+  let h = make_harness ~priority_of:(fun id -> 10 - id) 3 in
   rounds h 4;
   check_int "priority wins the tie" 0 (Option.get (leader_of h 1)).Ballot.pid
+
+(* Per-source reply handling, driven through the adapter: node 0 of three
+   gets replies by hand and closes rounds with [tick]; its requests are
+   dropped. Two ticks open round 2, the first round that elects. *)
+let lone_node ?(peers = [ 1; 2 ]) () =
+  let sent = ref [] in
+  let b =
+    Ble.create ~id:0 ~peers ~persistent:(Ble.fresh_persistent ())
+      ~send:(fun ~dst m -> sent := (dst, m) :: !sent)
+      ~on_leader:ignore ()
+  in
+  Ble.tick b;
+  Ble.tick b;
+  (b, sent)
+
+let reply ~round ~n ~pid ~qc =
+  Ble.Hb_reply { round; ballot = { Ballot.n; priority = 0; pid }; qc }
+
+let test_request_reply_echo () =
+  let b, sent = lone_node () in
+  sent := [];
+  Ble.handle b ~src:2 (Ble.Hb_request { round = 7 });
+  Ble.handle b ~src:1 (Ble.Hb_request { round = 7 });
+  Ble.handle b ~src:1 (Ble.Hb_request { round = 8 });
+  match List.rev !sent with
+  | [ (2, r1); (1, r2); (1, r3) ] ->
+      let ballot = Ble.current_ballot b in
+      check "echoes the round with our ballot and QC flag" true
+        (r1 = Ble.Hb_reply { round = 7; ballot; qc = false });
+      check "one reply value per round" true (r1 == r2);
+      check "a new round gets its own reply" true
+        (r3 = Ble.Hb_reply { round = 8; ballot; qc = false })
+  | _ -> Alcotest.fail "expected one reply per request, to its sender"
+
+let test_latest_reply_wins () =
+  let elect_after first second =
+    let b, _ = lone_node () in
+    Ble.handle b ~src:1 first;
+    Ble.handle b ~src:1 second;
+    Ble.tick b;
+    (Option.get (Ble.leader b)).Ballot.n
+  in
+  check_int "a later, lower reply replaces the earlier one" 1
+    (elect_after (reply ~round:2 ~n:9 ~pid:1 ~qc:true)
+       (reply ~round:2 ~n:1 ~pid:1 ~qc:true));
+  check_int "a later, higher reply replaces the earlier one" 9
+    (elect_after (reply ~round:2 ~n:1 ~pid:1 ~qc:true)
+       (reply ~round:2 ~n:9 ~pid:1 ~qc:true))
+
+let test_stale_round_ignored () =
+  let b, _ = lone_node () in
+  Ble.handle b ~src:1 (reply ~round:1 ~n:9 ~pid:1 ~qc:true);
+  Ble.handle b ~src:2 (reply ~round:5 ~n:9 ~pid:2 ~qc:true);
+  Ble.tick b;
+  check "no reply of round 2: not QC" false (Ble.is_quorum_connected b);
+  check "nothing elected" true (Option.is_none (Ble.leader b));
+  (* A reply of round 2 does not count once round 3 is open either. *)
+  Ble.handle b ~src:1 (reply ~round:2 ~n:9 ~pid:1 ~qc:true);
+  Ble.tick b;
+  check "a late reply does not count" false (Ble.is_quorum_connected b)
+
+(* Replies from servers outside the configuration — beyond the pid range,
+   negative, or a gap inside it — must neither make a node QC nor get
+   elected. *)
+let test_non_member_replies_dropped () =
+  let flood ?peers srcs =
+    let b, _ = lone_node ?peers () in
+    for round = 2 to 4 do
+      List.iter
+        (fun src -> Ble.handle b ~src (reply ~round ~n:9 ~pid:src ~qc:true))
+        srcs;
+      Ble.tick b
+    done;
+    check "isolated node is not QC" false (Ble.is_quorum_connected b);
+    check "no non-member is elected" true (Option.is_none (Ble.leader b))
+  in
+  flood [ 7; -1 ];
+  flood ~peers:[ 1; 3 ] [ 2; 7; -1 ]
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* An n-node cluster after [rounds 4], with node 0's incoming heartbeats of
+   the next round captured: the requests its peers sent and the replies to
+   its own requests. Sends are muted afterwards. *)
+let steady_heartbeats n =
+  let h = make_harness n in
+  rounds h 4;
+  Array.iter Ble.tick h.instances;
+  let take () =
+    let msgs = List.of_seq (Queue.to_seq h.queues) in
+    Queue.clear h.queues;
+    List.iter (fun (src, dst, m) -> Ble.handle h.instances.(dst) ~src m) msgs;
+    List.filter_map
+      (fun (src, dst, m) -> if dst = 0 then Some (src, m) else None)
+      msgs
+  in
+  let requests = take () in
+  let replies = take () in
+  h.muted := true;
+  (h, Array.of_list requests, Array.of_list replies)
+
+let test_heartbeats_alloc_free () =
+  List.iter
+    (fun n ->
+      let h, requests, replies = steady_heartbeats n in
+      let b = h.instances.(0) in
+      let handle_1000 msgs () =
+        for i = 0 to 999 do
+          let src, m = msgs.(i mod Array.length msgs) in
+          Ble.handle b ~src m
+        done
+      in
+      let label what =
+        Printf.sprintf "1000 %s at n=%d allocate nothing" what n
+      in
+      Alcotest.(check (float 0.)) (label "requests") 0.
+        (minor_words (handle_1000 requests));
+      Alcotest.(check (float 0.)) (label "replies") 0.
+        (minor_words (handle_1000 replies));
+      Ble.tick b;
+      check "replies still counted" true (Ble.is_quorum_connected b);
+      check_int "leader unchanged" (n - 1)
+        (Option.get (Ble.leader b)).Ballot.pid)
+    [ 5; 33 ]
+
+let test_tick_alloc_flat () =
+  let cost n =
+    let h, _, _ = steady_heartbeats n in
+    minor_words (fun () -> Ble.tick h.instances.(0))
+  in
+  Alcotest.(check (float 0.)) "one tick costs the same words at n=5 and n=33"
+    (cost 5) (cost 33)
 
 (* LE1 / LE2 as properties over random static connectivity graphs: after the
    ballots stabilise,
@@ -345,6 +472,17 @@ let () =
             test_without_connectivity_priority_pid_wins;
           Alcotest.test_case "priority breaks ties" `Quick
             test_priority_breaks_ties;
+          Alcotest.test_case "request/reply echo" `Quick test_request_reply_echo;
+          Alcotest.test_case "latest reply from a source wins" `Quick
+            test_latest_reply_wins;
+          Alcotest.test_case "stale-round replies are ignored" `Quick
+            test_stale_round_ignored;
+          Alcotest.test_case "non-member replies dropped" `Quick
+            test_non_member_replies_dropped;
+          Alcotest.test_case "heartbeats allocate nothing" `Quick
+            test_heartbeats_alloc_free;
+          Alcotest.test_case "tick allocation flat in n" `Quick
+            test_tick_alloc_flat;
           QCheck_alcotest.to_alcotest prop_le1_le2_random_graphs;
         ] );
     ]
