@@ -13,7 +13,6 @@
    wall-clock fields it cannot blank. *)
 
 module E = Rsm.Experiments
-module Series = Rsm.Metrics.Series
 module J = Bench_report.Json
 
 let say print fmt =
@@ -187,90 +186,21 @@ let run_fig8c ~quick ~print =
 (* Figure 9                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let peak_window_io ~(io : (float * int array) list) ~node ~window_s =
-  (* [io] holds 1s samples of cumulative bytes. *)
-  let samples = Array.of_list (List.map (fun (_, b) -> b.(node)) io) in
-  let peak = ref 0 in
-  for i = 0 to Array.length samples - 1 - window_s do
-    peak := max !peak (samples.(i + window_s) - samples.(i))
-  done;
-  !peak
-
-let max_node_peak (r : Rsm.Reconfig.result) =
-  match r.io_series with
-  | [] -> 0
-  | (_, first) :: _ ->
-      let n = Array.length first in
-      List.fold_left max 0
-        (List.init n (fun i ->
-             peak_window_io ~io:r.io_series ~node:i ~window_s:5))
-
-(* The busiest node's egress during the reconfiguration period — for Raft
-   this is the leader streaming the full log alone (the "leader IO"
-   figure); for Omni-Paxos the load is striped across donors. *)
-let busiest_during (p : Rsm.Reconfig.params) (r : Rsm.Reconfig.result) =
-  let upto = Option.value r.migration_done_at ~default:p.total_ms in
-  let at time =
-    let rec last acc = function
-      | (t, b) :: rest when t <= time -> last (Some b) rest
-      | _ -> acc
-    in
-    last None r.io_series
-  in
-  match (at p.reconfigure_at, at (upto +. 1000.0)) with
-  | Some before, Some after ->
-      let n = Array.length before in
-      List.fold_left max 0 (List.init n (fun i -> after.(i) - before.(i)))
-  | _ -> 0
-
-let print_reconfig_result print name (p : Rsm.Reconfig.params)
-    (r : Rsm.Reconfig.result) =
-  let windows =
-    Series.windowed r.series ~from:0.0 ~until:p.total_ms ~window:5000.0
-  in
-  say print "\n%s: throughput per 5s window (req/s)\n  " name;
-  List.iter
-    (fun (t, d) -> say print "%.0fs:%d " (t /. 1000.0) (d / 5))
-    windows;
-  if print then print_newline ();
-  let committed =
-    match r.reconfig_committed_at with
-    | Some t -> Printf.sprintf "%.1fs" (t /. 1000.0)
-    | None -> "never"
-  in
-  let migrated =
-    match r.migration_done_at with
-    | Some t -> Printf.sprintf "%.1fs" (t /. 1000.0)
-    | None -> "never"
-  in
-  say print
-    "  reconfig committed: %s   all new servers running: %s\n\
-    \  leader changes: %d   peak per-node egress over a 5s window: %.1f MB\n"
-    committed migrated r.leader_changes
-    (float_of_int (max_node_peak r) /. 1.0e6)
-
 let reconfig_json (p : Rsm.Reconfig.params) (r : Rsm.Reconfig.result) =
-  let windows =
-    Series.windowed r.series ~from:0.0 ~until:p.total_ms ~window:5000.0
-  in
   let opt_ms = function Some t -> J.float t | None -> J.Null in
   J.Obj
     [
       ("committed_at_ms", opt_ms r.reconfig_committed_at);
       ("migration_done_at_ms", opt_ms r.migration_done_at);
       ("leader_changes_count", J.Int r.leader_changes);
-      ("peak_window_bytes", J.Int (max_node_peak r));
-      ("busiest_node_bytes", J.Int (busiest_during p r));
+      ("peak_window_bytes", J.Int (Rsm.Reconfig.peak_window_bytes r));
+      ("busiest_node_bytes", J.Int (Rsm.Reconfig.busiest_node_bytes p r));
       ( "window_rates",
         J.List
           (List.map
-             (fun (t, d) ->
-               J.Obj
-                 [
-                   ("t_ms", J.float t);
-                   ("window_rate", J.float (float_of_int d /. 5.0));
-                 ])
-             windows) );
+             (fun (t, rate) ->
+               J.Obj [ ("t_ms", J.float t); ("window_rate", J.float rate) ])
+             (Rsm.Reconfig.window_rates p r)) );
     ]
 
 let run_fig9 ~section ~replace_majority ~cp ~title ~quick ~print =
@@ -287,25 +217,8 @@ let run_fig9 ~section ~replace_majority ~cp ~title ~quick ~print =
     (float_of_int (params.preload * 8) /. 1.0e6)
     (params.net_cfg.egress_bw /. 1000.0)
     (params.reconfigure_at /. 1000.0);
-  print_reconfig_result print
-    "Omni-Paxos (parallel service-layer migration)" params omni;
-  print_reconfig_result print "Raft (leader-driven migration)" params raft;
-  (match (omni.migration_done_at, raft.migration_done_at) with
-  | Some o, Some r ->
-      let od = o -. params.reconfigure_at
-      and rd = r -. params.reconfigure_at in
-      say print
-        "\nreconfiguration period: omni %.1fs vs raft %.1fs -> %.1fx shorter\n"
-        (od /. 1000.0) (rd /. 1000.0) (rd /. od)
-  | _ -> say print "\n(one of the reconfigurations did not complete)\n");
-  let po = busiest_during params omni and pr = busiest_during params raft in
-  if pr > 0 then
-    say print
-      "busiest-node egress during reconfiguration: omni %.2f MB vs raft %.2f \
-       MB -> %.0f%% less IO\n"
-      (float_of_int po /. 1.0e6)
-      (float_of_int pr /. 1.0e6)
-      (100.0 *. (1.0 -. (float_of_int po /. float_of_int pr)));
+  if print then
+    Format.printf "%a@?" (Rsm.Reconfig.pp_comparison params) (omni, raft);
   let rows =
     J.Obj
       [

@@ -1,48 +1,30 @@
 (* The shared workload of the observability overhead gates
    (check_overhead.exe) and of the trace_scale bench section: a short
-   3-server Omni-Paxos normal execution through the protocol adapter,
+   3-server Omni-Paxos normal execution on the cluster driver,
    exercising every instrumented hot path — BLE heartbeats, accept/decide,
    the adapter's handle/tick frames and decide scan, simnet send/deliver,
    batch flush. *)
 
-module Net = Simnet.Net
-module P = Rsm.Omni_adapter
-
-let n = 3
+module C = Rsm.Cluster.Make (Rsm.Omni_adapter)
 
 (* One short normal execution; returns the decided index as a checksum so
    the work cannot be optimised away. *)
 let run_once seed =
-  let net = Net.create ~seed ~latency:0.1 ~num_nodes:n () in
-  let rand = Random.State.make [| seed |] in
-  let nodes =
-    Array.init n (fun id ->
-        let peers = List.filter (fun j -> j <> id) (List.init n Fun.id) in
-        let send ~dst m = Net.send net ~src:id ~dst ~size:(P.msg_size m) m in
-        let p = P.create ~id ~peers ~election_ticks:10 ~rand ~send () in
-        Net.set_handler net id (fun ~src m -> P.handle p ~src m);
-        Net.set_session_handler net id (fun ~peer -> P.session_reset p ~peer);
-        p)
-  in
-  let rec ticks () =
-    Net.schedule net ~delay:5.0 (fun () ->
-        Array.iter P.tick nodes;
-        ticks ())
-  in
-  ticks ();
-  Net.run_for net 500.0;
+  let c = C.create { Rsm.Cluster.default_config with seed } in
+  C.run_ms c 500.0;
   let leader =
-    match Array.find_opt P.is_leader nodes with
-    | Some p -> p
+    match C.leader c with
+    | Some l -> l
     | None -> failwith "bench workload: no leader elected"
   in
   for wave = 0 to 9 do
     for i = 0 to 199 do
-      ignore (P.propose leader (Replog.Command.noop ((wave * 200) + i)))
+      let cmd = Replog.Command.noop ((wave * 200) + i) in
+      ignore (C.propose_at c ~node:leader cmd)
     done;
-    Net.run_for net 100.0
+    C.run_ms c 100.0
   done;
-  P.decided_index leader
+  Rsm.Omni_adapter.decided_index (C.node c leader)
 
 let time_reps reps =
   let t0 = Sys.time () in

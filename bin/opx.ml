@@ -140,20 +140,11 @@ let with_health ~n ~election_timeout_ms health f =
     let h =
       Obs.Health.create (Obs.Health.default_config ~n ~election_timeout_ms)
     in
-    let id = Obs.Trace.subscribe (Obs.Health.observe h) in
-    let was = Obs.Trace.is_enabled () in
-    Obs.Trace.set_enabled true;
-    let finish () =
-      Obs.Trace.unsubscribe id;
-      Obs.Trace.set_enabled was
-    in
     let v =
-      try f ()
-      with e ->
-        finish ();
-        raise e
+      Obs.Trace.with_sink
+        ~make_sink:(fun () -> Obs.Health.observe h)
+        ~close:ignore f
     in
-    finish ();
     print_health h;
     v
   end
@@ -328,23 +319,7 @@ let reconfig_cmd =
         ~total_ms:(float_of_int total_s *. 1000.0)
         ()
     in
-    let show name (r : Rsm.Reconfig.result) =
-      pf "\n%s:\n" name;
-      (match r.migration_done_at with
-      | Some t ->
-          pf "  reconfiguration period: %.1fs\n"
-            ((t -. params.reconfigure_at) /. 1000.0)
-      | None -> pf "  reconfiguration did not complete\n");
-      pf "  decided: %d  leader changes: %d\n" r.decided r.leader_changes;
-      pf "  throughput per 5s window (req/s):\n   ";
-      List.iter
-        (fun (t, d) -> pf " %.0fs:%d" (t /. 1000.0) (d / 5))
-        (Rsm.Metrics.Series.windowed r.series ~from:0.0 ~until:params.total_ms
-           ~window:5000.0);
-      pf "\n"
-    in
-    show "Omni-Paxos" omni;
-    show "Raft" raft
+    Format.printf "%a@?" (Rsm.Reconfig.pp_comparison params) (omni, raft)
   in
   let majority =
     Arg.(

@@ -5,27 +5,6 @@
 
    Run with: dune exec examples/reconfiguration.exe *)
 
-let show name (p : Rsm.Reconfig.params) (r : Rsm.Reconfig.result) =
-  Format.printf "@.%s:@." name;
-  let fmt_t = function
-    | Some t -> Printf.sprintf "%.1fs" (t /. 1000.0)
-    | None -> "never"
-  in
-  Format.printf "  stop-sign/config committed at %s@."
-    (fmt_t r.reconfig_committed_at);
-  Format.printf "  every new server up and running at %s@."
-    (fmt_t r.migration_done_at);
-  Format.printf "  client commands decided over the run: %d@." r.decided;
-  let windows =
-    Rsm.Metrics.Series.windowed r.series ~from:0.0 ~until:p.total_ms
-      ~window:5000.0
-  in
-  Format.printf "  throughput per 5s window (req/s):@.   ";
-  List.iter
-    (fun (t, d) -> Format.printf " %.0fs:%d" (t /. 1000.0) (d / 5))
-    windows;
-  Format.printf "@."
-
 let () =
   let params =
     {
@@ -53,13 +32,5 @@ let () =
     params.preload
     (float_of_int (params.preload * 8) /. 1.0e6);
   let omni = Rsm.Reconfig.Omni.run params in
-  show "Omni-Paxos (stop-sign + parallel migration in the service layer)"
-    params omni;
   let raft = Rsm.Reconfig.Raft_runner.run params in
-  show "Raft (learner catch-up streamed by the leader alone)" params raft;
-  match (omni.migration_done_at, raft.migration_done_at) with
-  | Some o, Some r ->
-      Format.printf
-        "@.Omni-Paxos completed the reconfiguration %.1fx faster.@."
-        ((r -. params.reconfigure_at) /. (o -. params.reconfigure_at))
-  | _ -> Format.printf "@.(a reconfiguration did not complete)@."
+  Format.printf "%a@?" (Rsm.Reconfig.pp_comparison params) (omni, raft)

@@ -26,16 +26,8 @@ let () =
      with a stop-sign and every server immediately starts its c1 instances@.\
      (no log migration needed - everyone already has the log).@.";
   let r = Rsm.Reconfig.Omni.run params in
-  (match (r.reconfig_committed_at, r.migration_done_at) with
+  Format.printf "%a" (Rsm.Reconfig.pp_result params "Omni-Paxos upgrade") r;
+  match (r.reconfig_committed_at, r.migration_done_at) with
   | Some stop, Some up ->
-      Format.printf
-        "@.stop-sign decided at %.2fs; every server running the new version \
-         at %.2fs@.switch-over gap: %.0f ms@."
-        (stop /. 1000.0) (up /. 1000.0) (up -. stop)
-  | _ -> Format.printf "@.upgrade did not complete@.");
-  Format.printf "throughput per 1s window (req/s):@. ";
-  List.iter
-    (fun (t, d) -> Format.printf " %.0fs:%d" (t /. 1000.0) d)
-    (Rsm.Metrics.Series.windowed r.series ~from:0.0 ~until:params.total_ms
-       ~window:1000.0);
-  Format.printf "@.decided in total: %d@." r.decided
+      Format.printf "switch-over gap: %.0f ms@." (up -. stop)
+  | _ -> Format.printf "upgrade did not complete@."

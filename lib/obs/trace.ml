@@ -84,6 +84,23 @@ let jsonl_sink oc : sink =
   output_string oc (Tracebin.to_json e);
   output_char oc '\n'
 
+let with_sink ~make_sink ~close f =
+  let id = subscribe (make_sink ()) in
+  let was = !enabled in
+  set_enabled true;
+  let finish () =
+    unsubscribe id;
+    set_enabled was;
+    close ()
+  in
+  match f () with
+  | v ->
+      finish ();
+      v
+  | exception e ->
+      finish ();
+      raise e
+
 type recording = {
   events : Event.t list;
   dropped : int;
@@ -101,46 +118,17 @@ let with_recording ?(capacity = 1_000_000) f =
         Hashtbl.replace drops k
           (1 + Option.value (Hashtbl.find_opt drops k) ~default:0)
   in
-  let id = subscribe sink in
-  let was = !enabled in
-  set_enabled true;
-  let finish () =
-    unsubscribe id;
-    set_enabled was
-  in
-  match f () with
-  | v ->
-      finish ();
-      ( v,
-        {
-          events = Ring.to_list ring;
-          dropped = Ring.dropped ring;
-          dropped_by_kind =
-            Replog.Det.sorted_bindings ~compare_key:String.compare drops;
-        } )
-  | exception e ->
-      finish ();
-      raise e
+  let v = with_sink ~make_sink:(fun () -> sink) ~close:ignore f in
+  ( v,
+    {
+      events = Ring.to_list ring;
+      dropped = Ring.dropped ring;
+      dropped_by_kind =
+        Replog.Det.sorted_bindings ~compare_key:String.compare drops;
+    } )
 
 let header_meta () =
   !meta @ match !sampler with None -> [] | Some s -> Sampling.to_meta s
-
-let with_sink ~make_sink ~close f =
-  let id = subscribe (make_sink ()) in
-  let was = !enabled in
-  set_enabled true;
-  let finish () =
-    unsubscribe id;
-    set_enabled was;
-    close ()
-  in
-  match f () with
-  | v ->
-      finish ();
-      v
-  | exception e ->
-      finish ();
-      raise e
 
 let with_file ~file ~format f =
   match (format : Tracebin.format) with

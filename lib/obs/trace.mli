@@ -55,6 +55,12 @@ val emit_at : time:float -> node:int -> Event.kind -> unit
 val jsonl_sink : out_channel -> sink
 (** One [Tracebin.to_json] object per line. *)
 
+val with_sink :
+  make_sink:(unit -> sink) -> close:(unit -> unit) -> (unit -> 'a) -> 'a
+(** [with_sink ~make_sink ~close f] runs [f] with tracing enabled into the
+    sink [make_sink ()], then unsubscribes it, restores the previous
+    enabled state and calls [close] — also when [f] raises. *)
+
 type recording = {
   events : Event.t list;  (** oldest-first; the ring's surviving suffix *)
   dropped : int;

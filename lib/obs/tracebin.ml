@@ -71,7 +71,7 @@ let add_raw_string buf s =
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let default_max_interned = 65_536
+let max_interned = 65_536
 
 (* [Jsonl] writers exist only inside [to_json], where the field writers
    append JSON straight to [buf]; every other field is binary-only, and
@@ -89,7 +89,6 @@ type writer = {
      an interned-string index); strings bypass the scratch. *)
   mutable spos : int;
   interned : (string, int) Hashtbl.t;
-  max_interned : int;
   mutable last_us : int;
   mutable w_events : int;
   mutable w_bytes : int;
@@ -127,7 +126,7 @@ let put_byte w b =
   Bytes.unsafe_set w.scratch w.spos (Char.unsafe_chr b);
   w.spos <- w.spos + 1
 
-let writer ?(meta = []) ?(max_interned = default_max_interned) out =
+let writer ?(meta = []) out =
   let buf = Buffer.create 65_536 in
   Buffer.add_string buf magic;
   add_uvarint buf version;
@@ -145,7 +144,6 @@ let writer ?(meta = []) ?(max_interned = default_max_interned) out =
       scratch = Bytes.create scratch_len;
       spos = 0;
       interned = Hashtbl.create 256;
-      max_interned;
       last_us = 0;
       w_events = 0;
       w_bytes = Buffer.length buf;
@@ -160,7 +158,7 @@ let add_interned w s =
       put_uvarint w 0;
       sflush w;
       add_raw_string w.buf s;
-      if Hashtbl.length w.interned < w.max_interned then
+      if Hashtbl.length w.interned < max_interned then
         Hashtbl.replace w.interned s (Hashtbl.length w.interned)
 
 (* Both formats keep whole microseconds only below 2^51 us in magnitude,
@@ -336,7 +334,6 @@ let to_json (e : Event.t) =
       scratch = Bytes.empty;
       spos = 0;
       interned = no_interned;
-      max_interned = 0;
       last_us = 0;
       w_events = 0;
       w_bytes = 0;
@@ -366,7 +363,6 @@ type source = {
   mutable s_meta : (string * string) list;
   mutable last_us : int;
   table : (int, string) Hashtbl.t;
-  max_interned : int;
   line_buf : Buffer.t;
 }
 
@@ -437,7 +433,7 @@ let read_interned s =
   let v = read_uvarint s in
   if v = 0 then begin
     let str = read_raw_string s in
-    if Hashtbl.length s.table < s.max_interned then
+    if Hashtbl.length s.table < max_interned then
       Hashtbl.replace s.table (Hashtbl.length s.table) str;
     str
   end
@@ -459,7 +455,6 @@ let make_source refill =
       s_meta = [];
       last_us = 0;
       table = Hashtbl.create 256;
-      max_interned = default_max_interned;
       line_buf = Buffer.create 256;
     }
   in

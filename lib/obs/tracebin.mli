@@ -51,13 +51,11 @@ val of_json : string -> (Event.t, string) result
 
 type writer
 
-val writer :
-  ?meta:(string * string) list -> ?max_interned:int -> (string -> unit) ->
-  writer
+val writer : ?meta:(string * string) list -> (string -> unit) -> writer
 (** [writer out] starts a binary trace: the header (with [meta], default
     empty) is encoded immediately. Encoded bytes are handed to [out] in
-    chunks; call {!flush} when done. [max_interned] (default 65536) caps
-    the string table; strings past the cap are written inline. *)
+    chunks; call {!flush} when done. The string table holds at most 65536
+    strings; strings past the cap are written inline. *)
 
 val write : writer -> Event.t -> unit
 (** Raises [Invalid_argument], leaving the writer unchanged, for a time

@@ -30,12 +30,14 @@ let default_config =
     compaction = Omnipaxos.Compaction.disabled;
   }
 
+let election_ticks cfg =
+  max 1 (int_of_float (Float.round (cfg.election_timeout_ms /. cfg.tick_ms)))
+
 module Make (P : Protocol.PROTOCOL) = struct
   type t = {
     cfg : config;
     net : P.msg Net.t;
     nodes : P.t array;
-    election_ticks : int;
     m_accepted : Obs.Metric.Counter.t;
     m_rejected : Obs.Metric.Counter.t;
   }
@@ -47,9 +49,7 @@ module Make (P : Protocol.PROTOCOL) = struct
       Net.create ~seed:cfg.seed ~latency:cfg.latency_ms
         ~egress_bw:cfg.egress_bw ~num_nodes:cfg.n ()
     in
-    let election_ticks =
-      max 1 (int_of_float (Float.round (cfg.election_timeout_ms /. cfg.tick_ms)))
-    in
+    let election_ticks = election_ticks cfg in
     let make_node id =
       let peers = List.filter (fun j -> j <> id) (all_ids cfg.n) in
       let send ~dst m = Net.send net ~src:id ~dst ~size:(P.msg_size m) m in
@@ -67,7 +67,6 @@ module Make (P : Protocol.PROTOCOL) = struct
         cfg;
         net;
         nodes;
-        election_ticks;
         m_accepted =
           Obs.Metric.Registry.(counter default "cluster.proposals.accepted");
         m_rejected =

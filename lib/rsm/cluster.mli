@@ -20,6 +20,10 @@ val default_config : config
     paper's LAN RTT of 0.2 ms), unlimited bandwidth, seed 42, fixed
     batching, compaction disabled. *)
 
+val election_ticks : config -> int
+(** The election timeout in driver ticks (rounded, at least 1): the
+    [election_ticks] every node of a cluster is created with. *)
+
 module Make (P : Protocol.PROTOCOL) : sig
   type t
 

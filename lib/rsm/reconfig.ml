@@ -10,7 +10,10 @@
     [Raft] implements the leader-driven scheme the paper compares against:
     new servers join as learners streamed by the leader alone; a config
     entry switches the voter set when it commits, so with a majority
-    replaced, commits stall until the new servers catch up. *)
+    replaced, commits stall until the new servers catch up.
+
+    Both build only their servers and run on one driver, [drive]; the
+    numbers Figure 9 reports are read off the result at the end. *)
 
 module Net = Simnet.Net
 module Log = Replog.Log
@@ -57,25 +60,82 @@ let count_client_cmds entries =
       | Omnipaxos.Entry.Cmd _ | Omnipaxos.Entry.Stop_sign _ -> acc)
     0 entries
 
-let schedule_faults net faults =
+(* What a runner hands the driver: its servers' per-tick work, the
+   client's view of them, the reconfiguration trigger and the two
+   milestones the result reports. *)
+type runner = {
+  tick : unit -> unit;
+  decided : unit -> int;
+  leader : unit -> int option;
+  propose : int -> Command.t -> bool;  (** one command at a server *)
+  reconfigure : unit -> unit;
+  committed_at : unit -> float option;
+  done_at : unit -> float option;
+}
+
+(* The harness both runners share, scheduled in this order: the net, the
+   tick loop, the faults, the per-second egress sampler, the closed-loop
+   client and the reconfiguration trigger. [setup] builds the runner's
+   servers on the net. *)
+let drive (p : params) setup =
+  let c = p.net_cfg in
+  let net =
+    Net.create ~seed:c.seed ~latency:c.latency_ms ~egress_bw:c.egress_bw
+      ~num_nodes:c.n ()
+  in
+  let r = setup net ~election_ticks:(Cluster.election_ticks c) in
+  let rec tick_loop () =
+    Net.schedule net ~delay:c.tick_ms (fun () ->
+        r.tick ();
+        tick_loop ())
+  in
+  tick_loop ();
   List.iter
     (fun (at, fault) ->
       Net.schedule net ~delay:at (fun () ->
           match fault with
           | Cut_link (a, b) -> Net.set_link net a b false
           | Crash_node i -> Net.crash net i))
-    faults
-
-(* Per-second sampler of every node's cumulative egress bytes. *)
-let start_io_sampler net samples =
-  let n = Net.num_nodes net in
-  let rec loop () =
+    p.faults;
+  let io_samples = ref [] in
+  let rec sample () =
     Net.schedule net ~delay:1000.0 (fun () ->
-        let snapshot = Array.init n (fun i -> Net.bytes_sent net i) in
-        samples := (Net.now net, snapshot) :: !samples;
-        loop ())
+        let snapshot = Array.init c.n (fun i -> Net.bytes_sent net i) in
+        io_samples := (Net.now net, snapshot) :: !io_samples;
+        sample ())
   in
-  loop ()
+  sample ();
+  let propose_batch ~leader ~first_id ~count =
+    let got = ref 0 in
+    (try
+       for i = first_id to first_id + count - 1 do
+         if r.propose leader (Command.noop i) then incr got else raise Exit
+       done
+     with Exit -> ());
+    !got
+  in
+  let client =
+    Client.start ~retry_ms:(4.0 *. c.election_timeout_ms) ~poll_ms:c.tick_ms
+      ~cp:p.cp
+      {
+        Client.now = (fun () -> Net.now net);
+        decided = r.decided;
+        leader = r.leader;
+        propose_batch;
+        schedule = (fun ~delay f -> Net.schedule net ~delay f);
+      }
+  in
+  Net.schedule net ~delay:p.reconfigure_at r.reconfigure;
+  Net.run_until net p.total_ms;
+  Client.stop client;
+  {
+    series = Client.series client;
+    io_series = List.rev !io_samples;
+    reconfig_committed_at = r.committed_at ();
+    migration_done_at = r.done_at ();
+    leader_changes = Client.leader_changes client;
+    decided = Client.decided client;
+  }
 
 module Omni = struct
   module R = Omnipaxos.Replica
@@ -117,11 +177,13 @@ module Omni = struct
     mutable tail_from : int;  (** striped tail covers [tail_from, total) *)
   }
 
+  (* Config ids are 0 (the old configuration) and 1 (the new one), so
+     every per-config field is a two-slot array indexed by config id. *)
   type server = {
     id : int;
-    mutable replicas : (int * R.t) list;  (** newest config first *)
-    mutable cmds : int array;  (** client commands decided, per config *)
-    mutable seen : int array;  (** decided-scan position, per config *)
+    replicas : R.t option array;  (** the replica run per config *)
+    cmds : int array;  (** client commands decided, per config *)
+    seen : int array;  (** decided-scan position, per config *)
     mutable transitioned : bool;
     mutable migration : migration option;
     mutable base_cmds : int;  (** commands in the migrated base (new servers) *)
@@ -132,6 +194,8 @@ module Omni = struct
     net : wire Net.t;
     servers : server array;
     continuing : int list;
+    election_ticks : int;
+    mutable ticks : int;
     mutable ss_requested : bool;
     mutable reconfig_committed_at : float option;
     mutable migration_done_at : float option;
@@ -147,7 +211,13 @@ module Omni = struct
         else acc)
       0 t.servers
 
-  let replica_of s cfg = List.assoc_opt cfg s.replicas
+  (* The newest configuration this server runs a replica of (0 if none). *)
+  let newest s = if Option.is_some s.replicas.(1) then 1 else 0
+
+  (* Newest first, like the order the replicas were started in. *)
+  let iter_replicas f s =
+    Option.iter f s.replicas.(1);
+    Option.iter f s.replicas.(0)
 
   let send_wire t src dst m = Net.send t.net ~src ~dst ~size:(wire_size m) m
 
@@ -158,44 +228,27 @@ module Omni = struct
     if
       Option.is_none t.migration_done_at
       && List.for_all
-           (fun j -> Option.is_some (replica_of t.servers.(j) cfg))
+           (fun j -> Option.is_some t.servers.(j).replicas.(cfg))
            t.p.new_nodes
     then begin
       t.migration_done_at <- Some (Net.now t.net);
       trace_milestone ~node:(-1) ~config_id:cfg "migration-done"
     end
 
-  let election_ticks t =
-    max 1
-      (int_of_float
-         (Float.round (t.p.net_cfg.election_timeout_ms /. t.p.net_cfg.tick_ms)))
-
-  let grow_to_cfg s cfg =
-    if Array.length s.cmds <= cfg then begin
-      let grow a =
-        let b = Array.make (cfg + 1) 0 in
-        Array.blit a 0 b 0 (Array.length a);
-        b
-      in
-      s.cmds <- grow s.cmds;
-      s.seen <- grow s.seen
-    end
-
   (* Start the replica of configuration [cfg] at server [s]. *)
   let rec start_replica t s ~cfg ~nodes ~storage =
-    grow_to_cfg s cfg;
     let peers = List.filter (fun j -> j <> s.id) nodes in
-    let replica = ref None in
-    let on_decide _ = on_replica_decide t s ~cfg (Option.get !replica) in
+    let on_decide _ =
+      on_replica_decide t s ~cfg (Option.get s.replicas.(cfg))
+    in
     let r =
-      R.create ~id:s.id ~peers ~hb_ticks:(election_ticks t)
+      R.create ~id:s.id ~peers ~hb_ticks:t.election_ticks
         ~batching:t.p.net_cfg.Cluster.batching
         ~compaction:t.p.net_cfg.Cluster.compaction ~storage
         ~send:(fun ~dst m -> send_wire t s.id dst (Rep { cfg; m }))
         ~on_decide ()
     in
-    replica := Some r;
-    s.replicas <- (cfg, r) :: s.replicas
+    s.replicas.(cfg) <- Some r
 
   (* Scan newly decided entries: count client commands, and drive the
      service-layer transition when the stop-sign is decided. *)
@@ -363,7 +416,7 @@ module Omni = struct
      its client-command count, so a joiner seeds [base_cmds] without
      replaying the trimmed prefix. *)
   let on_snap_req t s ~src ~cfg =
-    match replica_of s 0 with
+    match s.replicas.(0) with
     | None -> ()
     | Some r0 ->
         send_wire t s.id src
@@ -380,7 +433,7 @@ module Omni = struct
      below this donor's trim point cannot be answered with entries — ship
      the snapshot instead and let the joiner restart its tail above it. *)
   let on_seg_req t s ~src ~cfg ~seg ~from_idx ~upto =
-    match replica_of s 0 with
+    match s.replicas.(0) with
     | None -> ()
     | Some r0 ->
         if from_idx < R.first_idx r0 then on_snap_req t s ~src ~cfg
@@ -397,11 +450,11 @@ module Omni = struct
   let handle t s ~src wire =
     match wire with
     | Rep { cfg; m } -> (
-        match replica_of s cfg with
+        match s.replicas.(cfg) with
         | Some r -> R.handle r ~src m
         | None -> ())
     | New_config { cfg; nodes; total } ->
-        if Option.is_none s.migration && Option.is_none (replica_of s cfg)
+        if Option.is_none s.migration && Option.is_none s.replicas.(cfg)
         then begin
           ignore nodes;
           start_migration t s ~cfg ~total
@@ -419,37 +472,30 @@ module Omni = struct
     let best = ref None in
     Array.iter
       (fun s ->
-        match s.replicas with
-        | (cfg, r) :: _ when R.is_leader r && not (R.is_stopped r) -> (
+        let cfg = newest s in
+        match s.replicas.(cfg) with
+        | Some r when R.is_leader r && not (R.is_stopped r) -> (
             let cmds = server_cmds s in
             match !best with
             | Some ((bc, bm), _) when bc > cfg || (bc = cfg && bm >= cmds) ->
                 ()
             | Some _ | None -> best := Some ((cfg, cmds), s.id))
-        | _ -> ())
+        | Some _ | None -> ())
       t.servers;
     Option.map snd !best
 
-  let propose_batch t ~leader ~first_id ~count =
+  let propose t leader cmd =
     let s = t.servers.(leader) in
-    match s.replicas with
-    | (_, r) :: _ ->
-        let got = ref 0 in
-        (try
-           for i = first_id to first_id + count - 1 do
-             if R.propose_cmd r (Command.noop i) then incr got
-             else raise Exit
-           done
-         with Exit -> ());
-        !got
-    | [] -> 0
+    match s.replicas.(newest s) with
+    | Some r -> R.propose_cmd r cmd
+    | None -> false
 
   (* Ask the current old-configuration leader to stop the configuration. *)
   let try_request_reconfig t =
     if Option.is_none t.reconfig_committed_at then
       Array.iter
         (fun s ->
-          match replica_of s 0 with
+          match s.replicas.(0) with
           | Some r when R.is_leader r && not (R.is_stopped r) ->
               ignore
                 (R.propose_reconfigure r ~config_id:1 ~nodes:t.p.new_nodes)
@@ -466,11 +512,22 @@ module Omni = struct
     sp.Omnipaxos.Sequence_paxos.decided_idx <- preload;
     storage
 
+  (* Ticks every replica and retries missing segments. *)
+  let tick t =
+    t.ticks <- t.ticks + 1;
+    Array.iter
+      (fun s ->
+        iter_replicas R.tick s;
+        if
+          Option.is_some s.migration
+          && t.ticks mod (4 * t.election_ticks) = 0
+        then request_missing t s ~cfg:1)
+      t.servers;
+    if t.ss_requested && Option.is_none t.reconfig_committed_at then
+      try_request_reconfig t
+
   let run (p : params) : result =
-    let net =
-      Net.create ~seed:p.net_cfg.seed ~latency:p.net_cfg.latency_ms
-        ~egress_bw:p.net_cfg.egress_bw ~num_nodes:p.net_cfg.n ()
-    in
+    drive p @@ fun net ~election_ticks ->
     let continuing =
       List.filter (fun j -> List.mem j p.new_nodes) p.old_nodes
     in
@@ -478,7 +535,7 @@ module Omni = struct
       Array.init p.net_cfg.n (fun id ->
           {
             id;
-            replicas = [];
+            replicas = Array.make 2 None;
             cmds = Array.make 2 0;
             seen = Array.make 2 0;
             transitioned = false;
@@ -492,6 +549,8 @@ module Omni = struct
         net;
         servers;
         continuing;
+        election_ticks;
+        ticks = 0;
         ss_requested = false;
         reconfig_committed_at = None;
         migration_done_at = None;
@@ -507,54 +566,19 @@ module Omni = struct
       (fun s ->
         Net.set_handler net s.id (fun ~src m -> handle t s ~src m);
         Net.set_session_handler net s.id (fun ~peer ->
-            List.iter (fun (_, r) -> R.session_reset r ~peer) s.replicas))
+            iter_replicas (fun r -> R.session_reset r ~peer) s))
       servers;
-    (* Tick loop: ticks every replica and retries missing segments. *)
-    let tick_counter = ref 0 in
-    let rec tick_loop () =
-      Net.schedule net ~delay:p.net_cfg.tick_ms (fun () ->
-          incr tick_counter;
-          Array.iter
-            (fun s ->
-              List.iter (fun (_, r) -> R.tick r) s.replicas;
-              if
-                Option.is_some s.migration
-                && !tick_counter mod (4 * election_ticks t) = 0
-              then request_missing t s ~cfg:1)
-            servers;
-          if t.ss_requested && Option.is_none t.reconfig_committed_at then
-            try_request_reconfig t;
-          tick_loop ())
-    in
-    tick_loop ();
-    schedule_faults net p.faults;
-    let io_samples = ref [] in
-    start_io_sampler net io_samples;
-    let client =
-      Client.start ~retry_ms:(4.0 *. p.net_cfg.election_timeout_ms)
-        ~poll_ms:p.net_cfg.tick_ms ~cp:p.cp
-        {
-          Client.now = (fun () -> Net.now net);
-          decided = (fun () -> decided_total t);
-          leader = (fun () -> leader t);
-          propose_batch =
-            (fun ~leader ~first_id ~count ->
-              propose_batch t ~leader ~first_id ~count);
-          schedule = (fun ~delay f -> Net.schedule net ~delay f);
-        }
-    in
-    Net.schedule net ~delay:p.reconfigure_at (fun () ->
-        t.ss_requested <- true;
-        try_request_reconfig t);
-    Net.run_until net p.total_ms;
-    Client.stop client;
     {
-      series = Client.series client;
-      io_series = List.rev !io_samples;
-      reconfig_committed_at = t.reconfig_committed_at;
-      migration_done_at = t.migration_done_at;
-      leader_changes = Client.leader_changes client;
-      decided = Client.decided client;
+      tick = (fun () -> tick t);
+      decided = (fun () -> decided_total t);
+      leader = (fun () -> leader t);
+      propose = propose t;
+      reconfigure =
+        (fun () ->
+          t.ss_requested <- true;
+          try_request_reconfig t);
+      committed_at = (fun () -> t.reconfig_committed_at);
+      done_at = (fun () -> t.migration_done_at);
     }
 end
 
@@ -571,19 +595,14 @@ module Raft_runner = struct
     p : params;
     net : N.msg Net.t;
     nodes : node_state option array;
+    election_ticks : int;
     mutable reconfig_requested : bool;
     mutable proposed_to : int option;
     mutable reconfig_committed_at : float option;
     mutable migration_done_at : float option;
   }
 
-  let election_ticks p =
-    max 1
-      (int_of_float
-         (Float.round (p.net_cfg.election_timeout_ms /. p.net_cfg.tick_ms)))
-
   let make_node t ~id ~voters ~persistent =
-    let p = t.p in
     let ns = ref None in
     let on_commit upto =
       match !ns with
@@ -596,7 +615,7 @@ module Raft_runner = struct
           ns.scanned <- upto
     in
     let node =
-      N.create ~id ~voters ~election_ticks:(election_ticks p)
+      N.create ~id ~voters ~election_ticks:t.election_ticks
         ~rand:(Net.rng t.net) ~persistent
         ~send:(fun ~dst m -> Net.send t.net ~src:id ~dst ~size:(N.msg_size m) m)
         ~on_commit ()
@@ -625,22 +644,14 @@ module Raft_runner = struct
       t.nodes;
     Option.map fst !best
 
-  let propose_batch t ~leader ~first_id ~count =
+  let propose t leader cmd =
     match t.nodes.(leader) with
-    | None -> 0
-    | Some ns ->
-        let got = ref 0 in
-        (try
-           for i = first_id to first_id + count - 1 do
-             if N.propose ns.node (Command.noop i) then incr got
-             else raise Exit
-           done
-         with Exit -> ());
-        !got
+    | Some ns -> N.propose ns.node cmd
+    | None -> false
 
   (* Activate the new servers as learners at the current leader and append
      the config entry; re-issued if leadership moves before it commits. *)
-  let drive_reconfig t =
+  let advance_reconfig t =
     if t.reconfig_requested && Option.is_none t.reconfig_committed_at
     then begin
       (* Activate new server nodes on first use. They join as true learners
@@ -713,16 +724,23 @@ module Raft_runner = struct
     done;
     persistent
 
+  let tick t =
+    Array.iteri
+      (fun id -> function
+        | Some ns when Net.is_up t.net id -> N.tick ns.node
+        | Some _ | None -> ())
+      t.nodes;
+    advance_reconfig t;
+    check_progress t
+
   let run (p : params) : result =
-    let net =
-      Net.create ~seed:p.net_cfg.seed ~latency:p.net_cfg.latency_ms
-        ~egress_bw:p.net_cfg.egress_bw ~num_nodes:p.net_cfg.n ()
-    in
+    drive p @@ fun net ~election_ticks ->
     let t =
       {
         p;
         net;
         nodes = Array.make p.net_cfg.n None;
+        election_ticks;
         reconfig_requested = false;
         proposed_to = None;
         reconfig_committed_at = None;
@@ -737,44 +755,86 @@ module Raft_runner = struct
         in
         ())
       p.old_nodes;
-    let rec tick_loop () =
-      Net.schedule net ~delay:p.net_cfg.tick_ms (fun () ->
-          Array.iteri
-            (fun id -> function
-              | Some ns when Net.is_up net id -> N.tick ns.node
-              | Some _ | None -> ())
-            t.nodes;
-          drive_reconfig t;
-          check_progress t;
-          tick_loop ())
-    in
-    tick_loop ();
-    schedule_faults net p.faults;
-    let io_samples = ref [] in
-    start_io_sampler net io_samples;
-    let client =
-      Client.start ~retry_ms:(4.0 *. p.net_cfg.election_timeout_ms)
-        ~poll_ms:p.net_cfg.tick_ms ~cp:p.cp
-        {
-          Client.now = (fun () -> Net.now net);
-          decided = (fun () -> decided_total t);
-          leader = (fun () -> leader t);
-          propose_batch =
-            (fun ~leader ~first_id ~count ->
-              propose_batch t ~leader ~first_id ~count);
-          schedule = (fun ~delay f -> Net.schedule net ~delay f);
-        }
-    in
-    Net.schedule net ~delay:p.reconfigure_at (fun () ->
-        t.reconfig_requested <- true);
-    Net.run_until net p.total_ms;
-    Client.stop client;
     {
-      series = Client.series client;
-      io_series = List.rev !io_samples;
-      reconfig_committed_at = t.reconfig_committed_at;
-      migration_done_at = t.migration_done_at;
-      leader_changes = Client.leader_changes client;
-      decided = Client.decided client;
+      tick = (fun () -> tick t);
+      decided = (fun () -> decided_total t);
+      leader = (fun () -> leader t);
+      propose = propose t;
+      reconfigure = (fun () -> t.reconfig_requested <- true);
+      committed_at = (fun () -> t.reconfig_committed_at);
+      done_at = (fun () -> t.migration_done_at);
     }
 end
+
+(* Reading a result: the numbers Figure 9 reports, over 5 s windows. *)
+
+let window_s = 5
+
+let window_rates p r =
+  List.map
+    (fun (t, d) -> (t, float_of_int d /. float_of_int window_s))
+    (Metrics.Series.windowed r.series ~from:0.0 ~until:p.total_ms
+       ~window:(1000.0 *. float_of_int window_s))
+
+(* [io_series] holds 1 s samples of cumulative bytes, so a window spans
+   [window_s] consecutive samples. *)
+let peak_window_bytes r =
+  let samples = Array.of_list (List.map snd r.io_series) in
+  let peak = ref 0 in
+  for i = 0 to Array.length samples - 1 - window_s do
+    Array.iteri
+      (fun node b -> peak := max !peak (b - samples.(i).(node)))
+      samples.(i + window_s)
+  done;
+  !peak
+
+let busiest_node_bytes p r =
+  let upto = Option.value r.migration_done_at ~default:p.total_ms in
+  let at time =
+    let rec last acc = function
+      | (t, b) :: rest when t <= time -> last (Some b) rest
+      | _ -> acc
+    in
+    last None r.io_series
+  in
+  match (at p.reconfigure_at, at (upto +. 1000.0)) with
+  | Some before, Some after ->
+      let busiest = ref 0 in
+      Array.iteri (fun i b -> busiest := max !busiest (b - before.(i))) after;
+      !busiest
+  | _ -> 0
+
+let pp_result p name ppf r =
+  let pf fmt = Format.fprintf ppf fmt in
+  let at = function
+    | Some t -> Printf.sprintf "%.1fs" (t /. 1000.0)
+    | None -> "never"
+  in
+  pf "@\n%s: throughput per %ds window (req/s)@\n  " name window_s;
+  List.iter
+    (fun (t, rate) -> pf "%.0fs:%d " (t /. 1000.0) (truncate rate))
+    (window_rates p r);
+  pf "@\n  reconfig committed: %s   all new servers running: %s@\n"
+    (at r.reconfig_committed_at) (at r.migration_done_at);
+  pf "  leader changes: %d   peak per-node egress over a %ds window: %.1f MB@\n"
+    r.leader_changes window_s
+    (float_of_int (peak_window_bytes r) /. 1.0e6)
+
+let pp_comparison p ppf (omni, raft) =
+  let pf fmt = Format.fprintf ppf fmt in
+  pp_result p "Omni-Paxos (parallel service-layer migration)" ppf omni;
+  pp_result p "Raft (leader-driven migration)" ppf raft;
+  (match (omni.migration_done_at, raft.migration_done_at) with
+  | Some o, Some r ->
+      let od = o -. p.reconfigure_at and rd = r -. p.reconfigure_at in
+      pf "@\nreconfiguration period: omni %.1fs vs raft %.1fs -> %.1fx shorter@\n"
+        (od /. 1000.0) (rd /. 1000.0) (rd /. od)
+  | _ -> pf "@\n(one of the reconfigurations did not complete)@\n");
+  let po = busiest_node_bytes p omni and pr = busiest_node_bytes p raft in
+  if pr > 0 then
+    pf
+      "busiest-node egress during reconfiguration: omni %.2f MB vs raft %.2f \
+       MB -> %.0f%% less IO@\n"
+      (float_of_int po /. 1.0e6)
+      (float_of_int pr /. 1.0e6)
+      (100.0 *. (1.0 -. (float_of_int po /. float_of_int pr)))

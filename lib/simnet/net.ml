@@ -63,7 +63,6 @@ type 'm t = {
      bytes — one large transfer therefore delays, but does not starve, the
      sender's other traffic (TCP flows interleave at packet granularity). *)
   egress_bw : float;
-  egress_chunk : int;
   links : 'm link array;  (* per (src, dst), index [src * n + dst] *)
   egress_busy : bool array;
   egress_rr : int array;  (* next destination to serve, per src *)
@@ -115,8 +114,10 @@ let boxed_now t =
   if t.now_box <> t.clock.now then t.now_box <- t.clock.now;
   t.now_box
 
-let create ?(seed = 42) ?(latency = 0.1) ?(egress_bw = infinity)
-    ?(egress_chunk = 4096) ~num_nodes () =
+let egress_chunk = 4096
+
+let create ?(seed = 42) ?(latency = 0.1) ?(egress_bw = infinity) ~num_nodes
+    () =
   let n = num_nodes in
   let t =
     {
@@ -130,7 +131,6 @@ let create ?(seed = 42) ?(latency = 0.1) ?(egress_bw = infinity)
     session = Array.make_matrix n n 0;
     node_up = Array.make n true;
     egress_bw;
-    egress_chunk;
     links =
       Array.init (n * n) (fun link ->
           {
@@ -275,7 +275,7 @@ let pump_egress t src =
     let l = t.links.(base + d) in
     let m = ((l.fly land (Array.length l.msgs - 1)) * meta_width) + m_remaining in
     let remaining = l.meta.(m) in
-    let chunk = min t.egress_chunk (max 1 remaining) in
+    let chunk = min egress_chunk (max 1 remaining) in
     (* Bytes are accounted when they leave the NIC, so windowed egress
        readings are physical. *)
     t.sent_bytes.(src) <- t.sent_bytes.(src) + chunk;

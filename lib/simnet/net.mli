@@ -25,7 +25,6 @@ val create :
   ?seed:int ->
   ?latency:float ->
   ?egress_bw:float ->
-  ?egress_chunk:int ->
   num_nodes:int ->
   unit ->
   'm t
@@ -34,10 +33,9 @@ val create :
     0.2 ms RTT as in the paper's LAN setting). [egress_bw] is each node's
     outgoing bandwidth in bytes/ms ([infinity] disables the egress model;
     default [infinity]). A sender's outgoing messages drain at [egress_bw],
-    shared across destinations round-robin in chunks of [egress_chunk] bytes
-    (default 4096) — a large transfer delays, but does not starve, the
-    sender's other traffic, like TCP flows interleaving at packet
-    granularity. *)
+    shared across destinations round-robin in 4096-byte chunks — a large
+    transfer delays, but does not starve, the sender's other traffic, like
+    TCP flows interleaving at packet granularity. *)
 
 (** {1 Clock and execution} *)
 

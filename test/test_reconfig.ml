@@ -27,6 +27,21 @@ let params ?(old_nodes = [ 0; 1; 2; 3; 4 ]) ?(new_nodes = [ 0; 1; 2; 3; 5 ])
 let throughput_after series ~from ~until =
   Rsm.Metrics.Series.total_between series ~from ~until
 
+(* The exact outcome of a run, pinned so a refactor of the runners shows up
+   as a changed number rather than a still-passing range check. *)
+let check_exact (r : Rsm.Reconfig.result) ~committed ~done_ ~decided
+    ~leader_changes ~final_egress =
+  let ms = function Some t -> Printf.sprintf "%.3f" t | None -> "never" in
+  Alcotest.(check string) "committed at (ms)" committed
+    (ms r.reconfig_committed_at);
+  Alcotest.(check string) "migration done at (ms)" done_
+    (ms r.migration_done_at);
+  Alcotest.(check int) "decided" decided r.decided;
+  Alcotest.(check int) "leader changes" leader_changes r.leader_changes;
+  let _, bytes = List.nth r.io_series (List.length r.io_series - 1) in
+  Alcotest.(check (list int)) "final egress per node" final_egress
+    (Array.to_list bytes)
+
 let test_omni_replace_one () =
   let p = params () in
   let r = Rsm.Reconfig.Omni.run p in
@@ -37,7 +52,11 @@ let test_omni_replace_one () =
   check "throughput resumes after migration" true
     (throughput_after r.series ~from:(done_at +. 2_000.0) ~until:p.total_ms
      > 1000);
-  check "decided a sizable load overall" true (r.decided > 10_000)
+  check "decided a sizable load overall" true (r.decided > 10_000);
+  check_exact r ~committed:"2003.561" ~done_:"2116.603" ~decided:1473500
+    ~leader_changes:2
+    ~final_egress:
+      [ 622355; 622355; 622355; 830513; 3187053; 45195508; 0; 0 ]
 
 let test_omni_replace_majority () =
   let p = params ~new_nodes:[ 0; 1; 5; 6; 7 ] () in
@@ -72,7 +91,10 @@ let test_raft_replace_one () =
   let done_at = Option.get r.migration_done_at in
   check "throughput resumes" true
     (throughput_after r.series ~from:(done_at +. 3_000.0) ~until:p.total_ms
-     > 1000)
+     > 1000);
+  check_exact r ~committed:"2015.000" ~done_:"2810.000" ~decided:990000
+    ~leader_changes:1
+    ~final_egress:[ 87898; 38605282; 87898; 87898; 2733633; 82280; 0; 0 ]
 
 let test_raft_leader_bottleneck () =
   (* Raft's leader alone streams the full log to the newcomer; its egress
