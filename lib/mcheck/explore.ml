@@ -260,7 +260,7 @@ let run_step ex w step touched =
     (i, make_node ex ex.live.(i) app app_key ex.cursor.(i))
   in
   ( List.map node touched,
-    List.rev_map (fun (s, d, m) -> (s, d, m, intern ex m)) ex.out )
+    List.rev_map (fun (s, d, m) -> (s, d, m, intern ex (Sp.msg_key m))) ex.out )
 
 (* The world after [step], sharing every untouched node and queue with
    [w], and the nodes the step changed; [ex] holds what the callbacks saw. *)

@@ -15,13 +15,13 @@ type msg =
       log_idx : int;
       decided_idx : int;
       suffix_from : int;
-      suffix : Entry.t list;
+      suffix : Entry.t Log.slice;
       snapshot : (int * string) option;
     }
   | Accept_sync of {
       n : Ballot.t;
       sync_idx : int;
-      suffix : Entry.t list;
+      suffix : Entry.t Log.slice;
       decided_idx : int;
       snapshot : (int * string) option;
           (* state snapshot covering [0, idx), for followers below the
@@ -30,7 +30,7 @@ type msg =
   | Accept of {
       n : Ballot.t;
       start_idx : int;
-      entries : Entry.t list;
+      entries : Entry.t Log.slice;
       decided_idx : int;
     }
   | Accepted of { n : Ballot.t; log_idx : int }
@@ -64,7 +64,7 @@ type promise_info = {
   p_log_idx : int;
   p_decided_idx : int;
   p_suffix_from : int;
-  p_suffix : Entry.t list;
+  p_suffix : Entry.t Log.slice;
   p_snapshot : Store.received option;
 }
 
@@ -113,11 +113,11 @@ let fresh_persistent () =
     store = Store.create ();
   }
 
-let find_stop_sign_from log ~from =
-  let found = ref None in
-  Log.iteri_from log ~from (fun i e ->
-      if Option.is_none !found && Entry.is_stop_sign e then found := Some i);
-  !found
+(* The index of the first stop-sign at or above [i], if any. *)
+let rec stop_sign_from log i =
+  if i >= Log.length log then None
+  else if Entry.is_stop_sign (Log.get log i) then Some i
+  else stop_sign_from log (i + 1)
 
 let create ~id ~peers ~persistent ?(batching = Batching.fixed)
     ?(compaction = Compaction.disabled) ~send ?(on_decide = fun _ -> ())
@@ -147,7 +147,7 @@ let create ~id ~peers ~persistent ?(batching = Batching.fixed)
     unflushed = 0;
     acked_idx = 0;
     ack_pending = false;
-    ss_idx = find_stop_sign_from persistent.log ~from:0;
+    ss_idx = stop_sign_from persistent.log (Log.first_idx persistent.log);
   }
 
 let id t = t.id
@@ -188,15 +188,17 @@ let stop_sign t =
       | Entry.Cmd _ -> None)
   | Some _ | None -> None
 
-(* Replace the log suffix during synchronisation, keeping [ss_idx] accurate
-   (a non-chosen stop-sign can be overwritten, Figure 3a). *)
-let sync_log t ~at suffix =
-  Log.set_suffix t.dur.log ~at suffix;
+(* Replace the log suffix from [at] with the entries of [suffix] from its
+   [skip]th on during synchronisation, keeping [ss_idx] accurate (a
+   non-chosen stop-sign can be overwritten, Figure 3a). *)
+let sync_log t ~at suffix ~skip =
+  Log.set_suffix t.dur.log ~at suffix ~skip;
   (match t.ss_idx with Some i when i >= at -> t.ss_idx <- None | _ -> ());
-  if Option.is_none t.ss_idx then
-    t.ss_idx <-
-      Option.map (fun i -> at + i)
-        (List.find_index Entry.is_stop_sign suffix)
+  if Option.is_none t.ss_idx then t.ss_idx <- stop_sign_from t.dur.log at
+
+(* The log's entries from [from] on, as a slice for a message. *)
+let suffix_slice t ~from =
+  Log.slice t.dur.log ~pos:from ~len:(max 0 (Log.length t.dur.log - from))
 
 let append_entry t e =
   Log.append t.dur.log e;
@@ -243,12 +245,11 @@ let adopt_snapshot_suffix t (snap : Store.received) ~suffix =
     t.ss_idx <- None;
     t.dur.decided_idx <- idx;
     t.on_snapshot idx snap.envelope;
-    sync_log t ~at:idx suffix
+    sync_log t ~at:idx suffix ~skip:0
   end
   else begin
     let at = max idx (Log.first_idx t.dur.log) in
-    let suffix = List.filteri (fun i _ -> idx + i >= at) suffix in
-    sync_log t ~at suffix
+    sync_log t ~at suffix ~skip:(at - idx)
   end
 
 (* Insert [v] into [buf.(0 .. n-1)], kept in descending order. *)
@@ -365,14 +366,14 @@ let accept_sync_follower t ~dst ~(info : promise_info) ~max_acc_rnd =
      trimmed prefix. *)
   let snapshot = if wanted < floor then Some (floor, snapshot t) else None in
   let sync_idx = max wanted floor in
-  let suffix = Log.suffix t.dur.log ~from:sync_idx in
+  let suffix = suffix_slice t ~from:sync_idx in
   if Obs.Trace.on () then
     Obs.Trace.emit ~node:t.id
       (Obs.Event.Accept_sent
          {
            b = Ballot.to_event t.dur.prom_rnd;
            start_idx = sync_idx;
-           count = List.length suffix;
+           count = Log.slice_length suffix;
          });
   t.send ~dst
     (Accept_sync
@@ -414,7 +415,7 @@ let complete_prepare t =
         suffix on top of it. *)
      match info.p_snapshot with
      | Some snap -> adopt_snapshot_suffix t snap ~suffix:info.p_suffix
-     | None -> sync_log t ~at:info.p_suffix_from info.p_suffix);
+     | None -> sync_log t ~at:info.p_suffix_from info.p_suffix ~skip:0);
   let max_acc_rnd = fst !best_key in
   t.dur.acc_rnd <- n;
   (* Decided indexes reported by the quorum refer to chosen prefixes of the
@@ -502,7 +503,7 @@ let on_prepare t ~src ~n ~l_acc_rnd ~l_log_idx ~l_decided_idx =
       let snapshot =
         if from > base then Some (floor, snapshot t) else None
       in
-      (from, Log.suffix t.dur.log ~from, snapshot)
+      (from, suffix_slice t ~from, snapshot)
     in
     let suffix_from, suffix, snapshot =
       if Ballot.(t.dur.acc_rnd > l_acc_rnd) then promise ~base:l_decided_idx
@@ -510,7 +511,9 @@ let on_prepare t ~src ~n ~l_acc_rnd ~l_log_idx ~l_decided_idx =
         Ballot.equal t.dur.acc_rnd l_acc_rnd
         && Log.length t.dur.log > l_log_idx
       then promise ~base:l_log_idx
-      else (Log.length t.dur.log, [], None)
+      else
+        let len = Log.length t.dur.log in
+        (len, suffix_slice t ~from:len, None)
     in
     if Obs.Trace.on () then
       Obs.Trace.emit ~node:t.id
@@ -567,7 +570,7 @@ let on_accept_sync t ~n ~sync_idx ~suffix ~l_decided_idx ~snapshot =
         if sync_idx <= Log.length t.dur.log && sync_idx >= Log.first_idx t.dur.log
         then begin
           t.dur.acc_rnd <- n;
-          sync_log t ~at:sync_idx suffix;
+          sync_log t ~at:sync_idx suffix ~skip:0;
           if Obs.Trace.on () then
             Obs.Trace.emit ~node:t.id
               (Obs.Event.Accepted_idx
@@ -590,9 +593,9 @@ let on_accept t ~n ~start_idx ~entries ~l_decided_idx =
     && role_is_follower t.role
     && start_idx <= Log.length t.dur.log
   then begin
-    let already = Log.length t.dur.log - start_idx in
-    let fresh = if already <= 0 then entries else List.filteri (fun i _ -> i >= already) entries in
-    List.iter (append_entry t) fresh;
+    let before = Log.length t.dur.log in
+    Log.append_slice t.dur.log entries ~skip:(before - start_idx);
+    if Option.is_none t.ss_idx then t.ss_idx <- stop_sign_from t.dur.log before;
     let len = Log.length t.dur.log in
     if Obs.Trace.on () then
       Obs.Trace.emit ~node:t.id
@@ -728,12 +731,12 @@ let handle t ~src msg =
    last batch, capped per Accept ([batch_cap] under the adaptive policy,
    [max_batch] under the fixed one) — a backlog larger than one cap streams
    as a pipeline of batches across successive flushes. The Accept message
-   (and its entry list) is built once per [(start_idx, count)] run: in the
-   steady state every follower sits at the same position, so one immutable
-   batch is handed to all of them. The adaptive cap is AIMD: it doubles
-   towards [max_batch] while flushes run at capacity and halves towards
-   [min_batch] once the backlog drains, so frame sizes track the offered
-   load. *)
+   (and its slice of the log) is built once per [(start_idx, count)] run:
+   in the steady state every follower sits at the same position, so one
+   immutable batch is handed to all of them. The adaptive cap is AIMD: it
+   doubles towards [max_batch] while flushes run at capacity and halves
+   towards [min_batch] once the backlog drains, so frame sizes track the
+   offered load. *)
 let do_flush t ~trigger =
   let b = t.batching in
   let cap = if b.Batching.adaptive then t.batch_cap else b.Batching.max_batch in
@@ -750,14 +753,14 @@ let do_flush t ~trigger =
         (* The follower's unsent backlog starts below the trim point (it
            lagged past a compaction): the entries are gone, so repair with
            a snapshot install plus the remaining tail instead. *)
-        let suffix = Log.suffix t.dur.log ~from:floor in
+        let suffix = suffix_slice t ~from:floor in
         if Obs.Trace.on () then
           Obs.Trace.emit ~node:t.id
             (Obs.Event.Accept_sent
                {
                  b = Ballot.to_event t.dur.prom_rnd;
                  start_idx = floor;
-                 count = List.length suffix;
+                 count = Log.slice_length suffix;
                });
         t.send ~dst:f
           (Accept_sync
@@ -792,7 +795,7 @@ let do_flush t ~trigger =
                   {
                     n = t.dur.prom_rnd;
                     start_idx = from;
-                    entries = Log.sub t.dur.log ~pos:from ~len:count;
+                    entries = Log.slice t.dur.log ~pos:from ~len:count;
                     decided_idx = t.dur.decided_idx;
                   }
               in
@@ -912,6 +915,10 @@ let copy t =
     ss_idx = t.ss_idx;
   }
 
+(* A slice as a fresh slice of just its entries: a slice of a log shares
+   the log's whole array, so two equal slices can marshal differently. *)
+let canonical s = Log.slice_of_list (Log.slice_to_list s)
+
 (* Marshalled without sharing, equal data gives equal bytes. Callbacks are
    not state, and [quorum_idx] overwrites [quorum_buf] before reading it. *)
 let state_key
@@ -942,24 +949,40 @@ let state_key
     ( (id, peers, quorum, Log.first_idx log, Log.to_list log),
       (prom_rnd, acc_rnd, decided_idx, Store.key store),
       (batching, compaction),
-      (role, Replog.Det.sorted_bindings ~compare_key:Int.compare promises),
+      ( role,
+        List.map
+          (fun (src, info) ->
+            (src, { info with p_suffix = canonical info.p_suffix }))
+          (Replog.Det.sorted_bindings ~compare_key:Int.compare promises) ),
       (List.of_seq (Queue.to_seq buffer), synced, acc_idx, sent_idx),
       (batch_cap, unflushed, acked_idx, ack_pending, ss_idx)
     )
     [ Marshal.No_sharing ]
 
-let entries_size entries =
-  List.fold_left (fun acc e -> acc + Entry.size e) 0 entries
+let msg_key m =
+  let m =
+    match m with
+    | Promise p -> Promise { p with suffix = canonical p.suffix }
+    | Accept_sync a -> Accept_sync { a with suffix = canonical a.suffix }
+    | Accept a -> Accept { a with entries = canonical a.entries }
+    | Prepare _ | Accepted _ | Decide _ | Trim _ | Prepare_req -> m
+  in
+  Marshal.to_string m [ Marshal.No_sharing ]
+
+(* [acc] plus the bytes of the entries of [s] from its [i]th on. *)
+let rec entries_size s i acc =
+  if i >= Log.slice_length s then acc
+  else entries_size s (i + 1) (acc + Entry.size (Log.slice_get s i))
 
 let msg_size = function
   | Prepare _ -> 57
   | Promise { suffix; snapshot; _ } ->
-      65 + entries_size suffix
+      65 + entries_size suffix 0 0
       + (match snapshot with Some (_, p) -> 16 + String.length p | None -> 0)
   | Accept_sync { suffix; snapshot; _ } ->
-      49 + entries_size suffix
+      49 + entries_size suffix 0 0
       + (match snapshot with Some (_, p) -> 16 + String.length p | None -> 0)
-  | Accept { entries; _ } -> 41 + entries_size entries
+  | Accept { entries; _ } -> 41 + entries_size entries 0 0
   | Accepted _ -> 33
   | Decide _ -> 33
   | Trim _ -> 33

@@ -26,7 +26,7 @@ type msg =
       log_idx : int;
       decided_idx : int;
       suffix_from : int;
-      suffix : Entry.t list;
+      suffix : Entry.t Replog.Log.slice;
       snapshot : (int * string) option;
           (** a state snapshot covering entries [0, idx), sent when the
               preparing leader needs entries below this server's trim
@@ -35,7 +35,7 @@ type msg =
   | Accept_sync of {
       n : Ballot.t;
       sync_idx : int;
-      suffix : Entry.t list;
+      suffix : Entry.t Replog.Log.slice;
       decided_idx : int;
       snapshot : (int * string) option;
           (** a state snapshot covering entries [0, idx), sent to followers
@@ -44,7 +44,9 @@ type msg =
   | Accept of {
       n : Ballot.t;
       start_idx : int;  (** log position of the first entry of the batch *)
-      entries : Entry.t list;
+      entries : Entry.t Replog.Log.slice;
+          (** a view of the sender's log: one flush hands the same slice
+              to every follower at the same position *)
       decided_idx : int;
     }
   | Accepted of { n : Ballot.t; log_idx : int }
@@ -184,3 +186,6 @@ val copy : t -> t
 val state_key : t -> string
 (** Every field but the callbacks, canonically encoded: instances with
     equal keys behave identically on every input. *)
+
+val msg_key : msg -> string
+(** The message, canonically encoded: equal messages give equal keys. *)

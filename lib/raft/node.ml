@@ -27,7 +27,7 @@ type msg =
       term : int;
       prev_idx : int;
       prev_term : int;
-      entries : entry list;
+      entries : entry Log.slice;
       commit_idx : int;
     }
   | Append_resp of { term : int; success : bool; match_idx : int }
@@ -98,14 +98,6 @@ type t = {
   mutable peer_voters : int array;
   mutable targets : int array;
   mutable quorum_buf : int array;
-  (* The entries of the last AppendEntries built: [Log.sub] of
-     [batch_count] entries from [batch_from] in term [batch_term]. A leader
-     only appends within its term, so a later batch with the same key
-     holds the same entries and shares the list. *)
-  mutable batch_term : int;
-  mutable batch_from : int;
-  mutable batch_count : int;
-  mutable batch : entry list;
   (* Derived from the shared [Batching.config] so the Fig 7/8 comparisons
      stay apples-to-apples. [max_batch] caps entries per AppendEntries
      (large catch-ups stream as a pipeline of batches); [eager_batch > 0]
@@ -204,10 +196,6 @@ let create ~id ~voters ?(pre_vote = false) ?(check_quorum = false)
       peer_voters = [||];
       targets = [||];
       quorum_buf = [||];
-      batch_term = -1;
-      batch_from = 0;
-      batch_count = 0;
-      batch = [];
       max_batch = b.max_batch;
       eager_batch = (if b.adaptive then b.min_batch else 0);
       compaction = Omnipaxos.Compaction.validated compaction;
@@ -327,19 +315,6 @@ let send_install t ~dst =
   t.last_send.(dst) <- t.tick_count;
   t.sent_idx.(dst) <- floor
 
-let batch_entries t ~from ~count =
-  if
-    not
-      (t.batch_term = t.dur.term && t.batch_from = from
-     && t.batch_count = count)
-  then begin
-    t.batch <- Log.sub t.dur.log ~pos:from ~len:count;
-    t.batch_term <- t.dur.term;
-    t.batch_from <- from;
-    t.batch_count <- count
-  end;
-  t.batch
-
 let send_append t ~dst ~from =
   let log = t.dur.log in
   if from < Log.first_idx log then
@@ -356,7 +331,7 @@ let send_append t ~dst ~from =
            term = t.dur.term;
            prev_idx;
            prev_term;
-           entries = batch_entries t ~from ~count;
+           entries = Log.slice log ~pos:from ~len:count;
            commit_idx = t.commit_idx;
          });
     t.last_send.(dst) <- t.tick_count;
@@ -378,7 +353,7 @@ let send_heartbeat t ~dst =
            term = t.dur.term;
            prev_idx;
            prev_term;
-           entries = [];
+           entries = Log.slice_of_list [];
            commit_idx = t.commit_idx;
          })
   end
@@ -518,6 +493,20 @@ let on_vote t ~src ~term ~granted ~pre =
     if Hashtbl.length t.votes >= t.quorum then become_leader t
   end
 
+(* The position in [entries] (whose first entry sits at log index [base])
+   of the first entry at or above the trim point that the log lacks or
+   holds with another term, from [k] on. *)
+let rec first_new (log : entry Log.t) (entries : entry Log.slice) ~base k =
+  if k >= Log.slice_length entries then k
+  else
+    let idx = base + k in
+    if
+      idx < Log.first_idx log
+      || idx < Log.length log
+         && (Log.get log idx).term = (Log.slice_get entries k).term
+    then first_new log entries ~base (k + 1)
+    else k
+
 let on_append_entries t ~src ~term ~prev_idx ~prev_term ~entries ~leader_commit
     =
   if term < t.dur.term then
@@ -548,21 +537,15 @@ let on_append_entries t ~src ~term ~prev_idx ~prev_term ~entries ~leader_commit
              match_idx = min (Log.length log) (max 0 prev_idx);
            })
     else begin
-      (* Append, truncating on term conflicts; skip duplicates. Entries
-         below the trim point are part of our snapshot already. *)
-      List.iteri
-        (fun k (e : entry) ->
-          let idx = prev_idx + 1 + k in
-          if idx < floor then ()
-          else if idx < Log.length log then begin
-            if (Log.get log idx).term <> e.term then begin
-              Log.truncate log idx;
-              Log.append log e
-            end
-          end
-          else Log.append log e)
-        entries;
-      let match_idx = prev_idx + 1 + List.length entries in
+      (* Append from the first entry we lack, truncating a conflicting
+         tail; skip duplicates. Entries below the trim point are part of
+         our snapshot already. *)
+      let k = first_new log entries ~base:(prev_idx + 1) 0 in
+      if k < Log.slice_length entries then begin
+        Log.truncate log (prev_idx + 1 + k);
+        Log.append_slice log entries ~skip:k
+      end;
+      let match_idx = prev_idx + 1 + Log.slice_length entries in
       t.send ~dst:src (Append_resp { term = t.dur.term; success = true; match_idx });
       advance_commit_follower t leader_commit
     end
@@ -746,10 +729,14 @@ let entry_size e =
   | Cmd c -> Replog.Command.size c
   | Config { voters; _ } -> 16 + (8 * List.length voters)
 
+(* [acc] plus the bytes of the entries of [s] from its [i]th on. *)
+let rec entries_size s i acc =
+  if i >= Log.slice_length s then acc
+  else entries_size s (i + 1) (acc + entry_size (Log.slice_get s i))
+
 let msg_size = function
   | Request_vote _ -> 42
   | Vote _ -> 15
-  | Append_entries { entries; _ } ->
-      49 + List.fold_left (fun acc e -> acc + entry_size e) 0 entries
+  | Append_entries { entries; _ } -> 49 + entries_size entries 0 0
   | Append_resp _ -> 22
   | Install_snapshot { payload; _ } -> 49 + String.length payload

@@ -42,7 +42,8 @@ type msg =
       term : int;
       prev_idx : int;  (** index before the first entry; -1 if none *)
       prev_term : int;
-      entries : entry list;
+      entries : entry Replog.Log.slice;
+          (** a view of the leader's log *)
       commit_idx : int;
     }
   | Append_resp of {

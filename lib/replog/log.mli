@@ -6,6 +6,13 @@
 
 type 'a t
 
+type 'a slice
+(** An immutable view of a range of entries: what a replication message
+    carries. Taking one is O(1) and copies nothing — it shares the log's
+    array — and it keeps reading the entries it had when it was taken: a
+    later write to a slot some slice can see first moves the log's
+    entries to a fresh array. *)
+
 val create : unit -> 'a t
 val of_list : 'a list -> 'a t
 val copy : 'a t -> 'a t
@@ -27,17 +34,36 @@ val append : 'a t -> 'a -> unit
 val append_list : 'a t -> 'a list -> unit
 
 val sub : 'a t -> pos:int -> len:int -> 'a list
-(** Clamped to the log bounds; never raises for non-negative arguments. *)
+(** The entries at [\[pos, pos + len)], clamped to the log's length. Raises
+    [Invalid_argument] on a negative argument, and when [len > 0] and [pos]
+    is below the trim point (those entries are gone). *)
 
 val suffix : 'a t -> from:int -> 'a list
 (** All entries at index [>= from] (empty if [from >= length]). *)
 
+val slice : 'a t -> pos:int -> len:int -> 'a slice
+(** The entries [sub] returns, as a slice. *)
+
+val slice_length : 'a slice -> int
+
+val slice_get : 'a slice -> int -> 'a
+(** [slice_get s i] is the [i]th entry of [s], from [0]. Raises
+    [Invalid_argument] out of bounds. *)
+
+val slice_of_list : 'a list -> 'a slice
+val slice_to_list : 'a slice -> 'a list
+
+val append_slice : 'a t -> 'a slice -> skip:int -> unit
+(** Append the entries of the slice from its [skip]th on (none if [skip]
+    is at least its length): one blit. *)
+
 val truncate : 'a t -> int -> unit
 (** [truncate t n] keeps the first [n] entries. No-op if [n >= length t]. *)
 
-val set_suffix : 'a t -> at:int -> 'a list -> unit
-(** [set_suffix t ~at entries] truncates the log to [at] entries and appends
-    [entries] — the log-synchronisation primitive of the Prepare phase.
+val set_suffix : 'a t -> at:int -> 'a slice -> skip:int -> unit
+(** [set_suffix t ~at s ~skip] truncates the log to [at] entries and appends
+    the entries of [s] from its [skip]th on — the log-synchronisation
+    primitive of the Prepare phase.
     Raises [Invalid_argument] if [at > length t] or [at < first_idx t]. *)
 
 val trim : 'a t -> upto:int -> unit

@@ -135,6 +135,48 @@ let test_profile_frames () =
   Alcotest.(check int) "fake/handle frames" 1 (calls "fake/handle");
   Alcotest.(check int) "fake/tick frames" 2 (calls "fake/tick")
 
+module Cache = Rsm.Protocol.Decided_cache
+
+(* Id sequences made of consecutive runs, gaps, repeats and descending
+   steps, from random starts. *)
+let ids_gen =
+  QCheck.Gen.(
+    map List.concat
+      (list_size (int_bound 20)
+         (map3
+            (fun start len step -> List.init len (fun i -> start + (step * i)))
+            (int_bound 50) (int_bound 8)
+            (oneofl [ 1; 1; 2; 0; -1 ]))))
+
+(* The run-length cache answers every query like the list of ids it was
+   fed. *)
+let prop_cache_matches_list =
+  QCheck.Test.make ~name:"decided cache matches the list model" ~count:500
+    (QCheck.make
+       ~print:(fun ids -> String.concat ";" (List.map string_of_int ids))
+       ids_gen)
+    (fun ids ->
+      let c = Cache.create () in
+      List.iter (Cache.note c) ids;
+      let count = List.length ids in
+      Cache.count c = count
+      && List.for_all
+           (fun from ->
+             Cache.ids_from c ~from = List.filteri (fun i _ -> i >= from) ids)
+           (List.init (count + 3) (fun i -> i - 1)))
+
+(* Consecutive ids extend one run: a million of them fit in a few words. *)
+let test_cache_runs () =
+  let c = Cache.create () in
+  for id = 0 to 999_999 do
+    Cache.note c id
+  done;
+  Alcotest.(check int) "count" 1_000_000 (Cache.count c);
+  Alcotest.(check bool) "under 100 words" true
+    (Obj.reachable_words (Obj.repr c) < 100);
+  Alcotest.check ids "the last two" [ 999_998; 999_999 ]
+    (Cache.ids_from c ~from:999_998)
+
 let () =
   Alcotest.run "adapter"
     [
@@ -146,5 +188,8 @@ let () =
             test_install;
           Alcotest.test_case "profiler frames per layer" `Quick
             test_profile_frames;
+          Alcotest.test_case "decided cache: a million consecutive ids" `Quick
+            test_cache_runs;
+          QCheck_alcotest.to_alcotest prop_cache_matches_list;
         ] );
     ]

@@ -76,7 +76,7 @@ let ids_of node =
 let accepts_in trace =
   List.filter_map
     (function
-      | _, _, Sp.Accept { entries; _ } -> Some (List.length entries)
+      | _, _, Sp.Accept { entries; _ } -> Some (Replog.Log.slice_length entries)
       | _ -> None)
     trace
 

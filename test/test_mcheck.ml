@@ -38,7 +38,14 @@ let prepare =
     { n = b1; acc_rnd = Omnipaxos.Ballot.bottom; log_idx = 0; decided_idx = 0 }
 
 let accept_sync ?snapshot ?(sync_idx = 0) ?(decided_idx = 0) suffix =
-  Sp.Accept_sync { n = b1; sync_idx; suffix; decided_idx; snapshot }
+  Sp.Accept_sync
+    {
+      n = b1;
+      sync_idx;
+      suffix = Replog.Log.slice_of_list suffix;
+      decided_idx;
+      snapshot;
+    }
 
 let decide = Sp.Decide { n = b1; decided_idx = 1 }
 

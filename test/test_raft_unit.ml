@@ -6,6 +6,7 @@
    inspection. *)
 
 module N = Raft.Node
+module Log = Replog.Log
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -112,7 +113,7 @@ let test_append_entries_conflict_truncation () =
          term = 3;
          prev_idx = 0;
          prev_term = 1;
-         entries = [ entry 3 7; entry 3 8 ];
+         entries = Log.slice_of_list [ entry 3 7; entry 3 8 ];
          commit_idx = 0;
        });
   check_int "conflicting tail truncated and replaced" 3
@@ -120,7 +121,13 @@ let test_append_entries_conflict_truncation () =
   let committed =
     N.handle h.node ~src:1
       (N.Append_entries
-         { term = 3; prev_idx = 2; prev_term = 3; entries = []; commit_idx = 3 });
+         {
+           term = 3;
+           prev_idx = 2;
+           prev_term = 3;
+           entries = Log.slice_of_list [];
+           commit_idx = 3;
+         });
     N.commit_idx h.node
   in
   check_int "commit follows the leader" 3 committed
@@ -129,7 +136,13 @@ let test_append_gap_hint () =
   let h = make () in
   N.handle h.node ~src:1
     (N.Append_entries
-       { term = 1; prev_idx = 4; prev_term = 1; entries = [ entry 1 9 ]; commit_idx = 0 });
+       {
+         term = 1;
+         prev_idx = 4;
+         prev_term = 1;
+         entries = Log.slice_of_list [ entry 1 9 ];
+         commit_idx = 0;
+       });
   let hint =
     List.find_map
       (function
@@ -196,7 +209,8 @@ let test_batching_config () =
     List.length
       (List.filter
          (function
-           | _, N.Append_entries { entries = _ :: _; _ } -> true | _ -> false)
+           | _, N.Append_entries { entries; _ } -> Log.slice_length entries > 0
+           | _ -> false)
          !(h.sent))
   in
   let burst h n =
@@ -218,8 +232,8 @@ let test_batching_config () =
   N.tick h.node;
   check_int "fixed: the tick ships to both peers" 2 (shipped h)
 
-(* One flush builds one entries list: followers at the same position get
-   the same (physically shared) batch. *)
+(* One flush copies no entry: followers at the same position get views of
+   the same (physically shared) entries of the leader's log. *)
 let test_flush_shares_entries () =
   let h = make () in
   become_leader h;
@@ -230,13 +244,16 @@ let test_flush_shares_entries () =
   match
     List.filter_map
       (function
-        | _, N.Append_entries { entries = _ :: _ as e; _ } -> Some e
+        | _, N.Append_entries { entries; _ } when Log.slice_length entries > 0
+          ->
+            Some entries
         | _ -> None)
       !(h.sent)
   with
   | [ e1; e2 ] ->
-      check_int "the whole burst" 5 (List.length e1);
-      check "one list for both followers" true (e1 == e2)
+      check_int "the whole burst" 5 (Log.slice_length e1);
+      check "the same entries for both followers" true
+        (List.for_all2 ( == ) (Log.slice_to_list e1) (Log.slice_to_list e2))
   | l -> Alcotest.failf "expected two batches, got %d" (List.length l)
 
 (* [iter_committed] reads committed entries in place: [from] clamps to the
@@ -312,6 +329,58 @@ let test_append_resp_alloc_free () =
   let words = minor_words () - w0 in
   check_int "everything committed" 100 (N.commit_idx h.node);
   check_int "acks allocate nothing" 0 words
+
+(* A leader's flush ships a slice of its log per follower, taken in O(1):
+   the tick that ships 1 entry and the one that ships 1000 allocate the
+   same words. *)
+let test_flush_alloc_flat () =
+  let tick_words k =
+    let h = make () in
+    become_leader h;
+    for i = 1 to k do
+      ignore (N.propose h.node (Replog.Command.noop i))
+    done;
+    let w0 = minor_words () in
+    N.tick h.node;
+    let words = minor_words () - w0 in
+    let shipped =
+      List.filter_map
+        (function
+          | _, N.Append_entries { entries; _ } -> Some (Log.slice_length entries)
+          | _ -> None)
+        !(h.sent)
+    in
+    check "the batch ships to both peers" true (shipped = [ k; k ]);
+    words
+  in
+  check_int "a tick shipping 1 and 1000 entries" (tick_words 1)
+    (tick_words 1000)
+
+(* A follower appends an AppendEntries slice with one blit: the words it
+   allocates do not grow with the entries it carries. *)
+let test_follower_append_alloc_flat () =
+  let cost k =
+    (* Room for the batch up front: growing the log is not the handler's
+       cost. *)
+    let prepare (p : N.persistent) =
+      Log.append_list p.N.log (List.init k (entry 0));
+      Log.truncate p.N.log 0
+    in
+    let h = make ~prepare ~quiet:true () in
+    let append entries =
+      N.Append_entries
+        { term = 1; prev_idx = -1; prev_term = 0; entries; commit_idx = 0 }
+    in
+    (* The first contact adopts the leader's term. *)
+    N.handle h.node ~src:1 (append (Log.slice_of_list []));
+    let m = append (Log.slice_of_list (List.init k (entry 1))) in
+    let w0 = minor_words () in
+    N.handle h.node ~src:1 m;
+    let words = minor_words () - w0 in
+    check_int "appended" k (N.log_length h.node);
+    words
+  in
+  check_int "an AppendEntries of 1 and of 1000 entries" (cost 1) (cost 1000)
 
 let recorded_kinds f =
   let (), r = Obs.Trace.with_recording f in
@@ -411,5 +480,9 @@ let () =
             test_propose_alloc_flat;
           Alcotest.test_case "append responses allocate nothing" `Quick
             test_append_resp_alloc_free;
+          Alcotest.test_case "flush words flat in the batch" `Quick
+            test_flush_alloc_flat;
+          Alcotest.test_case "follower append words flat in k" `Quick
+            test_follower_append_alloc_flat;
         ] );
     ]

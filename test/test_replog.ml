@@ -37,13 +37,13 @@ let test_truncate_set_suffix () =
   check "truncate" true (Log.to_list l = [ 0; 1; 2 ]);
   Log.truncate l 10;
   check "truncate beyond is a no-op" true (Log.to_list l = [ 0; 1; 2 ]);
-  Log.set_suffix l ~at:1 [ 9; 8 ];
+  Log.set_suffix l ~at:1 (Log.slice_of_list [ 9; 8 ]) ~skip:0;
   check "set_suffix" true (Log.to_list l = [ 0; 9; 8 ]);
-  Log.set_suffix l ~at:3 [ 7 ];
+  Log.set_suffix l ~at:3 (Log.slice_of_list [ 7 ]) ~skip:0;
   check "set_suffix at end appends" true (Log.to_list l = [ 0; 9; 8; 7 ]);
   check "set_suffix beyond raises" true
     (try
-       Log.set_suffix l ~at:9 [];
+       Log.set_suffix l ~at:9 (Log.slice_of_list []) ~skip:0;
        false
      with Invalid_argument _ -> true)
 
@@ -84,6 +84,155 @@ let test_copy_iter_fold () =
   Log.iteri_from l ~from:2 (fun i x -> seen := (i, x) :: !seen);
   check "iteri_from" true (List.rev !seen = [ (2, 3); (3, 4) ])
 
+(* Entries below the trim point are gone: [sub] and [slice] raise for a
+   non-empty range starting there, and an empty range is fine. *)
+let test_sub_below_trim () =
+  let l = Log.of_list [ 0; 1; 2; 3; 4; 5 ] in
+  Log.trim l ~upto:3;
+  let raises f =
+    try
+      ignore (f ());
+      false
+    with Invalid_argument _ -> true
+  in
+  check "sub below the trim point raises" true
+    (raises (fun () -> Log.sub l ~pos:1 ~len:4));
+  check "sub ending at the trim point raises" true
+    (raises (fun () -> Log.sub l ~pos:2 ~len:1));
+  check "slice below the trim point raises" true
+    (raises (fun () -> Log.slice l ~pos:1 ~len:4));
+  check "empty sub below the trim point" true (Log.sub l ~pos:1 ~len:0 = []);
+  check_int "empty slice below the trim point" 0
+    (Log.slice_length (Log.slice l ~pos:1 ~len:0));
+  check "sub from the trim point" true (Log.sub l ~pos:3 ~len:9 = [ 3; 4; 5 ]);
+  check "negative arguments raise" true
+    (raises (fun () -> Log.sub l ~pos:(-1) ~len:0)
+    && raises (fun () -> Log.sub l ~pos:3 ~len:(-1)))
+
+let test_slices () =
+  let l = Log.of_list [ 0; 1; 2; 3; 4 ] in
+  let s = Log.slice l ~pos:1 ~len:3 in
+  check_int "slice_length" 3 (Log.slice_length s);
+  check_int "slice_get" 2 (Log.slice_get s 1);
+  check "slice_to_list" true (Log.slice_to_list s = [ 1; 2; 3 ]);
+  check "slice clamps like sub" true
+    (Log.slice_to_list (Log.slice l ~pos:3 ~len:10) = [ 3; 4 ]);
+  check "slice_get out of bounds raises" true
+    (try
+       ignore (Log.slice_get s 3);
+       false
+     with Invalid_argument _ -> true);
+  (* Overwriting a slot the slice can see leaves the slice as it was. *)
+  Log.set_suffix l ~at:2 (Log.slice_of_list [ 7; 8 ]) ~skip:0;
+  check "the log is rewritten" true (Log.to_list l = [ 0; 1; 7; 8 ]);
+  check "the slice is not" true (Log.slice_to_list s = [ 1; 2; 3 ]);
+  Log.append_slice l s ~skip:1;
+  check "append_slice skips" true (Log.to_list l = [ 0; 1; 7; 8; 2; 3 ]);
+  Log.append_slice l s ~skip:5;
+  check_int "skipping everything appends nothing" 6 (Log.length l);
+  check "slice_of_list round-trips" true
+    (Log.slice_to_list (Log.slice_of_list [ 5; 6 ]) = [ 5; 6 ])
+
+type op =
+  | Append of int
+  | Append_slice of int * int  (** a taken slice (mod their count), skip *)
+  | Set_suffix of int * int list  (** [at] mod the valid range *)
+  | Truncate of int
+  | Trim of int
+  | Reset_to of int
+  | Take of int * int  (** [pos] mod the valid range, [len] *)
+
+let show_op = function
+  | Append x -> Printf.sprintf "append %d" x
+  | Append_slice (i, k) -> Printf.sprintf "append_slice #%d ~skip:%d" i k
+  | Set_suffix (a, xs) ->
+      Printf.sprintf "set_suffix %d [%s]" a
+        (String.concat ";" (List.map string_of_int xs))
+  | Truncate n -> Printf.sprintf "truncate %d" n
+  | Trim n -> Printf.sprintf "trim %d" n
+  | Reset_to n -> Printf.sprintf "reset_to %d" n
+  | Take (p, n) -> Printf.sprintf "take %d %d" p n
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun x -> Append x) small_int);
+        (2, map2 (fun i k -> Append_slice (i, k)) small_nat (int_bound 4));
+        ( 2,
+          map2 (fun a xs -> Set_suffix (a, xs)) small_nat (small_list small_int)
+        );
+        (1, map (fun n -> Truncate n) small_nat);
+        (1, map (fun n -> Trim n) small_nat);
+        (1, map (fun n -> Reset_to n) (int_bound 30));
+        (4, map2 (fun p n -> Take (p, n)) small_nat (int_bound 8));
+      ])
+
+let take n xs = List.filteri (fun i _ -> i < n) xs
+let drop n xs = List.filteri (fun i _ -> i >= n) xs
+
+(* A slice keeps reading the entries it had when it was taken, whatever the
+   log does afterwards, and the log matches a list model ([offset] and the
+   stored entries above it) throughout. *)
+let prop_slices_immutable =
+  QCheck.Test.make ~name:"slices never see later writes" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_bound 60) op_gen))
+    (fun ops ->
+      let l = Log.create () in
+      let offset = ref 0 and model = ref [] in
+      let taken = ref [] in
+      let at_most_len n = n mod (List.length !model + 1) in
+      let step = function
+        | Append x ->
+            Log.append l x;
+            model := !model @ [ x ]
+        | Append_slice (i, skip) -> (
+            match !taken with
+            | [] -> ()
+            | ts ->
+                let s, xs = List.nth ts (i mod List.length ts) in
+                Log.append_slice l s ~skip;
+                model := !model @ drop skip xs)
+        | Set_suffix (a, xs) ->
+            let k = at_most_len a in
+            Log.set_suffix l ~at:(!offset + k) (Log.slice_of_list xs) ~skip:0;
+            model := take k !model @ xs
+        | Truncate n ->
+            let k = at_most_len n in
+            Log.truncate l (!offset + k);
+            model := take k !model
+        | Trim n ->
+            let k = at_most_len n in
+            Log.trim l ~upto:(!offset + k);
+            offset := !offset + k;
+            model := drop k !model
+        | Reset_to n ->
+            Log.reset_to l ~offset:n;
+            offset := n;
+            model := []
+        | Take (p, n) ->
+            let k = at_most_len p in
+            let s = Log.slice l ~pos:(!offset + k) ~len:n in
+            taken := (s, take n (drop k !model)) :: !taken
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          Log.first_idx l = !offset
+          && Log.length l = !offset + List.length !model
+          && Log.to_list l = !model
+          && List.for_all
+               (fun (s, xs) ->
+                 Log.slice_length s = List.length xs
+                 && Log.slice_to_list s = xs
+                 && List.for_all2 ( = )
+                      (List.init (Log.slice_length s) (Log.slice_get s))
+                      xs)
+               !taken)
+        ops)
+
 (* set_suffix agrees with the list model: take at, then append. *)
 let prop_set_suffix_model =
   QCheck.Test.make ~name:"set_suffix matches the list model" ~count:200
@@ -91,7 +240,7 @@ let prop_set_suffix_model =
     (fun (init, at, suffix) ->
       let at = if init = [] then 0 else at mod (List.length init + 1) in
       let l = Log.of_list init in
-      Log.set_suffix l ~at suffix;
+      Log.set_suffix l ~at (Log.slice_of_list suffix) ~skip:0;
       let model = List.filteri (fun i _ -> i < at) init @ suffix in
       Log.to_list l = model)
 
@@ -320,6 +469,9 @@ let () =
             test_truncate_set_suffix;
           Alcotest.test_case "trim" `Quick test_trim;
           Alcotest.test_case "copy/iter/fold" `Quick test_copy_iter_fold;
+          Alcotest.test_case "sub below the trim point" `Quick
+            test_sub_below_trim;
+          Alcotest.test_case "slices" `Quick test_slices;
         ] );
       ( "command/kv",
         [
@@ -337,6 +489,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_set_suffix_model;
           QCheck_alcotest.to_alcotest prop_suffix_model;
+          QCheck_alcotest.to_alcotest prop_slices_immutable;
           QCheck_alcotest.to_alcotest prop_kv_deterministic;
           QCheck_alcotest.to_alcotest prop_kv_snapshot_lossless;
         ] );

@@ -170,7 +170,7 @@ let test_follower_rejects_gap () =
      follower's log. It must be ignored, not applied. *)
   Sp.handle h.nodes.(1) ~src:0
     (Sp.Accept
-       { n = ballot 1 0; start_idx = 5; entries = [ cmd 9 ]; decided_idx = 0 });
+       { n = ballot 1 0; start_idx = 5; entries = Log.slice_of_list [ cmd 9 ]; decided_idx = 0 });
   check_int "gap ignored" 0 (Sp.log_length h.nodes.(1))
 
 let test_duplicate_accept_deduplicated () =
@@ -181,7 +181,7 @@ let test_duplicate_accept_deduplicated () =
       {
         n = ballot 1 0;
         start_idx = 0;
-        entries = [ cmd 0; cmd 1 ];
+        entries = Log.slice_of_list [ cmd 0; cmd 1 ];
         decided_idx = 0;
       }
   in
@@ -207,7 +207,7 @@ let test_lower_round_messages_ignored () =
        {
          n = ballot 0 2;
          start_idx = 1;
-         entries = [ cmd 99 ];
+         entries = Log.slice_of_list [ cmd 99 ];
          decided_idx = 0;
        });
   check_int "stale accept dropped" 1 (Sp.log_length h.nodes.(1));
@@ -386,7 +386,7 @@ let test_accept_sync_bad_snapshot_dropped () =
        {
          n = ballot 2 0;
          sync_idx = 50;
-         suffix = [];
+         suffix = Log.slice_of_list [];
          decided_idx = 50;
          snapshot = Some (50, "garbage");
        });
@@ -415,7 +415,7 @@ let test_promise_bad_snapshot_dropped () =
         log_idx = 50;
         decided_idx = 50;
         suffix_from = 50;
-        suffix = [];
+        suffix = Log.slice_of_list [];
         snapshot;
       }
   in
@@ -432,7 +432,7 @@ let test_promise_bad_snapshot_dropped () =
          log_idx = 0;
          decided_idx = 0;
          suffix_from = 0;
-         suffix = [];
+         suffix = Log.slice_of_list [];
          snapshot = None;
        });
   check "a valid promise completes the quorum" true
@@ -478,7 +478,7 @@ let promise b =
       log_idx = 0;
       decided_idx = 0;
       suffix_from = 0;
-      suffix = [];
+      suffix = Log.slice_of_list [];
       snapshot = None;
     }
 
@@ -547,7 +547,7 @@ let leader_op sp b ~n (tag, a, x) =
            {
              n = b';
              sync_idx = floor + (x mod (len - floor + 1));
-             suffix = [ cmd (1000 + x) ];
+             suffix = Log.slice_of_list [ cmd (1000 + x) ];
              decided_idx = 0;
              snapshot = None;
            })
@@ -680,8 +680,8 @@ let test_accepted_alloc_flat () =
   Alcotest.(check (float 0.)) "1000 acks cost the same words at n=5 and n=33"
     (cost 5) (cost 33)
 
-(* A flush to every follower builds one entry list and one Accept: the
-   extra words of 32 followers over 4 do not grow with the batch size. *)
+(* A flush to every follower builds one slice and one Accept: the extra
+   words of 32 followers over 4 do not grow with the batch size. *)
 let test_flush_shares_batch () =
   let flush_words n ~batch =
     let sp, _ = steady_leader n ~entries:8 in
@@ -693,6 +693,62 @@ let test_flush_shares_batch () =
   let extra batch = flush_words 33 ~batch -. flush_words 5 ~batch in
   Alcotest.(check (float 0.)) "n=33 minus n=5 independent of the batch"
     (extra 1) (extra 50)
+
+(* A flush takes an O(1) slice of the log: at n=5 a batch of 1000 entries
+   costs the words of a batch of 1. *)
+let test_flush_alloc_flat () =
+  let flush_words ~batch =
+    let sp, _ = steady_leader 5 ~entries:8 in
+    for i = 1 to batch do
+      ignore (Sp.propose sp (cmd (100 + i)))
+    done;
+    minor_words (fun () -> Sp.flush sp)
+  in
+  Alcotest.(check (float 0.)) "a flush of 1 and of 1000 entries at n=5"
+    (flush_words ~batch:1) (flush_words ~batch:1000)
+
+(* A follower appends an Accept's slice with one blit: the words it
+   allocates do not grow with the entries it carries. *)
+let test_follower_accept_alloc_flat () =
+  let cost k =
+    let sp = decided_follower 0 in
+    (* Room for the batch up front: growing the log is not the handler's
+       cost. *)
+    let log = Sp.read_log sp in
+    Log.append_list log (List.init k cmd);
+    Log.truncate log 0;
+    let accept =
+      Sp.Accept
+        {
+          n = ballot 2 0;
+          start_idx = 0;
+          entries = Log.slice_of_list (List.init k cmd);
+          decided_idx = 0;
+        }
+    in
+    let words = minor_words (fun () -> Sp.handle sp ~src:0 accept) in
+    check_int "appended" k (Sp.log_length sp);
+    words
+  in
+  Alcotest.(check (float 0.)) "an Accept of 1 and of 1000 entries"
+    (cost 1) (cost 1000)
+
+(* The model checker interns messages by [msg_key]: a slice of a long log
+   keys like a list of the same entries. *)
+let test_msg_key_by_content () =
+  let log = Log.of_list (List.init 100 cmd) in
+  let accept entries =
+    Sp.msg_key
+      (Sp.Accept { n = ballot 1 0; start_idx = 3; entries; decided_idx = 0 })
+  in
+  check "a log's slice and a list of its entries" true
+    (String.equal
+       (accept (Log.slice log ~pos:3 ~len:2))
+       (accept (Log.slice_of_list [ cmd 3; cmd 4 ])));
+  check "other entries, another key" false
+    (String.equal
+       (accept (Log.slice log ~pos:3 ~len:2))
+       (accept (Log.slice_of_list [ cmd 3; cmd 5 ])))
 
 (* A follower's Trim folds the compacted prefix in place: the words it
    allocates do not grow with the number of entries trimmed. *)
@@ -785,6 +841,12 @@ let () =
             test_accepted_alloc_flat;
           Alcotest.test_case "flush shares one batch" `Quick
             test_flush_shares_batch;
+          Alcotest.test_case "flush allocation flat in the batch" `Quick
+            test_flush_alloc_flat;
+          Alcotest.test_case "follower accept allocation flat in k" `Quick
+            test_follower_accept_alloc_flat;
+          Alcotest.test_case "msg_key keys by content" `Quick
+            test_msg_key_by_content;
         ] );
       ( "properties",
         [
