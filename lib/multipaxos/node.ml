@@ -5,7 +5,7 @@ module Store = Omnipaxos.Compaction.Store
 module Fold = Store.Fold (struct
   type t = Command.t
 
-  let iter_command f c = f c
+  let iter_command f x c = f x c
 end)
 
 type ballot = { n : int; pid : int }

@@ -45,14 +45,24 @@ let create ?(head = 1_000) ~rate () =
     sampleable_tags;
   init policies
 
+let send_tag =
+  Event.kind_tag (Event.Msg_send { dst = 0; size = 0; send_id = 0; lc = 0 })
+
+let deliver_tag =
+  Event.kind_tag (Event.Msg_deliver { src = 0; size = 0; send_id = 0; lc = 0 })
+
+(* Pairs are decided by send_id alone, so a kept send always keeps its
+   matching deliver. Stateless, so a site can ask before it builds the
+   event and [keep] answers the same afterwards. *)
+let keep_message t ~deliver send_id =
+  match t.policies.(if deliver then deliver_tag else send_tag) with
+  | None -> true
+  | Some { head; rate } -> send_id < head || send_id mod rate = 0
+
 let keep t kind =
   match kind with
-  | Event.Msg_send { send_id; _ } | Event.Msg_deliver { send_id; _ } -> (
-      (* Pairs are decided by send_id alone, so a kept send always keeps
-         its matching deliver. *)
-      match t.policies.(Event.kind_tag kind) with
-      | None -> true
-      | Some { head; rate } -> send_id < head || send_id mod rate = 0)
+  | Event.Msg_send { send_id; _ } -> keep_message t ~deliver:false send_id
+  | Event.Msg_deliver { send_id; _ } -> keep_message t ~deliver:true send_id
   | k -> (
       let tag = Event.kind_tag k in
       match t.policies.(tag) with

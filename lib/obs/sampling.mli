@@ -28,6 +28,11 @@ val keep : t -> Event.kind -> bool
 (** Decide one event. Stateful (advances per-kind counters) but
     deterministic: the same event sequence always keeps the same subset. *)
 
+val keep_message : t -> deliver:bool -> int -> bool
+(** [keep_message t ~deliver send_id] is what {!keep} decides for the
+    [Msg_deliver] ([deliver]) or [Msg_send] event of message [send_id].
+    Stateless, so a site can ask before it builds the event. *)
+
 val rates : t -> (string * int) list
 (** Kinds actually sampled (rate > 1), in tag order. *)
 

@@ -50,6 +50,13 @@ let unsubscribe id =
   sinks := List.filter (fun (i, _) -> i <> id) !sinks;
   refresh ()
 
+let[@inline] on_message ~deliver send_id =
+  !hot
+  &&
+  match !sampler with
+  | None -> true
+  | Some s -> Sampling.keep_message s ~deliver send_id
+
 let set_clock f = clock := f
 let set_sampling s = sampler := s
 let sampling () = !sampler

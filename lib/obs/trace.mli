@@ -21,6 +21,15 @@ val on : unit -> bool
     Guard every [emit] call site with this so argument construction is
     skipped when tracing is off. *)
 
+val on_message : deliver:bool -> int -> bool
+(** [on_message ~deliver send_id]: {!on}, and the sampler (if any) keeps
+    the [Msg_deliver] ([deliver]) or [Msg_send] event of message
+    [send_id]. The guard of the message sites: it decides before the
+    event and its timestamp are built, so a sampled-out message costs no
+    allocation, and the [emit] that follows keeps the event too. Costs
+    the same as {!on} when tracing is off and one load more without a
+    sampler. *)
+
 val subscribe : sink -> int
 (** Register a sink; returns an id for {!unsubscribe}. *)
 

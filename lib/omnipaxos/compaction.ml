@@ -47,16 +47,15 @@ module Store = struct
   module type ENTRY = sig
     type t
 
-    val iter_command : (Replog.Command.t -> unit) -> t -> unit
+    val iter_command : ('a -> Replog.Command.t -> unit) -> 'a -> t -> unit
   end
 
   module Fold (E : ENTRY) = struct
     let compact s log ~node ~upto ~taken =
       let floor = Log.first_idx log in
       if upto > floor then begin
-        let fold = fold_command s in
         for i = floor to upto - 1 do
-          E.iter_command fold (Log.get log i)
+          E.iter_command fold_command s (Log.get log i)
         done;
         Log.trim log ~upto;
         if Obs.Trace.on () then begin

@@ -10,7 +10,8 @@
 
     In Omni-Paxos the trigger runs on the leader against a quorum-confirmed
     acceptance watermark and propagates to followers with the [Trim]
-    message; Raft and Multi-Paxos compact locally below their own
+    message, sent after the [Decide] that lets each follower apply it;
+    Raft and Multi-Paxos compact locally below their own
     commit/decide watermark (the classic local decision); VR inherits the
     Sequence Paxos behaviour. A follower that was trimmed past (crash,
     partition) is repaired with a snapshot install instead of log entries —
@@ -71,9 +72,11 @@ module Store : sig
   module type ENTRY = sig
     type t
 
-    val iter_command : (Replog.Command.t -> unit) -> t -> unit
-    (** [iter_command f e] applies [f] to the client command [e] carries,
-        if any. *)
+    val iter_command : ('a -> Replog.Command.t -> unit) -> 'a -> t -> unit
+    (** [iter_command f x e] applies [f x] to the client command [e]
+        carries, if any. Passing [x] rather than a partial application
+        lets {!Fold.compact} fold with a static function, so a compaction
+        builds no closure. *)
   end
 
   module Fold (E : ENTRY) : sig
@@ -83,7 +86,9 @@ module Store : sig
         trim the log at [upto]; a no-op when [upto <= Log.first_idx log].
         [taken] says whether the trace records [snapshot_taken] before
         [log_trimmed]: true when the node compacts on its own trigger,
-        false when it follows a trim order. Allocates nothing per entry. *)
+        false when it follows a trim order. The fold allocates nothing,
+        neither per entry nor per call; only {!Replog.Log.trim}'s fresh
+        array (and the trace events, when tracing) allocate. *)
   end
 
   type received = private {

@@ -12,7 +12,7 @@ type t = Cmd of Replog.Command.t | Stop_sign of stop_sign
 
 let cmd c = Cmd c
 let is_stop_sign = function Stop_sign _ -> true | Cmd _ -> false
-let iter_command f = function Cmd c -> f c | Stop_sign _ -> ()
+let iter_command f x = function Cmd c -> f x c | Stop_sign _ -> ()
 
 let size = function
   | Cmd c -> Replog.Command.size c

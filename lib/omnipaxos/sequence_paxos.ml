@@ -300,12 +300,16 @@ let quorum_acc_idx t = quorum_idx t ~above:0
 let trim_cap t ~upto =
   match t.ss_idx with Some i -> min upto i | None -> upto
 
-(* Leader-side compaction trigger, run whenever the decided index advances:
-   once [snapshot_interval] decided entries accumulate above the trim
-   point, snapshot and trim up to the quorum-confirmed watermark (minus
-   [retain]) and tell the followers to do the same. Deliberately quorum-
-   based rather than all-peers: a crashed or partitioned straggler must not
-   block compaction — it is repaired later with a snapshot install. *)
+(* Leader-side compaction trigger, run once the followers have been told
+   the new decided index (after [try_decide]'s Decides and at the end of
+   [complete_prepare], whose AcceptSyncs carry it): once
+   [snapshot_interval] decided entries accumulate above the trim point,
+   snapshot and trim up to the quorum-confirmed watermark (minus [retain])
+   and tell the followers to do the same. Links are FIFO, so a synced
+   follower sees the Decide before the Trim and its [on_trim] finds
+   [trim_idx <= decided_idx]. Deliberately quorum-based rather than
+   all-peers: a crashed or partitioned straggler must not block compaction
+   — it is repaired later with a snapshot install. *)
 let maybe_compact t =
   if role_is_leader_accept t.role then begin
     let floor = Log.first_idx t.dur.log in
@@ -330,12 +334,11 @@ let advance_decided t d =
       Obs.Trace.emit ~node:t.id
         (Obs.Event.Decided
            { b = Ballot.to_event t.dur.acc_rnd; decided_idx = d });
-    t.on_decide d;
-    maybe_compact t
+    t.on_decide d
   end
 
 (* Leader: decide the largest index accepted (in this round) by a quorum,
-   and tell the synced followers in ascending pid order. *)
+   tell the synced followers in ascending pid order, then compact. *)
 let try_decide t =
   let decidable = quorum_idx t ~above:t.dur.decided_idx in
   if decidable > t.dur.decided_idx then begin
@@ -343,7 +346,8 @@ let try_decide t =
     let decide = Decide { n = t.dur.prom_rnd; decided_idx = decidable } in
     for f = 0 to Array.length t.synced - 1 do
       if t.synced.(f) then t.send ~dst:f decide
-    done
+    done;
+    maybe_compact t
   end
 
 let reset_followers t =
@@ -442,7 +446,8 @@ let complete_prepare t =
   Replog.Det.iter_sorted ~compare_key:Int.compare
     (fun dst info -> accept_sync_follower t ~dst ~info ~max_acc_rnd)
     t.promises;
-  try_decide t
+  try_decide t;
+  maybe_compact t
 
 let start_prepare t =
   t.role <- Leader_prepare;

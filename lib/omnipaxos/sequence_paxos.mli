@@ -88,10 +88,12 @@ val create :
     the historical flush-on-every-tick behaviour; see [batching.mli]).
     [compaction] (default {!Compaction.disabled}) enables automatic
     snapshot-and-trim on the leader once [snapshot_interval] decided
-    entries accumulate above the trim point; the snapshot of
-    [persistent.store] then repairs followers that fell below it, and
-    [on_snapshot idx payload] fires at the receiving side once it is
-    installed. *)
+    entries accumulate above the trim point. The leader sends its [Trim]
+    after the [Decide] (or [AcceptSync]) that gives the followers the new
+    decided index, so on FIFO links each synced follower trims where the
+    leader did. The snapshot of [persistent.store] repairs followers that
+    fell below the trim point, and [on_snapshot idx payload] fires at the
+    receiving side once it is installed. *)
 
 val handle : t -> src:int -> msg -> unit
 (** Messages from a pid outside [\[0, 1 + max (id :: peers))] — never a
@@ -118,7 +120,10 @@ val request_trim : t -> upto:int -> bool
 (** Leader-side log compaction: discard the decided prefix below [upto] on
     every server. Succeeds only if [upto] is decided and every peer has
     acknowledged accepting at least [upto] in the current round; the
-    followers then trim on receipt. *)
+    followers then trim on receipt. The automatic trigger of [compaction]
+    (see {!create}) reaches the followers too; this is the explicit,
+    all-peers variant. A follower applies a [Trim] only up to its own
+    decided index, so one that is not yet told the decide ignores it. *)
 
 val recover : t -> unit
 (** Fail-recovery (§4.1.3): enter the recover state and broadcast

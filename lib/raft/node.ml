@@ -10,7 +10,7 @@ type entry = { term : int; data : entry_data }
 module Entry = struct
   type t = entry
 
-  let iter_command f e = match e.data with Cmd c -> f c | Config _ -> ()
+  let iter_command f x e = match e.data with Cmd c -> f x c | Config _ -> ()
 end
 
 module Fold = Store.Fold (Entry)

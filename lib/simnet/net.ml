@@ -303,7 +303,7 @@ let send t ~src ~dst ~size msg =
     t.next_send_id <- send_id + 1;
     let lc = t.lamport.(src) + 1 in
     t.lamport.(src) <- lc;
-    if Obs.Trace.on () then
+    if Obs.Trace.on_message ~deliver:false send_id then
       Obs.Trace.emit_at ~time:(boxed_now t) ~node:src
         (Obs.Event.Msg_send { dst; size; send_id; lc });
     let session = t.session.(src).(dst) in
@@ -499,7 +499,7 @@ let deliver t link =
            and the send. *)
         let rlc = 1 + max t.lamport.(dst) lc in
         t.lamport.(dst) <- rlc;
-        if Obs.Trace.on () then
+        if Obs.Trace.on_message ~deliver:true send_id then
           Obs.Trace.emit_at ~time:(boxed_now t) ~node:dst
             (Obs.Event.Msg_deliver { src; size; send_id; lc = rlc });
         h ~src msg

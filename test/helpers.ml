@@ -8,6 +8,7 @@ type cluster = {
   storages : Omnipaxos.Replica.Storage.t array;
   tick_ms : float;
   hb_ticks : int;
+  compaction : Omnipaxos.Compaction.config;
 }
 
 let all_ids n = List.init n (fun i -> i)
@@ -20,7 +21,7 @@ let make_replica c id =
   in
   let r =
     Omnipaxos.Replica.create ~id ~peers:(peers_of n id) ~hb_ticks:c.hb_ticks
-      ~storage:c.storages.(id) ~send ()
+      ~compaction:c.compaction ~storage:c.storages.(id) ~send ()
   in
   c.replicas.(id) <- Some r;
   Net.set_handler c.net id (fun ~src m -> Omnipaxos.Replica.handle r ~src m);
@@ -42,7 +43,7 @@ let rec schedule_ticks c =
       schedule_ticks c)
 
 let make_cluster ?(n = 3) ?(tick_ms = 5.0) ?(hb_ticks = 10) ?(latency = 0.1)
-    ?(seed = 7) () =
+    ?(seed = 7) ?(compaction = Omnipaxos.Compaction.disabled) () =
   let net = Net.create ~seed ~latency ~num_nodes:n () in
   let c =
     {
@@ -51,6 +52,7 @@ let make_cluster ?(n = 3) ?(tick_ms = 5.0) ?(hb_ticks = 10) ?(latency = 0.1)
       storages = Array.init n (fun _ -> Omnipaxos.Replica.Storage.create ());
       tick_ms;
       hb_ticks;
+      compaction;
     }
   in
   List.iter (fun id -> ignore (make_replica c id)) (all_ids n);

@@ -106,7 +106,7 @@ end
 module Multipaxos_case = struct
   type t = Command.t
 
-  let iter_command f c = f c
+  let iter_command f x c = f x c
   let name = "multi-paxos"
   let gen = command_gen
   let command c = Some c

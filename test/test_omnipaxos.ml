@@ -259,6 +259,42 @@ let test_trim_end_to_end () =
   check "progress after leader change over trimmed logs" true
     (R.decided_idx (replica c new_leader) >= 70)
 
+(* With compaction on, every replica holds a bounded window of the log,
+   not the history: the leader trims each [interval] decided entries down
+   to [retain], and each follower trims where the leader did on the Trim
+   that follows the Decide. A replica may hold one batch of accepted but
+   undecided entries on top. *)
+let test_logs_bounded_under_compaction () =
+  let interval = 1000 and retain = 100 in
+  let bound = interval + retain + Omnipaxos.Batching.fixed.max_batch in
+  let c =
+    make_cluster ~n:5
+      ~compaction:(Omnipaxos.Compaction.make ~retain interval)
+      ()
+  in
+  run_ms c 500.0;
+  let proposed = ref 0 in
+  let decide_up_to total =
+    while !proposed < total do
+      let count = min 2000 (total - !proposed) in
+      proposed := !proposed + propose_noops c ~first_id:!proposed ~count;
+      run_ms c 10.0
+    done;
+    run_ms c 200.0;
+    List.iter
+      (fun id ->
+        let r = replica c id in
+        check_int (Printf.sprintf "server %d decided" id) total
+          (R.decided_idx r);
+        let held = R.log_length r - R.first_idx r in
+        check
+          (Printf.sprintf "server %d holds %d entries, at most %d" id held bound)
+          true (held <= bound))
+      [ 0; 1; 2; 3; 4 ]
+  in
+  decide_up_to 20_000;
+  decide_up_to 220_000
+
 let () =
   Alcotest.run "omnipaxos"
     [
@@ -281,5 +317,7 @@ let () =
           Alcotest.test_case "quorum loss trace invariants" `Quick
             test_quorum_loss_trace_invariants;
           Alcotest.test_case "trim end to end" `Quick test_trim_end_to_end;
+          Alcotest.test_case "replica logs stay bounded under compaction"
+            `Quick test_logs_bounded_under_compaction;
         ] );
     ]

@@ -21,7 +21,7 @@ type harness = {
   blocked : (int * int, unit) Hashtbl.t;  (* links whose delivery is held *)
 }
 
-let make ?(n = 3) ?(prepare = fun _ _ -> ()) () =
+let make ?(n = 3) ?(prepare = fun _ _ -> ()) ?compaction () =
   let queues = Queue.create () in
   let blocked = Hashtbl.create 4 in
   let nodes =
@@ -29,7 +29,7 @@ let make ?(n = 3) ?(prepare = fun _ _ -> ()) () =
         let peers = List.filter (fun j -> j <> id) (List.init n Fun.id) in
         let persistent = Sp.fresh_persistent () in
         prepare id persistent;
-        Sp.create ~id ~peers ~persistent
+        Sp.create ~id ~peers ~persistent ?compaction
           ~send:(fun ~dst m -> Queue.add (id, dst, m) queues)
           ())
   in
@@ -273,6 +273,37 @@ let test_trim_happy_path () =
   ignore (Sp.propose h.nodes.(0) (cmd 50));
   flush_all h;
   check_int "still decides" 11 (Sp.decided_idx h.nodes.(1))
+
+(* The leader's own compaction trigger reaches the followers: it sends
+   its Trim after the Decide that raises their decided index, so each
+   synced follower trims where the leader did. Batches of 10 over an
+   interval of 8 with [retain] 2 put every trim point above the decided
+   index the followers knew before the Decide. *)
+let test_followers_trim_with_leader () =
+  List.iter
+    (fun n ->
+      let h = make ~n ~compaction:(Omnipaxos.Compaction.make ~retain:2 8) () in
+      elect h;
+      let leader = h.nodes.(0) in
+      let trims = ref 0 in
+      for round = 0 to 5 do
+        let before = Sp.first_idx leader in
+        for i = 0 to 9 do
+          ignore (Sp.propose leader (cmd ((10 * round) + i)))
+        done;
+        flush_all h;
+        if Sp.first_idx leader > before then incr trims;
+        Array.iter
+          (fun nd ->
+            check_int
+              (Printf.sprintf "n=%d round %d: node %d trims with the leader" n
+                 round (Sp.id nd))
+              (Sp.first_idx leader) (Sp.first_idx nd))
+          h.nodes
+      done;
+      check (Printf.sprintf "n=%d: the leader trimmed every round" n) true
+        (!trims = 6))
+    [ 3; 5 ]
 
 let test_trim_refused_when_peer_lags () =
   let h = make () in
@@ -750,18 +781,25 @@ let test_msg_key_by_content () =
        (accept (Log.slice log ~pos:3 ~len:2))
        (accept (Log.slice_of_list [ cmd 3; cmd 5 ])))
 
+(* The words a follower allocates applying a Trim of its whole decided
+   k-entry log (the log's fresh array is then empty). *)
+let trim_words k =
+  let sp = decided_follower k in
+  let trim = Sp.Trim { n = ballot 2 0; trim_idx = k } in
+  let words = minor_words (fun () -> Sp.handle sp ~src:0 trim) in
+  check_int "trimmed" k (Sp.first_idx sp);
+  words
+
 (* A follower's Trim folds the compacted prefix in place: the words it
    allocates do not grow with the number of entries trimmed. *)
 let test_trim_alloc_flat () =
-  let cost k =
-    let sp = decided_follower k in
-    let trim = Sp.Trim { n = ballot 2 0; trim_idx = k } in
-    let words = minor_words (fun () -> Sp.handle sp ~src:0 trim) in
-    check_int "trimmed" k (Sp.first_idx sp);
-    words
-  in
   Alcotest.(check (float 0.)) "a Trim of 100 and of 10,000 entries"
-    (cost 100) (cost 10_000)
+    (trim_words 100) (trim_words 10_000)
+
+(* The fold builds no closure either, so it allocates nothing at all. *)
+let test_trim_fold_alloc_free () =
+  Alcotest.(check (float 0.)) "a Trim of 1 entry" 0. (trim_words 1);
+  Alcotest.(check (float 0.)) "a Trim of 1000 entries" 0. (trim_words 1000)
 
 (* Pids outside [0, 1 + max (id :: peers)) are not members: their messages
    and session resets are dropped instead of indexing the follower arrays. *)
@@ -832,6 +870,10 @@ let () =
             test_promise_bad_snapshot_dropped;
           Alcotest.test_case "trim allocation flat in k" `Quick
             test_trim_alloc_flat;
+          Alcotest.test_case "followers trim with the leader" `Quick
+            test_followers_trim_with_leader;
+          Alcotest.test_case "follower Trim allocates nothing in the fold"
+            `Quick test_trim_fold_alloc_free;
         ] );
       ( "fan-out",
         [

@@ -204,6 +204,49 @@ let test_net_alloc_free () =
   check_int "finite egress: send + step allocate nothing" 0
     (net_alloc_words ~egress_bw:50.0 ())
 
+(* Under a 1-in-10 sampler, a message the sampler drops costs what an
+   untraced one does: the sites decide on [send_id] before they build the
+   event or box the time. Send ids count from 0, so the multiples of 10
+   are kept and the rest are measured; the first 1000 messages warm the
+   ring and heap up. *)
+let sampled_out_alloc_words ~traced =
+  let net = make ~n:3 () in
+  Net.set_handler net 1 (fun ~src:_ _ -> ());
+  let msg = "m" in
+  let words = ref 0 in
+  let run ~measure =
+    for i = 0 to 999 do
+      let w0 = minor_words () in
+      Net.send net ~src:0 ~dst:1 ~size:100 msg;
+      while Net.step net do
+        ()
+      done;
+      if measure && i mod 10 <> 0 then words := !words + (minor_words () - w0)
+    done
+  in
+  let go () =
+    run ~measure:false;
+    run ~measure:true
+  in
+  if traced then begin
+    let kept = ref 0 in
+    Obs.Trace.set_sampling (Some (Obs.Sampling.create ~head:0 ~rate:10 ()));
+    Fun.protect
+      ~finally:(fun () -> Obs.Trace.set_sampling None)
+      (fun () ->
+        Obs.Trace.with_sink
+          ~make_sink:(fun () _ -> incr kept)
+          ~close:ignore go);
+    check_int "1 send and 1 deliver kept in 10" 400 !kept
+  end
+  else go ();
+  !words
+
+let test_sampled_out_alloc () =
+  check_int "sampled-out send + step allocate what untraced ones do"
+    (sampled_out_alloc_words ~traced:false)
+    (sampled_out_alloc_words ~traced:true)
+
 (* ------------------------- net instrumentation ------------------------- *)
 
 let test_net_instrumentation () =
@@ -501,6 +544,8 @@ let () =
             test_heap_alloc_free;
           Alcotest.test_case "send + step allocate nothing" `Quick
             test_net_alloc_free;
+          Alcotest.test_case "sampled-out send + step allocate as untraced"
+            `Quick test_sampled_out_alloc;
           Alcotest.test_case "net instrumentation" `Quick
             test_net_instrumentation;
         ] );
