@@ -122,8 +122,8 @@ val request_trim : t -> upto:int -> bool
     acknowledged accepting at least [upto] in the current round; the
     followers then trim on receipt. The automatic trigger of [compaction]
     (see {!create}) reaches the followers too; this is the explicit,
-    all-peers variant. A follower applies a [Trim] only up to its own
-    decided index, so one that is not yet told the decide ignores it. *)
+    all-peers variant. A follower ignores a [Trim] above its own decided
+    index. *)
 
 val recover : t -> unit
 (** Fail-recovery (§4.1.3): enter the recover state and broadcast
