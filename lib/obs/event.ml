@@ -87,6 +87,17 @@ let names =
   |]
 
 let num_kinds = Array.length names
+
+(* The counter-sampled kinds' tags, for [Trace.on_kind]. *)
+let proposed_tag = kind_tag (Proposed { log_idx = 0; cmd_id = 0 })
+
+let accepted_tag =
+  kind_tag (Accepted_idx { b = { n = 0; prio = 0; pid = 0 }; log_idx = 0 })
+
+let batch_flush_tag =
+  kind_tag
+    (Batch_flush { entries = 0; followers = 0; cap = 0; trigger = "" })
+
 let kind_name k = names.(kind_tag k)
 
 let tag_name tag =

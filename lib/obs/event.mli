@@ -98,6 +98,13 @@ val kind_tag : kind -> int
 
 val num_kinds : int
 
+val proposed_tag : int
+val accepted_tag : int
+val batch_flush_tag : int
+(** The tags of [Proposed], [Accepted_idx] and [Batch_flush]: the
+    counter-sampled kinds a site asks about by tag
+    ({!Trace.on_kind}). *)
+
 val tag_name : int -> string
 (** [kind_name] of the constructor with that {!kind_tag}. Raises
     [Invalid_argument] on an unknown tag. *)

@@ -59,30 +59,31 @@ let keep_message t ~deliver send_id =
   | None -> true
   | Some { head; rate } -> send_id < head || send_id mod rate = 0
 
+let keep_tag t tag =
+  match t.policies.(tag) with
+  | None -> true
+  | Some { rate; _ } ->
+      (* Keep the first [head], then 1 in [rate], by countdown — the same
+         kept set as an occurrence counter with a mod, without the
+         per-event division. *)
+      if t.head_left.(tag) > 0 then begin
+        t.head_left.(tag) <- t.head_left.(tag) - 1;
+        true
+      end
+      else if t.until_next.(tag) = 0 then begin
+        t.until_next.(tag) <- rate - 1;
+        true
+      end
+      else begin
+        t.until_next.(tag) <- t.until_next.(tag) - 1;
+        false
+      end
+
 let keep t kind =
   match kind with
   | Event.Msg_send { send_id; _ } -> keep_message t ~deliver:false send_id
   | Event.Msg_deliver { send_id; _ } -> keep_message t ~deliver:true send_id
-  | k -> (
-      let tag = Event.kind_tag k in
-      match t.policies.(tag) with
-      | None -> true
-      | Some { rate; _ } ->
-          (* Keep the first [head], then 1 in [rate], by countdown — the
-             same kept set as an occurrence counter with a mod, without
-             the per-event division. *)
-          if t.head_left.(tag) > 0 then begin
-            t.head_left.(tag) <- t.head_left.(tag) - 1;
-            true
-          end
-          else if t.until_next.(tag) = 0 then begin
-            t.until_next.(tag) <- rate - 1;
-            true
-          end
-          else begin
-            t.until_next.(tag) <- t.until_next.(tag) - 1;
-            false
-          end)
+  | k -> keep_tag t (Event.kind_tag k)
 
 let rates t =
   let acc = ref [] in

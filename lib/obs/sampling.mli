@@ -33,6 +33,12 @@ val keep_message : t -> deliver:bool -> int -> bool
     [Msg_deliver] ([deliver]) or [Msg_send] event of message [send_id].
     Stateless, so a site can ask before it builds the event. *)
 
+val keep_tag : t -> int -> bool
+(** [keep_tag t tag] decides the next event of the kind with {!Event.kind_tag}
+    [tag], advancing the countdown {!keep} advances: asking, then calling
+    [keep] on the same event, would decide it twice. Not for the message
+    kinds, which {!keep_message} decides by [send_id]. *)
+
 val rates : t -> (string * int) list
 (** Kinds actually sampled (rate > 1), in tag order. *)
 

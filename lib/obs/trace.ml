@@ -57,6 +57,13 @@ let[@inline] on_message ~deliver send_id =
   | None -> true
   | Some s -> Sampling.keep_message s ~deliver send_id
 
+let[@inline] on_kind tag =
+  !hot
+  &&
+  match !sampler with
+  | None -> true
+  | Some s -> Sampling.keep_tag s tag
+
 let set_clock f = clock := f
 let set_sampling s = sampler := s
 let sampling () = !sampler
@@ -85,6 +92,11 @@ let emit ~node kind =
     | Some s when not (Sampling.keep s kind) -> ()
     | Some _ | None -> dispatch { Event.time = !clock (); node; kind }
   end
+
+(* The site asked [on_kind] already, which advanced the sampler's
+   countdown: asking [keep] again would decide the event twice. *)
+let emit_kept ~node kind =
+  if !hot then dispatch { Event.time = !clock (); node; kind }
 
 let jsonl_sink oc : sink =
  fun e ->

@@ -30,6 +30,15 @@ val on_message : deliver:bool -> int -> bool
     the same as {!on} when tracing is off and one load more without a
     sampler. *)
 
+val on_kind : int -> bool
+(** [on_kind tag]: {!on}, and the sampler (if any) keeps the next event of
+    the counter-sampled kind [tag] ({!Event.proposed_tag},
+    {!Event.accepted_tag}, {!Event.batch_flush_tag}). The guard of those
+    sites: it decides before the event is built, so a sampled-out event
+    costs no allocation. Asking advances the sampler's countdown, so a site
+    that gets [true] emits with {!emit_kept}, which does not ask again; the
+    kept set is the one {!emit} would keep. *)
+
 val subscribe : sink -> int
 (** Register a sink; returns an id for {!unsubscribe}. *)
 
@@ -56,6 +65,10 @@ val run_meta : unit -> (string * string) list
 
 val emit : node:int -> Event.kind -> unit
 (** Emit an event stamped with the installed clock. No-op unless {!on}. *)
+
+val emit_kept : node:int -> Event.kind -> unit
+(** Emit, stamped with the installed clock, an event a true {!on_kind}
+    already kept: the sampler is not asked again. No-op unless {!on}. *)
 
 val emit_at : time:float -> node:int -> Event.kind -> unit
 (** Emit with an explicit timestamp (used by the simulator, which knows its

@@ -2,6 +2,14 @@ module Log = Replog.Log
 module Store = Compaction.Store
 module Fold = Store.Fold (Entry)
 
+type accept = {
+  n : Ballot.t;
+  start_idx : int;
+  entries : Entry.t Log.slice;
+  decided_idx : int;
+  size : int;  (* [msg_size], computed once by [accept] *)
+}
+
 type msg =
   | Prepare of {
       n : Ballot.t;
@@ -27,12 +35,7 @@ type msg =
           (* state snapshot covering [0, idx), for followers below the
              leader's trim point *)
     }
-  | Accept of {
-      n : Ballot.t;
-      start_idx : int;
-      entries : Entry.t Log.slice;
-      decided_idx : int;
-    }
+  | Accept of accept
   | Accepted of { n : Ballot.t; log_idx : int }
   | Decide of { n : Ballot.t; decided_idx : int }
   | Trim of { n : Ballot.t; trim_idx : int }
@@ -50,6 +53,17 @@ type persistent = {
 }
 
 type role = Follower | Leader_prepare | Leader_accept
+
+(* [acc] plus the bytes of the entries of [s] from its [i]th on. *)
+let rec entries_size s i acc =
+  if i >= Log.slice_length s then acc
+  else entries_size s (i + 1) (acc + Entry.size (Log.slice_get s i))
+
+(* The one constructor of an Accept: its size is summed here, once per
+   batch, however many followers the batch is handed to. *)
+let accept ~n ~start_idx ~entries ~decided_idx =
+  Accept
+    { n; start_idx; entries; decided_idx; size = 41 + entries_size entries 0 0 }
 
 let role_is_follower = function
   | Follower -> true
@@ -208,8 +222,8 @@ let append_entry t e =
 (* Proposal spans key off this event: the moment a client command enters the
    leader's log. Stop-signs carry cmd_id -1. *)
 let trace_proposed t e =
-  if Obs.Trace.on () then
-    Obs.Trace.emit ~node:t.id
+  if Obs.Trace.on_kind Obs.Event.proposed_tag then
+    Obs.Trace.emit_kept ~node:t.id
       (Obs.Event.Proposed
          {
            log_idx = Log.length t.dur.log - 1;
@@ -563,8 +577,8 @@ let on_accept_sync t ~n ~sync_idx ~suffix ~l_decided_idx ~snapshot =
            unless it is stale, in which case only the suffix is adopted. *)
         t.dur.acc_rnd <- n;
         adopt_snapshot_suffix t snap ~suffix;
-        if Obs.Trace.on () then
-          Obs.Trace.emit ~node:t.id
+        if Obs.Trace.on_kind Obs.Event.accepted_tag then
+          Obs.Trace.emit_kept ~node:t.id
             (Obs.Event.Accepted_idx
                { b = Ballot.to_event n; log_idx = Log.length t.dur.log });
         t.acked_idx <- Log.length t.dur.log;
@@ -576,8 +590,8 @@ let on_accept_sync t ~n ~sync_idx ~suffix ~l_decided_idx ~snapshot =
         then begin
           t.dur.acc_rnd <- n;
           sync_log t ~at:sync_idx suffix ~skip:0;
-          if Obs.Trace.on () then
-            Obs.Trace.emit ~node:t.id
+          if Obs.Trace.on_kind Obs.Event.accepted_tag then
+            Obs.Trace.emit_kept ~node:t.id
               (Obs.Event.Accepted_idx
                  { b = Ballot.to_event n; log_idx = Log.length t.dur.log });
           t.acked_idx <- Log.length t.dur.log;
@@ -600,10 +614,18 @@ let on_accept t ~n ~start_idx ~entries ~l_decided_idx =
   then begin
     let before = Log.length t.dur.log in
     Log.append_slice t.dur.log entries ~skip:(before - start_idx);
-    if Option.is_none t.ss_idx then t.ss_idx <- stop_sign_from t.dur.log before;
     let len = Log.length t.dur.log in
-    if Obs.Trace.on () then
-      Obs.Trace.emit ~node:t.id
+    (* A stop-sign ends its round's log and the leader proposes nothing
+       after one, while a batch ends at most at the leader's log end: a
+       stop-sign an Accept brings can only be the last entry it appended.
+       ([sync_log] scans, since an AcceptSync may overwrite one.) *)
+    if
+      len > before
+      && Option.is_none t.ss_idx
+      && Entry.is_stop_sign (Log.get t.dur.log (len - 1))
+    then t.ss_idx <- Some (len - 1);
+    if Obs.Trace.on_kind Obs.Event.accepted_tag then
+      Obs.Trace.emit_kept ~node:t.id
         (Obs.Event.Accepted_idx { b = Ballot.to_event n; log_idx = len });
     (* Ack coalescing (adaptive policy): acknowledge at most once per
        [ack_every] appended entries; anything deferred is swept by the next
@@ -724,7 +746,7 @@ let handle t ~src msg =
             on_accept_sync t ~n ~sync_idx ~suffix ~l_decided_idx:decided_idx
               ~snapshot
         | Error _ -> ())
-    | Accept { n; start_idx; entries; decided_idx } ->
+    | Accept { n; start_idx; entries; decided_idx; size = _ } ->
         on_accept t ~n ~start_idx ~entries ~l_decided_idx:decided_idx
     | Accepted { n; log_idx } -> on_accepted t ~src ~n ~f_log_idx:log_idx
     | Decide { n; decided_idx } ->
@@ -736,7 +758,8 @@ let handle t ~src msg =
    last batch, capped per Accept ([batch_cap] under the adaptive policy,
    [max_batch] under the fixed one) — a backlog larger than one cap streams
    as a pipeline of batches across successive flushes. The Accept message
-   (and its slice of the log) is built once per [(start_idx, count)] run:
+   (its slice of the log and its size) is built once per
+   [(start_idx, count)] run:
    in the steady state every follower sits at the same position, so one
    immutable batch is handed to all of them. The adaptive cap is AIMD: it
    doubles towards [max_batch] while flushes run at capacity and halves
@@ -796,13 +819,9 @@ let do_flush t ~trigger =
           | Some (s_from, s_count, m) when s_from = from && s_count = count -> m
           | Some _ | None ->
               let m =
-                Accept
-                  {
-                    n = t.dur.prom_rnd;
-                    start_idx = from;
-                    entries = Log.slice t.dur.log ~pos:from ~len:count;
-                    decided_idx = t.dur.decided_idx;
-                  }
+                accept ~n:t.dur.prom_rnd ~start_idx:from
+                  ~entries:(Log.slice t.dur.log ~pos:from ~len:count)
+                  ~decided_idx:t.dur.decided_idx
               in
               shared := Some (from, count, m);
               m
@@ -812,8 +831,8 @@ let do_flush t ~trigger =
       end
     end
   done;
-  if !sent_followers > 0 && Obs.Trace.on () then
-    Obs.Trace.emit ~node:t.id
+  if !sent_followers > 0 && Obs.Trace.on_kind Obs.Event.batch_flush_tag then
+    Obs.Trace.emit_kept ~node:t.id
       (Obs.Event.Batch_flush
          {
            entries = !sent_entries;
@@ -974,11 +993,6 @@ let msg_key m =
   in
   Marshal.to_string m [ Marshal.No_sharing ]
 
-(* [acc] plus the bytes of the entries of [s] from its [i]th on. *)
-let rec entries_size s i acc =
-  if i >= Log.slice_length s then acc
-  else entries_size s (i + 1) (acc + Entry.size (Log.slice_get s i))
-
 let msg_size = function
   | Prepare _ -> 57
   | Promise { suffix; snapshot; _ } ->
@@ -987,7 +1001,7 @@ let msg_size = function
   | Accept_sync { suffix; snapshot; _ } ->
       49 + entries_size suffix 0 0
       + (match snapshot with Some (_, p) -> 16 + String.length p | None -> 0)
-  | Accept { entries; _ } -> 41 + entries_size entries 0 0
+  | Accept { size; _ } -> size
   | Accepted _ -> 33
   | Decide _ -> 33
   | Trim _ -> 33

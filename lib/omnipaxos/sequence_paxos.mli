@@ -13,6 +13,20 @@
     [persistent] record so that crash/recovery can be modelled faithfully:
     rebuild the node with [create] on the same record and call [recover]. *)
 
+(** The payload of an [Accept]. Private: {!accept} builds every one, so
+    [size] always matches the entries. *)
+type accept = private {
+  n : Ballot.t;
+  start_idx : int;  (** log position of the first entry of the batch *)
+  entries : Entry.t Replog.Log.slice;
+      (** a view of the sender's log: one flush hands the same slice to
+          every follower at the same position *)
+  decided_idx : int;
+  size : int;
+      (** the message's {!msg_size}, [41] plus the entries' sizes: summed
+          once per batch, not once per follower it is sent to *)
+}
+
 type msg =
   | Prepare of {
       n : Ballot.t;
@@ -41,19 +55,20 @@ type msg =
           (** a state snapshot covering entries [0, idx), sent to followers
               whose logs are below the leader's trim point *)
     }
-  | Accept of {
-      n : Ballot.t;
-      start_idx : int;  (** log position of the first entry of the batch *)
-      entries : Entry.t Replog.Log.slice;
-          (** a view of the sender's log: one flush hands the same slice
-              to every follower at the same position *)
-      decided_idx : int;
-    }
+  | Accept of accept
   | Accepted of { n : Ballot.t; log_idx : int }
   | Decide of { n : Ballot.t; decided_idx : int }
   | Trim of { n : Ballot.t; trim_idx : int }
       (** log compaction: discard the decided prefix below [trim_idx] *)
   | Prepare_req
+
+val accept :
+  n:Ballot.t ->
+  start_idx:int ->
+  entries:Entry.t Replog.Log.slice ->
+  decided_idx:int ->
+  msg
+(** The [Accept] of [entries] at [start_idx], with its [size]. *)
 
 type persistent = {
   log : Entry.t Replog.Log.t;

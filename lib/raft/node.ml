@@ -663,8 +663,8 @@ let propose t cmd =
         if len - sent >= t.eager_batch then send_append t ~dst:p ~from:sent
       done
     end;
-    if Obs.Trace.on () then
-      Obs.Trace.emit ~node:t.id
+    if Obs.Trace.on_kind Obs.Event.proposed_tag then
+      Obs.Trace.emit_kept ~node:t.id
         (Obs.Event.Proposed
            {
              log_idx = Log.length t.dur.log - 1;
@@ -718,6 +718,13 @@ let snapshot_client_cmds t = Store.client_cmds t.dur.store
 let iter_committed t ~from ~upto f =
   for i = max from (Log.first_idx t.dur.log) to min upto t.commit_idx - 1 do
     f (Log.get t.dur.log i)
+  done
+
+let iter_committed_ids t ~from ~upto f =
+  for i = max from (Log.first_idx t.dur.log) to min upto t.commit_idx - 1 do
+    match (Log.get t.dur.log i).data with
+    | Cmd c -> f c.Replog.Command.id
+    | Config _ -> ()
   done
 
 (* Per-entry wire overhead beyond the command payload: terms are

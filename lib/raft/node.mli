@@ -147,4 +147,10 @@ val iter_committed : t -> from:int -> upto:int -> (entry -> unit) -> unit
     at [\[from, upto)] in index order, reading the log in place ([from] is
     clamped to the trim point, [upto] to the commit index). *)
 
+val iter_committed_ids : t -> from:int -> upto:int -> (int -> unit) -> unit
+(** [iter_committed_ids t ~from ~upto f] applies [f] to the command id of
+    every client command among the entries {!iter_committed} visits,
+    skipping configuration entries. The adapter's decided-id scan: it
+    takes [f] as is, so a scan builds no closure. *)
+
 val msg_size : msg -> int

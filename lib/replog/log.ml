@@ -127,7 +127,13 @@ let set_suffix t ~at s ~skip =
   append_slice t s ~skip
 
 (* Discard the prefix below [upto] (absolute index). The log's indexing
-   stays absolute; reads below the trim point raise. *)
+   stays absolute; reads below the trim point raise. When no slice can see
+   the array, the live tail moves to its front and the vacated slots are
+   cleared (to the first live entry, so no trimmed entry stays reachable):
+   the capacity survives the trim, and a log trimmed every compaction
+   interval does not grow again from an exact-size array. A slice may see
+   the array ([lent > 0], e.g. a leader's in-flight Accepts), or nothing
+   is left to clear with: the tail then moves to a fresh array. *)
 let trim t ~upto =
   if upto > length t then
     invalid_arg
@@ -135,14 +141,17 @@ let trim t ~upto =
   if upto > t.offset then begin
     let drop = upto - t.offset in
     let remaining = t.size - drop in
-    let data =
-      if remaining = 0 then [||]
-      else Array.sub t.data drop remaining
-    in
-    t.data <- data;
+    if t.lent = 0 && remaining > 0 then begin
+      Array.blit t.data drop t.data 0 remaining;
+      Array.fill t.data remaining drop t.data.(0)
+    end
+    else begin
+      t.data <-
+        (if remaining = 0 then [||] else Array.sub t.data drop remaining);
+      t.lent <- 0
+    end;
     t.size <- remaining;
-    t.offset <- upto;
-    t.lent <- 0
+    t.offset <- upto
   end
 
 (* Install a snapshot boundary: discard everything and restart the log at

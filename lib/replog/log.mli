@@ -69,7 +69,13 @@ val set_suffix : 'a t -> at:int -> 'a slice -> skip:int -> unit
 val trim : 'a t -> upto:int -> unit
 (** Log compaction: discard entries below the absolute index [upto].
     Indexing stays absolute; subsequent reads below [upto] raise. A no-op
-    if [upto <= first_idx t]; raises if [upto > length t]. *)
+    if [upto <= first_idx t]; raises if [upto > length t].
+
+    When no slice has been taken of the log's current array, the remaining
+    entries move to its front in place and the log keeps its capacity, so
+    trimming allocates nothing. Otherwise (or when nothing remains) they
+    move to a fresh array, and slices taken before the trim keep reading
+    their entries. *)
 
 val reset_to : 'a t -> offset:int -> unit
 (** Discard everything and restart the log at absolute index [offset] —

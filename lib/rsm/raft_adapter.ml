@@ -32,11 +32,7 @@ module Core = struct
   let decided_index = N.commit_idx
   let msg_size = N.msg_size
 
-  let iter_decided c ~from ~upto f =
-    N.iter_committed c ~from ~upto (fun (e : N.entry) ->
-        match e.N.data with
-        | N.Cmd cmd -> f cmd.Replog.Command.id
-        | N.Config _ -> ())
+  let iter_decided = N.iter_committed_ids
 end
 
 module Plain = struct

@@ -73,6 +73,43 @@ let test_trim () =
        false
      with Invalid_argument _ -> true)
 
+(* A trim no slice can see moves the entries down in place: the log keeps
+   its array, so refilling it to the length it had allocates nothing in
+   the major heap (a fresh exact-size array would grow again by
+   doubling). *)
+let test_trim_keeps_capacity () =
+  let n = 10_000 in
+  let l = Log.create () in
+  for i = 0 to n - 1 do
+    Log.append l i
+  done;
+  Log.trim l ~upto:(n / 2);
+  let major_words () =
+    let _, _, major = Gc.counters () in
+    major
+  in
+  let before = major_words () in
+  for i = n to n + (n / 2) - 1 do
+    Log.append l i
+  done;
+  let words = major_words () -. before in
+  Alcotest.(check (float 0.)) "major words refilling after a trim" 0. words;
+  check_int "first entry kept" (n / 2) (Log.get l (n / 2));
+  let last = n + (n / 2) - 1 in
+  check_int "last entry appended" last (Log.get l last)
+
+(* A slice taken before a trim keeps reading its entries, however the log
+   is written afterwards: the trim moves the entries to a fresh array
+   instead of shifting the one the slice shares. *)
+let test_trim_under_slice () =
+  let l = Log.of_list (List.init 10 Fun.id) in
+  let s = Log.slice l ~pos:4 ~len:4 in
+  Log.trim l ~upto:6;
+  Log.set_suffix l ~at:7 (Log.slice_of_list [ 70; 80 ]) ~skip:0;
+  Log.append l 90;
+  check "the log moved on" true (Log.to_list l = [ 6; 70; 80; 90 ]);
+  check "the slice did not" true (Log.slice_to_list s = [ 4; 5; 6; 7 ])
+
 let test_copy_iter_fold () =
   let l = Log.of_list [ 1; 2; 3 ] in
   let c = Log.copy l in
@@ -468,6 +505,10 @@ let () =
           Alcotest.test_case "truncate/set_suffix" `Quick
             test_truncate_set_suffix;
           Alcotest.test_case "trim" `Quick test_trim;
+          Alcotest.test_case "trim keeps the capacity" `Quick
+            test_trim_keeps_capacity;
+          Alcotest.test_case "a slice outlives a trim" `Quick
+            test_trim_under_slice;
           Alcotest.test_case "copy/iter/fold" `Quick test_copy_iter_fold;
           Alcotest.test_case "sub below the trim point" `Quick
             test_sub_below_trim;

@@ -169,21 +169,18 @@ let test_follower_rejects_gap () =
   (* Simulate a lost batch: deliver an Accept that starts beyond the
      follower's log. It must be ignored, not applied. *)
   Sp.handle h.nodes.(1) ~src:0
-    (Sp.Accept
-       { n = ballot 1 0; start_idx = 5; entries = Log.slice_of_list [ cmd 9 ]; decided_idx = 0 });
+    (Sp.accept ~n:(ballot 1 0) ~start_idx:5
+       ~entries:(Log.slice_of_list [ cmd 9 ])
+       ~decided_idx:0);
   check_int "gap ignored" 0 (Sp.log_length h.nodes.(1))
 
 let test_duplicate_accept_deduplicated () =
   let h = make () in
   elect h;
   let batch =
-    Sp.Accept
-      {
-        n = ballot 1 0;
-        start_idx = 0;
-        entries = Log.slice_of_list [ cmd 0; cmd 1 ];
-        decided_idx = 0;
-      }
+    Sp.accept ~n:(ballot 1 0) ~start_idx:0
+      ~entries:(Log.slice_of_list [ cmd 0; cmd 1 ])
+      ~decided_idx:0
   in
   Sp.handle h.nodes.(1) ~src:0 batch;
   Sp.handle h.nodes.(1) ~src:0 batch;
@@ -203,13 +200,9 @@ let test_lower_round_messages_ignored () =
   flush_all h;
   (* An old leader from a lower round tries to interfere. *)
   Sp.handle h.nodes.(1) ~src:2
-    (Sp.Accept
-       {
-         n = ballot 0 2;
-         start_idx = 1;
-         entries = Log.slice_of_list [ cmd 99 ];
-         decided_idx = 0;
-       });
+    (Sp.accept ~n:(ballot 0 2) ~start_idx:1
+       ~entries:(Log.slice_of_list [ cmd 99 ])
+       ~decided_idx:0);
   check_int "stale accept dropped" 1 (Sp.log_length h.nodes.(1));
   (* A Prepare from a lower round must not steal the promise. *)
   Sp.handle h.nodes.(1) ~src:2
@@ -654,6 +647,67 @@ let prop_decided_matches_reference =
    copy leaves the original's key unchanged (a copy sharing [acc_idx],
    [promises], the persistent record or the log's array fails the second
    part). *)
+(* Entries of every size class: no-ops, blobs, KV puts and stop-signs. *)
+let entry_gen =
+  QCheck.Gen.(
+    map2
+      (fun tag x ->
+        match tag with
+        | 0 -> cmd x
+        | 1 -> Entry.Cmd (Replog.Command.make ~id:x (Replog.Command.Blob x))
+        | 2 ->
+            let k = String.make (x mod 7) 'k' and v = String.make x 'v' in
+            Entry.Cmd (Replog.Command.make ~id:x (Replog.Command.Kv_put (k, v)))
+        | _ ->
+            Entry.Stop_sign
+              {
+                config_id = x;
+                nodes = List.init (x mod 5) Fun.id;
+                metadata = String.make x 'm';
+              })
+      (int_bound 3) (int_bound 100))
+
+let sum_sizes entries =
+  List.fold_left (fun acc e -> acc + Entry.size e) 0 entries
+
+(* An Accept carries its size, summed once when it is built: for a
+   hand-built Accept and for every Accept a leader's flushes hand out,
+   [msg_size] is 41 plus the sizes of the entries it carries. *)
+let prop_accept_size =
+  QCheck.Test.make ~name:"an Accept's size is 41 plus its entries' sizes"
+    ~count:300
+    QCheck.(
+      pair (int_range 1 9)
+        (small_list (pair (make entry_gen) (int_bound 3))))
+    (fun (n, items) ->
+      let hand_built =
+        let entries = List.map fst items in
+        Sp.msg_size
+          (Sp.accept ~n:(ballot 1 0) ~start_idx:0
+             ~entries:(Log.slice_of_list entries) ~decided_idx:0)
+        = 41 + sum_sizes entries
+      in
+      let sent = ref [] in
+      let sp, _ = make_leader n ~send:(fun ~dst:_ m -> sent := m :: !sent) in
+      (* Commands only (nothing follows a stop-sign), flushed every time
+         the second component is 0. *)
+      List.iter
+        (fun (e, flush) ->
+          (match e with
+          | Entry.Cmd _ -> ignore (Sp.propose sp e)
+          | Entry.Stop_sign _ -> ());
+          if flush = 0 then Sp.flush sp)
+        items;
+      Sp.flush sp;
+      hand_built
+      && List.for_all
+           (function
+             | Sp.Accept a as m ->
+                 Sp.msg_size m
+                 = 41 + sum_sizes (Log.slice_to_list a.Sp.entries)
+             | _ -> true)
+           !sent)
+
 let prop_copy_is_deep =
   QCheck.Test.make ~name:"copy is deep and keyed like the original" ~count:300
     (leader_ops ~tags:7)
@@ -749,13 +803,9 @@ let test_follower_accept_alloc_flat () =
     Log.append_list log (List.init k cmd);
     Log.truncate log 0;
     let accept =
-      Sp.Accept
-        {
-          n = ballot 2 0;
-          start_idx = 0;
-          entries = Log.slice_of_list (List.init k cmd);
-          decided_idx = 0;
-        }
+      Sp.accept ~n:(ballot 2 0) ~start_idx:0
+        ~entries:(Log.slice_of_list (List.init k cmd))
+        ~decided_idx:0
     in
     let words = minor_words (fun () -> Sp.handle sp ~src:0 accept) in
     check_int "appended" k (Sp.log_length sp);
@@ -764,13 +814,133 @@ let test_follower_accept_alloc_flat () =
   Alcotest.(check (float 0.)) "an Accept of 1 and of 1000 entries"
     (cost 1) (cost 1000)
 
+(* A follower checks only the last entry an Accept appends for a stop-sign
+   (the leader proposes nothing after one): a stop-sign that ends a
+   multi-entry batch is marked, and a batch without one leaves the
+   follower running. *)
+let test_stop_sign_ends_accept_batch () =
+  let sp = decided_follower 2 in
+  let ss = Entry.Stop_sign { config_id = 1; nodes = [ 0; 1 ]; metadata = "" } in
+  let accept start_idx entries =
+    Sp.handle sp ~src:0
+      (Sp.accept ~n:(ballot 2 0) ~start_idx
+         ~entries:(Log.slice_of_list entries) ~decided_idx:2)
+  in
+  accept 1 [ cmd 1; cmd 2 ];
+  check "a batch of commands stops nothing" false (Sp.is_stopped sp);
+  accept 2 [ cmd 2; cmd 3; cmd 4; ss ];
+  check_int "appended past the overlap" 6 (Sp.log_length sp);
+  check "stopped" true (Sp.is_stopped sp);
+  check "not decided yet" true (Option.is_none (Sp.stop_sign sp));
+  Sp.handle sp ~src:0 (Sp.Decide { n = ballot 2 0; decided_idx = 6 });
+  check "the decided stop-sign is read at its index" true
+    (Option.is_some (Sp.stop_sign sp))
+
+(* Three Omni-Paxos replicas behind [Rsm.Omni_adapter], wired through a
+   queue, until replica 0 is elected; [deliver ~hold] then hands every
+   queued message over except those [hold] keeps, which it returns. *)
+module A = Rsm.Omni_adapter
+
+let adapter_cluster () =
+  let q = Queue.create () in
+  let nodes =
+    Array.init 3 (fun id ->
+        A.create ~id
+          ~peers:(List.filter (fun p -> p <> id) [ 0; 1; 2 ])
+          ~election_ticks:2 ~rand:(Random.State.make [| id |])
+          ~send:(fun ~dst m -> Queue.add (id, dst, m) q)
+          ())
+  in
+  let deliver ~hold =
+    let held = Queue.create () in
+    while not (Queue.is_empty q) do
+      let ((src, dst, m) as x) = Queue.pop q in
+      if hold ~dst m then Queue.add x held else A.handle nodes.(dst) ~src m
+    done;
+    held
+  in
+  let rounds = ref 0 in
+  while (not (A.is_leader nodes.(0))) && !rounds < 1000 do
+    (* Only replica 0 ticks, so it is the one whose ballot rises. *)
+    A.tick nodes.(0);
+    ignore (deliver ~hold:(fun ~dst:_ _ -> false));
+    incr rounds
+  done;
+  check "replica 0 elected" true (A.is_leader nodes.(0));
+  (nodes, deliver)
+
+let is_decide = function
+  | Omnipaxos.Replica.Sp_msg (Sp.Decide _) -> true
+  | Omnipaxos.Replica.Sp_msg _ | Omnipaxos.Replica.Ble_msg _ -> false
+
+(* A follower's Decide, through the adapter, notes the newly decided ids
+   with a first-order loop over the log: once the id cache holds a run the
+   ids extend, it allocates nothing. *)
+let test_adapter_decide_alloc_free () =
+  let nodes, deliver = adapter_cluster () in
+  let decide_batch first k =
+    for i = first to first + k - 1 do
+      ignore (A.propose nodes.(0) (Replog.Command.noop i))
+    done;
+    A.tick nodes.(0);
+    deliver ~hold:(fun ~dst m -> dst = 1 && is_decide m)
+  in
+  (* The first batch opens the cache's run of ids at replica 1. *)
+  let first = decide_batch 0 10 in
+  Queue.iter (fun (src, dst, m) -> A.handle nodes.(dst) ~src m) first;
+  let before = A.decided_count nodes.(1) in
+  let held = decide_batch 10 50 in
+  check_int "replica 1 has one Decide to apply" 1 (Queue.length held);
+  let src, _, decide = Queue.pop held in
+  let follower = nodes.(1) in
+  let words =
+    minor_words (fun () -> A.handle follower ~src decide)
+    -. minor_words (fun () -> ())
+  in
+  check_int "50 more ids decided" (before + 50) (A.decided_count follower);
+  Alcotest.(check (float 0.)) "words a follower's Decide allocates" 0. words
+
+(* Proposals a 1-in-10 sampler drops allocate what untraced ones do: the
+   site asks [Trace.on_kind] before it builds the [Proposed] event. *)
+let sampled_out_propose_words ~traced =
+  let sp, _ = make_leader 3 in
+  let words = ref 0. in
+  let go () =
+    (* The first proposal's event is kept; the next 9 are dropped. *)
+    ignore (Sp.propose sp (cmd 0));
+    words :=
+      minor_words (fun () ->
+          for i = 1 to 9 do
+            ignore (Sp.propose sp (cmd i))
+          done)
+  in
+  if traced then begin
+    let kept = ref 0 in
+    Obs.Trace.set_sampling (Some (Obs.Sampling.create ~head:0 ~rate:10 ()));
+    Fun.protect
+      ~finally:(fun () -> Obs.Trace.set_sampling None)
+      (fun () ->
+        Obs.Trace.with_sink
+          ~make_sink:(fun () _ -> incr kept)
+          ~close:ignore go);
+    check_int "1 proposal in 10 traced" 1 !kept
+  end
+  else go ();
+  check_int "all appended" 10 (Sp.log_length sp);
+  !words
+
+let test_sampled_out_propose_alloc () =
+  Alcotest.(check (float 0.)) "sampled-out proposes allocate as untraced"
+    (sampled_out_propose_words ~traced:false)
+    (sampled_out_propose_words ~traced:true)
+
 (* The model checker interns messages by [msg_key]: a slice of a long log
    keys like a list of the same entries. *)
 let test_msg_key_by_content () =
   let log = Log.of_list (List.init 100 cmd) in
   let accept entries =
     Sp.msg_key
-      (Sp.Accept { n = ballot 1 0; start_idx = 3; entries; decided_idx = 0 })
+      (Sp.accept ~n:(ballot 1 0) ~start_idx:3 ~entries ~decided_idx:0)
   in
   check "a log's slice and a list of its entries" true
     (String.equal
@@ -846,12 +1016,16 @@ let () =
             test_lower_round_messages_ignored;
           Alcotest.test_case "late promise" `Quick
             test_late_promise_gets_accept_sync;
+          Alcotest.test_case "adapter Decide allocates nothing" `Quick
+            test_adapter_decide_alloc_free;
         ] );
       ( "stop-sign",
         [
           Alcotest.test_case "blocks proposals" `Quick
             test_stop_sign_blocks_proposals;
           Alcotest.test_case "single node" `Quick test_single_node_cluster;
+          Alcotest.test_case "ends an Accept batch" `Quick
+            test_stop_sign_ends_accept_batch;
         ] );
       ( "trim",
         [
@@ -889,11 +1063,14 @@ let () =
             test_follower_accept_alloc_flat;
           Alcotest.test_case "msg_key keys by content" `Quick
             test_msg_key_by_content;
+          Alcotest.test_case "sampled-out proposes allocate as untraced"
+            `Quick test_sampled_out_propose_alloc;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_convergence;
           QCheck_alcotest.to_alcotest prop_decided_matches_reference;
           QCheck_alcotest.to_alcotest prop_copy_is_deep;
+          QCheck_alcotest.to_alcotest prop_accept_size;
         ] );
     ]
