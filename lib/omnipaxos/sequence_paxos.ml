@@ -180,15 +180,25 @@ let leader_pid t =
 
 let decided_idx t = t.dur.decided_idx
 let log_length t = Log.length t.dur.log
-(* Entries below the trim point are unavailable; reads clamp to it. *)
+(* Entries below the trim point are unavailable; reads clamp to it, and
+   to the decided index. *)
+let decided_from t from = max from (Log.first_idx t.dur.log)
+let decided_upto t upto = min upto t.dur.decided_idx
+
 let read_decided t ~from =
-  let from = max from (Log.first_idx t.dur.log) in
+  let from = decided_from t from in
   Log.sub t.dur.log ~pos:from ~len:(t.dur.decided_idx - from)
 
 let iter_decided t ~from ~upto f =
-  let upto = min upto t.dur.decided_idx in
-  for i = max from (Log.first_idx t.dur.log) to upto - 1 do
+  for i = decided_from t from to decided_upto t upto - 1 do
     f (Log.get t.dur.log i)
+  done
+
+let iter_decided_ids t ~from ~upto f =
+  for i = decided_from t from to decided_upto t upto - 1 do
+    match Log.get t.dur.log i with
+    | Entry.Cmd c -> f c.Replog.Command.id
+    | Entry.Stop_sign _ -> ()
   done
 
 let read_log t = t.dur.log

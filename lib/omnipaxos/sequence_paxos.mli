@@ -169,6 +169,12 @@ val iter_decided : t -> from:int -> upto:int -> (Entry.t -> unit) -> unit
     [\[from, upto)], clamped to the trim point and the decided index. Reads
     the log in place: nothing is allocated. *)
 
+val iter_decided_ids : t -> from:int -> upto:int -> (int -> unit) -> unit
+(** [iter_decided_ids t ~from ~upto f] applies [f] to the command id of
+    every client command among the entries {!iter_decided} visits,
+    skipping stop-signs. The adapters' decided-id scan: it takes [f] as
+    is, so a scan builds no closure. *)
+
 val read_log : t -> Entry.t Replog.Log.t
 val is_stopped : t -> bool
 (** Whether a stop-sign has been appended/adopted (the configuration is

@@ -715,11 +715,6 @@ let first_idx t = Log.first_idx t.dur.log
 let snapshot_client_cmds t = Store.client_cmds t.dur.store
 
 (* Entries below the trim point are unavailable; reads clamp to it. *)
-let iter_committed t ~from ~upto f =
-  for i = max from (Log.first_idx t.dur.log) to min upto t.commit_idx - 1 do
-    f (Log.get t.dur.log i)
-  done
-
 let iter_committed_ids t ~from ~upto f =
   for i = max from (Log.first_idx t.dur.log) to min upto t.commit_idx - 1 do
     match (Log.get t.dur.log i).data with

@@ -142,15 +142,11 @@ val first_idx : t -> int
 val snapshot_client_cmds : t -> int
 (** Client commands (id >= 0) contained in the trimmed prefix. *)
 
-val iter_committed : t -> from:int -> upto:int -> (entry -> unit) -> unit
-(** [iter_committed t ~from ~upto f] applies [f] to the committed entries
-    at [\[from, upto)] in index order, reading the log in place ([from] is
-    clamped to the trim point, [upto] to the commit index). *)
-
 val iter_committed_ids : t -> from:int -> upto:int -> (int -> unit) -> unit
-(** [iter_committed_ids t ~from ~upto f] applies [f] to the command id of
-    every client command among the entries {!iter_committed} visits,
-    skipping configuration entries. The adapter's decided-id scan: it
-    takes [f] as is, so a scan builds no closure. *)
+(** [iter_committed_ids t ~from ~upto f] applies [f], in index order, to
+    the command id of every client command committed at [\[from, upto)],
+    skipping configuration entries. It reads the log in place ([from] is
+    clamped to the trim point, [upto] to the commit index) and takes [f]
+    as is, so a scan builds no closure. *)
 
 val msg_size : msg -> int

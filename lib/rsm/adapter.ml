@@ -56,21 +56,6 @@ module type CORE = sig
       are skipped. Called with [from < upto <= decided_index]. *)
 end
 
-(* Apply [f] to the command ids of the decided Sequence Paxos entries at
-   positions [\[from, upto)], read in place from the log (clamped to the
-   trim point and the decided index, as [Sequence_paxos.iter_decided]
-   clamps). The loop is written out rather than handing
-   [Sequence_paxos.iter_decided] a closure over [f]: this runs on every
-   Decide of every replica, where that closure would cost 4 words. *)
-let iter_sp_decided sp ~from ~upto f =
-  let log = Omnipaxos.Sequence_paxos.read_log sp in
-  let upto = min upto (Omnipaxos.Sequence_paxos.decided_idx sp) in
-  for i = max from (Replog.Log.first_idx log) to upto - 1 do
-    match Replog.Log.get log i with
-    | Omnipaxos.Entry.Cmd c -> f c.Replog.Command.id
-    | Omnipaxos.Entry.Stop_sign _ -> ()
-  done
-
 module Make (Core : CORE) : sig
   include Protocol.PROTOCOL with type msg = Core.msg
 

@@ -48,7 +48,8 @@ module Core = struct
   let msg_size = R.msg_size
 
   let iter_decided c ~from ~upto f =
-    Adapter.iter_sp_decided (R.sequence_paxos c.replica) ~from ~upto f
+    Omnipaxos.Sequence_paxos.iter_decided_ids (R.sequence_paxos c.replica)
+      ~from ~upto f
 end
 
 module Base = Adapter.Make (Core)

@@ -608,10 +608,8 @@ module Raft_runner = struct
       match !ns with
       | None -> ()
       | Some ns ->
-          N.iter_committed ns.node ~from:ns.scanned ~upto (fun (e : N.entry) ->
-              match e.N.data with
-              | N.Cmd c when c.Command.id >= 0 -> ns.cmds <- ns.cmds + 1
-              | N.Cmd _ | N.Config _ -> ());
+          N.iter_committed_ids ns.node ~from:ns.scanned ~upto (fun id ->
+              if id >= 0 then ns.cmds <- ns.cmds + 1);
           ns.scanned <- upto
     in
     let node =

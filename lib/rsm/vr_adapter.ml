@@ -34,7 +34,7 @@ module Core = struct
   let msg_size = N.msg_size
 
   let iter_decided c ~from ~upto f =
-    Adapter.iter_sp_decided (N.sequence_paxos c) ~from ~upto f
+    Omnipaxos.Sequence_paxos.iter_decided_ids (N.sequence_paxos c) ~from ~upto f
 end
 
 include Adapter.Make (Core)

@@ -642,11 +642,6 @@ let prop_decided_matches_reference =
       if quorum = 1 then decided := Sp.log_length sp;
       List.for_all step ops)
 
-(* [copy] is deep and [state_key] sees every field: after random
-   operations, a copy has the original's key, and one more operation on the
-   copy leaves the original's key unchanged (a copy sharing [acc_idx],
-   [promises], the persistent record or the log's array fails the second
-   part). *)
 (* Entries of every size class: no-ops, blobs, KV puts and stop-signs. *)
 let entry_gen =
   QCheck.Gen.(
@@ -708,6 +703,11 @@ let prop_accept_size =
              | _ -> true)
            !sent)
 
+(* [copy] is deep and [state_key] sees every field: after random
+   operations, a copy has the original's key, and one more operation on the
+   copy leaves the original's key unchanged (a copy sharing [acc_idx],
+   [promises], the persistent record or the log's array fails the second
+   part). *)
 let prop_copy_is_deep =
   QCheck.Test.make ~name:"copy is deep and keyed like the original" ~count:300
     (leader_ops ~tags:7)
