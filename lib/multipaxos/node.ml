@@ -347,7 +347,7 @@ let propose t cmd =
     if t.eager_batch > 0 && t.next_slot - t.pending_from >= t.eager_batch then
       flush_p2a t;
     if Obs.Trace.on_kind Obs.Event.proposed_tag then
-      Obs.Trace.emit_kept ~node:t.id
+      Obs.Trace.emit ~node:t.id
         (Obs.Event.Proposed
            { log_idx = t.next_slot - 1; cmd_id = cmd.Command.id });
     true

@@ -15,7 +15,7 @@
 
 type policy = { head : int; rate : int }
 
-(* The emit-path state is countdown-based so [keep] does no division for
+(* The emit-path state is countdown-based so [keep_tag] does no division for
    counter-sampled kinds (the per-event cost sits inside every traced hot
    path): [head_left] is the remaining always-keep budget and [until_next]
    the events to drop before the next kept one. *)
@@ -53,7 +53,7 @@ let deliver_tag =
 
 (* Pairs are decided by send_id alone, so a kept send always keeps its
    matching deliver. Stateless, so a site can ask before it builds the
-   event and [keep] answers the same afterwards. *)
+   event. *)
 let keep_message t ~deliver send_id =
   match t.policies.(if deliver then deliver_tag else send_tag) with
   | None -> true
@@ -78,12 +78,6 @@ let keep_tag t tag =
         t.until_next.(tag) <- t.until_next.(tag) - 1;
         false
       end
-
-let keep t kind =
-  match kind with
-  | Event.Msg_send { send_id; _ } -> keep_message t ~deliver:false send_id
-  | Event.Msg_deliver { send_id; _ } -> keep_message t ~deliver:true send_id
-  | k -> keep_tag t (Event.kind_tag k)
 
 let rates t =
   let acc = ref [] in

@@ -24,20 +24,18 @@ val create : ?head:int -> rate:int -> unit -> t
 (** Uniform policy over the sampleable kinds; [head] defaults to 1000.
     Raises [Invalid_argument] if [rate < 1]. *)
 
-val keep : t -> Event.kind -> bool
-(** Decide one event. Stateful (advances per-kind counters) but
-    deterministic: the same event sequence always keeps the same subset. *)
-
 val keep_message : t -> deliver:bool -> int -> bool
-(** [keep_message t ~deliver send_id] is what {!keep} decides for the
-    [Msg_deliver] ([deliver]) or [Msg_send] event of message [send_id].
-    Stateless, so a site can ask before it builds the event. *)
+(** [keep_message t ~deliver send_id] decides the [Msg_deliver]
+    ([deliver]) or [Msg_send] event of message [send_id]. Stateless, so a
+    site can ask before it builds the event ({!Trace.on_message}). *)
 
 val keep_tag : t -> int -> bool
 (** [keep_tag t tag] decides the next event of the kind with {!Event.kind_tag}
-    [tag], advancing the countdown {!keep} advances: asking, then calling
-    [keep] on the same event, would decide it twice. Not for the message
-    kinds, which {!keep_message} decides by [send_id]. *)
+    [tag] ({!Trace.on_kind}). Stateful (advances the kind's countdown) but
+    deterministic: the same event sequence always keeps the same subset, so
+    each event is asked about once. Kinds without a policy are always kept.
+    Not for the message kinds, which {!keep_message} decides by
+    [send_id]. *)
 
 val rates : t -> (string * int) list
 (** Kinds actually sampled (rate > 1), in tag order. *)

@@ -7,8 +7,9 @@
    ref load and branch. [hot] is true only when tracing is both enabled and
    at least one sink is subscribed, so "enabled but unsubscribed" costs the
    same as disabled — this is what bench/check_overhead.ml verifies. The
-   sampler (when installed) runs inside the hot path only, after the guard,
-   so the disabled path is untouched. *)
+   sampler (when installed) is asked by the guards of the sampleable sites,
+   [on_message] and [on_kind], after the hot check, so the disabled path is
+   untouched; [emit] itself never asks it. *)
 
 type sink = Event.t -> unit
 
@@ -76,26 +77,11 @@ let dispatch e =
   if Profile.on () then Profile.wrap "obs/sink" (fun () -> !chain e)
   else !chain e
 
-let emit_at ~time ~node kind =
-  if !hot then begin
-    match !sampler with
-    | Some s when not (Sampling.keep s kind) -> ()
-    | Some _ | None -> dispatch { Event.time; node; kind }
-  end
+(* A sampleable event was decided by its site's guard, before it was
+   built; every other kind is always kept. *)
+let emit_at ~time ~node kind = if !hot then dispatch { Event.time; node; kind }
 
-(* The sampling decision runs before the clock is read: on a sampled-out
-   event (the common case at high rates) the site pays only the guard,
-   the kind construction and the [keep] countdown. *)
 let emit ~node kind =
-  if !hot then begin
-    match !sampler with
-    | Some s when not (Sampling.keep s kind) -> ()
-    | Some _ | None -> dispatch { Event.time = !clock (); node; kind }
-  end
-
-(* The site asked [on_kind] already, which advanced the sampler's
-   countdown: asking [keep] again would decide the event twice. *)
-let emit_kept ~node kind =
   if !hot then dispatch { Event.time = !clock (); node; kind }
 
 let jsonl_sink oc : sink =

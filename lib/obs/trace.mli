@@ -26,8 +26,8 @@ val on_message : deliver:bool -> int -> bool
     the [Msg_deliver] ([deliver]) or [Msg_send] event of message
     [send_id]. The guard of the message sites: it decides before the
     event and its timestamp are built, so a sampled-out message costs no
-    allocation, and the [emit] that follows keeps the event too. Costs
-    the same as {!on} when tracing is off and one load more without a
+    allocation; a site that gets [true] emits with {!emit_at}. Costs the
+    same as {!on} when tracing is off and one load more without a
     sampler. *)
 
 val on_kind : int -> bool
@@ -35,9 +35,9 @@ val on_kind : int -> bool
     the counter-sampled kind [tag] ({!Event.proposed_tag},
     {!Event.accepted_tag}, {!Event.batch_flush_tag}). The guard of those
     sites: it decides before the event is built, so a sampled-out event
-    costs no allocation. Asking advances the sampler's countdown, so a site
-    that gets [true] emits with {!emit_kept}, which does not ask again; the
-    kept set is the one {!emit} would keep. *)
+    costs no allocation. Asking advances the sampler's countdown, so each
+    event is asked about once; a site that gets [true] emits with
+    {!emit}. *)
 
 val subscribe : sink -> int
 (** Register a sink; returns an id for {!unsubscribe}. *)
@@ -48,9 +48,10 @@ val set_clock : (unit -> float) -> unit
 (** Install the simulated clock used to stamp events emitted via {!emit}. *)
 
 val set_sampling : Sampling.t option -> unit
-(** Install (or clear, with [None]) an emit-time sampler. It runs inside
-    the hot path only — the disabled-path cost model is unchanged — and
-    drops events before any sink sees them. The effective rates are
+(** Install (or clear, with [None]) an emit-time sampler. Only the guards
+    {!on_message} and {!on_kind} ask it, inside the hot path — the
+    disabled-path cost model is unchanged — so a sampled-out event is
+    never built and no sink sees it. The effective rates are
     recorded in binary trace headers (see {!with_file}); JSONL traces have
     no header, so sampled JSONL traces carry no rate metadata. *)
 
@@ -64,11 +65,9 @@ val set_run_meta : (string * string) list -> unit
 val run_meta : unit -> (string * string) list
 
 val emit : node:int -> Event.kind -> unit
-(** Emit an event stamped with the installed clock. No-op unless {!on}. *)
-
-val emit_kept : node:int -> Event.kind -> unit
-(** Emit, stamped with the installed clock, an event a true {!on_kind}
-    already kept: the sampler is not asked again. No-op unless {!on}. *)
+(** Emit an event stamped with the installed clock. No-op unless {!on}.
+    The sampler is not asked: a sampleable event is emitted only after its
+    site's {!on_kind} or {!on_message} kept it. *)
 
 val emit_at : time:float -> node:int -> Event.kind -> unit
 (** Emit with an explicit timestamp (used by the simulator, which knows its

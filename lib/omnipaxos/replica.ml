@@ -28,25 +28,20 @@ let memo_wrap wrap init =
 
 let create ~id ~peers ?qc_signal ?(hb_ticks = 10) ?batching ?compaction
     ~storage ~send ?on_decide ?on_snapshot () =
-  let sp_ref = ref None in
   let ble_msg = memo_wrap (fun m -> Ble_msg m) (Ble.Hb_request { round = 0 }) in
   let sp_msg = memo_wrap (fun m -> Sp_msg m) Sequence_paxos.Prepare_req in
-  let ble =
-    Ble.create ~id ~peers ?qc_signal ~persistent:storage.Storage.ble
-      ~send:(fun ~dst m -> send ~dst (ble_msg m))
-      ~on_leader:(fun b ->
-        match !sp_ref with
-        | Some sp -> Sequence_paxos.handle_leader sp b
-        | None -> ())
-      ()
-  in
   let sp =
     Sequence_paxos.create ~id ~peers ~persistent:storage.Storage.sp ?batching
       ?compaction
       ~send:(fun ~dst m -> send ~dst (sp_msg m))
       ?on_decide ?on_snapshot ()
   in
-  sp_ref := Some sp;
+  let ble =
+    Ble.create ~id ~peers ?qc_signal ~persistent:storage.Storage.ble
+      ~send:(fun ~dst m -> send ~dst (ble_msg m))
+      ~on_leader:(Sequence_paxos.handle_leader sp)
+      ()
+  in
   { ble; sp; hb_ticks; tick_count = 0 }
 
 let handle t ~src msg =
@@ -93,8 +88,6 @@ let snapshot t = Sequence_paxos.snapshot t.sp
 let snapshot_client_cmds t = Sequence_paxos.snapshot_client_cmds t.sp
 let is_leader t = Sequence_paxos.is_leader t.sp
 let leader_pid t = Sequence_paxos.leader_pid t.sp
-let current_ballot t = Ble.current_ballot t.ble
-let is_quorum_connected t = Ble.is_quorum_connected t.ble
 let decided_idx t = Sequence_paxos.decided_idx t.sp
 let log_length t = Sequence_paxos.log_length t.sp
 let read_decided t ~from = Sequence_paxos.read_decided t.sp ~from

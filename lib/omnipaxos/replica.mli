@@ -67,8 +67,6 @@ val snapshot_client_cmds : t -> int
 
 val is_leader : t -> bool
 val leader_pid : t -> int option
-val current_ballot : t -> Ballot.t
-val is_quorum_connected : t -> bool
 val decided_idx : t -> int
 val log_length : t -> int
 val read_decided : t -> from:int -> Entry.t list

@@ -166,7 +166,6 @@ let create ~id ~peers ~persistent ?(batching = Batching.fixed)
 
 let id t = t.id
 let role t = t.role
-let batching t = t.batching
 
 let batch_cap t =
   if t.batching.Batching.adaptive then t.batch_cap
@@ -233,7 +232,7 @@ let append_entry t e =
    leader's log. Stop-signs carry cmd_id -1. *)
 let trace_proposed t e =
   if Obs.Trace.on_kind Obs.Event.proposed_tag then
-    Obs.Trace.emit_kept ~node:t.id
+    Obs.Trace.emit ~node:t.id
       (Obs.Event.Proposed
          {
            log_idx = Log.length t.dur.log - 1;
@@ -324,6 +323,13 @@ let quorum_acc_idx t = quorum_idx t ~above:0
 let trim_cap t ~upto =
   match t.ss_idx with Some i -> min upto i | None -> upto
 
+(* Leader: compact the decided prefix below [upto] and tell every peer to
+   do the same. *)
+let broadcast_trim t ~upto ~taken =
+  Fold.compact t.dur.store t.dur.log ~node:t.id ~upto ~taken;
+  let m = Trim { n = t.dur.prom_rnd; trim_idx = upto } in
+  List.iter (fun p -> t.send ~dst:p m) t.peers
+
 (* Leader-side compaction trigger, run once the followers have been told
    the new decided index (after [try_decide]'s Decides and at the end of
    [complete_prepare], whose AcceptSyncs carry it): once
@@ -342,11 +348,7 @@ let maybe_compact t =
     in
     if due > floor then begin
       let upto = trim_cap t ~upto:(min due (quorum_acc_idx t)) in
-      if upto > floor then begin
-        Fold.compact t.dur.store t.dur.log ~node:t.id ~upto ~taken:true;
-        let m = Trim { n = t.dur.prom_rnd; trim_idx = upto } in
-        List.iter (fun p -> t.send ~dst:p m) t.peers
-      end
+      if upto > floor then broadcast_trim t ~upto ~taken:true
     end
   end
 
@@ -379,30 +381,24 @@ let reset_followers t =
   Array.fill t.acc_idx 0 (Array.length t.acc_idx) (-1);
   Array.fill t.sent_idx 0 (Array.length t.sent_idx) (-1)
 
-(* Send the AcceptSync that makes follower [f]'s log a prefix of ours: if the
-   follower accepted in the same round as the adopted log, its log is already
-   a consistent prefix and only the missing tail is sent; otherwise its
-   non-chosen suffix may conflict and is overwritten from its decided index. *)
-let accept_sync_follower t ~dst ~(info : promise_info) ~max_acc_rnd =
-  let wanted =
-    if Ballot.equal info.p_acc_rnd max_acc_rnd then info.p_log_idx
-    else info.p_decided_idx
-  in
-  let floor = Log.first_idx t.dur.log in
-  (* A follower below our trim point (e.g. one that lost its disk) cannot be
-     repaired with entries alone: ship the state snapshot covering the
-     trimmed prefix. *)
-  let snapshot = if wanted < floor then Some (floor, snapshot t) else None in
-  let sync_idx = max wanted floor in
-  let suffix = suffix_slice t ~from:sync_idx in
+(* Trace an Accept or AcceptSync of [count] entries from [start_idx]. *)
+let[@inline] trace_accept_sent t ~start_idx ~count =
   if Obs.Trace.on () then
     Obs.Trace.emit ~node:t.id
       (Obs.Event.Accept_sent
-         {
-           b = Ballot.to_event t.dur.prom_rnd;
-           start_idx = sync_idx;
-           count = Log.slice_length suffix;
-         });
+         { b = Ballot.to_event t.dur.prom_rnd; start_idx; count })
+
+(* Send follower [dst] the AcceptSync that overwrites its log from [wanted]
+   with ours. A follower below our trim point (one that lost its disk, or
+   lagged past a compaction) cannot be repaired with entries alone: it gets
+   the state snapshot covering the trimmed prefix, then the suffix from
+   the floor. *)
+let send_accept_sync t ~dst ~wanted =
+  let floor = Log.first_idx t.dur.log in
+  let snapshot = if wanted < floor then Some (floor, snapshot t) else None in
+  let sync_idx = max wanted floor in
+  let suffix = suffix_slice t ~from:sync_idx in
+  trace_accept_sent t ~start_idx:sync_idx ~count:(Log.slice_length suffix);
   t.send ~dst
     (Accept_sync
        {
@@ -414,6 +410,16 @@ let accept_sync_follower t ~dst ~(info : promise_info) ~max_acc_rnd =
        });
   t.synced.(dst) <- true;
   t.sent_idx.(dst) <- Log.length t.dur.log
+
+(* Synchronise the follower that sent [info]: if it accepted in the same
+   round as the adopted log, its log is already a consistent prefix and only
+   the missing tail is sent; otherwise its non-chosen suffix may conflict
+   and is overwritten from its decided index. *)
+let accept_sync_follower t ~dst ~(info : promise_info) ~max_acc_rnd =
+  send_accept_sync t ~dst
+    ~wanted:
+      (if Ballot.equal info.p_acc_rnd max_acc_rnd then info.p_log_idx
+       else info.p_decided_idx)
 
 (* Prepare phase completion: adopt the most updated log among the quorum of
    promises (P2c), append buffered proposals, and synchronise followers. *)
@@ -473,13 +479,8 @@ let complete_prepare t =
   try_decide t;
   maybe_compact t
 
-let start_prepare t =
-  t.role <- Leader_prepare;
-  Hashtbl.reset t.promises;
-  reset_followers t;
-  t.batch_cap <- t.batching.Batching.min_batch;
-  t.unflushed <- 0;
-  t.ack_pending <- false;
+(* The Prepare of our round, traced each time it is sent out. *)
+let prepare t =
   if Obs.Trace.on () then
     Obs.Trace.emit ~node:t.id
       (Obs.Event.Prepare_round
@@ -488,16 +489,23 @@ let start_prepare t =
            log_idx = Log.length t.dur.log;
            decided_idx = t.dur.decided_idx;
          });
-  let prepare =
-    Prepare
-      {
-        n = t.dur.prom_rnd;
-        acc_rnd = t.dur.acc_rnd;
-        log_idx = Log.length t.dur.log;
-        decided_idx = t.dur.decided_idx;
-      }
-  in
-  List.iter (fun peer -> t.send ~dst:peer prepare) t.peers;
+  Prepare
+    {
+      n = t.dur.prom_rnd;
+      acc_rnd = t.dur.acc_rnd;
+      log_idx = Log.length t.dur.log;
+      decided_idx = t.dur.decided_idx;
+    }
+
+let start_prepare t =
+  t.role <- Leader_prepare;
+  Hashtbl.reset t.promises;
+  reset_followers t;
+  t.batch_cap <- t.batching.Batching.min_batch;
+  t.unflushed <- 0;
+  t.ack_pending <- false;
+  let m = prepare t in
+  List.iter (fun peer -> t.send ~dst:peer m) t.peers;
   if t.quorum = 1 then complete_prepare t
 
 let handle_leader t (b : Ballot.t) =
@@ -578,38 +586,38 @@ let on_promise t ~src ~n ~(info : promise_info) =
         accept_sync_follower t ~dst:src ~info ~max_acc_rnd:t.dur.acc_rnd
     | Follower -> ()
 
+(* Trace that our log, accepted in round [n], ends at its length. *)
+let[@inline] trace_accepted t n =
+  if Obs.Trace.on_kind Obs.Event.accepted_tag then
+    Obs.Trace.emit ~node:t.id
+      (Obs.Event.Accepted_idx
+         { b = Ballot.to_event n; log_idx = Log.length t.dur.log })
+
+(* Follower: acknowledge our whole log to the leader of round [n]. *)
+let send_accepted t n =
+  let len = Log.length t.dur.log in
+  t.acked_idx <- len;
+  t.ack_pending <- false;
+  t.send ~dst:n.Ballot.pid (Accepted { n; log_idx = len })
+
 let on_accept_sync t ~n ~sync_idx ~suffix ~l_decided_idx ~snapshot =
-  if Ballot.equal n t.dur.prom_rnd then begin
-    match snapshot with
+  if
+    Ballot.equal n t.dur.prom_rnd
+    && (Option.is_some snapshot
+       || sync_idx <= Log.length t.dur.log
+          && sync_idx >= Log.first_idx t.dur.log)
+  then begin
+    t.dur.acc_rnd <- n;
+    (match snapshot with
     | Some snap ->
         (* Install the state snapshot (the log restarts at its index; the
            application restores its state machine from the payload) —
            unless it is stale, in which case only the suffix is adopted. *)
-        t.dur.acc_rnd <- n;
-        adopt_snapshot_suffix t snap ~suffix;
-        if Obs.Trace.on_kind Obs.Event.accepted_tag then
-          Obs.Trace.emit_kept ~node:t.id
-            (Obs.Event.Accepted_idx
-               { b = Ballot.to_event n; log_idx = Log.length t.dur.log });
-        t.acked_idx <- Log.length t.dur.log;
-        t.ack_pending <- false;
-        t.send ~dst:n.Ballot.pid (Accepted { n; log_idx = Log.length t.dur.log });
-        advance_decided t l_decided_idx
-    | None ->
-        if sync_idx <= Log.length t.dur.log && sync_idx >= Log.first_idx t.dur.log
-        then begin
-          t.dur.acc_rnd <- n;
-          sync_log t ~at:sync_idx suffix ~skip:0;
-          if Obs.Trace.on_kind Obs.Event.accepted_tag then
-            Obs.Trace.emit_kept ~node:t.id
-              (Obs.Event.Accepted_idx
-                 { b = Ballot.to_event n; log_idx = Log.length t.dur.log });
-          t.acked_idx <- Log.length t.dur.log;
-          t.ack_pending <- false;
-          t.send ~dst:n.Ballot.pid
-            (Accepted { n; log_idx = Log.length t.dur.log });
-          advance_decided t l_decided_idx
-        end
+        adopt_snapshot_suffix t snap ~suffix
+    | None -> sync_log t ~at:sync_idx suffix ~skip:0);
+    trace_accepted t n;
+    send_accepted t n;
+    advance_decided t l_decided_idx
   end
 
 (* Accepts carry their starting log index: re-deliveries overlap and are
@@ -634,9 +642,7 @@ let on_accept t ~n ~start_idx ~entries ~l_decided_idx =
       && Option.is_none t.ss_idx
       && Entry.is_stop_sign (Log.get t.dur.log (len - 1))
     then t.ss_idx <- Some (len - 1);
-    if Obs.Trace.on_kind Obs.Event.accepted_tag then
-      Obs.Trace.emit_kept ~node:t.id
-        (Obs.Event.Accepted_idx { b = Ballot.to_event n; log_idx = len });
+    trace_accepted t n;
     (* Ack coalescing (adaptive policy): acknowledge at most once per
        [ack_every] appended entries; anything deferred is swept by the next
        tick's [flush]. The fixed policy acknowledges every batch. *)
@@ -645,11 +651,7 @@ let on_accept t ~n ~start_idx ~entries ~l_decided_idx =
       (not b.Batching.adaptive)
       || b.Batching.ack_every <= 1
       || len - t.acked_idx >= b.Batching.ack_every
-    then begin
-      t.acked_idx <- len;
-      t.ack_pending <- false;
-      t.send ~dst:n.Ballot.pid (Accepted { n; log_idx = len })
-    end
+    then send_accepted t n
     else t.ack_pending <- true;
     advance_decided t l_decided_idx
   end
@@ -685,9 +687,7 @@ let request_trim t ~upto =
   if role_is_leader_accept t.role && upto <= t.dur.decided_idx
      && all_peers_accepted
   then begin
-    Fold.compact t.dur.store t.dur.log ~node:t.id ~upto ~taken:false;
-    let m = Trim { n = t.dur.prom_rnd; trim_idx = upto } in
-    List.iter (fun p -> t.send ~dst:p m) t.peers;
+    broadcast_trim t ~upto ~taken:false;
     true
   end
   else false
@@ -699,22 +699,7 @@ let resend_prepare_to t ~dst =
   t.acc_idx.(dst) <- -1;
   t.sent_idx.(dst) <- -1;
   Hashtbl.remove t.promises dst;
-  if Obs.Trace.on () then
-    Obs.Trace.emit ~node:t.id
-      (Obs.Event.Prepare_round
-         {
-           b = Ballot.to_event t.dur.prom_rnd;
-           log_idx = Log.length t.dur.log;
-           decided_idx = t.dur.decided_idx;
-         });
-  t.send ~dst
-    (Prepare
-       {
-         n = t.dur.prom_rnd;
-         acc_rnd = t.dur.acc_rnd;
-         log_idx = Log.length t.dur.log;
-         decided_idx = t.dur.decided_idx;
-       })
+  t.send ~dst (prepare t)
 
 (* The follower arrays cover [0, width) only. Simnet and [Rsm.Reconfig]
    route messages within one configuration, so a pid outside that range is
@@ -787,43 +772,17 @@ let do_flush t ~trigger =
   for f = 0 to Array.length t.synced - 1 do
     if t.synced.(f) then begin
       let from = if t.sent_idx.(f) < 0 then len else t.sent_idx.(f) in
-      if from < floor then begin
+      if from < floor then
         (* The follower's unsent backlog starts below the trim point (it
-           lagged past a compaction): the entries are gone, so repair with
-           a snapshot install plus the remaining tail instead. *)
-        let suffix = suffix_slice t ~from:floor in
-        if Obs.Trace.on () then
-          Obs.Trace.emit ~node:t.id
-            (Obs.Event.Accept_sent
-               {
-                 b = Ballot.to_event t.dur.prom_rnd;
-                 start_idx = floor;
-                 count = Log.slice_length suffix;
-               });
-        t.send ~dst:f
-          (Accept_sync
-             {
-               n = t.dur.prom_rnd;
-               sync_idx = floor;
-               suffix;
-               decided_idx = t.dur.decided_idx;
-               snapshot = Some (floor, snapshot t);
-             });
-        t.sent_idx.(f) <- len
-      end
+           lagged past a compaction): the entries are gone, so repair it
+           with an AcceptSync, which ships the snapshot. *)
+        send_accept_sync t ~dst:f ~wanted:from
       else if from < len then begin
         max_lag := max !max_lag (len - from);
         let count = min cap (len - from) in
         sent_entries := !sent_entries + count;
         incr sent_followers;
-        if Obs.Trace.on () then
-          Obs.Trace.emit ~node:t.id
-            (Obs.Event.Accept_sent
-               {
-                 b = Ballot.to_event t.dur.prom_rnd;
-                 start_idx = from;
-                 count;
-               });
+        trace_accept_sent t ~start_idx:from ~count;
         let accept =
           match !shared with
           | Some (s_from, s_count, m) when s_from = from && s_count = count -> m
@@ -842,7 +801,7 @@ let do_flush t ~trigger =
     end
   done;
   if !sent_followers > 0 && Obs.Trace.on_kind Obs.Event.batch_flush_tag then
-    Obs.Trace.emit_kept ~node:t.id
+    Obs.Trace.emit ~node:t.id
       (Obs.Event.Batch_flush
          {
            entries = !sent_entries;
@@ -872,12 +831,7 @@ let flush_acks t =
       role_is_follower t.role
       && Ballot.equal t.dur.prom_rnd t.dur.acc_rnd
       && t.dur.prom_rnd.Ballot.pid <> t.id
-    then begin
-      let len = Log.length t.dur.log in
-      t.acked_idx <- len;
-      t.send ~dst:t.dur.prom_rnd.Ballot.pid
-        (Accepted { n = t.dur.prom_rnd; log_idx = len })
-    end
+    then send_accepted t t.dur.prom_rnd
   end
 
 let propose t entry =

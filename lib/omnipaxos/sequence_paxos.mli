@@ -183,9 +183,6 @@ val is_stopped : t -> bool
 val stop_sign : t -> Entry.stop_sign option
 (** The stop-sign, once it is decided. *)
 
-val batching : t -> Batching.config
-(** The (validated) batch-flush policy this instance runs. *)
-
 val first_idx : t -> int
 (** The log's trim point: entries below it live only in the snapshot. *)
 

@@ -315,6 +315,19 @@ let send_install t ~dst =
   t.last_send.(dst) <- t.tick_count;
   t.sent_idx.(dst) <- floor
 
+(* The AppendEntries carrying [entries], which follow log index
+   [prev_idx]. *)
+let send_entries t ~dst ~prev_idx entries =
+  t.send ~dst
+    (Append_entries
+       {
+         term = t.dur.term;
+         prev_idx;
+         prev_term = prev_term_at t prev_idx;
+         entries;
+         commit_idx = t.commit_idx;
+       })
+
 let send_append t ~dst ~from =
   let log = t.dur.log in
   if from < Log.first_idx log then
@@ -322,18 +335,9 @@ let send_append t ~dst ~from =
        snapshot instead; the tail streams as normal batches afterwards. *)
     send_install t ~dst
   else begin
-    let prev_idx = from - 1 in
-    let prev_term = prev_term_at t prev_idx in
     let count = min t.max_batch (Log.length log - from) in
-    t.send ~dst
-      (Append_entries
-         {
-           term = t.dur.term;
-           prev_idx;
-           prev_term;
-           entries = Log.slice log ~pos:from ~len:count;
-           commit_idx = t.commit_idx;
-         });
+    send_entries t ~dst ~prev_idx:(from - 1)
+      (Log.slice log ~pos:from ~len:count);
     t.last_send.(dst) <- t.tick_count;
     t.sent_idx.(dst) <- from + count
   end
@@ -344,19 +348,7 @@ let send_append t ~dst ~from =
 let send_heartbeat t ~dst =
   let sent = lookup t.next_idx dst ~default:(Log.length t.dur.log) in
   if sent < Log.first_idx t.dur.log then send_install t ~dst
-  else begin
-    let prev_idx = sent - 1 in
-    let prev_term = prev_term_at t prev_idx in
-    t.send ~dst
-      (Append_entries
-         {
-           term = t.dur.term;
-           prev_idx;
-           prev_term;
-           entries = Log.slice_of_list [];
-           commit_idx = t.commit_idx;
-         })
-  end
+  else send_entries t ~dst ~prev_idx:(sent - 1) (Log.slice_of_list [])
 
 let become_leader t =
   t.role <- Leader;
@@ -507,17 +499,29 @@ let rec first_new (log : entry Log.t) (entries : entry Log.slice) ~base k =
     then first_new log entries ~base (k + 1)
     else k
 
-let on_append_entries t ~src ~term ~prev_idx ~prev_term ~entries ~leader_commit
-    =
-  if term < t.dur.term then
-    t.send ~dst:src
-      (Append_resp
-         { term = t.dur.term; success = false; match_idx = Log.length t.dur.log })
+(* Answer the AppendEntries or InstallSnapshot of leader [dst]. *)
+let respond t ~dst ~success ~match_idx =
+  t.send ~dst (Append_resp { term = t.dur.term; success; match_idx })
+
+(* The prologue of a message from the leader [src] of [term]: refuse a
+   stale term (the refusal carries our log length), otherwise follow
+   [src]. Returns whether the message is to be applied. *)
+let accept_leader t ~src ~term =
+  if term < t.dur.term then begin
+    respond t ~dst:src ~success:false ~match_idx:(Log.length t.dur.log);
+    false
+  end
   else begin
     if term > t.dur.term || not (role_is_follower t.role) then
       become_follower t ~term;
     t.leader_id <- Some src;
     t.ticks_since_hb <- 0;
+    true
+  end
+
+let on_append_entries t ~src ~term ~prev_idx ~prev_term ~entries ~leader_commit
+    =
+  if accept_leader t ~src ~term then begin
     let log = t.dur.log in
     let floor = Log.first_idx log in
     let ok =
@@ -529,13 +533,8 @@ let on_append_entries t ~src ~term ~prev_idx ~prev_term ~entries ~leader_commit
       || (prev_idx < Log.length log && prev_term_at t prev_idx = prev_term)
     in
     if not ok then
-      t.send ~dst:src
-        (Append_resp
-           {
-             term = t.dur.term;
-             success = false;
-             match_idx = min (Log.length log) (max 0 prev_idx);
-           })
+      respond t ~dst:src ~success:false
+        ~match_idx:(min (Log.length log) (max 0 prev_idx))
     else begin
       (* Append from the first entry we lack, truncating a conflicting
          tail; skip duplicates. Entries below the trim point are part of
@@ -545,8 +544,8 @@ let on_append_entries t ~src ~term ~prev_idx ~prev_term ~entries ~leader_commit
         Log.truncate log (prev_idx + 1 + k);
         Log.append_slice log entries ~skip:k
       end;
-      let match_idx = prev_idx + 1 + Log.slice_length entries in
-      t.send ~dst:src (Append_resp { term = t.dur.term; success = true; match_idx });
+      respond t ~dst:src ~success:true
+        ~match_idx:(prev_idx + 1 + Log.slice_length entries);
       advance_commit_follower t leader_commit
     end
   end
@@ -576,15 +575,7 @@ let on_append_resp t ~src ~term ~success ~match_idx =
    leader streams the tail as normal batches. A stale or duplicate install
    (our log already starts at or above [idx]) is just re-acked. *)
 let on_install_snapshot t ~src ~term ~idx ~snap_term ~payload ~leader_commit =
-  if term < t.dur.term then
-    t.send ~dst:src
-      (Append_resp
-         { term = t.dur.term; success = false; match_idx = Log.length t.dur.log })
-  else begin
-    if term > t.dur.term || not (role_is_follower t.role) then
-      become_follower t ~term;
-    t.leader_id <- Some src;
-    t.ticks_since_hb <- 0;
+  if accept_leader t ~src ~term then begin
     (* A stale snapshot — at or below our commit index — must never be
        re-installed: the state machine already covers that prefix, and
        [on_install] consumers never re-apply committed entries, so a
@@ -609,8 +600,7 @@ let on_install_snapshot t ~src ~term ~idx ~snap_term ~payload ~leader_commit =
             idx
         | Error _ -> t.commit_idx
     in
-    t.send ~dst:src
-      (Append_resp { term = t.dur.term; success = true; match_idx = ack });
+    respond t ~dst:src ~success:true ~match_idx:ack;
     advance_commit_follower t leader_commit
   end
 
@@ -664,7 +654,7 @@ let propose t cmd =
       done
     end;
     if Obs.Trace.on_kind Obs.Event.proposed_tag then
-      Obs.Trace.emit_kept ~node:t.id
+      Obs.Trace.emit ~node:t.id
         (Obs.Event.Proposed
            {
              log_idx = Log.length t.dur.log - 1;

@@ -103,26 +103,10 @@ module Run (P : Protocol.PROTOCOL) = struct
     done;
     !sum
 
-  (* One normal-execution run; returns decided/s and total IO bytes. The
+  (* One normal-execution run: decided/s, the client-visible latency
+     percentiles (warmup samples discarded) and the network volume. The
      client retry fuse is generous: under full connectivity a retry would
      only duplicate a slow pipeline's load. *)
-  let throughput cfg ~wan ~cp ~warmup_ms ~duration_ms =
-    let c = C.create cfg in
-    if wan then apply_wan_latencies (C.net c) ~n:cfg.Cluster.n;
-    let client =
-      C.start_client ~retry_ms:(20.0 *. cfg.Cluster.election_timeout_ms) c ~cp
-    in
-    C.run_ms c (warmup_ms +. duration_ms);
-    Client.stop client;
-    let series = Client.series client in
-    let decided =
-      Metrics.Series.total_between series ~from:warmup_ms
-        ~until:(warmup_ms +. duration_ms)
-    in
-    (float_of_int decided /. (duration_ms /. 1000.0), total_io c)
-
-  (* Like [throughput], but also reports the client-visible latency
-     percentiles (warmup samples discarded) and the message volume. *)
   let throughput_sample cfg ~wan ~cp ~warmup_ms ~duration_ms =
     let c = C.create cfg in
     if wan then apply_wan_latencies (C.net c) ~n:cfg.Cluster.n;
@@ -146,6 +130,11 @@ module Run (P : Protocol.PROTOCOL) = struct
       rs_io_bytes = total_io c;
       rs_msgs = Net.messages_delivered (C.net c);
     }
+
+  (* The same run, as decided/s and total IO bytes. *)
+  let throughput cfg ~wan ~cp ~warmup_ms ~duration_ms =
+    let s = throughput_sample cfg ~wan ~cp ~warmup_ms ~duration_ms in
+    (s.rs_rate, s.rs_io_bytes)
 
   (* One partial-connectivity run; returns (down-time ms, decided during the
      partition, leader changes). *)

@@ -119,6 +119,28 @@ let test_with_recording () =
   check "overflow is attributed per kind" true
     (dropped_by_kind = [ ("crash", 2) ])
 
+(* Under a sampler the site's guard decides: [emit] delivers every event
+   it is handed — a never-sampled kind each time — and [on_kind] keeps 1
+   in [rate] of a sampleable kind. *)
+let test_sampler_decides_at_guard () =
+  let kinds = ref [] in
+  Trace.set_sampling (Some (Obs.Sampling.create ~head:0 ~rate:10 ()));
+  Fun.protect
+    ~finally:(fun () -> Trace.set_sampling None)
+    (fun () ->
+      Trace.with_sink
+        ~make_sink:(fun () e -> kinds := Event.kind_name e.Event.kind :: !kinds)
+        ~close:ignore
+        (fun () ->
+          for i = 0 to 99 do
+            Trace.emit ~node:0 (Event.Decided { b = b1; decided_idx = i });
+            if Trace.on_kind Event.proposed_tag then
+              Trace.emit ~node:0 (Event.Proposed { log_idx = i; cmd_id = i })
+          done));
+  let count k = List.length (List.filter (String.equal k) !kinds) in
+  check_int "every never-sampled event reaches the sink" 100 (count "decide");
+  check_int "on_kind keeps 1 in 10" 10 (count "proposed")
+
 let test_event_json () =
   let b = { Event.n = 3; prio = 1; pid = 2 } in
   let j =
@@ -976,6 +998,8 @@ let () =
           Alcotest.test_case "sink fan-out" `Quick test_sink_fanout;
           Alcotest.test_case "with_recording" `Quick test_with_recording;
           Alcotest.test_case "event json" `Quick test_event_json;
+          Alcotest.test_case "sampler decides at the guard" `Quick
+            test_sampler_decides_at_guard;
         ] );
       ( "metric",
         [

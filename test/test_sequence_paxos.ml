@@ -387,6 +387,39 @@ let test_snapshot_repairs_below_trim () =
   check "tail readable above the snapshot" true
     (List.length (Sp.read_decided h.nodes.(2) ~from:0) = 3)
 
+(* The flush path's snapshot repair: a synced follower whose unsent backlog
+   starts below the leader's trim point gets, from the next flush, an
+   AcceptSync that ships the snapshot — its entries are gone. *)
+let test_flush_repairs_below_trim () =
+  let h = make ~compaction:(Omnipaxos.Compaction.make 4) () in
+  elect h;
+  let leader = h.nodes.(0) in
+  for i = 0 to 9 do
+    ignore (Sp.propose leader (cmd i))
+  done;
+  (* Before any flush, node 2's session drops: its re-sync carries all ten
+     entries, so with node 2 the leader decides and trims all ten, none of
+     which node 1 was sent. *)
+  Sp.session_reset leader ~peer:2;
+  deliver h;
+  check_int "leader trimmed the decided log" 10 (Sp.first_idx leader);
+  check_int "node 1 holds nothing" 0 (Sp.log_length h.nodes.(1));
+  Sp.flush leader;
+  check "the flush repairs node 1 with the snapshot" true
+    (match Queue.peek_opt h.queues with
+    | Some (0, 1, Sp.Accept_sync { sync_idx = 10; snapshot = Some (10, _); _ })
+      ->
+        Queue.length h.queues = 1
+    | Some _ | None -> false);
+  deliver h;
+  check_int "node 1's log restarts at the trim point" 10
+    (Sp.first_idx h.nodes.(1));
+  check_int "node 1 decided through the snapshot" 10
+    (Sp.decided_idx h.nodes.(1));
+  ignore (Sp.propose leader (cmd 10));
+  flush_all h;
+  check_int "new entries flow to node 1" 11 (Sp.decided_idx h.nodes.(1))
+
 (* A follower of round (2, 0) holding [k] entries, all decided. *)
 let decided_follower ?(send = fun ~dst:_ _ -> ()) ?on_snapshot k =
   let persistent = Sp.fresh_persistent () in
@@ -1038,6 +1071,8 @@ let () =
             test_election_after_trim;
           Alcotest.test_case "snapshot repairs below trim" `Quick
             test_snapshot_repairs_below_trim;
+          Alcotest.test_case "flush repairs below trim" `Quick
+            test_flush_repairs_below_trim;
           Alcotest.test_case "undecodable AcceptSync snapshot dropped" `Quick
             test_accept_sync_bad_snapshot_dropped;
           Alcotest.test_case "undecodable Promise snapshot dropped" `Quick

@@ -181,9 +181,8 @@ let () =
   (* Sampler arithmetic: head 2 then 1-in-4 of a 50-proposal burst. *)
   let s = Obs.Sampling.create ~head:2 ~rate:4 () in
   let kept = ref 0 in
-  for i = 1 to 50 do
-    if Obs.Sampling.keep s (Ev.Proposed { log_idx = i; cmd_id = i }) then
-      incr kept
+  for _ = 1 to 50 do
+    if Obs.Sampling.keep_tag s Ev.proposed_tag then incr kept
   done;
   Printf.printf "sampling head=2 rate=4: kept %d of 50 proposals\n" !kept;
 
