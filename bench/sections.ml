@@ -603,8 +603,9 @@ let run_trace_scale ~quick ~print =
      cluster exercising every instrumented hot path) with tracing off vs
      sampled tracing (rate 10) into the binary encoder, interleaved
      min-of-trials so drift hits both equally. Full-fidelity tracing is
-     measured too, informationally — the <10% gate is on the sampled
-     configuration, which is the one meant for million-event runs. *)
+     measured too. Both rows are informational here: the <10% gate on the
+     sampled configuration, the one meant for million-event runs, is
+     [check_overhead.exe sampled]. *)
   (* Never shrink reps below calibration: the trial must dwarf Sys.time's
      resolution or the percentages are noise. *)
   let reps = Workload.calibrate_reps () in
@@ -646,9 +647,14 @@ let run_trace_scale ~quick ~print =
   let overhead_ok = sampled_pct < 10.0 in
   say print "tracing off         : %.1f ms (min of %d trials x %d runs)\n"
     (!best_off *. 1000.0) trials reps;
-  say print "sampled bin tracing : %.1f ms (%+.1f%%, gate < 10%%: %s)\n"
-    (!best_sampled *. 1000.0) sampled_pct
-    (if overhead_ok then "ok" else "FAIL");
+  (* Informational like the full row: this run shares the cores with
+     whatever else is running (a [dune build] runs its other actions
+     alongside), so it enforces nothing; the gate is
+     [check_overhead.exe sampled], which runs alone and retries. *)
+  say print
+    "sampled bin tracing : %.1f ms (%+.1f%%, informational; gated < 10%% by \
+     check_overhead.exe sampled)\n"
+    (!best_sampled *. 1000.0) sampled_pct;
   say print "full bin tracing    : %.1f ms (%+.1f%%, informational)\n"
     (!best_full *. 1000.0) full_pct;
 

@@ -1,5 +1,7 @@
 (* Test-only stale-read wrapper; see the .mli. *)
 
+module Cache = Omnipaxos.Compaction.Decided_cache
+
 module Make (P : Rsm.Protocol.PROTOCOL) = struct
   type msg = P.msg
 
@@ -8,7 +10,7 @@ module Make (P : Rsm.Protocol.PROTOCOL) = struct
      server observed them. *)
   type t = {
     inner : P.t;
-    cache : Rsm.Protocol.Decided_cache.t;
+    cache : Cache.t;
     mutable scanned : int;
   }
 
@@ -19,7 +21,7 @@ module Make (P : Rsm.Protocol.PROTOCOL) = struct
       inner =
         P.create ?batching ?compaction ~id ~peers ~election_ticks ~rand ~send
           ();
-      cache = Rsm.Protocol.Decided_cache.create ();
+      cache = Cache.create ();
       scanned = 0;
     }
 
@@ -27,7 +29,7 @@ module Make (P : Rsm.Protocol.PROTOCOL) = struct
      read lands after everything this server has already applied. *)
   let sync t =
     let ids = P.decided_ids t.inner ~from:t.scanned in
-    List.iter (Rsm.Protocol.Decided_cache.note t.cache) ids;
+    List.iter (Cache.note t.cache) ids;
     t.scanned <- t.scanned + List.length ids
 
   let handle t ~src m = P.handle t.inner ~src m
@@ -41,7 +43,7 @@ module Make (P : Rsm.Protocol.PROTOCOL) = struct
         (* THE BUG: serve the read from the local prefix instead of
            replicating it. The command id never reaches consensus. *)
         sync t;
-        Rsm.Protocol.Decided_cache.note t.cache cmd.Replog.Command.id;
+        Cache.note t.cache cmd.Replog.Command.id;
         true
     (* Deliberately-buggy adapter: only leader-local reads are intercepted;
        every other operation takes the real consensus path. *)
@@ -52,11 +54,11 @@ module Make (P : Rsm.Protocol.PROTOCOL) = struct
 
   let decided_count t =
     sync t;
-    Rsm.Protocol.Decided_cache.count t.cache
+    Cache.count t.cache
 
   let decided_ids t ~from =
     sync t;
-    Rsm.Protocol.Decided_cache.ids_from t.cache ~from
+    Cache.ids_from t.cache ~from
 
   (* Forwarded as-is: [inst_cache_len] counts the inner stream, which can
      sit below this wrapper's id stream once reads were injected — fine for

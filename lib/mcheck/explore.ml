@@ -13,9 +13,11 @@
     - SC3 (integrity): decided indexes never fall and decided entries never
       change;
     - the application: each node's KV state machine, fed by [on_decide] and
-      replaced by [on_snapshot] under [Rsm.Adapter.Make]'s never-rewind
-      cursor rule, is the fold of the chosen prefix up to its decided
-      index. *)
+      replaced by [on_snapshot] under a never-rewind cursor (the rule
+      {!Omnipaxos.Compaction.Store} keeps for the node's own store), is the
+      fold of the chosen prefix up to its decided index. It is kept apart
+      from the node's store on purpose: an oracle that is the code under
+      check would check nothing. *)
 
 module Sp = Omnipaxos.Sequence_paxos
 module Entry = Omnipaxos.Entry
@@ -54,10 +56,10 @@ type step =
 let n_nodes = 3
 
 (* Constants, not inputs: fixed batching is the default policy, and a
-   snapshot on every decide that retains one entry is the smallest
-   compaction trigger that makes a stale snapshot install reachable within
-   these bounds (with [retain:0], a build without the stale-install guard
-   passes). *)
+   trim on every decide that retains one entry makes snapshot installs
+   reachable within these bounds. A shipped snapshot covers the sender's
+   decided prefix, so none lands below the receiver's decided index here:
+   the stale-install guard is pinned by a unit test instead. *)
 let batching = Omnipaxos.Batching.fixed
 let compaction = Omnipaxos.Compaction.make ~retain:1 1
 

@@ -2,12 +2,6 @@ module Log = Replog.Log
 module Command = Replog.Command
 module Store = Omnipaxos.Compaction.Store
 
-module Fold = Store.Fold (struct
-  type t = Command.t
-
-  let iter_command f x c = f x c
-end)
-
 type ballot = { n : int; pid : int }
 
 let bottom = { n = 0; pid = -1 }
@@ -50,7 +44,6 @@ type t = {
   heartbeat_ticks : int;
   rand : Random.State.t;
   send : dst:int -> msg -> unit;
-  on_decide : int -> unit;
   mutable tick_count : int;
   (* Tick of the last message from each pid in [0, 1 + max (id :: peers));
      -1 = never heard. *)
@@ -91,10 +84,9 @@ type t = {
   eager_batch : int;
   (* Learner state. *)
   decided : Command.t Log.t;
-  (* Compaction: [store] covers exactly [0, first_idx decided); slots below
+  (* [store] is the applied state of the whole decided prefix; slots below
      the trim point survive only there. *)
   compaction : Omnipaxos.Compaction.config;
-  on_install : int -> string -> unit;
   store : Store.t;
   obs : Obs.Term_trace.t;
 }
@@ -111,8 +103,7 @@ let window_capacity = 64
 
 let create ~id ~peers ~election_ticks ~rand
     ?(batching = Omnipaxos.Batching.fixed)
-    ?(compaction = Omnipaxos.Compaction.disabled) ?(on_install = fun _ _ -> ())
-    ~send ?(on_decide = fun _ -> ()) () =
+    ?(compaction = Omnipaxos.Compaction.disabled) ~send () =
   let n_total = List.length peers + 1 in
   let filler = Command.noop noop_id in
   let b = Omnipaxos.Batching.validated batching in
@@ -124,7 +115,6 @@ let create ~id ~peers ~election_ticks ~rand
     heartbeat_ticks = max 1 (election_ticks / 5);
     rand;
     send;
-    on_decide;
     tick_count = 0;
     last_heard = Array.make (1 + List.fold_left max id peers) (-1);
     prom = bottom;
@@ -150,7 +140,6 @@ let create ~id ~peers ~election_ticks ~rand
     eager_batch = (if b.adaptive then b.min_batch else 0);
     decided = Log.create ();
     compaction = Omnipaxos.Compaction.validated compaction;
-    on_install;
     store = Store.create ();
     obs = Obs.Term_trace.create ();
   }
@@ -227,7 +216,7 @@ let trim_below_decided t =
    and stragglers that later ask for discarded slots get the snapshot
    instead. *)
 let maybe_compact t =
-  Fold.compact t.store t.decided ~node:t.id ~taken:true
+  Store.trim t.store t.decided ~node:t.id ~taken:true
     ~upto:
       (Omnipaxos.Compaction.trim_point t.compaction
          ~floor:(Log.first_idx t.decided) ~decided:(Log.length t.decided))
@@ -238,16 +227,16 @@ let leader_pid t =
   | Activated l -> Some l
   | No_leader -> None
 
+(* The snapshot covers the whole decided prefix. *)
 let send_snapshot t ~dst =
   t.send ~dst
-    (Snapshot
-       { idx = Log.first_idx t.decided; payload = Store.encode t.store t.decided })
+    (Snapshot { idx = Store.applied t.store; payload = Store.encode t.store })
 
-(* Every decided-prefix advance reports the new length to [on_decide] and
-   then to the trace, with the ballot round as term. *)
+(* Every decided-prefix advance applies the new slots to the store and
+   reports the new length to the trace, with the ballot round as term. *)
 let decided t =
   let upto = Log.length t.decided in
-  t.on_decide upto;
+  Store.apply t.store t.decided ~upto (fun _ c -> c) ();
   Obs.Term_trace.note_decided ~node:t.id ~term:t.ballot.n
     ~leader:(leader_pid t) ~decided_idx:upto
 
@@ -539,14 +528,10 @@ let on_decision t ~src ~start_slot ~cmds =
 
 let on_decision_req t ~src ~from =
   let floor = Log.first_idx t.decided in
-  if from < floor then begin
-    (* The requested prefix was compacted away: ship the snapshot, plus the
-       still-logged tail so the straggler lands at our watermark. *)
-    send_snapshot t ~dst:src;
-    if floor < Log.length t.decided then
-      t.send ~dst:src
-        (Decision { start_slot = floor; cmds = Log.suffix t.decided ~from:floor })
-  end
+  if from < floor then
+    (* The requested prefix was compacted away: ship the snapshot, which
+       lands the straggler at our watermark. *)
+    send_snapshot t ~dst:src
   else if from < Log.length t.decided then
     t.send ~dst:src
       (Decision { start_slot = from; cmds = Log.suffix t.decided ~from })
@@ -560,7 +545,6 @@ let on_snapshot t ~idx ~payload =
     | Ok snap ->
         Store.install t.store t.decided ~node:t.id snap;
         trim_below_decided t;
-        t.on_install idx payload;
         decided t
     | Error _ -> ()
 
@@ -652,7 +636,7 @@ let current_ballot t = t.ballot
 let decided_log t = t.decided
 let decided_length t = Log.length t.decided
 let first_idx t = Log.first_idx t.decided
-let snapshot_client_cmds t = Store.client_cmds t.store
+let store t = t.store
 
 let next_slot t = t.next_slot
 

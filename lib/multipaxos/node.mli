@@ -55,9 +55,7 @@ val create :
   rand:Random.State.t ->
   ?batching:Omnipaxos.Batching.config ->
   ?compaction:Omnipaxos.Compaction.config ->
-  ?on_install:(int -> string -> unit) ->
   send:(dst:int -> msg -> unit) ->
-  ?on_decide:(int -> unit) ->
   unit ->
   t
 (** [batching] (default {!Omnipaxos.Batching.fixed}) caps commands per P2a
@@ -65,13 +63,12 @@ val create :
     soon as [min_batch] slots are queued instead of waiting for the next
     tick — the Multi-Paxos mirror of Omni-Paxos' adaptive batching.
 
-    [compaction] (default {!Omnipaxos.Compaction.disabled}) enables local
-    log compaction: once [snapshot_interval] decided slots accumulate above
-    the trim point, the server folds the decided prefix (except the last
-    [retain] slots) into its KV snapshot and trims the decided log. Requests
-    for discarded slots (catch-up, scouts below the trim point) are answered
-    with a [Snapshot] message instead; [on_install] fires after installing a
-    peer's snapshot.
+    Every decided-prefix advance applies the new slots to the node's
+    store. [compaction] (default {!Omnipaxos.Compaction.disabled}) enables
+    local log compaction: once [snapshot_interval] decided slots accumulate
+    above the trim point, the server trims the decided log (except the last
+    [retain] slots). Requests for discarded slots (catch-up, scouts below
+    the trim point) are answered with a [Snapshot] of the store instead.
 
     The node emits its own trace events: [Proposed] on an accepted
     proposal, [Decided] (the ballot round as term) on every decided-prefix
@@ -93,10 +90,10 @@ val decided_log : t -> Replog.Command.t Replog.Log.t
 val decided_length : t -> int
 
 val first_idx : t -> int
-(** The decided log's trim point: slots below it live only in the snapshot. *)
+(** The decided log's trim point: slots below it live only in the store. *)
 
-val snapshot_client_cmds : t -> int
-(** Client commands (id >= 0) contained in the trimmed prefix. *)
+val store : t -> Omnipaxos.Compaction.Store.t
+(** The applied state of the whole decided prefix. *)
 
 val next_slot : t -> int
 (** Leader-side: the next free slot (slots below it hold proposals). *)

@@ -22,52 +22,130 @@ let trim_point c ~floor ~decided =
     decided - c.retain
   else floor
 
+(* The decided command ids in decided order, noted by {!Store.apply} so
+   queries are O(delta). Stored as runs of consecutive ids, two ints per run
+   in [runs]: run [r] holds the ids [runs.(2r)], [runs.(2r) + 1], ... at the
+   decided positions from [runs.(2r + 1)] up to the next run's first
+   position (or [count]). Clients number their commands consecutively, so a
+   cache of a million ids is a handful of runs; with no two ids consecutive
+   it costs two ints per id. *)
+module Decided_cache = struct
+  type t = {
+    mutable runs : int array;
+    mutable n_runs : int;
+    mutable count : int;
+  }
+
+  let create () = { runs = Array.make 16 0; n_runs = 0; count = 0 }
+  let copy t = { t with runs = Array.copy t.runs }
+
+  let note t id =
+    let last = 2 * (t.n_runs - 1) in
+    if t.n_runs > 0 && id = t.runs.(last) + (t.count - t.runs.(last + 1)) then
+      t.count <- t.count + 1
+    else begin
+      let r = 2 * t.n_runs in
+      if r = Array.length t.runs then begin
+        let bigger = Array.make (2 * r) 0 in
+        Array.blit t.runs 0 bigger 0 r;
+        t.runs <- bigger
+      end;
+      t.runs.(r) <- id;
+      t.runs.(r + 1) <- t.count;
+      t.n_runs <- t.n_runs + 1;
+      t.count <- t.count + 1
+    end
+
+  let count t = t.count
+
+  (* Walk down from the last position: every run holds at least one
+     position, so the walk visits O(count - from) runs. *)
+  let ids_from t ~from =
+    let from = min t.count (max 0 from) in
+    let rec collect r pos acc =
+      if pos < from then acc
+      else
+        let first = t.runs.((2 * r) + 1) in
+        if pos < first then collect (r - 1) pos acc
+        else collect r (pos - 1) ((t.runs.(2 * r) + pos - first) :: acc)
+    in
+    collect (t.n_runs - 1) (t.count - 1) []
+end
+
 module Store = struct
-  (* [kv] and [client_cmds] cover exactly [0, Log.first_idx log) of the log
-     the store is used with: every function that moves the trim point
-     updates them in the same call. *)
-  type t = { mutable kv : Replog.Kv.t; mutable client_cmds : int }
+  (* [kv], [client_cmds] and [ids] cover exactly the applied prefix
+     [0, applied): [apply] moves it forward one entry at a time and
+     [install] jumps it. [last_install] is an observation for checkers. *)
+  type installed = {
+    inst_seq : int;
+    inst_cache_len : int;
+    inst_payload : string;
+  }
+
+  type t = {
+    mutable kv : Replog.Kv.t;
+    mutable client_cmds : int;
+    mutable applied : int;
+    ids : Decided_cache.t;
+    mutable last_install : installed option;
+  }
 
   type received = { idx : int; envelope : string; snapshot : Replog.Snapshot.t }
 
-  let create () = { kv = Replog.Kv.create (); client_cmds = 0 }
-  let copy s = { kv = Replog.Kv.copy s.kv; client_cmds = s.client_cmds }
+  let create () =
+    {
+      kv = Replog.Kv.create ();
+      client_cmds = 0;
+      applied = 0;
+      ids = Decided_cache.create ();
+      last_install = None;
+    }
+
+  let copy s =
+    {
+      s with
+      kv = Replog.Kv.copy s.kv;
+      ids = Decided_cache.copy s.ids;
+    }
+
   let client_cmds s = s.client_cmds
-  let key s = (Replog.Kv.snapshot s.kv, s.client_cmds)
+  let applied s = s.applied
+  let ids s = s.ids
+  let last_install s = s.last_install
+  let key s = (Replog.Kv.snapshot s.kv, s.client_cmds, s.applied)
 
-  let encode s log =
-    Replog.Snapshot.encode ~last_idx:(Log.first_idx log)
-      ~client_cmds:s.client_cmds s.kv
+  let encode s =
+    Replog.Snapshot.encode ~last_idx:s.applied ~client_cmds:s.client_cmds s.kv
 
-  let fold_command s (c : Replog.Command.t) =
-    (match Replog.Kv.apply s.kv c with
-    | Replog.Kv.Ok_unit | Replog.Kv.Value _ -> ());
-    if c.id >= 0 then s.client_cmds <- s.client_cmds + 1
+  let no_command = Replog.Command.noop min_int
 
-  module type ENTRY = sig
-    type t
-
-    val iter_command : ('a -> Replog.Command.t -> unit) -> 'a -> t -> unit
-  end
-
-  module Fold (E : ENTRY) = struct
-    let compact s log ~node ~upto ~taken =
-      let floor = Log.first_idx log in
-      if upto > floor then begin
-        for i = floor to upto - 1 do
-          E.iter_command fold_command s (Log.get log i)
-        done;
-        Log.trim log ~upto;
-        if Obs.Trace.on () then begin
-          if taken then
-            Obs.Trace.emit ~node
-              (Obs.Event.Snapshot_taken
-                 { idx = upto; bytes = String.length (encode s log) });
-          Obs.Trace.emit ~node
-            (Obs.Event.Log_trimmed { upto; entries = upto - floor })
+  let apply s log ~upto command x =
+    for i = s.applied to upto - 1 do
+      let c = command x (Log.get log i) in
+      if c != no_command then begin
+        (match Replog.Kv.apply s.kv c with
+        | Replog.Kv.Ok_unit | Replog.Kv.Value _ -> ());
+        if c.id >= 0 then begin
+          s.client_cmds <- s.client_cmds + 1;
+          Decided_cache.note s.ids c.id
         end
       end
-  end
+    done;
+    if upto > s.applied then s.applied <- upto
+
+  let trim s log ~node ~upto ~taken =
+    let floor = Log.first_idx log in
+    if upto > floor then begin
+      Log.trim log ~upto;
+      if Obs.Trace.on () then begin
+        if taken then
+          Obs.Trace.emit ~node
+            (Obs.Event.Snapshot_taken
+               { idx = s.applied; bytes = String.length (encode s) });
+        Obs.Trace.emit ~node
+          (Obs.Event.Log_trimmed { upto; entries = upto - floor })
+      end
+    end
 
   let decode ~idx envelope =
     match Replog.Snapshot.decode envelope with
@@ -81,6 +159,15 @@ module Store = struct
   let install s log ~node r =
     s.kv <- Replog.Snapshot.restore r.snapshot;
     s.client_cmds <- r.snapshot.client_cmds;
+    s.applied <- r.idx;
+    s.last_install <-
+      Some
+        {
+          inst_seq =
+            (match s.last_install with Some i -> i.inst_seq + 1 | None -> 1);
+          inst_cache_len = Decided_cache.count s.ids;
+          inst_payload = r.envelope;
+        };
     Log.reset_to log ~offset:r.idx;
     if Obs.Trace.on () then
       Obs.Trace.emit ~node

@@ -1,12 +1,14 @@
 (** Log compaction, shared by all four protocols via [Rsm.Cluster.config]:
-    the trigger policy, and the store that holds the compacted prefix.
+    the trigger policy, and the store that holds the applied state of the
+    decided prefix.
 
-    When enabled, a node snapshots its state machine and truncates the log
-    below the snapshot watermark once the retained decided prefix reaches
-    [snapshot_interval] entries. [retain] keeps that many of the newest
-    decided entries in the log past the watermark, so slightly-lagging
-    followers can still be caught up with plain log entries instead of a
-    full snapshot transfer.
+    Every node applies each decided entry to its {!Store} once, when it is
+    decided. When compaction is enabled, a node truncates the log below
+    the trim watermark once the retained decided prefix reaches
+    [snapshot_interval] entries; the store already holds the state below
+    it. [retain] keeps that many of the newest decided entries in the log
+    past the watermark, so slightly-lagging followers can still be caught
+    up with plain log entries instead of a full snapshot transfer.
 
     In Omni-Paxos the trigger runs on the leader against a quorum-confirmed
     acceptance watermark and propagates to followers with the [Trim]
@@ -19,8 +21,8 @@
 
 type config = {
   snapshot_interval : int;
-      (** take a snapshot every time this many decided-but-untrimmed
-          entries accumulate; [0] disables compaction entirely *)
+      (** trim the log every time this many decided-but-untrimmed entries
+          accumulate; [0] disables compaction entirely *)
   retain : int;  (** decided entries to keep in the log below the frontier *)
 }
 
@@ -42,54 +44,95 @@ val trim_point : config -> floor:int -> decided:int -> int
     [decided - floor >= snapshot_interval], otherwise [floor]. A result
     [<= floor] means there is nothing to compact. *)
 
-(** The compacted prefix of one log.
+(** The decided command ids of one server, in decided order, as runs of
+    consecutive ids: a cache of a million consecutive ids is a handful of
+    words. {!Store.apply} notes every client command it applies. *)
+module Decided_cache : sig
+  type t
 
-    A store holds the KV state machine and the client-command count
-    (commands with id >= 0) of exactly the trimmed prefix
-    [\[0, Log.first_idx log)] of the log it is used with. It is the only
-    code that folds entries into that state, trims the log, encodes the
-    {!Replog.Snapshot} envelope, and installs a received one, so the
-    invariant holds wherever the trim point moves. A core keeps it in its
-    durable state: a trim is only safe once the snapshot below it survives
-    a crash.
+  val create : unit -> t
+  val copy : t -> t
+  val note : t -> int -> unit
+  val count : t -> int
 
-    Trace contract: [compact] emits [snapshot_taken] (when [taken]) then
+  val ids_from : t -> from:int -> int list
+  (** The ids at decided positions [from] on ([\[\]] past the end). *)
+end
+
+(** The applied state of one log's decided prefix.
+
+    A store holds the KV state machine, the client-command count (commands
+    with id >= 0) and the decided-id cache of exactly the applied prefix
+    [\[0, applied)]. Each advance of a core's decided (commit) index runs
+    {!apply}, the one loop over newly decided entries; a compaction then only
+    cuts the log below the applied index ({!trim}), and a shipped snapshot
+    ({!encode}) covers [\[0, applied)]. The store never rewinds: a core that
+    re-announces a lower decided index (a recovering Raft node, a rebuilt
+    Omni-Paxos replica) applies nothing twice. A core keeps the store in its
+    durable state: a trim is only safe once the state below it survives a
+    crash.
+
+    Trace contract: {!trim} emits [snapshot_taken] (when [taken]) then
     [log_trimmed], after the trim; {!install} emits [snapshot_installed]
     after the state and the log changed. *)
 module Store : sig
   type t
 
   val create : unit -> t
+
   val copy : t -> t
+  (** A deep copy, the decided-id cache and the install record included. *)
+
   val client_cmds : t -> int
+  val applied : t -> int
 
-  val key : t -> string * int
-  (** The store's state as data: equal keys, equal stores. *)
+  val ids : t -> Decided_cache.t
+  (** The ids of the client commands applied, in order. Ids replaced by an
+      install are not in it: the cache goes on from where it was. *)
 
-  val encode : t -> 'e Replog.Log.t -> string
-  (** The snapshot envelope covering [\[0, Log.first_idx log)]. *)
+  type installed = {
+    inst_seq : int;  (** counts installs on this store; strictly increasing *)
+    inst_cache_len : int;
+        (** the cache's count at the install: ids at or above this position
+            were applied on top of the installed state *)
+    inst_payload : string;  (** the {!Replog.Snapshot} envelope installed *)
+  }
 
-  module type ENTRY = sig
-    type t
+  val last_install : t -> installed option
 
-    val iter_command : ('a -> Replog.Command.t -> unit) -> 'a -> t -> unit
-    (** [iter_command f x e] applies [f x] to the client command [e]
-        carries, if any. Passing [x] rather than a partial application
-        lets {!Fold.compact} fold with a static function, so a compaction
-        builds no closure. *)
-  end
+  val key : t -> string * int * int
+  (** The service state as data (the KV, the client count and [applied]):
+      equal keys, equal states. The decided-id cache and the install record
+      are observations, not state, and are left out. *)
 
-  module Fold (E : ENTRY) : sig
-    val compact :
-      t -> E.t Replog.Log.t -> node:int -> upto:int -> taken:bool -> unit
-    (** Fold the entries [\[first_idx, upto)] into the state in place, then
-        trim the log at [upto]; a no-op when [upto <= Log.first_idx log].
-        [taken] says whether the trace records [snapshot_taken] before
-        [log_trimmed]: true when the node compacts on its own trigger,
-        false when it follows a trim order. The fold allocates nothing,
-        neither per entry nor per call; only {!Replog.Log.trim}'s fresh
-        array (and the trace events, when tracing) allocate. *)
-  end
+  val encode : t -> string
+  (** The snapshot envelope covering [\[0, applied)]. *)
+
+  val no_command : Replog.Command.t
+  (** What the [command] function of {!apply} returns for an entry that
+      carries no client command (a stop-sign, a Raft configuration entry):
+      nothing is applied for it. Compared physically. *)
+
+  val apply :
+    t ->
+    'e Replog.Log.t ->
+    upto:int ->
+    ('a -> 'e -> Replog.Command.t) ->
+    'a ->
+    unit
+  (** [apply s log ~upto command x] applies the entries [\[applied, upto)]
+      of [log] in order: each [command x e] other than {!no_command} goes to
+      the KV state machine and, when its id is >= 0, is counted and noted in
+      the cache. Nothing happens when [upto <= applied]. Passing [x] rather
+      than a partial application lets a core pass a static function, so an
+      apply builds no closure; it allocates nothing but the cache's growth. *)
+
+  val trim : t -> 'e Replog.Log.t -> node:int -> upto:int -> taken:bool -> unit
+  (** Cut the log below [upto], which must not exceed [applied]; a no-op
+      when [upto <= Log.first_idx log]. No entry is read. [taken] says
+      whether the trace records [snapshot_taken] (of the state at
+      [applied]) before [log_trimmed]: true when the node compacts on its
+      own trigger, false when it follows a trim order. *)
 
   type received = private {
     idx : int;  (** the snapshot covers [\[0, idx)] *)
@@ -103,7 +146,9 @@ module Store : sig
       is malformed or covers another prefix. Never raises. *)
 
   val install : t -> 'e Replog.Log.t -> node:int -> received -> unit
-  (** Adopt the received state and restart the log at its [idx],
-      discarding every local entry. Stale-install guards are the caller's:
-      each protocol knows which prefix its application has already seen. *)
+  (** Adopt the received state, jump [applied] to its [idx], record the
+      install, and restart the log at [idx], discarding every local entry.
+      [idx] must be above [applied] (a snapshot of a prefix already applied
+      would roll the state back): the stale-install guard is the caller's,
+      which knows how its decided index relates to [applied]. *)
 end

@@ -12,7 +12,10 @@ type t = Cmd of Replog.Command.t | Stop_sign of stop_sign
 
 let cmd c = Cmd c
 let is_stop_sign = function Stop_sign _ -> true | Cmd _ -> false
-let iter_command f x = function Cmd c -> f x c | Stop_sign _ -> ()
+
+(* The command {!Compaction.Store.apply} applies for an entry; [_] is the
+   unused state argument of its function. *)
+let command _ = function Cmd c -> c | Stop_sign _ -> Compaction.Store.no_command
 
 let size = function
   | Cmd c -> Replog.Command.size c

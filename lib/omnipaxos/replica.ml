@@ -27,14 +27,14 @@ let memo_wrap wrap init =
     !last_out
 
 let create ~id ~peers ?qc_signal ?(hb_ticks = 10) ?batching ?compaction
-    ~storage ~send ?on_decide ?on_snapshot () =
+    ~storage ~send ?on_decide () =
   let ble_msg = memo_wrap (fun m -> Ble_msg m) (Ble.Hb_request { round = 0 }) in
   let sp_msg = memo_wrap (fun m -> Sp_msg m) Sequence_paxos.Prepare_req in
   let sp =
     Sequence_paxos.create ~id ~peers ~persistent:storage.Storage.sp ?batching
       ?compaction
       ~send:(fun ~dst m -> send ~dst (sp_msg m))
-      ?on_decide ?on_snapshot ()
+      ?on_decide ()
   in
   let ble =
     Ble.create ~id ~peers ?qc_signal ~persistent:storage.Storage.ble
@@ -84,8 +84,7 @@ let propose_reconfigure t ~config_id ~nodes =
 
 let request_trim t ~upto = Sequence_paxos.request_trim t.sp ~upto
 let first_idx t = Sequence_paxos.first_idx t.sp
-let snapshot t = Sequence_paxos.snapshot t.sp
-let snapshot_client_cmds t = Sequence_paxos.snapshot_client_cmds t.sp
+let store t = Sequence_paxos.store t.sp
 let is_leader t = Sequence_paxos.is_leader t.sp
 let leader_pid t = Sequence_paxos.leader_pid t.sp
 let decided_idx t = Sequence_paxos.decided_idx t.sp

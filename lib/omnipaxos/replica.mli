@@ -29,13 +29,11 @@ val create :
   storage:Storage.t ->
   send:(dst:int -> msg -> unit) ->
   ?on_decide:(int -> unit) ->
-  ?on_snapshot:(int -> string -> unit) ->
   unit ->
   t
 (** [hb_ticks] defaults to 10. [batching] selects the Sequence Paxos
     batch-flush policy (default {!Batching.fixed}); [compaction] (default
-    {!Compaction.disabled}) the snapshot-and-trim trigger, with
-    [on_snapshot] firing when a snapshot is installed; see
+    {!Compaction.disabled}) the snapshot-and-trim trigger; see
     {!Sequence_paxos.create}. *)
 
 val handle : t -> src:int -> msg -> unit
@@ -58,12 +56,9 @@ val request_trim : t -> upto:int -> bool
 val first_idx : t -> int
 (** The log's trim point; see {!Sequence_paxos.first_idx}. *)
 
-val snapshot : t -> string
-(** Encoded state snapshot covering [0, first_idx);
-    see {!Sequence_paxos.snapshot}. *)
-
-val snapshot_client_cmds : t -> int
-(** Client commands contained in the trimmed prefix. *)
+val store : t -> Compaction.Store.t
+(** The applied state of the decided prefix, which {!Compaction.Store.encode}
+    ships as a snapshot; see {!Sequence_paxos.store}. *)
 
 val is_leader : t -> bool
 val leader_pid : t -> int option

@@ -1,6 +1,5 @@
 module Log = Replog.Log
 module Store = Compaction.Store
-module Fold = Store.Fold (Entry)
 
 type accept = {
   n : Ballot.t;
@@ -46,9 +45,9 @@ type persistent = {
   mutable prom_rnd : Ballot.t;
   mutable acc_rnd : Ballot.t;
   mutable decided_idx : int;
-  (* The compacted prefix [0, Log.first_idx log). Durable alongside the
-     log: a snapshot must survive the crash of the node that trimmed below
-     it, or the prefix would be lost forever. *)
+  (* The applied state of [0, decided_idx). Durable alongside the log: it
+     must survive the crash of a node that trimmed below it, or the prefix
+     would be lost forever. *)
   store : Store.t;
 }
 
@@ -133,9 +132,15 @@ let rec stop_sign_from log i =
   else if Entry.is_stop_sign (Log.get log i) then Some i
   else stop_sign_from log (i + 1)
 
+(* Apply the decided entries the store has not applied yet: the one walk
+   over each decided entry. *)
+let apply_decided dur =
+  Store.apply dur.store dur.log ~upto:dur.decided_idx Entry.command ()
+
 let create ~id ~peers ~persistent ?(batching = Batching.fixed)
     ?(compaction = Compaction.disabled) ~send ?(on_decide = fun _ -> ())
     ?(on_snapshot = fun _ _ -> ()) () =
+  apply_decided persistent;
   let n_total = List.length peers + 1 in
   let width = 1 + List.fold_left max id peers in
   let batching = Batching.validated batching in
@@ -193,13 +198,6 @@ let iter_decided t ~from ~upto f =
     f (Log.get t.dur.log i)
   done
 
-let iter_decided_ids t ~from ~upto f =
-  for i = decided_from t from to decided_upto t upto - 1 do
-    match Log.get t.dur.log i with
-    | Entry.Cmd c -> f c.Replog.Command.id
-    | Entry.Stop_sign _ -> ()
-  done
-
 let read_log t = t.dur.log
 let is_stopped t = Option.is_some t.ss_idx
 
@@ -248,19 +246,19 @@ let trace_proposed t e =
 
 let first_idx t = Log.first_idx t.dur.log
 
-(* The encoded KV snapshot covering [0, first_idx). *)
-let snapshot t = Store.encode t.dur.store t.dur.log
-let snapshot_client_cmds t = Store.client_cmds t.dur.store
+let store t = t.dur.store
 
-(* Adopt a snapshot + entry suffix pair from a peer whose log starts at
-   [idx]. A snapshot at or below our decided index is stale — the
-   application already applied that prefix, and [on_decide] never re-fires
-   for it, so re-installing would silently roll the state machine back
-   (e.g. a leader answering two Promises from the same session-reset
-   sends the same install twice; the second arrives after we advanced).
-   Skip it and splice the suffix into the log instead, dropping any
-   overlap below our own trim floor. An install discards every local
-   entry; the suffix goes on top. *)
+(* The encoded state covering [0, decided_idx). *)
+let snapshot t = Store.encode t.dur.store
+
+(* Adopt a snapshot + entry suffix pair from a peer whose suffix starts at
+   the snapshot's [idx]. A snapshot at or below our decided index is stale
+   — the store already applied that prefix, so re-installing would silently
+   roll the state machine back (e.g. a leader answering two Promises from
+   the same session-reset sends the same install twice; the second arrives
+   after we advanced). Skip it and splice the suffix into the log instead,
+   dropping any overlap below our own trim floor. An install discards every
+   local entry; the suffix goes on top. *)
 let adopt_snapshot_suffix t (snap : Store.received) ~suffix =
   let idx = snap.idx in
   if idx > t.dur.decided_idx then begin
@@ -326,7 +324,7 @@ let trim_cap t ~upto =
 (* Leader: compact the decided prefix below [upto] and tell every peer to
    do the same. *)
 let broadcast_trim t ~upto ~taken =
-  Fold.compact t.dur.store t.dur.log ~node:t.id ~upto ~taken;
+  Store.trim t.dur.store t.dur.log ~node:t.id ~upto ~taken;
   let m = Trim { n = t.dur.prom_rnd; trim_idx = upto } in
   List.iter (fun p -> t.send ~dst:p m) t.peers
 
@@ -356,6 +354,7 @@ let advance_decided t d =
   let d = min d (Log.length t.dur.log) in
   if d > t.dur.decided_idx then begin
     t.dur.decided_idx <- d;
+    apply_decided t.dur;
     if Obs.Trace.on () then
       Obs.Trace.emit ~node:t.id
         (Obs.Event.Decided
@@ -391,12 +390,14 @@ let[@inline] trace_accept_sent t ~start_idx ~count =
 (* Send follower [dst] the AcceptSync that overwrites its log from [wanted]
    with ours. A follower below our trim point (one that lost its disk, or
    lagged past a compaction) cannot be repaired with entries alone: it gets
-   the state snapshot covering the trimmed prefix, then the suffix from
-   the floor. *)
+   the state snapshot covering our decided prefix, then the suffix from our
+   decided index. *)
 let send_accept_sync t ~dst ~wanted =
-  let floor = Log.first_idx t.dur.log in
-  let snapshot = if wanted < floor then Some (floor, snapshot t) else None in
-  let sync_idx = max wanted floor in
+  let below = wanted < Log.first_idx t.dur.log in
+  let snapshot =
+    if below then Some (t.dur.decided_idx, snapshot t) else None
+  in
+  let sync_idx = if below then t.dur.decided_idx else wanted in
   let suffix = suffix_slice t ~from:sync_idx in
   trace_accept_sent t ~start_idx:sync_idx ~count:(Log.slice_length suffix);
   t.send ~dst
@@ -532,15 +533,13 @@ let on_prepare t ~src ~n ~l_acc_rnd ~l_log_idx ~l_decided_idx =
        leader needs entries below it (its log ends, or its decided prefix
        stops, under our floor) the suffix alone would leave a gap — and the
        leader's own entries below our floor may be stale non-chosen
-       proposals — so the promise also carries our snapshot and the leader
-       installs it under the suffix. *)
-    let floor = Log.first_idx t.dur.log in
+       proposals — so the promise also carries our snapshot of the decided
+       prefix, and the suffix from our decided index goes on top. *)
     let promise ~base =
-      let from = max base floor in
-      let snapshot =
-        if from > base then Some (floor, snapshot t) else None
-      in
-      (from, suffix_slice t ~from, snapshot)
+      if base < Log.first_idx t.dur.log then
+        let from = t.dur.decided_idx in
+        (from, suffix_slice t ~from, Some (from, snapshot t))
+      else (base, suffix_slice t ~from:base, None)
     in
     let suffix_from, suffix, snapshot =
       if Ballot.(t.dur.acc_rnd > l_acc_rnd) then promise ~base:l_decided_idx
@@ -673,7 +672,7 @@ let on_trim t ~n ~trim_idx =
     && trim_idx <= t.dur.decided_idx
     && trim_idx <= Log.length t.dur.log
   then
-    Fold.compact t.dur.store t.dur.log ~node:t.id ~upto:trim_idx ~taken:false
+    Store.trim t.dur.store t.dur.log ~node:t.id ~upto:trim_idx ~taken:false
 
 (* Log compaction (§6 / the omnipaxos crate's [trim]): the leader may
    discard a decided prefix once every server has accepted it, and tells

@@ -76,9 +76,9 @@ type persistent = {
   mutable acc_rnd : Ballot.t;  (** round of the last accepted entry *)
   mutable decided_idx : int;
   store : Compaction.Store.t;
-      (** the compacted prefix [0, first_idx log): kept in the durable
-          record because a trim is only safe once the snapshot below it
-          survives a crash *)
+      (** the applied state of [0, decided_idx): kept in the durable record
+          because a trim is only safe once the state below it survives a
+          crash *)
 }
 
 type role = Follower | Leader_prepare | Leader_accept
@@ -98,7 +98,10 @@ val create :
   ?on_snapshot:(int -> string -> unit) ->
   unit ->
   t
-(** [on_decide] fires with the new decided index every time it advances.
+(** [on_decide] fires with the new decided index every time it advances,
+    after [persistent.store] applied the newly decided entries. [create]
+    itself applies whatever part of [persistent.decided_idx] the store has
+    not applied yet (storage preloaded by hand).
     [batching] selects the batch-flush policy (default {!Batching.fixed},
     the historical flush-on-every-tick behaviour; see [batching.mli]).
     [compaction] (default {!Compaction.disabled}) enables automatic
@@ -106,9 +109,11 @@ val create :
     entries accumulate above the trim point. The leader sends its [Trim]
     after the [Decide] (or [AcceptSync]) that gives the followers the new
     decided index, so on FIFO links each synced follower trims where the
-    leader did. The snapshot of [persistent.store] repairs followers that
-    fell below the trim point, and [on_snapshot idx payload] fires at the
-    receiving side once it is installed. *)
+    leader did. A trim only cuts the log: the store already holds the
+    state below it. The snapshot of [persistent.store], covering the
+    decided prefix, repairs followers that fell below the trim point, and
+    [on_snapshot idx payload] fires at the receiving side once it is
+    installed. *)
 
 val handle : t -> src:int -> msg -> unit
 (** Messages from a pid outside [\[0, 1 + max (id :: peers))] — never a
@@ -169,12 +174,6 @@ val iter_decided : t -> from:int -> upto:int -> (Entry.t -> unit) -> unit
     [\[from, upto)], clamped to the trim point and the decided index. Reads
     the log in place: nothing is allocated. *)
 
-val iter_decided_ids : t -> from:int -> upto:int -> (int -> unit) -> unit
-(** [iter_decided_ids t ~from ~upto f] applies [f] to the command id of
-    every client command among the entries {!iter_decided} visits,
-    skipping stop-signs. The adapters' decided-id scan: it takes [f] as
-    is, so a scan builds no closure. *)
-
 val read_log : t -> Entry.t Replog.Log.t
 val is_stopped : t -> bool
 (** Whether a stop-sign has been appended/adopted (the configuration is
@@ -184,14 +183,14 @@ val stop_sign : t -> Entry.stop_sign option
 (** The stop-sign, once it is decided. *)
 
 val first_idx : t -> int
-(** The log's trim point: entries below it live only in the snapshot. *)
+(** The log's trim point: entries below it live only in the store. *)
+
+val store : t -> Compaction.Store.t
+(** The applied state of the decided prefix [0, decided_idx). *)
 
 val snapshot : t -> string
 (** The {!Replog.Snapshot} envelope of the state covering
-    [0, first_idx). *)
-
-val snapshot_client_cmds : t -> int
-(** Client commands (id >= 0) contained in the trimmed prefix. *)
+    [0, decided_idx). *)
 
 val batch_cap : t -> int
 (** The current adaptive per-[Accept] entry cap (constant [max_batch] under

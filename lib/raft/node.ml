@@ -7,14 +7,6 @@ type entry_data =
 
 type entry = { term : int; data : entry_data }
 
-module Entry = struct
-  type t = entry
-
-  let iter_command f x e = match e.data with Cmd c -> f x c | Config _ -> ()
-end
-
-module Fold = Store.Fold (Entry)
-
 type msg =
   | Request_vote of {
       term : int;
@@ -43,10 +35,10 @@ type persistent = {
   mutable term : int;
   mutable voted_for : int option;
   log : entry Replog.Log.t;
-  (* The compacted prefix [0, Log.first_idx log), and [snap_term] the term
-     of its last entry (needed for the AppendEntries consistency check at
-     the boundary). Durable: a trim is only safe once the snapshot below
-     it survives a crash. *)
+  (* The applied state of the committed prefix, and [snap_term] the term of
+     the entry below the trim point (needed for the AppendEntries
+     consistency check at the boundary). Durable: a trim is only safe once
+     the state below it survives a crash. *)
   store : Store.t;
   mutable snap_term : int;
 }
@@ -68,7 +60,6 @@ type t = {
   rand : Random.State.t;
   dur : persistent;
   send : dst:int -> msg -> unit;
-  on_commit : int -> unit;
   mutable role : role;
   mutable leader_id : int option;
   mutable commit_idx : int;
@@ -108,7 +99,6 @@ type t = {
   (* Local compaction: every server trims below its own commit index, the
      classic Raft local decision. *)
   compaction : Omnipaxos.Compaction.config;
-  on_install : int -> string -> unit;
   obs : Obs.Term_trace.t;
 }
 
@@ -159,8 +149,8 @@ let recompute_targets t =
    entry promotes it. *)
 let create ~id ~voters ?(pre_vote = false) ?(check_quorum = false)
     ?(batching = Omnipaxos.Batching.fixed)
-    ?(compaction = Omnipaxos.Compaction.disabled) ?(on_install = fun _ _ -> ())
-    ~election_ticks ~rand ~persistent ~send ?(on_commit = fun _ -> ()) () =
+    ?(compaction = Omnipaxos.Compaction.disabled) ~election_ticks ~rand
+    ~persistent ~send () =
   let b = Omnipaxos.Batching.validated batching in
   let t =
     {
@@ -174,7 +164,6 @@ let create ~id ~voters ?(pre_vote = false) ?(check_quorum = false)
       rand;
       dur = persistent;
       send;
-      on_commit;
       role = Follower;
       leader_id = None;
       commit_idx = 0;
@@ -199,7 +188,6 @@ let create ~id ~voters ?(pre_vote = false) ?(check_quorum = false)
       max_batch = b.max_batch;
       eager_batch = (if b.adaptive then b.min_batch else 0);
       compaction = Omnipaxos.Compaction.validated compaction;
-      on_install;
       obs = Obs.Term_trace.create ();
     }
   in
@@ -224,21 +212,19 @@ let become_follower t ~term =
   t.in_pre_vote <- false;
   reset_timeout t
 
-(* Committed Config entries switch the voter set. A removed server steps
-   down; promoted learners stop being learners. Clamped to the trim point:
-   entries below it were applied before they were compacted away. *)
-let apply_configs t ~from ~upto =
-  let from = max from (Log.first_idx t.dur.log) in
-  for i = from to upto - 1 do
-    match (Log.get t.dur.log i).data with
-    | Config { config_id; voters } ->
-        t.voters <- voters;
-        t.last_config <- Some (config_id, voters);
-        t.learners <- List.filter (fun l -> not (List.mem l voters)) t.learners;
-        recompute_targets t;
-        if not (List.mem t.id voters) then t.role <- Follower
-    | Cmd _ -> ()
-  done
+(* The command the store applies for a committed entry. A committed Config
+   entry switches the voter set instead: a removed server steps down, and
+   promoted learners stop being learners. *)
+let entry_command t e =
+  match e.data with
+  | Cmd c -> c
+  | Config { config_id; voters } ->
+      t.voters <- voters;
+      t.last_config <- Some (config_id, voters);
+      t.learners <- List.filter (fun l -> not (List.mem l voters)) t.learners;
+      recompute_targets t;
+      if not (List.mem t.id voters) then t.role <- Follower;
+      Store.no_command
 
 (* Compaction runs below the local commit index only, so the committed
    prefix invariant (identical at every server) makes the snapshot
@@ -251,15 +237,16 @@ let maybe_compact t =
   in
   if upto > Log.first_idx log then begin
     t.dur.snap_term <- (Log.get log (upto - 1)).term;
-    Fold.compact t.dur.store log ~node:t.id ~upto ~taken:true
+    Store.trim t.dur.store log ~node:t.id ~upto ~taken:true
   end
 
+(* The store applies only what it has not applied: after [recover] rewound
+   the commit index, the entries up to the old one are not applied (nor
+   their Config entries switched) twice. *)
 let advance_commit t c =
   if c > t.commit_idx then begin
-    let from = t.commit_idx in
     t.commit_idx <- c;
-    apply_configs t ~from ~upto:c;
-    t.on_commit c;
+    Store.apply t.dur.store t.dur.log ~upto:c entry_command t;
     Obs.Term_trace.note_decided ~node:t.id ~term:t.dur.term
       ~leader:t.leader_id ~decided_idx:c;
     maybe_compact t
@@ -301,19 +288,21 @@ let prev_term_at t prev_idx =
   else if prev_idx < Log.first_idx t.dur.log then t.dur.snap_term
   else (Log.get t.dur.log prev_idx).term
 
+(* The snapshot covers the applied prefix [0, idx); the tail streams from
+   [idx] as normal batches. *)
 let send_install t ~dst =
-  let floor = Log.first_idx t.dur.log in
+  let idx = Store.applied t.dur.store in
   t.send ~dst
     (Install_snapshot
        {
          term = t.dur.term;
-         idx = floor;
-         snap_term = t.dur.snap_term;
-         payload = Store.encode t.dur.store t.dur.log;
+         idx;
+         snap_term = prev_term_at t (idx - 1);
+         payload = Store.encode t.dur.store;
          commit_idx = t.commit_idx;
        });
   t.last_send.(dst) <- t.tick_count;
-  t.sent_idx.(dst) <- floor
+  t.sent_idx.(dst) <- idx
 
 (* The AppendEntries carrying [entries], which follow log index
    [prev_idx]. *)
@@ -573,13 +562,13 @@ let on_append_resp t ~src ~term ~success ~match_idx =
 (* Follower side of the snapshot transfer: replace everything below [idx]
    with the shipped state, restart the log there, and ack [idx] so the
    leader streams the tail as normal batches. A stale or duplicate install
-   (our log already starts at or above [idx]) is just re-acked. *)
+   (our store already applied [idx] entries) is just re-acked. *)
 let on_install_snapshot t ~src ~term ~idx ~snap_term ~payload ~leader_commit =
   if accept_leader t ~src ~term then begin
-    (* A stale snapshot — at or below our commit index — must never be
-       re-installed: the state machine already covers that prefix, and
-       [on_install] consumers never re-apply committed entries, so a
-       re-install would silently roll the application back (a leader that
+    (* A stale snapshot — at or below what our store applied, which is at
+       least our commit index — must never be re-installed: the store
+       never re-applies entries, so a re-install would silently roll the
+       state machine back (a leader that
        rewound our next-index after a session reset can ship an install
        for a prefix whose tail we committed in the meantime). Skip it and
        ack the commit index — committed entries are on every leader's log
@@ -589,14 +578,13 @@ let on_install_snapshot t ~src ~term ~idx ~snap_term ~payload ~leader_commit =
        from an older term that conflict with the leader's log, and a match
        claim beyond the leader's own log breaks its commit accounting. *)
     let ack =
-      if idx <= t.commit_idx then t.commit_idx
+      if idx <= Store.applied t.dur.store then t.commit_idx
       else
         match Store.decode ~idx payload with
         | Ok snap ->
             Store.install t.dur.store t.dur.log ~node:t.id snap;
             t.dur.snap_term <- snap_term;
             t.commit_idx <- idx;
-            t.on_install idx payload;
             idx
         | Error _ -> t.commit_idx
     in
@@ -633,7 +621,8 @@ let recover t =
   t.role <- Follower;
   t.leader_id <- None;
   (* Everything below the trim point is committed by construction (we only
-     trim below the commit index), so recovery resumes there, not at 0. *)
+     trim below the commit index), so recovery resumes there, not at 0; the
+     store does not re-apply what it applied before. *)
   t.commit_idx <- Log.first_idx t.dur.log;
   reset_timeout t
 
@@ -702,15 +691,7 @@ let current_term t = t.dur.term
 let commit_idx t = t.commit_idx
 let log_length t = Log.length t.dur.log
 let first_idx t = Log.first_idx t.dur.log
-let snapshot_client_cmds t = Store.client_cmds t.dur.store
-
-(* Entries below the trim point are unavailable; reads clamp to it. *)
-let iter_committed_ids t ~from ~upto f =
-  for i = max from (Log.first_idx t.dur.log) to min upto t.commit_idx - 1 do
-    match (Log.get t.dur.log i).data with
-    | Cmd c -> f c.Replog.Command.id
-    | Config _ -> ()
-  done
+let store t = t.dur.store
 
 (* Per-entry wire overhead beyond the command payload: terms are
    run-length encoded in practice, so they amortise to ~2 bytes/entry. *)

@@ -26,10 +26,6 @@ type entry_data =
 
 type entry = { term : int; data : entry_data }
 
-module Entry : Omnipaxos.Compaction.Store.ENTRY with type t = entry
-(** What compaction folds of an entry: its client command; [Config]
-    entries carry none. *)
-
 type msg =
   | Request_vote of {
       term : int;
@@ -64,9 +60,9 @@ type persistent = {
   mutable voted_for : int option;
   log : entry Replog.Log.t;
   store : Omnipaxos.Compaction.Store.t;
-      (** the compacted prefix [0, first_idx log); durable because a trim
-          is only safe once the snapshot survives a crash *)
-  mutable snap_term : int;  (** term of the last entry folded into [store] *)
+      (** the applied state of the committed prefix; durable because a
+          trim is only safe once the state below it survives a crash *)
+  mutable snap_term : int;  (** term of the entry below the trim point *)
 }
 
 type role = Follower | Candidate | Leader
@@ -82,12 +78,10 @@ val create :
   ?check_quorum:bool ->
   ?batching:Omnipaxos.Batching.config ->
   ?compaction:Omnipaxos.Compaction.config ->
-  ?on_install:(int -> string -> unit) ->
   election_ticks:int ->
   rand:Random.State.t ->
   persistent:persistent ->
   send:(dst:int -> msg -> unit) ->
-  ?on_commit:(int -> unit) ->
   unit ->
   t
 (** [voters] must include [id]. [batching] (default
@@ -97,12 +91,13 @@ val create :
     tick — the Raft mirror of Omni-Paxos' adaptive batching, keeping the
     throughput comparisons apples-to-apples.
 
-    [compaction] (default {!Omnipaxos.Compaction.disabled}) enables local
-    log compaction: once [snapshot_interval] committed entries accumulate
-    above the trim point, the server folds the committed prefix (except the
-    last [retain] entries) into its KV snapshot and trims the log. A leader
-    repairs followers whose next index fell below its trim point with
-    [Install_snapshot]; [on_install] fires after installing one. Note:
+    Every commit advance applies the newly committed entries to
+    [persistent.store]. [compaction] (default
+    {!Omnipaxos.Compaction.disabled}) enables local log compaction: once
+    [snapshot_interval] committed entries accumulate above the trim point,
+    the server trims the log below the commit index (except the last
+    [retain] entries). A leader repairs followers whose next index fell
+    below its trim point with [Install_snapshot] of its store. Note:
     [Config] entries are not carried by snapshots — do not combine
     compaction with reconfiguration.
 
@@ -137,16 +132,10 @@ val commit_idx : t -> int
 val log_length : t -> int
 
 val first_idx : t -> int
-(** The log's trim point: entries below it live only in the snapshot. *)
+(** The log's trim point: entries below it live only in the store. *)
 
-val snapshot_client_cmds : t -> int
-(** Client commands (id >= 0) contained in the trimmed prefix. *)
-
-val iter_committed_ids : t -> from:int -> upto:int -> (int -> unit) -> unit
-(** [iter_committed_ids t ~from ~upto f] applies [f], in index order, to
-    the command id of every client command committed at [\[from, upto)],
-    skipping configuration entries. It reads the log in place ([from] is
-    clamped to the trim point, [upto] to the commit index) and takes [f]
-    as is, so a scan builds no closure. *)
+val store : t -> Omnipaxos.Compaction.Store.t
+(** The applied state of the committed prefix (it can run ahead of
+    {!commit_idx} after {!recover}). *)
 
 val msg_size : msg -> int

@@ -12,9 +12,8 @@ module Core = struct
   let default = ()
 
   let create () ?batching ?compaction ~id ~peers ~election_ticks ~rand ~send
-      ~on_decide ~on_install () =
-    N.create ~id ~peers ~election_ticks ~rand ?batching ?compaction
-      ~on_install ~send ~on_decide ()
+      () =
+    N.create ~id ~peers ~election_ticks ~rand ?batching ?compaction ~send ()
 
   let handle = N.handle
   let tick = N.tick
@@ -29,14 +28,7 @@ module Core = struct
   let leader_pid = N.leader_pid
   let decided_index = N.decided_length
   let msg_size = N.msg_size
-
-  (* Slots below the trim point live only in the snapshot; the install hook
-     already moved the cursor past them, the clamp is belt-and-braces. *)
-  let iter_decided c ~from ~upto f =
-    let log = N.decided_log c in
-    for i = max from (Replog.Log.first_idx log) to upto - 1 do
-      f (Replog.Log.get log i).Replog.Command.id
-    done
+  let store = N.store
 end
 
 include Adapter.Make (Core)

@@ -16,16 +16,15 @@ module Core = struct
   let layer = "omnipaxos"
   let default = { qc_signal = true }
 
-  (* Sequence Paxos emits its own trace events (decides, installs), so the
-     adapter's callbacks go straight in. *)
+  (* Sequence Paxos applies decided entries to its store and emits its own
+     trace events (decides, installs). *)
   let create cfg ?batching ?compaction ~id ~peers ~election_ticks ~rand ~send
-      ~on_decide ~on_install () =
+      () =
     ignore rand;
     let storage = R.Storage.create () in
     let build () =
       R.create ~id ~peers ~qc_signal:cfg.qc_signal ~hb_ticks:election_ticks
-        ?batching ?compaction ~storage ~send ~on_decide ~on_snapshot:on_install
-        ()
+        ?batching ?compaction ~storage ~send ()
     in
     { replica = build (); build }
 
@@ -34,9 +33,9 @@ module Core = struct
   let session_reset c ~peer = R.session_reset c.replica ~peer
 
   (* Fail-recovery: volatile state is lost, the replica is rebuilt on its old
-     storage and runs the recovery protocol. The adapter's scan cursor stays
-     valid because the decided prefix lives in the storage and only ever
-     grows. *)
+     storage and runs the recovery protocol. The store lives in the storage,
+     so the applied prefix, the decided-id cache and the install record
+     survive the rebuild. *)
   let restart c =
     c.replica <- c.build ();
     R.recover c.replica
@@ -46,10 +45,7 @@ module Core = struct
   let leader_pid c = R.leader_pid c.replica
   let decided_index c = R.decided_idx c.replica
   let msg_size = R.msg_size
-
-  let iter_decided c ~from ~upto f =
-    Omnipaxos.Sequence_paxos.iter_decided_ids (R.sequence_paxos c.replica)
-      ~from ~upto f
+  let store c = R.store c.replica
 end
 
 module Base = Adapter.Make (Core)

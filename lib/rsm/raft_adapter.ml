@@ -13,10 +13,10 @@ module Core = struct
   let default = { pv_cq = false }
 
   let create cfg ?batching ?compaction ~id ~peers ~election_ticks ~rand ~send
-      ~on_decide ~on_install () =
+      () =
     N.create ~id ~voters:(id :: peers) ~pre_vote:cfg.pv_cq
-      ~check_quorum:cfg.pv_cq ?batching ?compaction ~on_install ~election_ticks
-      ~rand ~persistent:(N.fresh_persistent ()) ~send ~on_commit:on_decide ()
+      ~check_quorum:cfg.pv_cq ?batching ?compaction ~election_ticks ~rand
+      ~persistent:(N.fresh_persistent ()) ~send ()
 
   let handle = N.handle
   let tick = N.tick
@@ -31,8 +31,7 @@ module Core = struct
   let leader_pid = N.leader_pid
   let decided_index = N.commit_idx
   let msg_size = N.msg_size
-
-  let iter_decided = N.iter_committed_ids
+  let store = N.store
 end
 
 module Plain = struct

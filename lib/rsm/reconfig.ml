@@ -18,6 +18,7 @@
 module Net = Simnet.Net
 module Log = Replog.Log
 module Command = Replog.Command
+module Store = Omnipaxos.Compaction.Store
 
 type fault = Cut_link of int * int | Crash_node of int
 
@@ -51,14 +52,6 @@ let internal_id = -2
 let trace_milestone ~node ~config_id milestone =
   if Obs.Trace.on () then
     Obs.Trace.emit ~node (Obs.Event.Reconfig { config_id; milestone })
-
-let count_client_cmds entries =
-  List.fold_left
-    (fun acc (e : Omnipaxos.Entry.t) ->
-      match e with
-      | Omnipaxos.Entry.Cmd c when c.Command.id >= 0 -> acc + 1
-      | Omnipaxos.Entry.Cmd _ | Omnipaxos.Entry.Stop_sign _ -> acc)
-    0 entries
 
 (* What a runner hands the driver: its servers' per-tick work, the
    client's view of them, the reconfiguration trigger and the two
@@ -182,8 +175,6 @@ module Omni = struct
   type server = {
     id : int;
     replicas : R.t option array;  (** the replica run per config *)
-    cmds : int array;  (** client commands decided, per config *)
-    seen : int array;  (** decided-scan position, per config *)
     mutable transitioned : bool;
     mutable migration : migration option;
     mutable base_cmds : int;  (** commands in the migrated base (new servers) *)
@@ -201,7 +192,10 @@ module Omni = struct
     mutable migration_done_at : float option;
   }
 
-  let server_cmds s = s.base_cmds + Array.fold_left ( + ) 0 s.cmds
+  let replica_cmds = function Some r -> Store.client_cmds (R.store r) | None -> 0
+
+  let server_cmds s =
+    s.base_cmds + replica_cmds s.replicas.(0) + replica_cmds s.replicas.(1)
 
   let decided_total t =
     Array.fold_left
@@ -250,12 +244,8 @@ module Omni = struct
     in
     s.replicas.(cfg) <- Some r
 
-  (* Scan newly decided entries: count client commands, and drive the
-     service-layer transition when the stop-sign is decided. *)
+  (* Drive the service-layer transition when the stop-sign is decided. *)
   and on_replica_decide t s ~cfg r =
-    let entries = R.read_decided r ~from:s.seen.(cfg) in
-    s.seen.(cfg) <- R.decided_idx r;
-    s.cmds.(cfg) <- s.cmds.(cfg) + count_client_cmds entries;
     if (not s.transitioned) && cfg = 0 && Option.is_some (R.stop_sign r) then
       transition t s r
 
@@ -400,7 +390,15 @@ module Omni = struct
           let fresh = List.filteri (fun i _ -> i >= skip) entries in
           let fresh_len = List.length fresh in
           if fresh_len > 0 then begin
-            m.tail_cmds <- m.tail_cmds + count_client_cmds fresh;
+            (* The joiner counts the commands it fetched: the migration
+               carries counts, not state. *)
+            m.tail_cmds <-
+              List.fold_left
+                (fun n (e : Omnipaxos.Entry.t) ->
+                  match e with
+                  | Omnipaxos.Entry.Cmd c when c.Command.id >= 0 -> n + 1
+                  | Omnipaxos.Entry.Cmd _ | Omnipaxos.Entry.Stop_sign _ -> n)
+                m.tail_cmds fresh;
             m.received.(seg) <- m.received.(seg) + fresh_len;
             if m.received.(seg) = seg_upto - seg_from then begin
               m.remaining_segments <- m.remaining_segments - 1;
@@ -412,20 +410,21 @@ module Omni = struct
           end
         end
 
-  (* Serve the compacted base: the snapshot covering [0, first_idx) plus
-     its client-command count, so a joiner seeds [base_cmds] without
-     replaying the trimmed prefix. *)
+  (* Serve the compacted base: the snapshot of the decided prefix plus its
+     client-command count, so a joiner seeds [base_cmds] without replaying
+     the trimmed prefix. *)
   let on_snap_req t s ~src ~cfg =
     match s.replicas.(0) with
     | None -> ()
     | Some r0 ->
+        let store = R.store r0 in
         send_wire t s.id src
           (Snap_resp
              {
                cfg;
-               idx = R.first_idx r0;
-               cmds = R.snapshot_client_cmds r0;
-               payload = R.snapshot r0;
+               idx = Store.applied store;
+               cmds = Store.client_cmds store;
+               payload = Store.encode store;
              })
 
   (* Serve decided entries of the old configuration (even a server that has
@@ -509,6 +508,8 @@ module Omni = struct
       Log.append sp.Omnipaxos.Sequence_paxos.log
         (Omnipaxos.Entry.Cmd (Command.noop internal_id))
     done;
+    (* The replica's [create] applies the preload to the store, which
+       then stands at [preload] too. *)
     sp.Omnipaxos.Sequence_paxos.decided_idx <- preload;
     storage
 
@@ -536,8 +537,6 @@ module Omni = struct
           {
             id;
             replicas = Array.make 2 None;
-            cmds = Array.make 2 0;
-            seen = Array.make 2 0;
             transitioned = false;
             migration = None;
             base_cmds = 0;
@@ -559,8 +558,7 @@ module Omni = struct
     List.iter
       (fun id ->
         start_replica t servers.(id) ~cfg:0 ~nodes:p.old_nodes
-          ~storage:(preloaded_storage p.preload);
-        servers.(id).seen.(0) <- p.preload)
+          ~storage:(preloaded_storage p.preload))
       p.old_nodes;
     Array.iter
       (fun s ->
@@ -585,16 +583,10 @@ end
 module Raft_runner = struct
   module N = Raft.Node
 
-  type node_state = {
-    node : N.t;
-    mutable cmds : int;  (** client commands committed *)
-    mutable scanned : int;
-  }
-
   type t = {
     p : params;
     net : N.msg Net.t;
-    nodes : node_state option array;
+    nodes : N.t option array;
     election_ticks : int;
     mutable reconfig_requested : bool;
     mutable proposed_to : int option;
@@ -603,48 +595,39 @@ module Raft_runner = struct
   }
 
   let make_node t ~id ~voters ~persistent =
-    let ns = ref None in
-    let on_commit upto =
-      match !ns with
-      | None -> ()
-      | Some ns ->
-          N.iter_committed_ids ns.node ~from:ns.scanned ~upto (fun id ->
-              if id >= 0 then ns.cmds <- ns.cmds + 1);
-          ns.scanned <- upto
-    in
     let node =
       N.create ~id ~voters ~election_ticks:t.election_ticks
         ~rand:(Net.rng t.net) ~persistent
         ~send:(fun ~dst m -> Net.send t.net ~src:id ~dst ~size:(N.msg_size m) m)
-        ~on_commit ()
+        ()
     in
-    let state = { node; cmds = 0; scanned = 0 } in
-    ns := Some state;
-    t.nodes.(id) <- Some state;
+    t.nodes.(id) <- Some node;
     Net.set_handler t.net id (fun ~src m -> N.handle node ~src m);
-    Net.set_session_handler t.net id (fun ~peer -> N.session_reset node ~peer);
-    state
+    Net.set_session_handler t.net id (fun ~peer -> N.session_reset node ~peer)
+
+  (* Client commands committed at [node], as its store counts them. *)
+  let cmds node = Store.client_cmds (N.store node)
 
   let decided_total t =
     Array.fold_left
-      (fun acc -> function Some ns -> max acc ns.cmds | None -> acc)
+      (fun acc -> function Some node -> max acc (cmds node) | None -> acc)
       0 t.nodes
 
   let leader t =
     let best = ref None in
     Array.iteri
       (fun id -> function
-        | Some ns when Net.is_up t.net id && N.is_leader ns.node -> (
+        | Some node when Net.is_up t.net id && N.is_leader node -> (
             match !best with
-            | Some (_, d) when d >= ns.cmds -> ()
-            | Some _ | None -> best := Some (id, ns.cmds))
+            | Some (_, d) when d >= cmds node -> ()
+            | Some _ | None -> best := Some (id, cmds node))
         | Some _ | None -> ())
       t.nodes;
     Option.map fst !best
 
   let propose t leader cmd =
     match t.nodes.(leader) with
-    | Some ns -> N.propose ns.node cmd
+    | Some node -> N.propose node cmd
     | None -> false
 
   (* Activate the new servers as learners at the current leader and append
@@ -658,23 +641,20 @@ module Raft_runner = struct
       List.iter
         (fun id ->
           if Option.is_none t.nodes.(id) then
-            let (_ : node_state) =
-              make_node t ~id ~voters:t.p.old_nodes
-                ~persistent:(N.fresh_persistent ())
-            in
-            ())
+            make_node t ~id ~voters:t.p.old_nodes
+              ~persistent:(N.fresh_persistent ()))
         t.p.new_nodes;
       let already_proposed l =
         match t.proposed_to with Some p -> Int.equal p l | None -> false
       in
       match leader t with
       | Some l when not (already_proposed l) ->
-          let ns = Option.get t.nodes.(l) in
+          let node = Option.get t.nodes.(l) in
           let joining =
             List.filter (fun j -> not (List.mem j t.p.old_nodes)) t.p.new_nodes
           in
-          N.add_learners ns.node joining;
-          if N.propose_config ns.node ~config_id:1 ~voters:t.p.new_nodes then
+          N.add_learners node joining;
+          if N.propose_config node ~config_id:1 ~voters:t.p.new_nodes then
             t.proposed_to <- Some l
       | Some _ | None -> ()
     end
@@ -684,7 +664,7 @@ module Raft_runner = struct
        let committed =
          Array.exists
            (function
-             | Some ns -> Option.is_some (N.committed_config ns.node)
+             | Some node -> Option.is_some (N.committed_config node)
              | None -> false)
            t.nodes
        in
@@ -699,7 +679,7 @@ module Raft_runner = struct
         List.for_all
           (fun id ->
             match t.nodes.(id) with
-            | Some ns -> Option.is_some (N.committed_config ns.node)
+            | Some node -> Option.is_some (N.committed_config node)
             | None -> false)
           t.p.new_nodes
       then begin
@@ -725,7 +705,7 @@ module Raft_runner = struct
   let tick t =
     Array.iteri
       (fun id -> function
-        | Some ns when Net.is_up t.net id -> N.tick ns.node
+        | Some node when Net.is_up t.net id -> N.tick node
         | Some _ | None -> ())
       t.nodes;
     advance_reconfig t;
@@ -747,11 +727,8 @@ module Raft_runner = struct
     in
     List.iter
       (fun id ->
-        let (_ : node_state) =
-          make_node t ~id ~voters:p.old_nodes
-            ~persistent:(preloaded_persistent p.preload)
-        in
-        ())
+        make_node t ~id ~voters:p.old_nodes
+          ~persistent:(preloaded_persistent p.preload))
       p.old_nodes;
     {
       tick = (fun () -> tick t);

@@ -13,9 +13,8 @@ module Core = struct
   let default = ()
 
   let create () ?batching ?compaction ~id ~peers ~election_ticks ~rand:_ ~send
-      ~on_decide ~on_install () =
-    N.create ~id ~peers ~election_ticks ?batching ?compaction
-      ~on_snapshot:on_install ~send ~on_decide ()
+      () =
+    N.create ~id ~peers ~election_ticks ?batching ?compaction ~send ()
 
   let handle = N.handle
   let tick = N.tick
@@ -32,9 +31,7 @@ module Core = struct
     Omnipaxos.Sequence_paxos.decided_idx (N.sequence_paxos c)
 
   let msg_size = N.msg_size
-
-  let iter_decided c ~from ~upto f =
-    Omnipaxos.Sequence_paxos.iter_decided_ids (N.sequence_paxos c) ~from ~upto f
+  let store c = Omnipaxos.Sequence_paxos.store (N.sequence_paxos c)
 end
 
 include Adapter.Make (Core)

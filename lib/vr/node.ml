@@ -41,13 +41,12 @@ let leader_of t view = view mod t.n_total
 let ballot_of t view =
   { Omnipaxos.Ballot.n = view + 1; priority = 0; pid = leader_of t view }
 
-let create ~id ~peers ~election_ticks ?batching ?compaction ?on_snapshot ~send
-    ?on_decide () =
+let create ~id ~peers ~election_ticks ?batching ?compaction ~send () =
   let sp =
     Sp.create ~id ~peers ~persistent:(Sp.fresh_persistent ()) ?batching
       ?compaction
       ~send:(fun ~dst m -> send ~dst (Sp m))
-      ?on_decide ?on_snapshot ()
+      ()
   in
   let n_total = List.length peers + 1 in
   {

@@ -30,16 +30,13 @@ val create :
   election_ticks:int ->
   ?batching:Omnipaxos.Batching.config ->
   ?compaction:Omnipaxos.Compaction.config ->
-  ?on_snapshot:(int -> string -> unit) ->
   send:(dst:int -> msg -> unit) ->
-  ?on_decide:(int -> unit) ->
   unit ->
   t
 (** [batching] selects the flush policy of the inner Sequence Paxos
     instance (default {!Omnipaxos.Batching.fixed}); [compaction] (default
-    {!Omnipaxos.Compaction.disabled}) its snapshot-and-trim trigger, with
-    [on_snapshot] firing when a leader-shipped snapshot is installed.
-    Sequence Paxos traces the decides and installs; the node traces leader
+    {!Omnipaxos.Compaction.disabled}) its snapshot-and-trim trigger.
+    Sequence Paxos applies the decided entries to its store and traces the decides and installs; the node traces leader
     transitions once per [tick], with the view as the term. *)
 
 val handle : t -> src:int -> msg -> unit

@@ -1,15 +1,17 @@
-(* Adapter.Make over a fake in-memory core: the test appends decided ids to
-   the core's log and fires the callbacks the adapter handed to [create]
-   itself, then checks the decided-id cache, the scan cursor, the install
-   bookkeeping and the profiler frames. *)
+(* Adapter.Make over a fake in-memory core whose decided prefix is applied
+   by a real store ([Omnipaxos.Compaction.Store]): the test appends decided
+   commands to the core's log and moves its decided index, as a core does,
+   then checks through the adapter the decided-id cache, the store's
+   never-rewind rule, the install record and the profiler frames. *)
+
+module Store = Omnipaxos.Compaction.Store
+module Log = Replog.Log
 
 module Fake = struct
   type t = {
-    mutable log : int array;  (* command id per log position *)
-    mutable first : int;  (* positions below were replaced by a snapshot *)
+    log : Replog.Command.t Log.t;
+    store : Store.t;
     mutable decided : int;
-    on_decide : int -> unit;
-    on_install : int -> string -> unit;
   }
 
   type msg = unit
@@ -20,8 +22,8 @@ module Fake = struct
   let default = ()
 
   let create () ?batching:_ ?compaction:_ ~id:_ ~peers:_ ~election_ticks:_
-      ~rand:_ ~send:_ ~on_decide ~on_install () =
-    { log = [||]; first = 0; decided = 0; on_decide; on_install }
+      ~rand:_ ~send:_ () =
+    { log = Log.create (); store = Store.create (); decided = 0 }
 
   let handle _ ~src:_ () = ()
   let tick _ = ()
@@ -32,29 +34,33 @@ module Fake = struct
   let leader_pid _ = None
   let decided_index c = c.decided
   let msg_size () = 0
+  let store c = c.store
 
-  (* Reading a replaced or undecided position is a cursor bug. *)
-  let iter_decided c ~from ~upto f =
-    if from < c.first || upto > c.decided || from >= upto then
-      Alcotest.failf "read [%d, %d) outside [%d, %d)" from upto c.first
-        c.decided;
-    for i = from to upto - 1 do
-      f c.log.(i)
-    done
+  (* Announce the decided index [upto] to the store, as a core does on
+     every advance; a recovering core re-announces lower indexes. The store
+     reads the log in place, so reading a position the install replaced
+     raises. *)
+  let announce c upto = Store.apply c.store c.log ~upto (fun _ cmd -> cmd) ()
 
-  (* Append [ids] at the end of the log and decide them. *)
+  (* Append commands with [ids] at the end of the log and decide them;
+     negative ids are protocol-internal. *)
   let decide c ids =
-    c.log <- Array.append c.log (Array.of_list ids);
-    c.decided <- Array.length c.log;
-    c.on_decide c.decided
+    List.iter (fun id -> Log.append c.log (Replog.Command.noop id)) ids;
+    c.decided <- Log.length c.log;
+    announce c c.decided
 
-  (* A leader-shipped snapshot replaces everything below [idx]. *)
-  let install c idx payload =
-    c.log <- Array.append c.log (Array.make (idx - Array.length c.log) (-1));
-    c.first <- idx;
-    c.on_install idx payload;
+  (* A leader-shipped snapshot of [0, idx) replaces everything below [idx];
+     returns its envelope. *)
+  let install c idx =
+    let envelope =
+      Replog.Snapshot.encode ~last_idx:idx ~client_cmds:idx (Replog.Kv.create ())
+    in
+    (match Store.decode ~idx envelope with
+    | Ok r -> Store.install c.store c.log ~node:0 r
+    | Error m -> Alcotest.fail m);
     c.decided <- idx;
-    c.on_decide idx
+    announce c idx;
+    envelope
 end
 
 module A = Rsm.Adapter.Make (Fake)
@@ -82,32 +88,33 @@ let test_reannounce_no_duplicates () =
       Alcotest.check ids "from past the end" [] (A.decided_ids a ~from))
     [ 3; 64; 65 ];
   (* A recovering core re-announces lower decided indexes. *)
-  c.Fake.on_decide 2;
-  c.Fake.on_decide 4;
+  Fake.announce c 2;
+  Fake.announce c 4;
   Fake.decide c [ 13 ];
   Alcotest.check ids "no duplicates" [ 10; 11; 12; 13 ]
     (A.decided_ids a ~from:0);
   Alcotest.(check int) "count" 4 (A.decided_count a);
+  Alcotest.(check int) "applied once" 5 (Store.applied c.Fake.store);
   Alcotest.(check int) "decided index" 5 (A.decided_index a)
 
 let test_install () =
   let a, c = create () in
   Fake.decide c [ 1; 2 ];
   Alcotest.(check bool) "no install yet" true (A.last_install a = None);
-  Fake.install c 10 "snap-a";
+  let snap_a = Fake.install c 10 in
   (match A.last_install a with
   | Some i ->
       Alcotest.(check int) "inst_seq" 1 i.Rsm.Protocol.inst_seq;
       Alcotest.(check int) "inst_cache_len = count at install" 2
         i.Rsm.Protocol.inst_cache_len;
-      Alcotest.(check string) "payload" "snap-a" i.Rsm.Protocol.inst_payload
+      Alcotest.(check string) "payload" snap_a i.Rsm.Protocol.inst_payload
   | None -> Alcotest.fail "install not recorded");
-  (* The cursor jumped to 10: deciding on top reads only the new entries. *)
+  (* [applied] jumped to 10: deciding on top reads only the new entries. *)
   Fake.decide c [ 7; 8 ];
   Alcotest.check ids "ids after the install" [ 7; 8 ]
     (A.decided_ids a ~from:2);
   Alcotest.check ids "all ids" [ 1; 2; 7; 8 ] (A.decided_ids a ~from:0);
-  Fake.install c 20 "snap-b";
+  let (_ : string) = Fake.install c 20 in
   match A.last_install a with
   | Some i ->
       Alcotest.(check int) "second inst_seq" 2 i.Rsm.Protocol.inst_seq;
@@ -135,7 +142,7 @@ let test_profile_frames () =
   Alcotest.(check int) "fake/handle frames" 1 (calls "fake/handle");
   Alcotest.(check int) "fake/tick frames" 2 (calls "fake/tick")
 
-module Cache = Rsm.Protocol.Decided_cache
+module Cache = Omnipaxos.Compaction.Decided_cache
 
 (* Id sequences made of consecutive runs, gaps, repeats and descending
    steps, from random starts. *)

@@ -1,7 +1,8 @@
-(* The compacted-prefix store ([Omnipaxos.Compaction.Store]) over the entry
-   types of the three cores: compacting in steps then shipping the snapshot
-   to a fresh store yields exactly the state of folding the whole prefix
-   at once. *)
+(* The store ([Omnipaxos.Compaction.Store]) over the entry types of the
+   three cores: applying a decided prefix in steps, trimming behind it, and
+   shipping the snapshot to a fresh store yields exactly the state of
+   folding the whole prefix at once, and after every step the store covers
+   exactly the decided prefix. *)
 
 module Store = Omnipaxos.Compaction.Store
 module Command = Replog.Command
@@ -25,16 +26,35 @@ let command_gen =
       (int_range (-1) 1000) (int_bound 4) (int_bound 3))
 
 module type CASE = sig
-  include Store.ENTRY
+  type t
 
   val name : string
   val gen : t QCheck.Gen.t
+
   val command : t -> Command.t option
+  (** The oracle: the client command an entry carries. *)
+
+  val apply : Store.t -> t Log.t -> upto:int -> unit
+  (** [Store.apply] with the core's own entry function. *)
 end
 
-(* Random entries, compacted at the increasing points [cuts mod (n + 1)]. *)
+(* The fold of [entries] below [upto] into a fresh KV, and its client
+   count. *)
+let oracle (type e) (module C : CASE with type t = e) (entries : e list) upto =
+  let kv = Replog.Kv.create () and cmds = ref 0 in
+  List.iteri
+    (fun i e ->
+      match C.command e with
+      | Some c when i < upto ->
+          ignore (Replog.Kv.apply kv c);
+          if c.Command.id >= 0 then incr cmds
+      | Some _ | None -> ())
+    entries;
+  (Replog.Kv.snapshot kv, !cmds, upto)
+
+(* Random entries, decided at the increasing points [cuts mod (n + 1)];
+   each decide trims the log at the point before it. *)
 let prop_round_trip (module C : CASE) =
-  let module Fold = Store.Fold (C) in
   QCheck.Test.make ~count:200
     ~name:(C.name ^ ": stepwise compaction round-trips through a snapshot")
     (QCheck.make
@@ -44,28 +64,31 @@ let prop_round_trip (module C : CASE) =
       let points = List.sort_uniq Int.compare (List.map (fun c -> c mod (n + 1)) cuts) in
       let log = Log.of_list entries in
       let store = Store.create () in
-      List.iter (fun upto -> Fold.compact store log ~node:0 ~upto ~taken:true) points;
+      let covers upto = Store.key store = oracle (module C) entries upto in
+      let _, stepwise =
+        List.fold_left
+          (fun (trim, ok) decided ->
+            C.apply store log ~upto:decided;
+            let applied = covers decided in
+            Store.trim store log ~node:0 ~upto:trim ~taken:true;
+            (decided, ok && applied && covers decided))
+          (0, true) points
+      in
       let last = List.fold_left max 0 points in
-      let kv = Replog.Kv.create () and cmds = ref 0 in
-      List.iteri
-        (fun i e ->
-          match C.command e with
-          | Some c when i < last ->
-              ignore (Replog.Kv.apply kv c);
-              if c.Command.id >= 0 then incr cmds
-          | Some _ | None -> ())
-        entries;
+      Store.trim store log ~node:0 ~upto:last ~taken:true;
       let fresh = Store.create () and fresh_log = Log.create () in
-      (match Store.decode ~idx:last (Store.encode store log) with
-      | Ok r -> Store.install fresh fresh_log ~node:1 r
-      | Error m -> QCheck.Test.fail_report m);
-      Log.first_idx log = last
+      if last > 0 then (
+        match Store.decode ~idx:last (Store.encode store) with
+        | Ok r -> Store.install fresh fresh_log ~node:1 r
+        | Error m -> QCheck.Test.fail_report m);
+      stepwise
+      && Log.first_idx log = last
       && Log.first_idx fresh_log = last
-      && Store.key fresh = (Replog.Kv.snapshot kv, !cmds)
+      && Store.key fresh = oracle (module C) entries last
       && Store.key store = Store.key fresh)
 
 module Sp_case = struct
-  include Omnipaxos.Entry
+  type t = Omnipaxos.Entry.t
 
   let name = "sequence paxos"
 
@@ -73,18 +96,24 @@ module Sp_case = struct
     QCheck.Gen.(
       frequency
         [
-          (9, map (fun c -> Cmd c) command_gen);
+          (9, map (fun c -> Omnipaxos.Entry.Cmd c) command_gen);
           ( 1,
             map
-              (fun config_id -> Stop_sign { config_id; nodes = [ 0; 1 ]; metadata = "" })
+              (fun config_id ->
+                Omnipaxos.Entry.Stop_sign
+                  { config_id; nodes = [ 0; 1 ]; metadata = "" })
               small_nat );
         ])
 
-  let command = function Cmd c -> Some c | Stop_sign _ -> None
+  let command = function
+    | Omnipaxos.Entry.Cmd c -> Some c
+    | Omnipaxos.Entry.Stop_sign _ -> None
+
+  let apply s log ~upto = Store.apply s log ~upto Omnipaxos.Entry.command ()
 end
 
 module Raft_case = struct
-  include Raft.Node.Entry
+  type t = Raft.Node.entry
 
   let name = "raft"
 
@@ -101,15 +130,23 @@ module Raft_case = struct
 
   let command (e : Raft.Node.entry) =
     match e.data with Cmd c -> Some c | Config _ -> None
+
+  (* A Raft node applies Config entries to itself and hands the store
+     nothing for them. *)
+  let apply s log ~upto =
+    Store.apply s log ~upto
+      (fun () (e : t) ->
+        match e.data with Cmd c -> c | Config _ -> Store.no_command)
+      ()
 end
 
 module Multipaxos_case = struct
   type t = Command.t
 
-  let iter_command f x c = f x c
   let name = "multi-paxos"
   let gen = command_gen
   let command c = Some c
+  let apply s log ~upto = Store.apply s log ~upto (fun () c -> c) ()
 end
 
 (* A snapshot that fails to decode, or covers another prefix than the one
@@ -117,9 +154,9 @@ end
 let test_decode_rejects () =
   let store = Store.create () in
   let log = Log.of_list [ Command.noop 0; Command.noop 1 ] in
-  let module Fold = Store.Fold (Multipaxos_case) in
-  Fold.compact store log ~node:0 ~upto:2 ~taken:false;
-  let envelope = Store.encode store log in
+  Multipaxos_case.apply store log ~upto:2;
+  Store.trim store log ~node:0 ~upto:2 ~taken:false;
+  let envelope = Store.encode store in
   let is_error = function Ok _ -> false | Error _ -> true in
   Alcotest.(check bool) "garbage" true (is_error (Store.decode ~idx:2 "garbage"));
   Alcotest.(check bool) "other prefix" true (is_error (Store.decode ~idx:3 envelope));

@@ -256,8 +256,9 @@ let test_flush_shares_entries () =
         (List.for_all2 ( == ) (Log.slice_to_list e1) (Log.slice_to_list e2))
   | l -> Alcotest.failf "expected two batches, got %d" (List.length l)
 
-(* [iter_committed_ids] reads committed entries in place: [from] clamps to
-   the trim point, [upto] to the commit index. *)
+(* Committed entries are applied to the store once, in order: a trim cuts
+   only the log, and after [recover] rewinds the commit index to the trim
+   point, re-committing the same entries applies nothing twice. *)
 let test_iter_committed () =
   let h = make ~compaction:(Omnipaxos.Compaction.make ~retain:2 4) () in
   become_leader h;
@@ -268,10 +269,27 @@ let test_iter_committed () =
     (N.Append_resp { term = N.current_term h.node; success = true; match_idx = 5 });
   check_int "five committed" 5 (N.commit_idx h.node);
   check_int "trimmed below 3" 3 (N.first_idx h.node);
-  let ids = ref [] in
-  N.iter_committed_ids h.node ~from:0 ~upto:10 (fun id ->
-      ids := id :: !ids);
-  check "entries 3 and 4, in order" true (List.rev !ids = [ 3; 4 ])
+  let store = N.store h.node in
+  let module Store = Omnipaxos.Compaction.Store in
+  let ids () =
+    Omnipaxos.Compaction.Decided_cache.ids_from (Store.ids store) ~from:0
+  in
+  check "ids 0 to 4, in order" true (ids () = [ 0; 1; 2; 3; 4 ]);
+  check_int "applied" 5 (Store.applied store);
+  N.recover h.node;
+  check_int "commit index rewound to the trim point" 3 (N.commit_idx h.node);
+  N.handle h.node ~src:1
+    (N.Append_entries
+       {
+         term = N.current_term h.node;
+         prev_idx = 5;
+         prev_term = N.current_term h.node;
+         entries = Log.slice_of_list [];
+         commit_idx = 6;
+       });
+  check_int "committed again" 6 (N.commit_idx h.node);
+  check "no duplicates" true (ids () = [ 0; 1; 2; 3; 4; 5 ]);
+  check_int "client count" 6 (Store.client_cmds store)
 
 (* ------------------------- allocation ------------------------- *)
 

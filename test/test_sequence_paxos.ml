@@ -339,8 +339,8 @@ let test_election_after_trim () =
     (Sp.decided_idx h.nodes.(2))
 
 (* Snapshot repair: a follower that lost its storage and sits below the
-   leader's trim point is brought up to date with a state snapshot plus the
-   remaining log tail. *)
+   leader's trim point is brought up to date with a state snapshot of the
+   leader's decided prefix plus the log tail above it. *)
 let test_snapshot_repairs_below_trim () =
   let queues = Queue.create () in
   let blocked = Hashtbl.create 4 in
@@ -369,15 +369,15 @@ let test_snapshot_repairs_below_trim () =
   Sp.recover h.nodes.(2);
   deliver h;
   flush_all h;
-  let installed_at_8 p =
+  let installed_at_10 p =
     match Replog.Snapshot.decode p with
-    | Ok snap -> snap.Replog.Snapshot.last_idx = 8
+    | Ok snap -> snap.Replog.Snapshot.last_idx = 10
     | Error _ -> false
   in
-  check "snapshot delivered to the wiped node" true
-    (List.exists (fun (id, idx, p) -> id = 2 && idx = 8 && installed_at_8 p)
+  check "snapshot of the decided prefix delivered to the wiped node" true
+    (List.exists (fun (id, idx, p) -> id = 2 && idx = 10 && installed_at_10 p)
        !snapshots);
-  check_int "log restarts at the trim point" 8
+  check_int "log restarts at the leader's decided index" 10
     (Log.first_idx (Sp.read_log h.nodes.(2)));
   check_int "caught up via snapshot + tail" 10 (Sp.decided_idx h.nodes.(2));
   (* Replication to the repaired node continues normally. *)
@@ -385,7 +385,7 @@ let test_snapshot_repairs_below_trim () =
   flush_all h;
   check_int "new entries flow" 11 (Sp.decided_idx h.nodes.(2));
   check "tail readable above the snapshot" true
-    (List.length (Sp.read_decided h.nodes.(2) ~from:0) = 3)
+    (List.length (Sp.read_decided h.nodes.(2) ~from:0) = 1)
 
 (* The flush path's snapshot repair: a synced follower whose unsent backlog
    starts below the leader's trim point gets, from the next flush, an
@@ -452,6 +452,32 @@ let test_accept_sync_bad_snapshot_dropped () =
   check_int "log unchanged" 10 (Sp.log_length sp);
   check_int "no install" 0 !installs;
   check_int "no ack" 0 !sent
+
+(* A snapshot at or below the follower's decided index is stale: its store
+   already applied that prefix, so installing it would roll the state
+   machine back. The suffix is spliced into the log instead. *)
+let test_stale_snapshot_not_installed () =
+  let installs = ref 0 in
+  let sp = decided_follower 10 ~on_snapshot:(fun _ _ -> incr installs) in
+  let before = Sp.snapshot sp in
+  let kv = Replog.Kv.create () in
+  for i = 0 to 4 do
+    ignore (Replog.Kv.apply kv (Replog.Command.noop i))
+  done;
+  Sp.handle sp ~src:0
+    (Sp.Accept_sync
+       {
+         n = ballot 2 0;
+         sync_idx = 5;
+         suffix = Log.slice_of_list (List.init 7 (fun i -> cmd (5 + i)));
+         decided_idx = 5;
+         snapshot =
+           Some (5, Replog.Snapshot.encode ~last_idx:5 ~client_cmds:5 kv);
+       });
+  check_int "no install" 0 !installs;
+  check_int "decided index kept" 10 (Sp.decided_idx sp);
+  Alcotest.(check string) "store kept" before (Sp.snapshot sp);
+  check_int "suffix spliced" 12 (Sp.log_length sp)
 
 (* Likewise a Promise: it is not counted towards the Prepare quorum. *)
 let test_promise_bad_snapshot_dropped () =
@@ -906,9 +932,10 @@ let is_decide = function
   | Omnipaxos.Replica.Sp_msg (Sp.Decide _) -> true
   | Omnipaxos.Replica.Sp_msg _ | Omnipaxos.Replica.Ble_msg _ -> false
 
-(* A follower's Decide, through the adapter, notes the newly decided ids
-   with a first-order loop over the log: once the id cache holds a run the
-   ids extend, it allocates nothing. *)
+(* A follower's Decide, through the adapter, applies the newly decided
+   entries to its store (KV, count, id cache) with one first-order loop
+   over the log: once the id cache holds a run the ids extend, it allocates
+   nothing. *)
 let test_adapter_decide_alloc_free () =
   let nodes, deliver = adapter_cluster () in
   let decide_batch first k =
@@ -993,16 +1020,53 @@ let trim_words k =
   check_int "trimmed" k (Sp.first_idx sp);
   words
 
-(* A follower's Trim folds the compacted prefix in place: the words it
-   allocates do not grow with the number of entries trimmed. *)
+(* A follower's Trim only cuts its log: the words it allocates do not grow
+   with the number of entries trimmed. *)
 let test_trim_alloc_flat () =
   Alcotest.(check (float 0.)) "a Trim of 100 and of 10,000 entries"
     (trim_words 100) (trim_words 10_000)
 
-(* The fold builds no closure either, so it allocates nothing at all. *)
+(* Nor does it read an entry or build a closure: it allocates nothing. *)
 let test_trim_fold_alloc_free () =
   Alcotest.(check (float 0.)) "a Trim of 1 entry" 0. (trim_words 1);
   Alcotest.(check (float 0.)) "a Trim of 1000 entries" 0. (trim_words 1000)
+
+(* A follower applies each entry once, when the Decide reaches it: its
+   store then holds the decided prefix (client count and KV), and a Trim of
+   that prefix only cuts the log, applying nothing. *)
+let test_decide_applies_trim_cuts () =
+  let k = 1000 in
+  let put i =
+    Replog.Command.make ~id:i
+      (Replog.Command.Kv_put ("k" ^ string_of_int (i mod 7), string_of_int i))
+  in
+  let persistent = Sp.fresh_persistent () in
+  Log.append_list persistent.Sp.log (List.init k (fun i -> Entry.Cmd (put i)));
+  persistent.Sp.prom_rnd <- ballot 2 0;
+  persistent.Sp.acc_rnd <- ballot 2 0;
+  let sp =
+    Sp.create ~id:1 ~peers:[ 0; 2 ] ~persistent ~send:(fun ~dst:_ _ -> ()) ()
+  in
+  let client_cmds () =
+    Omnipaxos.Compaction.Store.client_cmds persistent.Sp.store
+  in
+  let kv = Replog.Kv.create () in
+  for i = 0 to k - 1 do
+    ignore (Replog.Kv.apply kv (put i))
+  done;
+  Sp.handle sp ~src:0 (Sp.Decide { n = ballot 2 0; decided_idx = k });
+  check_int "decided" k (Sp.decided_idx sp);
+  check_int "client count of the decided prefix" k (client_cmds ());
+  Alcotest.(check string)
+    "the store is the KV of the decided prefix"
+    (Replog.Snapshot.encode ~last_idx:k ~client_cmds:k kv)
+    (Sp.snapshot sp);
+  let before = Sp.snapshot sp in
+  Sp.handle sp ~src:0 (Sp.Trim { n = ballot 2 0; trim_idx = k });
+  check_int "trimmed" k (Sp.first_idx sp);
+  check_int "the Trim counted nothing" k (client_cmds ());
+  Alcotest.(check string)
+    "the Trim applied nothing (KV, Kv.applied, count)" before (Sp.snapshot sp)
 
 (* Pids outside [0, 1 + max (id :: peers)) are not members: their messages
    and session resets are dropped instead of indexing the follower arrays. *)
@@ -1075,12 +1139,16 @@ let () =
             test_flush_repairs_below_trim;
           Alcotest.test_case "undecodable AcceptSync snapshot dropped" `Quick
             test_accept_sync_bad_snapshot_dropped;
+          Alcotest.test_case "stale snapshot not installed" `Quick
+            test_stale_snapshot_not_installed;
           Alcotest.test_case "undecodable Promise snapshot dropped" `Quick
             test_promise_bad_snapshot_dropped;
           Alcotest.test_case "trim allocation flat in k" `Quick
             test_trim_alloc_flat;
           Alcotest.test_case "followers trim with the leader" `Quick
             test_followers_trim_with_leader;
+          Alcotest.test_case "a Decide applies, a Trim only cuts" `Quick
+            test_decide_applies_trim_cuts;
           Alcotest.test_case "follower Trim allocates nothing in the fold"
             `Quick test_trim_fold_alloc_free;
         ] );
