@@ -1,6 +1,6 @@
 (* Test-only stale-read wrapper; see the .mli. *)
 
-module Cache = Omnipaxos.Compaction.Decided_cache
+module Cache = Omnipaxos.Decided_cache
 
 module Make (P : Rsm.Protocol.PROTOCOL) = struct
   type msg = P.msg

@@ -15,9 +15,10 @@
     - the application: each node's KV state machine, fed by [on_decide] and
       replaced by [on_snapshot] under a never-rewind cursor (the rule
       {!Omnipaxos.Compaction.Store} keeps for the node's own store), is the
-      fold of the chosen prefix up to its decided index. It is kept apart
-      from the node's store on purpose: an oracle that is the code under
-      check would check nothing. *)
+      fold of the chosen prefix up to its decided index, and no snapshot
+      a node installs covers no more than the prefix it already decided.
+      It is kept apart from the node's store on purpose: an oracle that is
+      the code under check would check nothing. *)
 
 module Sp = Omnipaxos.Sequence_paxos
 module Entry = Omnipaxos.Entry
@@ -57,9 +58,12 @@ let n_nodes = 3
 
 (* Constants, not inputs: fixed batching is the default policy, and a
    trim on every decide that retains one entry makes snapshot installs
-   reachable within these bounds. A shipped snapshot covers the sender's
-   decided prefix, so none lands below the receiver's decided index here:
-   the stale-install guard is pinned by a unit test instead. *)
+   reachable within these bounds — with a session reset, a duplicate one:
+   the leader answers two Promises of the reset node with the same
+   snapshot, and the second finds the first applied, which a build
+   without the stale-install guard re-installs. A shipped snapshot covers
+   the sender's decided prefix, so one below the receiver's decided index
+   (a KV rollback) is out of reach here. *)
 let batching = Omnipaxos.Batching.fixed
 let compaction = Omnipaxos.Compaction.make ~retain:1 1
 
@@ -134,9 +138,15 @@ let on_decide ex i upto =
     ex.cursor.(i) <- upto
   end
 
+(* The cursor is the decided prefix the application already holds: a
+   snapshot that covers no more of it is stale, and installing one would
+   roll the state back (or, at equal index, restore what it holds). *)
 let on_snapshot ex i idx payload =
   ex.fired <- true;
   ex.installed <- true;
+  if idx <= ex.cursor.(i) then
+    fail ex "app: node %d installed a snapshot of [0, %d) over its [0, %d)" i
+      idx ex.cursor.(i);
   (match Replog.Snapshot.decode payload with
   | Ok s ->
       ex.app.(i) <- Replog.Snapshot.restore s;

@@ -230,7 +230,8 @@ let leader_pid t =
 (* The snapshot covers the whole decided prefix. *)
 let send_snapshot t ~dst =
   t.send ~dst
-    (Snapshot { idx = Store.applied t.store; payload = Store.encode t.store })
+    (let idx = Store.applied t.store in
+     Snapshot { idx; payload = Store.encode t.store ~idx })
 
 (* Every decided-prefix advance applies the new slots to the store and
    reports the new length to the trace, with the ballot round as term. *)
@@ -537,16 +538,14 @@ let on_decision_req t ~src ~from =
       (Decision { start_slot = from; cmds = Log.suffix t.decided ~from })
 
 (* Install a peer's snapshot: replace everything below [idx] with the shipped
-   state and restart the decided log there. Only ever a jump forward — a
-   stale or duplicate snapshot is ignored. *)
+   state and restart the decided log there. Only ever a jump forward — the
+   store refuses a stale or duplicate snapshot. *)
 let on_snapshot t ~idx ~payload =
-  if idx > Log.length t.decided then
-    match Store.decode ~idx payload with
-    | Ok snap ->
-        Store.install t.store t.decided ~node:t.id snap;
-        trim_below_decided t;
-        decided t
-    | Error _ -> ()
+  match Store.decode ~idx payload with
+  | Ok snap when Store.install t.store t.decided ~node:t.id snap ->
+      trim_below_decided t;
+      decided t
+  | Ok _ | Error _ -> ()
 
 let handle t ~src msg =
   if src >= 0 && src < Array.length t.last_heard then

@@ -22,56 +22,6 @@ let trim_point c ~floor ~decided =
     decided - c.retain
   else floor
 
-(* The decided command ids in decided order, noted by {!Store.apply} so
-   queries are O(delta). Stored as runs of consecutive ids, two ints per run
-   in [runs]: run [r] holds the ids [runs.(2r)], [runs.(2r) + 1], ... at the
-   decided positions from [runs.(2r + 1)] up to the next run's first
-   position (or [count]). Clients number their commands consecutively, so a
-   cache of a million ids is a handful of runs; with no two ids consecutive
-   it costs two ints per id. *)
-module Decided_cache = struct
-  type t = {
-    mutable runs : int array;
-    mutable n_runs : int;
-    mutable count : int;
-  }
-
-  let create () = { runs = Array.make 16 0; n_runs = 0; count = 0 }
-  let copy t = { t with runs = Array.copy t.runs }
-
-  let note t id =
-    let last = 2 * (t.n_runs - 1) in
-    if t.n_runs > 0 && id = t.runs.(last) + (t.count - t.runs.(last + 1)) then
-      t.count <- t.count + 1
-    else begin
-      let r = 2 * t.n_runs in
-      if r = Array.length t.runs then begin
-        let bigger = Array.make (2 * r) 0 in
-        Array.blit t.runs 0 bigger 0 r;
-        t.runs <- bigger
-      end;
-      t.runs.(r) <- id;
-      t.runs.(r + 1) <- t.count;
-      t.n_runs <- t.n_runs + 1;
-      t.count <- t.count + 1
-    end
-
-  let count t = t.count
-
-  (* Walk down from the last position: every run holds at least one
-     position, so the walk visits O(count - from) runs. *)
-  let ids_from t ~from =
-    let from = min t.count (max 0 from) in
-    let rec collect r pos acc =
-      if pos < from then acc
-      else
-        let first = t.runs.((2 * r) + 1) in
-        if pos < first then collect (r - 1) pos acc
-        else collect r (pos - 1) ((t.runs.(2 * r) + pos - first) :: acc)
-    in
-    collect (t.n_runs - 1) (t.count - 1) []
-end
-
 module Store = struct
   (* [kv], [client_cmds] and [ids] cover exactly the applied prefix
      [0, applied): [apply] moves it forward one entry at a time and
@@ -114,8 +64,8 @@ module Store = struct
   let last_install s = s.last_install
   let key s = (Replog.Kv.snapshot s.kv, s.client_cmds, s.applied)
 
-  let encode s =
-    Replog.Snapshot.encode ~last_idx:s.applied ~client_cmds:s.client_cmds s.kv
+  let encode s ~idx =
+    Replog.Snapshot.encode ~last_idx:idx ~client_cmds:s.client_cmds s.kv
 
   let no_command = Replog.Command.noop min_int
 
@@ -141,7 +91,10 @@ module Store = struct
         if taken then
           Obs.Trace.emit ~node
             (Obs.Event.Snapshot_taken
-               { idx = s.applied; bytes = String.length (encode s) });
+               {
+                 idx = s.applied;
+                 bytes = String.length (encode s ~idx:s.applied);
+               });
         Obs.Trace.emit ~node
           (Obs.Event.Log_trimmed { upto; entries = upto - floor })
       end
@@ -156,21 +109,27 @@ module Store = struct
              snapshot.last_idx idx)
     | Error m -> Error m
 
+  (* Never rewind: a snapshot of a prefix already applied would roll the
+     state back, since nothing re-applies the entries above it. *)
   let install s log ~node r =
-    s.kv <- Replog.Snapshot.restore r.snapshot;
-    s.client_cmds <- r.snapshot.client_cmds;
-    s.applied <- r.idx;
-    s.last_install <-
-      Some
-        {
-          inst_seq =
-            (match s.last_install with Some i -> i.inst_seq + 1 | None -> 1);
-          inst_cache_len = Decided_cache.count s.ids;
-          inst_payload = r.envelope;
-        };
-    Log.reset_to log ~offset:r.idx;
-    if Obs.Trace.on () then
-      Obs.Trace.emit ~node
-        (Obs.Event.Snapshot_installed
-           { idx = r.idx; bytes = String.length r.envelope })
+    if r.idx <= s.applied then false
+    else begin
+      s.kv <- Replog.Snapshot.restore r.snapshot;
+      s.client_cmds <- r.snapshot.client_cmds;
+      s.applied <- r.idx;
+      s.last_install <-
+        Some
+          {
+            inst_seq =
+              (match s.last_install with Some i -> i.inst_seq + 1 | None -> 1);
+            inst_cache_len = Decided_cache.count s.ids;
+            inst_payload = r.envelope;
+          };
+      Log.reset_to log ~offset:r.idx;
+      if Obs.Trace.on () then
+        Obs.Trace.emit ~node
+          (Obs.Event.Snapshot_installed
+             { idx = r.idx; bytes = String.length r.envelope });
+      true
+    end
 end

@@ -44,21 +44,6 @@ val trim_point : config -> floor:int -> decided:int -> int
     [decided - floor >= snapshot_interval], otherwise [floor]. A result
     [<= floor] means there is nothing to compact. *)
 
-(** The decided command ids of one server, in decided order, as runs of
-    consecutive ids: a cache of a million consecutive ids is a handful of
-    words. {!Store.apply} notes every client command it applies. *)
-module Decided_cache : sig
-  type t
-
-  val create : unit -> t
-  val copy : t -> t
-  val note : t -> int -> unit
-  val count : t -> int
-
-  val ids_from : t -> from:int -> int list
-  (** The ids at decided positions [from] on ([\[\]] past the end). *)
-end
-
 (** The applied state of one log's decided prefix.
 
     A store holds the KV state machine, the client-command count (commands
@@ -68,7 +53,8 @@ end
     cuts the log below the applied index ({!trim}), and a shipped snapshot
     ({!encode}) covers [\[0, applied)]. The store never rewinds: a core that
     re-announces a lower decided index (a recovering Raft node, a rebuilt
-    Omni-Paxos replica) applies nothing twice. A core keeps the store in its
+    Omni-Paxos replica) applies nothing twice, and {!install} refuses a
+    snapshot of a prefix already applied. A core keeps the store in its
     durable state: a trim is only safe once the state below it survives a
     crash.
 
@@ -105,8 +91,13 @@ module Store : sig
       equal keys, equal states. The decided-id cache and the install record
       are observations, not state, and are left out. *)
 
-  val encode : t -> string
-  (** The snapshot envelope covering [\[0, applied)]. *)
+  val encode : t -> idx:int -> string
+  (** The snapshot envelope of the applied state, labelled as covering
+      [\[0, idx)]. [idx] is [applied], or lower only when the entries
+      [\[idx, applied)] carry no command: Sequence Paxos labels its
+      snapshot at a decided stop-sign, so that the suffix shipped from
+      [idx] carries the stop-sign, which the state machine does not
+      hold. *)
 
   val no_command : Replog.Command.t
   (** What the [command] function of {!apply} returns for an entry that
@@ -145,10 +136,11 @@ module Store : sig
   (** Decode an envelope shipped as covering [\[0, idx)]: [Error] when it
       is malformed or covers another prefix. Never raises. *)
 
-  val install : t -> 'e Replog.Log.t -> node:int -> received -> unit
+  val install : t -> 'e Replog.Log.t -> node:int -> received -> bool
   (** Adopt the received state, jump [applied] to its [idx], record the
-      install, and restart the log at [idx], discarding every local entry.
-      [idx] must be above [applied] (a snapshot of a prefix already applied
-      would roll the state back): the stale-install guard is the caller's,
-      which knows how its decided index relates to [applied]. *)
+      install, restart the log at [idx], discarding every local entry, and
+      return [true]. A snapshot at or below [applied] is stale, since
+      installing it would roll the state back: it changes nothing and
+      returns [false]. This is the one stale-install check of all three
+      protocols. *)
 end

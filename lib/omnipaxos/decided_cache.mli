@@ -1,0 +1,14 @@
+(** The decided command ids of one server, in decided order, as runs of
+    consecutive ids: a cache of a million consecutive ids is a handful of
+    words. {!Compaction.Store.apply} notes every client command it
+    applies. *)
+
+type t
+
+val create : unit -> t
+val copy : t -> t
+val note : t -> int -> unit
+val count : t -> int
+
+val ids_from : t -> from:int -> int list
+(** The ids at decided positions [from] on ([\[\]] past the end). *)

@@ -248,21 +248,35 @@ let first_idx t = Log.first_idx t.dur.log
 
 let store t = t.dur.store
 
-(* The encoded state covering [0, decided_idx). *)
-let snapshot t = Store.encode t.dur.store
+(* Never trim a decided stop-sign away: [stop_sign] reads it from the log
+   (late-transitioning servers in a reconfiguration still need it), and the
+   snapshot state machine does not carry it. *)
+let trim_cap t ~upto =
+  match t.ss_idx with Some i -> min upto i | None -> upto
+
+(* The index a shipped snapshot is labelled with, and its suffix starts
+   at: the decided index, or a decided stop-sign's own index, so that the
+   suffix carries the stop-sign to the receiver. The stop-sign applies
+   nothing, so the state at the decided index is the state at its
+   index. *)
+let snapshot_idx t = trim_cap t ~upto:t.dur.decided_idx
+
+(* The encoded state covering [0, decided_idx), labelled at
+   [snapshot_idx]. *)
+let snapshot t = Store.encode t.dur.store ~idx:(snapshot_idx t)
 
 (* Adopt a snapshot + entry suffix pair from a peer whose suffix starts at
-   the snapshot's [idx]. A snapshot at or below our decided index is stale
-   — the store already applied that prefix, so re-installing would silently
-   roll the state machine back (e.g. a leader answering two Promises from
-   the same session-reset sends the same install twice; the second arrives
-   after we advanced). Skip it and splice the suffix into the log instead,
-   dropping any overlap below our own trim floor. An install discards every
-   local entry; the suffix goes on top. *)
+   the snapshot's [idx]. The store refuses a snapshot at or below our
+   decided index — it already applied that prefix, so re-installing would
+   roll the state machine back (a leader answering two Promises from the
+   same session reset ships the same install twice, and the second finds
+   the first applied; a snapshot labelled at a decided stop-sign can reach
+   a follower that decided the stop-sign). Then only the suffix is spliced
+   into the log, dropping any overlap below our own trim floor. An install
+   discards every local entry; the suffix goes on top. *)
 let adopt_snapshot_suffix t (snap : Store.received) ~suffix =
   let idx = snap.idx in
-  if idx > t.dur.decided_idx then begin
-    Store.install t.dur.store t.dur.log ~node:t.id snap;
+  if Store.install t.dur.store t.dur.log ~node:t.id snap then begin
     t.ss_idx <- None;
     t.dur.decided_idx <- idx;
     t.on_snapshot idx snap.envelope;
@@ -314,12 +328,6 @@ let quorum_idx t ~above =
 (* The compaction watermark bound: never trim an entry some quorum has not
    confirmed, or the Prepare phase of a future leader could need it. *)
 let quorum_acc_idx t = quorum_idx t ~above:0
-
-(* Never trim a decided stop-sign away: [stop_sign] reads it from the log
-   (late-transitioning servers in a reconfiguration still need it), and the
-   snapshot state machine does not carry it. *)
-let trim_cap t ~upto =
-  match t.ss_idx with Some i -> min upto i | None -> upto
 
 (* Leader: compact the decided prefix below [upto] and tell every peer to
    do the same. *)
@@ -390,14 +398,12 @@ let[@inline] trace_accept_sent t ~start_idx ~count =
 (* Send follower [dst] the AcceptSync that overwrites its log from [wanted]
    with ours. A follower below our trim point (one that lost its disk, or
    lagged past a compaction) cannot be repaired with entries alone: it gets
-   the state snapshot covering our decided prefix, then the suffix from our
-   decided index. *)
+   the state snapshot covering our decided prefix, then the suffix from
+   [snapshot_idx]. *)
 let send_accept_sync t ~dst ~wanted =
   let below = wanted < Log.first_idx t.dur.log in
-  let snapshot =
-    if below then Some (t.dur.decided_idx, snapshot t) else None
-  in
-  let sync_idx = if below then t.dur.decided_idx else wanted in
+  let sync_idx = if below then snapshot_idx t else wanted in
+  let snapshot = if below then Some (sync_idx, snapshot t) else None in
   let suffix = suffix_slice t ~from:sync_idx in
   trace_accept_sent t ~start_idx:sync_idx ~count:(Log.slice_length suffix);
   t.send ~dst
@@ -534,10 +540,10 @@ let on_prepare t ~src ~n ~l_acc_rnd ~l_log_idx ~l_decided_idx =
        stops, under our floor) the suffix alone would leave a gap — and the
        leader's own entries below our floor may be stale non-chosen
        proposals — so the promise also carries our snapshot of the decided
-       prefix, and the suffix from our decided index goes on top. *)
+       prefix, and the suffix from [snapshot_idx] goes on top. *)
     let promise ~base =
       if base < Log.first_idx t.dur.log then
-        let from = t.dur.decided_idx in
+        let from = snapshot_idx t in
         (from, suffix_slice t ~from, Some (from, snapshot t))
       else (base, suffix_slice t ~from:base, None)
     in

@@ -190,7 +190,9 @@ val store : t -> Compaction.Store.t
 
 val snapshot : t -> string
 (** The {!Replog.Snapshot} envelope of the state covering
-    [0, decided_idx). *)
+    [0, decided_idx). Once a stop-sign is decided it is labelled with the
+    stop-sign's index, which it covers as well, since the stop-sign applies
+    nothing: a shipped snapshot's suffix then carries the stop-sign. *)
 
 val batch_cap : t -> int
 (** The current adaptive per-[Accept] entry cap (constant [max_batch] under

@@ -298,7 +298,7 @@ let send_install t ~dst =
          term = t.dur.term;
          idx;
          snap_term = prev_term_at t (idx - 1);
-         payload = Store.encode t.dur.store;
+         payload = Store.encode t.dur.store ~idx;
          commit_idx = t.commit_idx;
        });
   t.last_send.(dst) <- t.tick_count;
@@ -566,27 +566,23 @@ let on_append_resp t ~src ~term ~success ~match_idx =
 let on_install_snapshot t ~src ~term ~idx ~snap_term ~payload ~leader_commit =
   if accept_leader t ~src ~term then begin
     (* A stale snapshot — at or below what our store applied, which is at
-       least our commit index — must never be re-installed: the store
-       never re-applies entries, so a re-install would silently roll the
-       state machine back (a leader that
-       rewound our next-index after a session reset can ship an install
-       for a prefix whose tail we committed in the meantime). Skip it and
-       ack the commit index — committed entries are on every leader's log
+       least our commit index — is refused by the store, which never
+       rewinds (a leader that rewound our next-index after a session reset
+       can ship an install for a prefix whose tail we committed in the
+       meantime). Such an install, like one that does not decode, acks
+       the commit index — committed entries are on every leader's log
        (Leader Completeness), so that match claim is always truthful and
        lets the leader resume from there. Acks never cite our own log
        length: entries above the commit index may be uncommitted leftovers
        from an older term that conflict with the leader's log, and a match
        claim beyond the leader's own log breaks its commit accounting. *)
     let ack =
-      if idx <= Store.applied t.dur.store then t.commit_idx
-      else
-        match Store.decode ~idx payload with
-        | Ok snap ->
-            Store.install t.dur.store t.dur.log ~node:t.id snap;
-            t.dur.snap_term <- snap_term;
-            t.commit_idx <- idx;
-            idx
-        | Error _ -> t.commit_idx
+      match Store.decode ~idx payload with
+      | Ok snap when Store.install t.dur.store t.dur.log ~node:t.id snap ->
+          t.dur.snap_term <- snap_term;
+          t.commit_idx <- idx;
+          idx
+      | Ok _ | Error _ -> t.commit_idx
     in
     respond t ~dst:src ~success:true ~match_idx:ack;
     advance_commit_follower t leader_commit

@@ -97,8 +97,8 @@ end = struct
   let is_leader = Core.is_leader
   let leader_pid = Core.leader_pid
   let ids t = Omnipaxos.Compaction.Store.ids (Core.store t)
-  let decided_count t = Omnipaxos.Compaction.Decided_cache.count (ids t)
-  let decided_ids t ~from = Omnipaxos.Compaction.Decided_cache.ids_from (ids t) ~from
+  let decided_count t = Omnipaxos.Decided_cache.count (ids t)
+  let decided_ids t ~from = Omnipaxos.Decided_cache.ids_from (ids t) ~from
   let decided_index = Core.decided_index
   let last_install t = Omnipaxos.Compaction.Store.last_install (Core.store t)
   let msg_size = Core.msg_size

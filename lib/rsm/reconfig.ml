@@ -424,7 +424,7 @@ module Omni = struct
                cfg;
                idx = Store.applied store;
                cmds = Store.client_cmds store;
-               payload = Store.encode store;
+               payload = Store.encode store ~idx:(Store.applied store);
              })
 
   (* Serve decided entries of the old configuration (even a server that has

@@ -56,7 +56,8 @@ module Fake = struct
       Replog.Snapshot.encode ~last_idx:idx ~client_cmds:idx (Replog.Kv.create ())
     in
     (match Store.decode ~idx envelope with
-    | Ok r -> Store.install c.store c.log ~node:0 r
+    | Ok r ->
+        Alcotest.(check bool) "installed" true (Store.install c.store c.log ~node:0 r)
     | Error m -> Alcotest.fail m);
     c.decided <- idx;
     announce c idx;
@@ -142,7 +143,7 @@ let test_profile_frames () =
   Alcotest.(check int) "fake/handle frames" 1 (calls "fake/handle");
   Alcotest.(check int) "fake/tick frames" 2 (calls "fake/tick")
 
-module Cache = Omnipaxos.Compaction.Decided_cache
+module Cache = Omnipaxos.Decided_cache
 
 (* Id sequences made of consecutive runs, gaps, repeats and descending
    steps, from random starts. *)

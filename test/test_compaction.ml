@@ -78,8 +78,10 @@ let prop_round_trip (module C : CASE) =
       Store.trim store log ~node:0 ~upto:last ~taken:true;
       let fresh = Store.create () and fresh_log = Log.create () in
       if last > 0 then (
-        match Store.decode ~idx:last (Store.encode store) with
-        | Ok r -> Store.install fresh fresh_log ~node:1 r
+        match Store.decode ~idx:last (Store.encode store ~idx:last) with
+        | Ok r ->
+            if not (Store.install fresh fresh_log ~node:1 r) then
+              QCheck.Test.fail_report "install refused"
         | Error m -> QCheck.Test.fail_report m);
       stepwise
       && Log.first_idx log = last
@@ -156,17 +158,50 @@ let test_decode_rejects () =
   let log = Log.of_list [ Command.noop 0; Command.noop 1 ] in
   Multipaxos_case.apply store log ~upto:2;
   Store.trim store log ~node:0 ~upto:2 ~taken:false;
-  let envelope = Store.encode store in
+  let envelope = Store.encode store ~idx:2 in
   let is_error = function Ok _ -> false | Error _ -> true in
   Alcotest.(check bool) "garbage" true (is_error (Store.decode ~idx:2 "garbage"));
   Alcotest.(check bool) "other prefix" true (is_error (Store.decode ~idx:3 envelope));
   Alcotest.(check bool) "matching prefix" false (is_error (Store.decode ~idx:2 envelope))
+
+(* The store never rewinds: a snapshot at or below what it applied is
+   refused and changes nothing, whichever protocol received it. *)
+let test_install_never_rewinds () =
+  let put i = Command.make ~id:i (Command.Kv_put ("k", string_of_int i)) in
+  let log = Log.of_list (List.init 8 put) in
+  let store = Store.create () in
+  Multipaxos_case.apply store log ~upto:5;
+  let received idx =
+    match Store.decode ~idx (Store.encode store ~idx) with
+    | Ok r -> r
+    | Error m -> Alcotest.fail m
+  in
+  let at_5 = received 5 in
+  Multipaxos_case.apply store log ~upto:8;
+  let key = Store.key store in
+  let refused r =
+    let installed = Store.install store log ~node:0 r in
+    Alcotest.(check bool) "refused" false installed;
+    Alcotest.(check bool) "state kept" true (Store.key store = key);
+    Alcotest.(check int) "log kept" 8 (Log.length log);
+    Alcotest.(check int) "log floor kept" 0 (Log.first_idx log);
+    Alcotest.(check bool) "no install recorded" true
+      (Store.last_install store = None)
+  in
+  refused at_5;
+  refused (received 8);
+  let ahead = Store.create () and ahead_log = Log.create () in
+  Alcotest.(check bool) "a snapshot ahead installs" true
+    (Store.install ahead ahead_log ~node:1 (received 8));
+  Alcotest.(check bool) "and equals the sender" true (Store.key ahead = key)
 
 let () =
   Alcotest.run "compaction"
     [
       ( "store",
         Alcotest.test_case "decode rejects bad input" `Quick test_decode_rejects
+        :: Alcotest.test_case "install never rewinds" `Quick
+             test_install_never_rewinds
         :: List.map QCheck_alcotest.to_alcotest
              [
                prop_round_trip (module Sp_case);

@@ -272,7 +272,7 @@ let test_iter_committed () =
   let store = N.store h.node in
   let module Store = Omnipaxos.Compaction.Store in
   let ids () =
-    Omnipaxos.Compaction.Decided_cache.ids_from (Store.ids store) ~from:0
+    Omnipaxos.Decided_cache.ids_from (Store.ids store) ~from:0
   in
   check "ids 0 to 4, in order" true (ids () = [ 0; 1; 2; 3; 4 ]);
   check_int "applied" 5 (Store.applied store);

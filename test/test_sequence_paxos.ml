@@ -420,6 +420,56 @@ let test_flush_repairs_below_trim () =
   flush_all h;
   check_int "new entries flow to node 1" 11 (Sp.decided_idx h.nodes.(1))
 
+(* A decided stop-sign survives a snapshot repair. The trim stops at the
+   stop-sign, and a shipped snapshot is labelled at its index, so the
+   suffix carries it. Both a wiped follower that is repaired by the
+   leader's AcceptSync and a wiped server that becomes leader through the
+   Promises must end up stopped and read the stop-sign. *)
+let test_stop_sign_survives_snapshot () =
+  let h = make () in
+  elect h;
+  let ss = { Entry.config_id = 1; nodes = [ 0; 1 ]; metadata = "" } in
+  for i = 0 to 4 do
+    ignore (Sp.propose h.nodes.(0) (cmd i))
+  done;
+  check "stop-sign proposed" true (Sp.propose h.nodes.(0) (Entry.Stop_sign ss));
+  flush_all h;
+  flush_all h;
+  check_int "stop-sign decided" 6 (Sp.decided_idx h.nodes.(0));
+  check "trim" true (Sp.request_trim h.nodes.(0) ~upto:6);
+  deliver h;
+  check_int "the trim stops at the stop-sign" 5 (Sp.first_idx h.nodes.(0));
+  let wipe id =
+    let peers = List.filter (fun j -> j <> id) [ 0; 1; 2 ] in
+    h.nodes.(id) <-
+      Sp.create ~id ~peers ~persistent:(Sp.fresh_persistent ())
+        ~send:(fun ~dst m -> Queue.add (id, dst, m) h.queues)
+        ()
+  in
+  let stopped what nd =
+    check (what ^ ": stopped") true (Sp.is_stopped nd);
+    check (what ^ ": reads the stop-sign") true (Sp.stop_sign nd = Some ss);
+    check_int (what ^ ": decided") 6 (Sp.decided_idx nd);
+    check_int (what ^ ": client commands")
+      5 (Omnipaxos.Compaction.Store.client_cmds (Sp.store nd));
+    check (what ^ ": refuses proposals") false (Sp.propose nd (cmd 9))
+  in
+  (* Node 2 loses its disk and is repaired by the leader. *)
+  wipe 2;
+  Sp.recover h.nodes.(2);
+  deliver h;
+  flush_all h;
+  check_int "repaired below the trim point" 5 (Sp.first_idx h.nodes.(2));
+  stopped "repaired follower" h.nodes.(2);
+  (* Node 1 loses its disk and leads before anything repairs it. *)
+  wipe 1;
+  Sp.handle_leader h.nodes.(1) (ballot 2 1);
+  deliver h;
+  check "node 1 leads" true (Sp.role h.nodes.(1) = Sp.Leader_accept);
+  stopped "lagging leader" h.nodes.(1);
+  flush_all h;
+  check_int "nothing decided after the stop-sign" 6 (Sp.decided_idx h.nodes.(0))
+
 (* A follower of round (2, 0) holding [k] entries, all decided. *)
 let decided_follower ?(send = fun ~dst:_ _ -> ()) ?on_snapshot k =
   let persistent = Sp.fresh_persistent () in
@@ -1139,6 +1189,8 @@ let () =
             test_flush_repairs_below_trim;
           Alcotest.test_case "undecodable AcceptSync snapshot dropped" `Quick
             test_accept_sync_bad_snapshot_dropped;
+          Alcotest.test_case "stop-sign survives a snapshot repair" `Quick
+            test_stop_sign_survives_snapshot;
           Alcotest.test_case "stale snapshot not installed" `Quick
             test_stale_snapshot_not_installed;
           Alcotest.test_case "undecodable Promise snapshot dropped" `Quick
