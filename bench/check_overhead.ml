@@ -9,9 +9,7 @@
               protocol adapter's handle/tick, batch flush, trace sink
               fan-out) stays one guard (lib/obs/profile.mli);
    - sampled: binary tracing under a 1-in-10 sampling policy costs < 10%
-              over tracing off (lib/obs/sampling.mli). This is the enforced
-              twin of the informational [sampled_overhead_pct_ci] field in
-              BENCH_trace_scale.json.
+              over tracing off (lib/obs/sampling.mli).
 
    Otherwise `--trace`, `opx top` and sampled tracing would tax every
    benchmark number in this repository.

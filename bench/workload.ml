@@ -1,9 +1,8 @@
 (* The shared workload of the observability overhead gates
-   (check_overhead.exe) and of the trace_scale bench section: a short
-   3-server Omni-Paxos normal execution on the cluster driver,
-   exercising every instrumented hot path — BLE heartbeats, accept/decide,
-   the adapter's handle/tick frames and decide scan, simnet send/deliver,
-   batch flush. *)
+   (check_overhead.exe): a short 3-server Omni-Paxos normal execution on
+   the cluster driver, exercising every instrumented hot path — BLE
+   heartbeats, accept/decide, the adapter's handle/tick frames and decide
+   scan, simnet send/deliver, batch flush. *)
 
 module C = Rsm.Cluster.Make (Rsm.Omni_adapter)
 

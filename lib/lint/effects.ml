@@ -284,10 +284,11 @@ let display_of_unit_name unit_name =
 (* ------------------------------------------------------------------ *)
 
 (* Local module aliases ([module R = Omnipaxos.Replica]) make use-site
-   paths start with a local ident; expand them back to the full path. *)
+   paths start with a local ident; expand them back to the full path. A
+   submodule of the unit is an alias of its key prefix. *)
 type unit_ctx = {
   aliases : (Ident.t * Path.t) list ref;
-  top_idents : (Ident.t * string) list ref;  (** toplevel binding -> key *)
+  top_idents : (Ident.t * string) list ref;  (** binding -> key, any depth *)
 }
 
 let rec resolve_path ctx p =
@@ -411,9 +412,7 @@ let collect_unit t (u : unit_input) ctx =
                 (* Shadowing at the same path: last binding wins, matching
                    what a use site resolves to. *)
                 Hashtbl.replace t.defs key d;
-                (match prefix with
-                | [] -> ctx.top_idents := (id, key) :: !(ctx.top_idents)
-                | _ :: _ -> ());
+                ctx.top_idents := (id, key) :: !(ctx.top_idents);
                 if protocol then begin
                   let mut =
                     match mutable_container vb.vb_pat.pat_type with
@@ -452,7 +451,15 @@ let collect_unit t (u : unit_input) ctx =
     match (me.mod_desc, mb.mb_id, name) with
     | Tmod_ident (p, _), Some id, _ ->
         ctx.aliases := (id, p) :: !(ctx.aliases)
-    | Tmod_structure str, _, Some n -> do_structure (prefix @ [ n ]) str
+    | Tmod_structure str, id, Some n ->
+        let prefix = prefix @ [ n ] in
+        let key = String.concat "." (u.u_display :: prefix) in
+        Option.iter
+          (fun id ->
+            ctx.aliases :=
+              (id, Path.Pident (Ident.create_persistent key)) :: !(ctx.aliases))
+          id;
+        do_structure prefix str
     | _ -> ()
   in
   do_structure [] u.u_str

@@ -1,5 +1,6 @@
 module Log = Replog.Log
 module Command = Replog.Command
+module Quorum = Replog.Quorum
 module Store = Omnipaxos.Compaction.Store
 
 type ballot = { n : int; pid : int }
@@ -39,7 +40,7 @@ type fd_target = No_leader | Myself | Activated of int
 type t = {
   id : int;
   peers : int list;
-  quorum : int;
+  members : Quorum.members;  (* [id :: peers] *)
   election_ticks : int;
   heartbeat_ticks : int;
   rand : Random.State.t;
@@ -61,15 +62,19 @@ type t = {
   mutable ballot : ballot;
   mutable max_seen : ballot;
   mutable fd_leader : fd_target;
-  p1bs : (int, (int * ballot * Command.t) list) Hashtbl.t;
+  (* The scout's Phase-1 quorum (self included) and each member's P1b
+     payload, indexed by pid. *)
+  scouted : Quorum.t;
+  p1b : (int * ballot * Command.t) list array;
   mutable scout_ticks : int;
   mutable backoff : int;
   (* The active leader's in-flight proposals: a window over the slots
      [w_base, next_slot), ring position [slot land (capacity - 1)], holding
-     each slot's command, ack bitmask over acceptors (self included),
-     committed flag and the tick it was last sent. Restarted at the decided
-     prefix on activation and popped at the front as the prefix advances.
-     [pending_from] is the first slot not yet shipped in a P2a. *)
+     each slot's command, the acceptors that acked it (self included, as a
+     [Quorum.mask_add] set), committed flag and the tick it was last sent.
+     Restarted at the decided prefix on activation and popped at the front
+     as the prefix advances. [pending_from] is the first slot not yet
+     shipped in a P2a. *)
   mutable w_base : int;
   mutable w_cmd : Command.t array;
   mutable w_acks : int array;
@@ -104,19 +109,20 @@ let window_capacity = 64
 let create ~id ~peers ~election_ticks ~rand
     ?(batching = Omnipaxos.Batching.fixed)
     ?(compaction = Omnipaxos.Compaction.disabled) ~send () =
-  let n_total = List.length peers + 1 in
+  let members = Quorum.members (id :: peers) in
+  let width = 1 + List.fold_left max id peers in
   let filler = Command.noop noop_id in
   let b = Omnipaxos.Batching.validated batching in
   {
     id;
     peers;
-    quorum = (n_total / 2) + 1;
+    members;
     election_ticks;
     heartbeat_ticks = max 1 (election_ticks / 5);
     rand;
     send;
     tick_count = 0;
-    last_heard = Array.make (1 + List.fold_left max id peers) (-1);
+    last_heard = Array.make width (-1);
     prom = bottom;
     acc_trim = 0;
     acc_end = 0;
@@ -126,7 +132,8 @@ let create ~id ~peers ~election_ticks ~rand
     ballot = { n = 0; pid = id };
     max_seen = bottom;
     fd_leader = No_leader;
-    p1bs = Hashtbl.create 8;
+    scouted = Quorum.create ~self:id members;
+    p1b = Array.make width [];
     scout_ticks = 0;
     backoff = Random.State.int rand (election_ticks + 1);
     w_base = 0;
@@ -143,12 +150,6 @@ let create ~id ~peers ~election_ticks ~rand
     store = Store.create ();
     obs = Obs.Term_trace.create ();
   }
-
-let bit i = 1 lsl i
-
-let popcount m =
-  let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
-  go m 0
 
 let alive t p =
   p >= 0
@@ -271,7 +272,8 @@ let advance_decided_prefix t =
    decided prefix once per batch (advancing per slot would broadcast one
    watermark per entry). *)
 let try_commit_slot t i =
-  if (not t.w_committed.(i)) && popcount t.w_acks.(i) >= t.quorum then
+  if (not t.w_committed.(i)) && Quorum.mask_reached t.members t.w_acks.(i)
+  then
     t.w_committed.(i) <- true
 
 (* The window's commands at [from, from + count), in slot order. *)
@@ -320,13 +322,13 @@ let propose_in_slot t cmd =
   if slot - t.w_base = Array.length t.w_cmd then grow_window t;
   let i = pos (Array.length t.w_cmd) slot in
   t.w_cmd.(i) <- cmd;
-  t.w_acks.(i) <- bit t.id;
+  t.w_acks.(i) <- Quorum.mask_add t.members 0 t.id;
   t.w_committed.(i) <- false;
   t.w_born.(i) <- t.tick_count;
   t.next_slot <- slot + 1;
   accept t slot t.ballot cmd;
   try_commit_slot t i;
-  if t.quorum = 1 then advance_decided_prefix t
+  if Quorum.quorum t.members = 1 then advance_decided_prefix t
 
 let propose t cmd =
   if state_is_active t.state then begin
@@ -352,8 +354,8 @@ let become_active t =
   let from_slot = Log.length t.decided in
   let best = Hashtbl.create 64 in
   let max_slot = ref (from_slot - 1) in
-  Replog.Det.iter_sorted ~compare_key:Int.compare
-    (fun _src lst ->
+  Quorum.iter
+    (fun src ->
       List.iter
         (fun (slot, b, cmd) ->
           if slot >= from_slot then begin
@@ -362,8 +364,8 @@ let become_active t =
             | Some (b', _) when ballot_compare b' b >= 0 -> ()
             | Some _ | None -> Hashtbl.replace best slot (b, cmd)
           end)
-        lst)
-    t.p1bs;
+        t.p1b.(src))
+    t.scouted;
   t.w_base <- from_slot;
   t.next_slot <- from_slot;
   t.pending_from <- from_slot;
@@ -380,7 +382,7 @@ let become_active t =
   List.iter (fun p -> t.send ~dst:p announce) t.peers
 
 let check_scout_quorum t =
-  if state_is_scouting t.state && Hashtbl.length t.p1bs >= t.quorum then
+  if state_is_scouting t.state && Quorum.reached t.scouted then
     become_active t
 
 let own_accepted_from t from_slot =
@@ -411,12 +413,12 @@ let start_scout t =
   t.state <- Scouting;
   t.scout_ticks <- 0;
   t.fd_leader <- Myself;
-  Hashtbl.reset t.p1bs;
+  Quorum.clear t.scouted;
   t.ballot <- { n = t.max_seen.n + 1; pid = t.id };
   t.max_seen <- t.ballot;
   if ballot_compare t.ballot t.prom > 0 then t.prom <- t.ballot;
   let from_slot = Log.length t.decided in
-  Hashtbl.replace t.p1bs t.id (p1b_payload t from_slot);
+  t.p1b.(t.id) <- p1b_payload t from_slot;
   List.iter
     (fun p -> t.send ~dst:p (P1a { b = t.ballot; from_slot }))
     t.peers;
@@ -435,7 +437,8 @@ let on_p1a t ~src ~b ~from_slot =
 
 let on_p1b t ~src ~b ~accepted =
   if state_is_scouting t.state && ballot_compare b t.ballot = 0 then begin
-    Hashtbl.replace t.p1bs src accepted;
+    Quorum.add t.scouted src;
+    if Quorum.mem t.scouted src then t.p1b.(src) <- accepted;
     check_scout_quorum t
   end
 
@@ -470,7 +473,7 @@ let on_p2b t ~src ~b ~start_slot ~count =
     for slot = max start_slot t.w_base to min (start_slot + count) t.next_slot - 1
     do
       let i = pos cap slot in
-      t.w_acks.(i) <- t.w_acks.(i) lor bit src;
+      t.w_acks.(i) <- Quorum.mask_add t.members t.w_acks.(i) src;
       try_commit_slot t i
     done;
     advance_decided_prefix t
@@ -636,8 +639,6 @@ let decided_log t = t.decided
 let decided_length t = Log.length t.decided
 let first_idx t = Log.first_idx t.decided
 let store t = t.store
-
-let next_slot t = t.next_slot
 
 let cmds_size cmds = List.fold_left (fun acc c -> acc + Command.size c) 0 cmds
 

@@ -95,7 +95,4 @@ val first_idx : t -> int
 val store : t -> Omnipaxos.Compaction.Store.t
 (** The applied state of the whole decided prefix. *)
 
-val next_slot : t -> int
-(** Leader-side: the next free slot (slots below it hold proposals). *)
-
 val msg_size : msg -> int

@@ -151,7 +151,7 @@ let critical_path_of ~max_hops events_arr ~log_idx ~total =
 module Stream = struct
   type t = {
     health_cfg : Health.config;
-    quorum_fixed : int option;  (* Some q when the cluster size is known *)
+    n_hint : int option;  (* the cluster size, when known *)
     exact_limit : int;
     (* running basics *)
     mutable seen : int;
@@ -202,7 +202,7 @@ module Stream = struct
     in
     {
       health_cfg;
-      quorum_fixed = Option.map (fun n -> (n / 2) + 1) n_hint;
+      n_hint;
       exact_limit;
       seen = 0;
       max_node = 0;
@@ -300,11 +300,8 @@ module Stream = struct
         end
     (* Event-stream filter: only decides advance the index. *)
     | _ [@lint.allow "D4"] -> ());
-    let quorum =
-      match s.quorum_fixed with
-      | Some q -> q
-      | None -> ((1 + s.max_node) / 2) + 1
-    in
+    let n = Option.value s.n_hint ~default:(1 + s.max_node) in
+    let quorum = Replog.Quorum.majority n in
     List.iter (note_decided s) (Span.Tracker.observe s.tracker ~quorum e);
     Causal.Monitor.observe s.causal e;
     Ring.push s.recent e;

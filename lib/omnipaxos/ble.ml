@@ -23,12 +23,10 @@ type t = {
   send : dst:int -> msg -> unit;
   on_leader : Ballot.t -> unit;
   mutable state : Ble_core.state;
-  (* The open round's replies, indexed by source pid: the round each was
-     stamped with (-1 = none yet), its ballot and QC flag. A later reply
-     from the same source overwrites the earlier one. Only configuration
-     members are recorded. *)
-  member : bool array;
-  reply_round : int array;
+  (* The members that replied in the open round, and each one's ballot and
+     QC flag, indexed by pid. A later reply from the same source overwrites
+     the earlier one. *)
+  replied : Replog.Quorum.t;
   reply_ballot : Ballot.t array;
   reply_qc : bool array;
   (* The reply to a request, built once per requested round; [None] after
@@ -42,16 +40,13 @@ let create ~id ~peers ?(priority = 0) ?(qc_signal = true)
     Ble_core.make_config ~id ~peers ~qc_signal ~connectivity_priority ()
   in
   let size = 1 + List.fold_left max id peers in
-  let member = Array.make size false in
-  List.iter (fun p -> if p >= 0 then member.(p) <- true) peers;
   {
     config;
     persistent;
     send;
     on_leader;
     state = Ble_core.init ~priority ~ballot_n:persistent.ballot_n config;
-    member;
-    reply_round = Array.make size (-1);
+    replied = Replog.Quorum.create (Replog.Quorum.members (id :: peers));
     reply_ballot = Array.make size Ballot.bottom;
     reply_qc = Array.make size false;
     reply = None;
@@ -61,20 +56,18 @@ let current_ballot t = t.state.Ble_core.ballot
 let leader t = t.state.Ble_core.leader
 let is_quorum_connected t = t.state.Ble_core.qc
 
-(* One scan of the reply table for the round closing now. *)
+(* One scan of the replies of the round closing now. *)
 let summarise t =
-  let round = t.state.Ble_core.round in
-  let heard = ref 0 in
   let max_qc = ref Ballot.bottom and max_seen = ref Ballot.bottom in
-  for p = 0 to Array.length t.reply_round - 1 do
-    if t.reply_round.(p) = round then begin
+  for p = 0 to Array.length t.reply_ballot - 1 do
+    if Replog.Quorum.mem t.replied p then begin
       let b = t.reply_ballot.(p) in
-      incr heard;
       max_seen := Ballot.max !max_seen b;
       if t.reply_qc.(p) then max_qc := Ballot.max !max_qc b
     end
   done;
-  { Ble_core.heard = !heard; max_qc = !max_qc; max_seen = !max_seen }
+  let heard = Replog.Quorum.count t.replied in
+  { Ble_core.heard; max_qc = !max_qc; max_seen = !max_seen }
 
 let apply_output t (o : Ble_core.output) =
   let node = t.config.Ble_core.id in
@@ -102,6 +95,7 @@ let rec send_all send msg = function
 let tick t =
   let state, output = Ble_core.tick t.config t.state (summarise t) in
   t.state <- state;
+  Replog.Quorum.clear t.replied;
   t.reply <- None;
   (match output with Some o -> apply_output t o | None -> ());
   send_all t.send
@@ -123,12 +117,12 @@ let handle t ~src msg =
   match msg with
   | Hb_request { round } -> t.send ~dst:src (reply_for t round)
   | Hb_reply { round; ballot; qc } ->
-      if round = t.state.Ble_core.round && src >= 0
-         && src < Array.length t.member && t.member.(src)
-      then begin
-        t.reply_round.(src) <- round;
-        t.reply_ballot.(src) <- ballot;
-        t.reply_qc.(src) <- qc
+      if round = t.state.Ble_core.round then begin
+        Replog.Quorum.add t.replied src;
+        if Replog.Quorum.mem t.replied src then begin
+          t.reply_ballot.(src) <- ballot;
+          t.reply_qc.(src) <- qc
+        end
       end
 
 let msg_size = Ble_core.msg_size

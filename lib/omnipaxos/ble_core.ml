@@ -33,8 +33,8 @@ type output =
 
 let[@pure] make_config ~id ~peers ?(qc_signal = true)
     ?(connectivity_priority = false) () =
-  let n_total = List.length peers + 1 in
-  { id; peers; quorum = (n_total / 2) + 1; qc_signal; connectivity_priority }
+  let quorum = Replog.Quorum.majority (List.length peers + 1) in
+  { id; peers; quorum; qc_signal; connectivity_priority }
 
 let[@pure] init ?(priority = 0) ~ballot_n cfg =
   {

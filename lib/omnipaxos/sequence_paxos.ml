@@ -1,4 +1,5 @@
 module Log = Replog.Log
+module Quorum = Replog.Quorum
 module Store = Compaction.Store
 
 type accept = {
@@ -84,7 +85,7 @@ type promise_info = {
 type t = {
   id : int;
   peers : int list;
-  quorum : int;
+  members : Quorum.members;  (* [id :: peers] *)
   dur : persistent;
   send : dst:int -> msg -> unit;
   on_decide : int -> unit;
@@ -92,19 +93,19 @@ type t = {
   batching : Batching.config;
   compaction : Compaction.config;
   mutable role : role;
-  (* Prepare-phase state. *)
-  promises : (int, promise_info) Hashtbl.t;
+  (* Prepare-phase state: the members that promised in our round (we
+     count as one), and each peer's last promise, indexed by pid. *)
+  promised : Quorum.t;
+  promise : promise_info option array;
   buffer : Entry.t Queue.t;
   (* Accept-phase state, one slot per pid in [0, width) where [width] is
      one past the largest pid of [id :: peers]; iterating the slots in
      index order is ascending pid order. [synced] marks followers that got
      their AcceptSync; [acc_idx] (highest log index acknowledged in this
-     round) and [sent_idx] (next index to ship) hold -1 when absent.
-     [quorum_buf] is the scratch buffer of [quorum_idx]. *)
+     round) and [sent_idx] (next index to ship) hold -1 when absent. *)
   synced : bool array;
   acc_idx : int array;
   sent_idx : int array;
-  quorum_buf : int array;
   (* Adaptive-batching state (see batching.mli). [batch_cap] is the AIMD
      per-Accept entry cap; [unflushed] counts leader appends since the last
      flush (the size trigger). [acked_idx]/[ack_pending] implement
@@ -141,14 +142,14 @@ let create ~id ~peers ~persistent ?(batching = Batching.fixed)
     ?(compaction = Compaction.disabled) ~send ?(on_decide = fun _ -> ())
     ?(on_snapshot = fun _ _ -> ()) () =
   apply_decided persistent;
-  let n_total = List.length peers + 1 in
+  let members = Quorum.members (id :: peers) in
   let width = 1 + List.fold_left max id peers in
   let batching = Batching.validated batching in
   let compaction = Compaction.validated compaction in
   {
     id;
     peers;
-    quorum = (n_total / 2) + 1;
+    members;
     dur = persistent;
     send;
     on_decide;
@@ -156,12 +157,12 @@ let create ~id ~peers ~persistent ?(batching = Batching.fixed)
     batching;
     compaction;
     role = Follower;
-    promises = Hashtbl.create 8;
+    promised = Quorum.create ~self:id members;
+    promise = Array.make width None;
     buffer = Queue.create ();
     synced = Array.make width false;
     acc_idx = Array.make width (-1);
     sent_idx = Array.make width (-1);
-    quorum_buf = Array.make (width + 1) 0;
     batch_cap = batching.Batching.min_batch;
     unflushed = 0;
     acked_idx = 0;
@@ -287,43 +288,11 @@ let adopt_snapshot_suffix t (snap : Store.received) ~suffix =
     sync_log t ~at suffix ~skip:(at - idx)
   end
 
-(* Insert [v] into [buf.(0 .. n-1)], kept in descending order. *)
-let rec insert_desc (buf : int array) n v =
-  if n > 0 && buf.(n - 1) < v then begin
-    buf.(n) <- buf.(n - 1);
-    insert_desc buf (n - 1) v
-  end
-  else buf.(n) <- v
-
-(* Insert the slots [acc_idx.(p ..)] holding a value above [above] into
-   [buf], which holds [n] such values already; returns the new count. *)
-let rec gather_above (acc_idx : int array) buf ~above p n =
-  if p = Array.length acc_idx then n
-  else
-    let v = acc_idx.(p) in
-    if v > above then begin
-      insert_desc buf n v;
-      gather_above acc_idx buf ~above (p + 1) (n + 1)
-    end
-    else gather_above acc_idx buf ~above (p + 1) n
-
 (* Largest log index accepted (in this round) by a quorum, counting our own
-   log as accepted: the [quorum]-th largest of our log length and the
-   present [acc_idx] slots, or [above] when fewer than [quorum] of them
-   exceed [above]. Only values above [above] enter the scratch buffer, so
-   an Accepted that moves nothing past the decided index costs one
-   allocation-free scan. *)
+   log as accepted, or [above] when fewer than a quorum exceed [above]. *)
 let quorum_idx t ~above =
-  let len = Log.length t.dur.log in
-  let n =
-    if len > above then begin
-      t.quorum_buf.(0) <- len;
-      1
-    end
-    else 0
-  in
-  let n = gather_above t.acc_idx t.quorum_buf ~above 0 n in
-  if n >= t.quorum then t.quorum_buf.(t.quorum - 1) else above
+  Quorum.index t.members t.acc_idx ~self:t.id ~local:(Log.length t.dur.log)
+    ~above
 
 (* The compaction watermark bound: never trim an entry some quorum has not
    confirmed, or the Prepare phase of a future leader could need it. *)
@@ -433,40 +402,33 @@ let accept_sync_follower t ~dst ~(info : promise_info) ~max_acc_rnd =
 let complete_prepare t =
   let n = t.dur.prom_rnd in
   (* The leader's own state acts as a promise too. *)
-  let best_src = ref t.id
-  and best_key = ref (t.dur.acc_rnd, Log.length t.dur.log) in
-  let consider src (acc_rnd, log_idx) =
-    let better =
-      let r = Ballot.compare acc_rnd (fst !best_key) in
-      r > 0 || (r = 0 && log_idx > snd !best_key)
-    in
-    if better then begin
-      best_src := src;
-      best_key := (acc_rnd, log_idx)
-    end
+  let best = ref None
+  and best_key = ref (t.dur.acc_rnd, Log.length t.dur.log)
+  and promised_decided = ref 0 in
+  let consider info =
+    let r = Ballot.compare info.p_acc_rnd (fst !best_key) in
+    if r > 0 || (r = 0 && info.p_log_idx > snd !best_key) then begin
+      best := Some info;
+      best_key := (info.p_acc_rnd, info.p_log_idx)
+    end;
+    promised_decided := max !promised_decided info.p_decided_idx
   in
-  Replog.Det.iter_sorted ~compare_key:Int.compare
-    (fun src info -> consider src (info.p_acc_rnd, info.p_log_idx))
-    t.promises;
-  (if !best_src <> t.id then
-     let info = Hashtbl.find t.promises !best_src in
-     (* A promiser that compacted past our log end leaves a gap no entry
-        suffix can fill (and our entries below its trim floor may be stale
-        non-chosen proposals): install its snapshot first, then adopt the
-        suffix on top of it. *)
-     match info.p_snapshot with
-     | Some snap -> adopt_snapshot_suffix t snap ~suffix:info.p_suffix
-     | None -> sync_log t ~at:info.p_suffix_from info.p_suffix ~skip:0);
+  Quorum.iter (fun src -> Option.iter consider t.promise.(src)) t.promised;
+  (* A promiser that compacted past our log end leaves a gap no entry
+     suffix can fill (and our entries below its trim floor may be stale
+     non-chosen proposals): install its snapshot first, then adopt the
+     suffix on top of it. *)
+  Option.iter
+    (fun info ->
+      match info.p_snapshot with
+      | Some snap -> adopt_snapshot_suffix t snap ~suffix:info.p_suffix
+      | None -> sync_log t ~at:info.p_suffix_from info.p_suffix ~skip:0)
+    !best;
   let max_acc_rnd = fst !best_key in
   t.dur.acc_rnd <- n;
   (* Decided indexes reported by the quorum refer to chosen prefixes of the
      adopted log; adopt the largest. *)
-  let max_decided =
-    List.fold_left
-      (fun acc (_, info) -> max acc info.p_decided_idx)
-      t.dur.decided_idx
-      (Replog.Det.sorted_bindings ~compare_key:Int.compare t.promises)
-  in
+  let max_decided = max t.dur.decided_idx !promised_decided in
   (* Append proposals buffered during the Prepare phase, unless the adopted
      log ends the configuration. *)
   Queue.iter
@@ -480,9 +442,12 @@ let complete_prepare t =
   t.role <- Leader_accept;
   reset_followers t;
   advance_decided t max_decided;
-  Replog.Det.iter_sorted ~compare_key:Int.compare
-    (fun dst info -> accept_sync_follower t ~dst ~info ~max_acc_rnd)
-    t.promises;
+  Quorum.iter
+    (fun dst ->
+      Option.iter
+        (fun info -> accept_sync_follower t ~dst ~info ~max_acc_rnd)
+        t.promise.(dst))
+    t.promised;
   try_decide t;
   maybe_compact t
 
@@ -506,14 +471,14 @@ let prepare t =
 
 let start_prepare t =
   t.role <- Leader_prepare;
-  Hashtbl.reset t.promises;
+  Quorum.clear t.promised;
   reset_followers t;
   t.batch_cap <- t.batching.Batching.min_batch;
   t.unflushed <- 0;
   t.ack_pending <- false;
   let m = prepare t in
   List.iter (fun peer -> t.send ~dst:peer m) t.peers;
-  if t.quorum = 1 then complete_prepare t
+  if Quorum.reached t.promised then complete_prepare t
 
 let handle_leader t (b : Ballot.t) =
   if b.Ballot.pid = t.id then begin
@@ -579,17 +544,15 @@ let on_prepare t ~src ~n ~l_acc_rnd ~l_log_idx ~l_decided_idx =
   end
 
 let on_promise t ~src ~n ~(info : promise_info) =
-  if Ballot.equal n t.dur.prom_rnd then
-    match t.role with
-    | Leader_prepare ->
-        Hashtbl.replace t.promises src info;
-        if Hashtbl.length t.promises + 1 >= t.quorum then complete_prepare t
-    | Leader_accept ->
-        (* Straggler outside the Prepare-phase majority, or a peer
-           re-promising after a session drop: synchronise it now. *)
-        Hashtbl.replace t.promises src info;
-        accept_sync_follower t ~dst:src ~info ~max_acc_rnd:t.dur.acc_rnd
-    | Follower -> ()
+  if Ballot.equal n t.dur.prom_rnd && is_leader t then begin
+    t.promise.(src) <- Some info;
+    Quorum.add t.promised src;
+    if role_is_leader_accept t.role then
+      (* Straggler outside the Prepare-phase majority, or a peer
+         re-promising after a session drop: synchronise it now. *)
+      accept_sync_follower t ~dst:src ~info ~max_acc_rnd:t.dur.acc_rnd
+    else if Quorum.reached t.promised then complete_prepare t
+  end
 
 (* Trace that our log, accepted in round [n], ends at its length. *)
 let[@inline] trace_accepted t n =
@@ -703,13 +666,8 @@ let resend_prepare_to t ~dst =
   t.synced.(dst) <- false;
   t.acc_idx.(dst) <- -1;
   t.sent_idx.(dst) <- -1;
-  Hashtbl.remove t.promises dst;
+  Quorum.remove t.promised dst;
   t.send ~dst (prepare t)
-
-(* The follower arrays cover [0, width) only. Simnet and [Rsm.Reconfig]
-   route messages within one configuration, so a pid outside that range is
-   not a member: its messages and session resets are dropped. *)
-let in_range t pid = pid >= 0 && pid < Array.length t.synced
 
 (* A shipped snapshot is decoded on receipt: a Promise or AcceptSync whose
    snapshot does not decode is dropped whole, before it is counted, acked
@@ -718,8 +676,10 @@ let decode_snapshot = function
   | None -> Ok None
   | Some (idx, payload) -> Result.map Option.some (Store.decode ~idx payload)
 
+(* Simnet and [Rsm.Reconfig] route messages within one configuration: a
+   non-member's messages and session resets are dropped. *)
 let handle t ~src msg =
-  if in_range t src then
+  if Quorum.is_member t.members src then
     match msg with
     | Prepare { n; acc_rnd; log_idx; decided_idx } ->
         on_prepare t ~src ~n ~l_acc_rnd:acc_rnd ~l_log_idx:log_idx
@@ -825,7 +785,7 @@ let do_flush t ~trigger =
         (Obs.Event.Cap_change { cap_from = before; cap_to = t.batch_cap })
   end;
   t.unflushed <- 0;
-  if t.quorum = 1 then try_decide t
+  if Quorum.quorum t.members = 1 then try_decide t
 
 (* Follower half of ack coalescing: a deferred Accepted is swept out on the
    next tick, bounding the extra decide latency by one tick period. *)
@@ -871,7 +831,7 @@ let recover t =
   List.iter (fun peer -> t.send ~dst:peer Prepare_req) t.peers
 
 let session_reset t ~peer =
-  if not (in_range t peer) then ()
+  if not (Quorum.is_member t.members peer) then ()
   else if is_leader t then resend_prepare_to t ~dst:peer
   else t.send ~dst:peer Prepare_req
 
@@ -887,7 +847,7 @@ let copy t =
   {
     id = t.id;
     peers = t.peers;
-    quorum = t.quorum;
+    members = t.members;
     dur = copy_persistent t.dur;
     send = t.send;
     on_decide = t.on_decide;
@@ -895,12 +855,12 @@ let copy t =
     batching = t.batching;
     compaction = t.compaction;
     role = t.role;
-    promises = Hashtbl.copy t.promises;
+    promised = Quorum.copy t.promised;
+    promise = Array.copy t.promise;
     buffer = Queue.copy t.buffer;
     synced = Array.copy t.synced;
     acc_idx = Array.copy t.acc_idx;
     sent_idx = Array.copy t.sent_idx;
-    quorum_buf = Array.copy t.quorum_buf;
     batch_cap = t.batch_cap;
     unflushed = t.unflushed;
     acked_idx = t.acked_idx;
@@ -913,12 +873,13 @@ let copy t =
 let canonical s = Log.slice_of_list (Log.slice_to_list s)
 
 (* Marshalled without sharing, equal data gives equal bytes. Callbacks are
-   not state, and [quorum_idx] overwrites [quorum_buf] before reading it. *)
+   not state, [members] follows from [id] and [peers], and only the
+   promises of members in [promised] are. *)
 let state_key
     {
       id;
       peers;
-      quorum;
+      members = _;
       dur = { log; prom_rnd; acc_rnd; decided_idx; store };
       send = _;
       on_decide = _;
@@ -926,27 +887,29 @@ let state_key
       batching;
       compaction;
       role;
-      promises;
+      promised;
+      promise;
       buffer;
       synced;
       acc_idx;
       sent_idx;
-      quorum_buf = _;
       batch_cap;
       unflushed;
       acked_idx;
       ack_pending;
       ss_idx;
     } =
+  let promises = ref [] in
+  let keyed src info =
+    promises := (src, { info with p_suffix = canonical info.p_suffix })
+                :: !promises
+  in
+  Quorum.iter (fun src -> Option.iter (keyed src) promise.(src)) promised;
   Marshal.to_string
-    ( (id, peers, quorum, Log.first_idx log, Log.to_list log),
+    ( (id, peers, Log.first_idx log, Log.to_list log),
       (prom_rnd, acc_rnd, decided_idx, Store.key store),
       (batching, compaction),
-      ( role,
-        List.map
-          (fun (src, info) ->
-            (src, { info with p_suffix = canonical info.p_suffix }))
-          (Replog.Det.sorted_bindings ~compare_key:Int.compare promises) ),
+      (role, List.rev !promises),
       (List.of_seq (Queue.to_seq buffer), synced, acc_idx, sent_idx),
       (batch_cap, unflushed, acked_idx, ack_pending, ss_idx)
     )

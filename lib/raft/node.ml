@@ -1,4 +1,5 @@
 module Log = Replog.Log
+module Quorum = Replog.Quorum
 module Store = Omnipaxos.Compaction.Store
 
 type entry_data =
@@ -65,9 +66,10 @@ type t = {
   mutable commit_idx : int;
   mutable ticks_since_hb : int;
   mutable timeout_ticks : int;
-  (* Candidate state. *)
-  votes : (int, unit) Hashtbl.t;
-  pre_votes : (int, unit) Hashtbl.t;
+  (* Candidate state: the voters that granted our vote and pre-vote, self
+     included. *)
+  mutable votes : Quorum.t;
+  mutable pre_votes : Quorum.t;
   mutable in_pre_vote : bool;
   (* Leader state, one cell per pid, -1 = absent: counts of log entries
      known sent / replicated per peer. The arrays grow to cover every pid
@@ -75,8 +77,9 @@ type t = {
   mutable next_idx : int array;
   mutable sent_idx : int array;
   mutable match_idx : int array;
-  (* CheckQuorum state. *)
-  quorum_acks : (int, unit) Hashtbl.t;
+  (* CheckQuorum state: the voters heard from in this window, self
+     included. *)
+  mutable quorum_acks : Quorum.t;
   mutable cq_window : int;
   mutable last_config : (int * int list) option;
   mutable tick_count : int;
@@ -84,11 +87,10 @@ type t = {
   mutable last_send : int array;  (* pid -> tick of last AppendEntries *)
   (* Derived from [voters] and [learners], recomputed only when either
      changes: [targets] is [peer_voters] followed by the learners in pid
-     order; [quorum_buf] is the scratch buffer of [try_commit]. *)
-  mutable quorum : int;
+     order. *)
+  mutable members : Quorum.members;  (* [voters] *)
   mutable peer_voters : int array;
   mutable targets : int array;
-  mutable quorum_buf : int array;
   (* Derived from the shared [Batching.config] so the Fig 7/8 comparisons
      stay apples-to-apples. [max_batch] caps entries per AppendEntries
      (large catch-ups stream as a pipeline of batches); [eager_batch > 0]
@@ -136,12 +138,16 @@ let ensure_pid t pid =
 let lookup a pid ~default =
   if pid < Array.length a && a.(pid) >= 0 then a.(pid) else default
 
+(* The reply sets move to the new voter set, keeping the replies of pids
+   that stay voters. *)
 let recompute_targets t =
   let peers = List.filter (fun v -> v <> t.id) t.voters in
-  t.quorum <- (List.length t.voters / 2) + 1;
+  t.members <- Quorum.members t.voters;
+  t.votes <- Quorum.restrict t.votes t.members;
+  t.pre_votes <- Quorum.restrict t.pre_votes t.members;
+  t.quorum_acks <- Quorum.restrict t.quorum_acks t.members;
   t.peer_voters <- Array.of_list peers;
   t.targets <- Array.of_list (peers @ t.learners);
-  t.quorum_buf <- Array.make (1 + Array.length t.peer_voters) 0;
   Array.iter (ensure_pid t) t.targets
 
 (* A node whose id is not in [voters] is a learner: it accepts entries and
@@ -152,6 +158,7 @@ let create ~id ~voters ?(pre_vote = false) ?(check_quorum = false)
     ?(compaction = Omnipaxos.Compaction.disabled) ~election_ticks ~rand
     ~persistent ~send () =
   let b = Omnipaxos.Batching.validated batching in
+  let members = Quorum.members voters in
   let t =
     {
       id;
@@ -169,22 +176,21 @@ let create ~id ~voters ?(pre_vote = false) ?(check_quorum = false)
       commit_idx = 0;
       ticks_since_hb = 0;
       timeout_ticks = election_ticks;
-      votes = Hashtbl.create 8;
-      pre_votes = Hashtbl.create 8;
+      votes = Quorum.create ~self:id members;
+      pre_votes = Quorum.create ~self:id members;
       in_pre_vote = false;
       next_idx = [||];
       sent_idx = [||];
       match_idx = [||];
-      quorum_acks = Hashtbl.create 8;
+      quorum_acks = Quorum.create ~self:id members;
       cq_window = 0;
       last_config = None;
       tick_count = 0;
       last_resp = [||];
       last_send = [||];
-      quorum = 1;
+      members;
       peer_voters = [||];
       targets = [||];
-      quorum_buf = [||];
       max_batch = b.max_batch;
       eager_batch = (if b.adaptive then b.min_batch else 0);
       compaction = Omnipaxos.Compaction.validated compaction;
@@ -255,30 +261,16 @@ let advance_commit t c =
 let advance_commit_follower t leader_commit =
   advance_commit t (min leader_commit (Log.length t.dur.log))
 
-(* Insert [v] into the descending prefix [buf.(0 .. n-1)]. *)
-let rec insert_desc (buf : int array) n v =
-  if n > 0 && buf.(n - 1) < v then begin
-    buf.(n) <- buf.(n - 1);
-    insert_desc buf (n - 1) v
-  end
-  else buf.(n) <- v
-
-(* Leader: commit the largest index replicated on a quorum of voters, but
-   only if that entry is from the current term (Raft's commit rule). The
-   quorum index is the [quorum]-th largest of our log length and the peer
-   voters' match indexes, sorted in the scratch buffer. *)
+(* Leader: commit the largest index replicated on a quorum of voters (our
+   log counts as replicated), but only if that entry is from the current
+   term (Raft's commit rule). *)
 let try_commit t =
-  let buf = t.quorum_buf in
-  buf.(0) <- Log.length t.dur.log;
-  for k = 0 to Array.length t.peer_voters - 1 do
-    insert_desc buf (k + 1) (lookup t.match_idx t.peer_voters.(k) ~default:0)
-  done;
-  let n = buf.(t.quorum - 1) in
-  if
-    n > t.commit_idx
-    && n > 0
-    && (Log.get t.dur.log (n - 1)).term = t.dur.term
-  then advance_commit t n
+  let n =
+    Quorum.index t.members t.match_idx ~self:t.id
+      ~local:(Log.length t.dur.log) ~above:t.commit_idx
+  in
+  if n > t.commit_idx && (Log.get t.dur.log (n - 1)).term = t.dur.term then
+    advance_commit t n
 
 (* Term of the entry before index [idx+1]: at the snapshot boundary the
    log no longer has the entry, but its term was saved at compaction time.
@@ -346,7 +338,7 @@ let become_leader t =
   Array.fill t.next_idx 0 (Array.length t.next_idx) (-1);
   Array.fill t.sent_idx 0 (Array.length t.sent_idx) (-1);
   Array.fill t.match_idx 0 (Array.length t.match_idx) (-1);
-  Hashtbl.reset t.quorum_acks;
+  Quorum.clear t.quorum_acks;
   t.cq_window <- 0;
   let len = Log.length t.dur.log in
   Array.iter
@@ -375,17 +367,16 @@ let start_election t =
   t.role <- Candidate;
   t.leader_id <- None;
   t.in_pre_vote <- false;
-  Hashtbl.reset t.votes;
-  Hashtbl.replace t.votes t.id ();
+  Quorum.clear t.votes;
   reset_timeout t;
-  if t.quorum = 1 then become_leader t else request_votes t ~pre:false
+  if Quorum.reached t.votes then become_leader t else request_votes t ~pre:false
 
 let start_pre_vote t =
   t.in_pre_vote <- true;
-  Hashtbl.reset t.pre_votes;
-  Hashtbl.replace t.pre_votes t.id ();
+  Quorum.clear t.pre_votes;
   reset_timeout t;
-  if t.quorum = 1 then start_election t else request_votes t ~pre:true
+  if Quorum.reached t.pre_votes then start_election t
+  else request_votes t ~pre:true
 
 let on_election_timeout t =
   if List.mem t.id t.voters then
@@ -416,9 +407,9 @@ let step_tick t =
       if t.check_quorum then begin
         t.cq_window <- t.cq_window + 1;
         if t.cq_window >= t.election_ticks then begin
-          let heard = Hashtbl.length t.quorum_acks + 1 in
-          if heard < t.quorum then become_follower t ~term:t.dur.term;
-          Hashtbl.reset t.quorum_acks;
+          if not (Quorum.reached t.quorum_acks) then
+            become_follower t ~term:t.dur.term;
+          Quorum.clear t.quorum_acks;
           t.cq_window <- 0
         end
       end
@@ -464,14 +455,14 @@ let on_vote t ~src ~term ~granted ~pre =
     if t.in_pre_vote && (not (role_is_leader t.role)) && granted
        && term = t.dur.term + 1
     then begin
-      Hashtbl.replace t.pre_votes src ();
-      if Hashtbl.length t.pre_votes >= t.quorum then start_election t
+      Quorum.add t.pre_votes src;
+      if Quorum.reached t.pre_votes then start_election t
     end
   end
   else if term > t.dur.term then become_follower t ~term
   else if role_is_candidate t.role && term = t.dur.term && granted then begin
-    Hashtbl.replace t.votes src ();
-    if Hashtbl.length t.votes >= t.quorum then become_leader t
+    Quorum.add t.votes src;
+    if Quorum.reached t.votes then become_leader t
   end
 
 (* The position in [entries] (whose first entry sits at log index [base])
@@ -542,7 +533,7 @@ let on_append_entries t ~src ~term ~prev_idx ~prev_term ~entries ~leader_commit
 let on_append_resp t ~src ~term ~success ~match_idx =
   if term > t.dur.term then become_follower t ~term
   else if role_is_leader t.role && term = t.dur.term then begin
-    Hashtbl.replace t.quorum_acks src ();
+    Quorum.add t.quorum_acks src;
     ensure_pid t src;
     t.last_resp.(src) <- t.tick_count;
     if success then begin
@@ -625,7 +616,7 @@ let recover t =
 let propose t cmd =
   if role_is_leader t.role then begin
     Log.append t.dur.log { term = t.dur.term; data = Cmd cmd };
-    if t.quorum = 1 then try_commit t;
+    if Quorum.quorum t.members = 1 then try_commit t;
     (* Eager size-triggered flush (adaptive batching, mirrored from
        Omni-Paxos): once a burst fills [eager_batch] for some peer, ship it
        now instead of on the next tick. *)
@@ -680,7 +671,6 @@ let propose_config t ~config_id ~voters =
 
 let committed_config t = t.last_config
 
-let role t = t.role
 let is_leader t = role_is_leader t.role
 let leader_pid t = t.leader_id
 let current_term t = t.dur.term

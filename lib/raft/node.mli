@@ -124,7 +124,6 @@ val propose_config : t -> config_id:int -> voters:int list -> bool
 val committed_config : t -> (int * int list) option
 (** The last committed [Config] entry, if any. *)
 
-val role : t -> role
 val is_leader : t -> bool
 val leader_pid : t -> int option
 val current_term : t -> int

@@ -1,4 +1,5 @@
 module Sp = Omnipaxos.Sequence_paxos
+module Quorum = Replog.Quorum
 
 type vr_msg =
   | Start_view_change of { view : int }
@@ -17,7 +18,6 @@ type t = {
   id : int;
   peers : int list;
   n_total : int;
-  quorum : int;
   election_ticks : int;
   heartbeat_ticks : int;
   send : dst:int -> msg -> unit;
@@ -25,8 +25,10 @@ type t = {
   mutable view : int;
   mutable status : status;
   mutable proposed_view : int;
-  svc : (int, unit) Hashtbl.t;
-  dvc : (int, unit) Hashtbl.t;
+  (* The members whose Start_view_change / Do_view_change for
+     [proposed_view] we hold, self included once we sent ours. *)
+  svc : Quorum.t;
+  dvc : Quorum.t;
   mutable dvc_sent : bool;
   mutable ticks_since_ping : int;
   mutable vc_ticks : int;
@@ -49,11 +51,11 @@ let create ~id ~peers ~election_ticks ?batching ?compaction ~send () =
       ()
   in
   let n_total = List.length peers + 1 in
+  let members = Quorum.members (id :: peers) in
   {
     id;
     peers;
     n_total;
-    quorum = (n_total / 2) + 1;
     election_ticks;
     heartbeat_ticks = max 1 (election_ticks / 5);
     send;
@@ -61,8 +63,8 @@ let create ~id ~peers ~election_ticks ?batching ?compaction ~send () =
     view = 0;
     status = Normal;
     proposed_view = 0;
-    svc = Hashtbl.create 8;
-    dvc = Hashtbl.create 8;
+    svc = Quorum.create ~self:id members;
+    dvc = Quorum.create members;
     dvc_sent = false;
     ticks_since_ping = 0;
     vc_ticks = 0;
@@ -85,13 +87,13 @@ let check_svc_quorum t =
   if
     status_is_view_change t.status
     && (not t.dvc_sent)
-    && Hashtbl.length t.svc >= t.quorum
+    && Quorum.reached t.svc
   then begin
     t.dvc_sent <- true;
     let lead = leader_of t t.proposed_view in
     if lead = t.id then begin
-      Hashtbl.replace t.dvc t.id ();
-      if Hashtbl.length t.dvc >= t.quorum then become_leader t t.proposed_view
+      Quorum.add t.dvc t.id;
+      if Quorum.reached t.dvc then become_leader t t.proposed_view
     end
     else t.send ~dst:lead (Vr (Do_view_change { view = t.proposed_view }))
   end
@@ -100,10 +102,9 @@ let start_view_change t view =
   t.status <- View_change;
   t.proposed_view <- view;
   t.vc_ticks <- 0;
-  Hashtbl.reset t.svc;
-  Hashtbl.reset t.dvc;
+  Quorum.clear t.svc;
+  Quorum.clear t.dvc;
   t.dvc_sent <- false;
-  Hashtbl.replace t.svc t.id ();
   broadcast t (Start_view_change { view });
   check_svc_quorum t
 
@@ -117,13 +118,13 @@ let on_vr t ~src msg =
   | Start_view_change { view } ->
       if view > t.view then begin
         if status_is_view_change t.status && view = t.proposed_view then begin
-          Hashtbl.replace t.svc src ();
+          Quorum.add t.svc src;
           check_svc_quorum t
         end
         else if status_is_normal t.status || view > t.proposed_view then begin
           (* Join (and forward) the higher view change. *)
           start_view_change t view;
-          Hashtbl.replace t.svc src ();
+          Quorum.add t.svc src;
           check_svc_quorum t
         end
       end
@@ -133,13 +134,11 @@ let on_vr t ~src msg =
         && view = t.proposed_view
         && leader_of t view = t.id
       then begin
-        Hashtbl.replace t.dvc src ();
+        Quorum.add t.dvc src;
         (* Our own vote requires our own SVC quorum (EQC), recorded in
            [check_svc_quorum]. *)
-        if
-          Hashtbl.length t.dvc >= t.quorum
-          && Hashtbl.mem t.dvc t.id
-        then become_leader t view
+        if Quorum.reached t.dvc && Quorum.mem t.dvc t.id then
+          become_leader t view
       end
   | Start_view { view } -> if view > t.view then enter_view t view
   | Ping { view } ->

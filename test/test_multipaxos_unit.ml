@@ -351,6 +351,25 @@ let test_leader_acks_alloc_flat () =
   check_int "P2b words at k = 10 and k = 1000" (leader_ack_words 10)
     (leader_ack_words 1000)
 
+(* Replies from pids outside [0; 1; 2] never count: a P1b activates no
+   scout and a P2b commits no slot. *)
+let test_non_members_never_count () =
+  let h = make () in
+  while N.state h.node <> N.Scouting do
+    N.tick h.node
+  done;
+  let ballot = N.current_ballot h.node in
+  N.handle h.node ~src:5 (N.P1b { b = ballot; accepted = [] });
+  check "a non-member's P1b activates nothing" true (not (N.is_leader h.node));
+  N.handle h.node ~src:1 (N.P1b { b = ballot; accepted = [] });
+  check "a member's P1b does" true (N.is_leader h.node);
+  ignore (N.propose h.node (cmd 7));
+  let p2b = N.P2b { b = ballot; start_slot = 0; count = 1 } in
+  N.handle h.node ~src:5 p2b;
+  check_int "a non-member's P2b commits nothing" 0 (N.decided_length h.node);
+  N.handle h.node ~src:2 p2b;
+  check_int "a member's P2b commits" 1 (N.decided_length h.node)
+
 let () =
   Alcotest.run "multipaxos_unit"
     [
@@ -365,6 +384,8 @@ let () =
           Alcotest.test_case "batching config" `Quick test_batching_config;
           Alcotest.test_case "re-elected leader drops stale slots" `Quick
             test_reelected_leader_drops_stale_slots;
+          Alcotest.test_case "non-members never count" `Quick
+            test_non_members_never_count;
         ] );
       ( "learner",
         [

@@ -175,6 +175,51 @@ let test_check_quorum_steps_down () =
   check "stepped down without a quorum of responses" true
     (not (N.is_leader h.node))
 
+(* CheckQuorum counts voters only: a PV+CQ leader whose learners alone
+   answer steps down after one window. *)
+let test_learners_are_no_quorum () =
+  let h = make ~pre_vote:true ~check_quorum:true () in
+  for _ = 1 to 25 do
+    N.tick h.node
+  done;
+  let vote ~src ~pre term =
+    N.handle h.node ~src (N.Vote { term; granted = true; pre_vote = pre })
+  in
+  vote ~src:1 ~pre:true (N.current_term h.node + 1);
+  vote ~src:2 ~pre:false (N.current_term h.node);
+  check "is leader" true (N.is_leader h.node);
+  N.add_learners h.node [ 5; 6 ];
+  for _ = 1 to 11 do
+    N.tick h.node;
+    List.iter
+      (fun src ->
+        N.handle h.node ~src
+          (N.Append_resp
+             {
+               term = N.current_term h.node;
+               success = true;
+               match_idx = N.log_length h.node;
+             }))
+      [ 5; 6 ]
+  done;
+  check "stepped down with only learners answering" true
+    (not (N.is_leader h.node))
+
+(* A vote from a pid outside the voter set elects nobody. *)
+let test_non_voter_vote_ignored () =
+  let h = make () in
+  for _ = 1 to 25 do
+    N.tick h.node
+  done;
+  let vote src =
+    N.handle h.node ~src
+      (N.Vote { term = N.current_term h.node; granted = true; pre_vote = false })
+  in
+  vote 7;
+  check "a non-voter's vote elects nobody" true (not (N.is_leader h.node));
+  vote 1;
+  check "a voter's vote does" true (N.is_leader h.node)
+
 let test_higher_term_deposes_leader () =
   let h = make () in
   become_leader h;
@@ -462,6 +507,8 @@ let () =
             test_vote_log_up_to_date;
           Alcotest.test_case "pre-vote does not bump the term" `Quick
             test_pre_vote_does_not_bump_term;
+          Alcotest.test_case "a non-voter's vote is ignored" `Quick
+            test_non_voter_vote_ignored;
         ] );
       ( "replication",
         [
@@ -479,6 +526,8 @@ let () =
         [
           Alcotest.test_case "check-quorum step-down" `Quick
             test_check_quorum_steps_down;
+          Alcotest.test_case "learners make no CheckQuorum" `Quick
+            test_learners_are_no_quorum;
           Alcotest.test_case "higher term deposes" `Quick
             test_higher_term_deposes_leader;
           Alcotest.test_case "learner promotion" `Quick

@@ -495,6 +495,119 @@ let prop_kv_deterministic =
       in
       run () = run ())
 
+(* ---------------- quorum ---------------- *)
+
+module Quorum = Replog.Quorum
+
+(* The quorum index the slow way: sort the values above [above] of the
+   distinct [members] ([self] holds [local], an absent value is not
+   counted) and take the majority-th largest. *)
+let reference_index ~members ~acked ~self ~local ~above =
+  let value p =
+    if p = self then Some local
+    else if p < Array.length acked then Some acked.(p)
+    else None
+  in
+  let values =
+    List.filter (fun v -> v > above) (List.filter_map value members)
+  in
+  let q = (List.length members / 2) + 1 in
+  if List.length values >= q then
+    List.nth (List.sort (fun a b -> Int.compare b a) values) (q - 1)
+  else above
+
+(* Up to 65 drawn members out of [0, 64] (so gaps and duplicates), reply
+   operations from pids in [-2, 70] (non-members, repeats, removals and
+   clears), a value array that may stop short of the largest member, and
+   a self, local value and floor. *)
+let quorum_case =
+  let pid = QCheck.Gen.int_range (-2) 70 in
+  QCheck.Gen.(
+    quad
+      (list_size (int_range 0 65) (int_bound 64))
+      (list_size (int_bound 80) (pair (int_bound 9) pid))
+      (array_size (int_bound 70) (int_range (-1) 40))
+      (triple pid (int_range (-1) 40) (int_range (-1) 20)))
+
+let prop_quorum_reference =
+  QCheck.Test.make ~name:"quorum matches the sorted-list reference"
+    ~count:500 (QCheck.make quorum_case)
+    (fun (drawn, ops, acked, (self, local, above)) ->
+      let members = List.sort_uniq Int.compare drawn in
+      let m = Quorum.members drawn in
+      let s = Quorum.create m in
+      let replied = ref [] in
+      let pids = List.init 73 (fun i -> i - 2) in
+      let agrees () =
+        Quorum.count s = List.length !replied
+        && Quorum.reached s
+           = (List.length !replied >= (List.length members / 2) + 1)
+        && List.for_all (fun p -> Quorum.mem s p = List.mem p !replied) pids
+      in
+      let step (op, p) =
+        (match op with
+        | 0 ->
+            Quorum.clear s;
+            replied := []
+        | 1 ->
+            Quorum.remove s p;
+            replied := List.filter (fun r -> r <> p) !replied
+        | _ ->
+            Quorum.add s p;
+            if List.mem p members && not (List.mem p !replied) then
+              replied := p :: !replied);
+        agrees ()
+      in
+      let iterated () =
+        let seen = ref [] in
+        Quorum.iter (fun p -> seen := p :: !seen) s;
+        List.rev !seen = List.sort Int.compare !replied
+      in
+      let restricted () =
+        let evens = List.filter (fun p -> p mod 2 = 0) drawn in
+        let kept = Quorum.restrict s (Quorum.members evens) in
+        List.for_all
+          (fun p ->
+            Quorum.mem kept p = (List.mem p !replied && List.mem p evens))
+          pids
+      in
+      let masked () =
+        let mask =
+          List.fold_left (fun mask (_, p) -> Quorum.mask_add m mask p) 0 ops
+        in
+        let acked =
+          List.filter (fun p -> List.mem p members) (List.map snd ops)
+        in
+        List.length members > 63
+        || Quorum.mask_reached m mask
+           = (List.length (List.sort_uniq Int.compare acked)
+             >= (List.length members / 2) + 1)
+      in
+      Quorum.quorum m = (List.length members / 2) + 1
+      && List.for_all (fun p -> Quorum.is_member m p = List.mem p members) pids
+      && List.for_all step ops
+      && iterated () && restricted () && masked ()
+      && Quorum.index m acked ~self ~local ~above
+         = reference_index ~members ~acked ~self ~local ~above)
+
+(* Replies and quorum indexes over 65 members with gaps allocate
+   nothing. *)
+let test_quorum_alloc_free () =
+  let m = Quorum.members (List.init 65 (fun i -> 2 * i)) in
+  let s = Quorum.create m in
+  let acked = Array.init 130 (fun p -> p mod 17) in
+  let sum = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    if i mod 100 = 0 then Quorum.clear s;
+    Quorum.add s (i mod 140);
+    if Quorum.reached s then
+      sum := !sum + Quorum.index m acked ~self:0 ~local:i ~above:(i mod 9)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check "a quorum was reached" true (!sum > 0);
+  Alcotest.(check (float 0.)) "adds and indexes allocate nothing" 0. words
+
 let () =
   Alcotest.run "replog"
     [
@@ -533,5 +646,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_slices_immutable;
           QCheck_alcotest.to_alcotest prop_kv_deterministic;
           QCheck_alcotest.to_alcotest prop_kv_snapshot_lossless;
+        ] );
+      ( "quorum",
+        [
+          QCheck_alcotest.to_alcotest prop_quorum_reference;
+          Alcotest.test_case "add allocates nothing" `Quick
+            test_quorum_alloc_free;
         ] );
     ]

@@ -1137,6 +1137,29 @@ let test_out_of_range_pid_dropped () =
   Sp.handle sp ~src:2 (Sp.Accepted { n = b; log_idx = 1 });
   check_int "a member's ack still decides" 1 (Sp.decided_idx sp)
 
+(* Members [0; 1; 3] leave a gap at pid 2, which is inside the follower
+   arrays but is not a member: its Promise completes no Prepare and its
+   Accepted decides nothing. *)
+let test_gap_pid_never_counts () =
+  let sp =
+    Sp.create ~id:0 ~peers:[ 1; 3 ] ~persistent:(Sp.fresh_persistent ())
+      ~send:(fun ~dst:_ _ -> ())
+      ()
+  in
+  let b = ballot 1 0 in
+  Sp.handle_leader sp b;
+  Sp.handle sp ~src:2 (promise b);
+  check "a gap pid's Promise completes no Prepare" true
+    (Sp.role sp = Sp.Leader_prepare);
+  Sp.handle sp ~src:1 (promise b);
+  check "a member's Promise does" true (Sp.role sp = Sp.Leader_accept);
+  ignore (Sp.propose sp (cmd 0));
+  Sp.flush sp;
+  Sp.handle sp ~src:2 (Sp.Accepted { n = b; log_idx = 1 });
+  check_int "a gap pid's Accepted decides nothing" 0 (Sp.decided_idx sp);
+  Sp.handle sp ~src:3 (Sp.Accepted { n = b; log_idx = 1 });
+  check_int "a member's Accepted decides" 1 (Sp.decided_idx sp)
+
 let () =
   Alcotest.run "sequence_paxos"
     [
@@ -1208,6 +1231,8 @@ let () =
         [
           Alcotest.test_case "out-of-range pid dropped" `Quick
             test_out_of_range_pid_dropped;
+          Alcotest.test_case "a gap pid never counts" `Quick
+            test_gap_pid_never_counts;
           Alcotest.test_case "accepted allocation flat in n" `Quick
             test_accepted_alloc_flat;
           Alcotest.test_case "flush shares one batch" `Quick

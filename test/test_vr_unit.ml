@@ -81,6 +81,23 @@ let test_dvc_without_svc_quorum_is_ignored () =
   V.handle h.node ~src:4 (dvc 1);
   check "not elected without own EQC vote" true (not (V.is_leader h.node))
 
+(* Start_view_change and Do_view_change from pids outside [0, 5) never
+   count towards a quorum. *)
+let test_non_members_never_count () =
+  let voter = make ~id:2 () in
+  List.iter (fun src -> V.handle voter.node ~src (svc 1)) [ 0; 7; 8 ];
+  check "non-members' SVCs make no SVC quorum" true (sent_dvc voter = []);
+  let h = make ~id:1 () in
+  V.handle h.node ~src:2 (svc 1);
+  V.handle h.node ~src:3 (svc 1);
+  V.handle h.node ~src:7 (dvc 1);
+  V.handle h.node ~src:8 (dvc 1);
+  check "non-members' DVCs make no DVC quorum" true
+    (not (V.is_leader h.node));
+  V.handle h.node ~src:2 (dvc 1);
+  V.handle h.node ~src:3 (dvc 1);
+  check "members' DVCs elect" true (V.is_leader h.node && V.view h.node = 1)
+
 let test_start_view_adopts () =
   let h = make ~id:3 () in
   V.handle h.node ~src:2 (svc 1);
@@ -130,6 +147,8 @@ let () =
             test_leader_elected_on_dvc_quorum;
           Alcotest.test_case "DVC ignored without own EQC vote" `Quick
             test_dvc_without_svc_quorum_is_ignored;
+          Alcotest.test_case "non-members never count" `Quick
+            test_non_members_never_count;
           Alcotest.test_case "StartView adopts" `Quick test_start_view_adopts;
           Alcotest.test_case "timer escalates views" `Quick
             test_timer_escalates_views;
