@@ -73,7 +73,7 @@ type t = {
   mutable in_pre_vote : bool;
   (* Leader state, one cell per pid, -1 = absent: counts of log entries
      known sent / replicated per peer. The arrays grow to cover every pid
-     that is a replication target or answers the leader. *)
+     that is a replication target. *)
   mutable next_idx : int array;
   mutable sent_idx : int array;
   mutable match_idx : int array;
@@ -91,6 +91,9 @@ type t = {
   mutable members : Quorum.members;  (* [voters] *)
   mutable peer_voters : int array;
   mutable targets : int array;
+  mutable target_set : Quorum.members;
+      (* [targets], for an O(1) membership test: the leader tracks no other
+         pid *)
   (* Derived from the shared [Batching.config] so the Fig 7/8 comparisons
      stay apples-to-apples. [max_batch] caps entries per AppendEntries
      (large catch-ups stream as a pipeline of batches); [eager_batch > 0]
@@ -148,6 +151,7 @@ let recompute_targets t =
   t.quorum_acks <- Quorum.restrict t.quorum_acks t.members;
   t.peer_voters <- Array.of_list peers;
   t.targets <- Array.of_list (peers @ t.learners);
+  t.target_set <- Quorum.members (peers @ t.learners);
   Array.iter (ensure_pid t) t.targets
 
 (* A node whose id is not in [voters] is a learner: it accepts entries and
@@ -191,6 +195,7 @@ let create ~id ~voters ?(pre_vote = false) ?(check_quorum = false)
       members;
       peer_voters = [||];
       targets = [||];
+      target_set = members;
       max_batch = b.max_batch;
       eager_batch = (if b.adaptive then b.min_batch else 0);
       compaction = Omnipaxos.Compaction.validated compaction;
@@ -532,9 +537,11 @@ let on_append_entries t ~src ~term ~prev_idx ~prev_term ~entries ~leader_commit
 
 let on_append_resp t ~src ~term ~success ~match_idx =
   if term > t.dur.term then become_follower t ~term
-  else if role_is_leader t.role && term = t.dur.term then begin
+  else if
+    role_is_leader t.role && term = t.dur.term
+    && Quorum.is_member t.target_set src
+  then begin
     Quorum.add t.quorum_acks src;
-    ensure_pid t src;
     t.last_resp.(src) <- t.tick_count;
     if success then begin
       let prev = lookup t.match_idx src ~default:0 in
@@ -595,10 +602,9 @@ let handle t ~src msg =
         ~leader_commit:commit_idx
 
 let session_reset t ~peer =
-  if role_is_leader t.role then begin
+  if role_is_leader t.role && Quorum.is_member t.target_set peer then begin
     (* In-flight batches were lost: rewind the pipeline to the last index
        known replicated. *)
-    ensure_pid t peer;
     let m = lookup t.match_idx peer ~default:0 in
     t.next_idx.(peer) <- m;
     t.sent_idx.(peer) <- m

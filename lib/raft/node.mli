@@ -109,6 +109,10 @@ val create :
 val handle : t -> src:int -> msg -> unit
 val tick : t -> unit
 val session_reset : t -> peer:int -> unit
+(** Leader only: rewind the pipeline of a replication target (voter or
+    learner) to its last known match; any other peer is ignored, as is its
+    [Append_resp]. *)
+
 val recover : t -> unit
 
 val propose : t -> Replog.Command.t -> bool

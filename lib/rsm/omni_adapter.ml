@@ -2,7 +2,10 @@
 
 module R = Omnipaxos.Replica
 
-module Core = struct
+(* Ablation variant: heartbeats carry no QC flag (the "QC status heartbeats"
+   column of Table 1). Quorum-loss recovery is expected to fail. Omni-Paxos
+   itself, at the end of this file, is this module with the flag on. *)
+module No_qc_signal = struct
   type t = {
     mutable replica : R.t;
     build : unit -> R.t;
@@ -10,26 +13,27 @@ module Core = struct
   }
 
   type msg = R.msg
-  type config = { qc_signal : bool }
 
-  let name = "Omni-Paxos"
-  let layer = "omnipaxos"
-  let default = { qc_signal = true }
+  let name = "Omni (no QC flag)"
 
   (* Sequence Paxos applies decided entries to its store and emits its own
      trace events (decides, installs). *)
-  let create cfg ?batching ?compaction ~id ~peers ~election_ticks ~rand ~send
-      () =
-    ignore rand;
+  let create_with ~qc_signal ?batching ?compaction ~id ~peers ~election_ticks
+      ~rand:(_ : Random.State.t) ~send () =
     let storage = R.Storage.create () in
     let build () =
-      R.create ~id ~peers ~qc_signal:cfg.qc_signal ~hb_ticks:election_ticks
-        ?batching ?compaction ~storage ~send ()
+      R.create ~id ~peers ~qc_signal ~hb_ticks:election_ticks ?batching
+        ?compaction ~storage ~send ()
     in
     { replica = build (); build }
 
-  let handle c ~src msg = R.handle c.replica ~src msg
-  let tick c = R.tick c.replica
+  let create = create_with ~qc_signal:false
+
+  let handle, tick =
+    Protocol.framed ~layer:"omnipaxos"
+      (fun c ~src msg -> R.handle c.replica ~src msg)
+      (fun c -> R.tick c.replica)
+
   let session_reset c ~peer = R.session_reset c.replica ~peer
 
   (* Fail-recovery: volatile state is lost, the replica is rebuilt on its old
@@ -43,18 +47,14 @@ module Core = struct
   let propose c cmd = R.propose_cmd c.replica cmd
   let is_leader c = R.is_leader c.replica
   let leader_pid c = R.leader_pid c.replica
+  let decided_count c = Protocol.decided_count (R.store c.replica)
+  let decided_ids c ~from = Protocol.decided_ids (R.store c.replica) ~from
   let decided_index c = R.decided_idx c.replica
+  let last_install c = Protocol.last_install (R.store c.replica)
   let msg_size = R.msg_size
-  let store c = R.store c.replica
 end
 
-module Base = Adapter.Make (Core)
-include Base
+include No_qc_signal
 
-(* Ablation variant: heartbeats carry no QC flag (the "QC status heartbeats"
-   column of Table 1). Quorum-loss recovery is expected to fail. *)
-module No_qc_signal = struct
-  include Base
-  let name = "Omni (no QC flag)"
-  let create = make { Core.qc_signal = false }
-end
+let name = "Omni-Paxos"
+let create = create_with ~qc_signal:true

@@ -1,5 +1,7 @@
 (** The uniform interface the cluster driver and the experiments use to run
-    any of the four replicated state machine protocols. *)
+    any of the four replicated state machine protocols. Each
+    [lib/rsm/*_adapter.ml] is one {!PROTOCOL} module over its core, built
+    from the helpers at the end of this file. *)
 
 type install = Omnipaxos.Compaction.Store.installed = {
   inst_seq : int;  (** counts installs on this server; strictly increasing *)
@@ -86,3 +88,30 @@ module type PROTOCOL = sig
 
   val msg_size : msg -> int
 end
+
+(* The helpers every adapter builds its [PROTOCOL] from. *)
+
+(* The queries read the core's store, which applies every decided entry
+   once and keeps the decided-id cache and the install record. *)
+let decided_count store =
+  Omnipaxos.Decided_cache.count (Omnipaxos.Compaction.Store.ids store)
+
+let decided_ids store ~from =
+  Omnipaxos.Decided_cache.ids_from (Omnipaxos.Compaction.Store.ids store) ~from
+
+let last_install = Omnipaxos.Compaction.Store.last_install
+
+(* [framed ~layer handle tick] is [handle] and [tick] inside the profiler
+   frames ["<layer>/handle"] and ["<layer>/tick"], whose labels are built
+   once. The cold branch repeats the call instead of passing a closure to
+   [wrap], so the profiler-off path allocates nothing (the overhead gate
+   measures this). *)
+let framed ~layer handle tick =
+  let handle_frame = layer ^ "/handle" and tick_frame = layer ^ "/tick" in
+  ( (fun t ~src msg ->
+      if Obs.Profile.on () then
+        Obs.Profile.wrap handle_frame (fun () -> handle t ~src msg)
+      else handle t ~src msg),
+    fun t ->
+      if Obs.Profile.on () then Obs.Profile.wrap tick_frame (fun () -> tick t)
+      else tick t )

@@ -3,23 +3,21 @@
 
 module N = Raft.Node
 
-module Core = struct
+module Plain = struct
   type t = N.t
   type msg = N.msg
-  type config = { pv_cq : bool }  (* PreVote and CheckQuorum together *)
 
   let name = "Raft"
-  let layer = "raft"
-  let default = { pv_cq = false }
 
-  let create cfg ?batching ?compaction ~id ~peers ~election_ticks ~rand ~send
-      () =
-    N.create ~id ~voters:(id :: peers) ~pre_vote:cfg.pv_cq
-      ~check_quorum:cfg.pv_cq ?batching ?compaction ~election_ticks ~rand
+  (* [pv_cq]: PreVote and CheckQuorum together. *)
+  let create_with ~pv_cq ?batching ?compaction ~id ~peers ~election_ticks
+      ~rand ~send () =
+    N.create ~id ~voters:(id :: peers) ~pre_vote:pv_cq ~check_quorum:pv_cq
+      ?batching ?compaction ~election_ticks ~rand
       ~persistent:(N.fresh_persistent ()) ~send ()
 
-  let handle = N.handle
-  let tick = N.tick
+  let create = create_with ~pv_cq:false
+  let handle, tick = Protocol.framed ~layer:"raft" N.handle N.tick
   let session_reset = N.session_reset
 
   (* Term, vote and log are Raft's persistent state (kept inside the node);
@@ -29,19 +27,16 @@ module Core = struct
   let propose = N.propose
   let is_leader = N.is_leader
   let leader_pid = N.leader_pid
+  let decided_count t = Protocol.decided_count (N.store t)
+  let decided_ids t ~from = Protocol.decided_ids (N.store t) ~from
   let decided_index = N.commit_idx
+  let last_install t = Protocol.last_install (N.store t)
   let msg_size = N.msg_size
-  let store = N.store
-end
-
-module Plain = struct
-  include Adapter.Make (Core)
-
-  let node = core
 end
 
 module Pv_cq = struct
   include Plain
+
   let name = "Raft PV+CQ"
-  let create = make { Core.pv_cq = true }
+  let create = create_with ~pv_cq:true
 end

@@ -2,38 +2,28 @@
    interface. *)
 
 module N = Vr.Node
+module Sp = Omnipaxos.Sequence_paxos
 
-module Core = struct
-  type t = N.t
-  type msg = N.msg
-  type config = unit
+type t = N.t
+type msg = N.msg
 
-  let name = "VR"
-  let layer = "vr"
-  let default = ()
+let name = "VR"
 
-  let create () ?batching ?compaction ~id ~peers ~election_ticks ~rand:_ ~send
-      () =
-    N.create ~id ~peers ~election_ticks ?batching ?compaction ~send ()
+let create ?batching ?compaction ~id ~peers ~election_ticks ~rand:_ ~send () =
+  N.create ~id ~peers ~election_ticks ?batching ?compaction ~send ()
 
-  let handle = N.handle
-  let tick = N.tick
-  let session_reset = N.session_reset
+let handle, tick = Protocol.framed ~layer:"vr" N.handle N.tick
+let session_reset = N.session_reset
 
-  (* VR's node (view + embedded Sequence Paxos) has no injectable storage:
-     like Multi-Paxos, crashes model synchronous full-state persistence. *)
-  let restart _c = ()
-  let propose c cmd = N.propose c (Omnipaxos.Entry.Cmd cmd)
-  let is_leader = N.is_leader
-  let leader_pid = N.leader_pid
-
-  let decided_index c =
-    Omnipaxos.Sequence_paxos.decided_idx (N.sequence_paxos c)
-
-  let msg_size = N.msg_size
-  let store c = Omnipaxos.Sequence_paxos.store (N.sequence_paxos c)
-end
-
-include Adapter.Make (Core)
-
-let node = core
+(* VR's node (view + embedded Sequence Paxos) has no injectable storage:
+   like Multi-Paxos, crashes model synchronous full-state persistence. *)
+let restart _ = ()
+let propose t cmd = N.propose t (Omnipaxos.Entry.Cmd cmd)
+let is_leader = N.is_leader
+let leader_pid = N.leader_pid
+let store t = Sp.store (N.sequence_paxos t)
+let decided_count t = Protocol.decided_count (store t)
+let decided_ids t ~from = Protocol.decided_ids (store t) ~from
+let decided_index t = Sp.decided_idx (N.sequence_paxos t)
+let last_install t = Protocol.last_install (store t)
+let msg_size = N.msg_size

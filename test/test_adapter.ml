@@ -1,8 +1,11 @@
-(* Adapter.Make over a fake in-memory core whose decided prefix is applied
-   by a real store ([Omnipaxos.Compaction.Store]): the test appends decided
-   commands to the core's log and moves its decided index, as a core does,
-   then checks through the adapter the decided-id cache, the store's
-   never-rewind rule, the install record and the profiler frames. *)
+(* A fake in-memory core as a plain [Rsm.Protocol.PROTOCOL] module, built
+   from the [Protocol] helpers every adapter uses, whose decided prefix is
+   applied by a real store ([Omnipaxos.Compaction.Store]): the test appends
+   decided commands to the core's log and moves its decided index, as a
+   core does, then checks through the protocol interface the decided-id
+   cache, the store's never-rewind rule, the install record and the
+   profiler frames. The frames of every real adapter are checked on a short
+   cluster run. *)
 
 module Store = Omnipaxos.Compaction.Store
 module Log = Replog.Log
@@ -15,26 +18,28 @@ module Fake = struct
   }
 
   type msg = unit
-  type config = unit
 
   let name = "Fake"
-  let layer = "fake"
-  let default = ()
 
-  let create () ?batching:_ ?compaction:_ ~id:_ ~peers:_ ~election_ticks:_
+  let create ?batching:_ ?compaction:_ ~id:_ ~peers:_ ~election_ticks:_
       ~rand:_ ~send:_ () =
     { log = Log.create (); store = Store.create (); decided = 0 }
 
-  let handle _ ~src:_ () = ()
-  let tick _ = ()
+  let handle, tick =
+    Rsm.Protocol.framed ~layer:"fake"
+      (fun (_ : t) ~src:(_ : int) () -> ())
+      (fun (_ : t) -> ())
+
   let session_reset _ ~peer:_ = ()
   let restart _ = ()
   let propose _ _ = false
   let is_leader _ = false
   let leader_pid _ = None
+  let decided_count c = Rsm.Protocol.decided_count c.store
+  let decided_ids c ~from = Rsm.Protocol.decided_ids c.store ~from
   let decided_index c = c.decided
+  let last_install c = Rsm.Protocol.last_install c.store
   let msg_size () = 0
-  let store c = c.store
 
   (* Announce the decided index [upto] to the store, as a core does on
      every advance; a recovering core re-announces lower indexes. The store
@@ -64,46 +69,45 @@ module Fake = struct
     envelope
 end
 
-module A = Rsm.Adapter.Make (Fake)
+(* The fake seen only through the interface the harness uses. *)
+module A : Rsm.Protocol.PROTOCOL with type t = Fake.t and type msg = unit =
+  Fake
 
 let create () =
-  let a =
-    A.create ~id:0 ~peers:[ 1; 2 ] ~election_ticks:10
-      ~rand:(Random.State.make [| 1 |])
-      ~send:(fun ~dst:_ () -> ())
-      ()
-  in
-  (a, A.core a)
+  A.create ~id:0 ~peers:[ 1; 2 ] ~election_ticks:10
+    ~rand:(Random.State.make [| 1 |])
+    ~send:(fun ~dst:_ () -> ())
+    ()
 
 let ids = Alcotest.(list int)
 
 let test_reannounce_no_duplicates () =
-  let a, c = create () in
+  let c = create () in
   Fake.decide c [ 10; 11; -1; 12 ];
   Alcotest.check ids "internal entries skipped" [ 10; 11; 12 ]
-    (A.decided_ids a ~from:0);
+    (A.decided_ids c ~from:0);
   (* Offsets at or past the end are empty, also past the cache's initial
      capacity of 64. *)
   List.iter
     (fun from ->
-      Alcotest.check ids "from past the end" [] (A.decided_ids a ~from))
+      Alcotest.check ids "from past the end" [] (A.decided_ids c ~from))
     [ 3; 64; 65 ];
   (* A recovering core re-announces lower decided indexes. *)
   Fake.announce c 2;
   Fake.announce c 4;
   Fake.decide c [ 13 ];
   Alcotest.check ids "no duplicates" [ 10; 11; 12; 13 ]
-    (A.decided_ids a ~from:0);
-  Alcotest.(check int) "count" 4 (A.decided_count a);
+    (A.decided_ids c ~from:0);
+  Alcotest.(check int) "count" 4 (A.decided_count c);
   Alcotest.(check int) "applied once" 5 (Store.applied c.Fake.store);
-  Alcotest.(check int) "decided index" 5 (A.decided_index a)
+  Alcotest.(check int) "decided index" 5 (A.decided_index c)
 
 let test_install () =
-  let a, c = create () in
+  let c = create () in
   Fake.decide c [ 1; 2 ];
-  Alcotest.(check bool) "no install yet" true (A.last_install a = None);
+  Alcotest.(check bool) "no install yet" true (A.last_install c = None);
   let snap_a = Fake.install c 10 in
-  (match A.last_install a with
+  (match A.last_install c with
   | Some i ->
       Alcotest.(check int) "inst_seq" 1 i.Rsm.Protocol.inst_seq;
       Alcotest.(check int) "inst_cache_len = count at install" 2
@@ -113,10 +117,10 @@ let test_install () =
   (* [applied] jumped to 10: deciding on top reads only the new entries. *)
   Fake.decide c [ 7; 8 ];
   Alcotest.check ids "ids after the install" [ 7; 8 ]
-    (A.decided_ids a ~from:2);
-  Alcotest.check ids "all ids" [ 1; 2; 7; 8 ] (A.decided_ids a ~from:0);
+    (A.decided_ids c ~from:2);
+  Alcotest.check ids "all ids" [ 1; 2; 7; 8 ] (A.decided_ids c ~from:0);
   let (_ : string) = Fake.install c 20 in
-  match A.last_install a with
+  match A.last_install c with
   | Some i ->
       Alcotest.(check int) "second inst_seq" 2 i.Rsm.Protocol.inst_seq;
       Alcotest.(check int) "second inst_cache_len" 4
@@ -124,12 +128,12 @@ let test_install () =
   | None -> Alcotest.fail "second install not recorded"
 
 let test_profile_frames () =
-  let a, _ = create () in
+  let c = create () in
   let (), p =
     Obs.Profile.with_profile (fun () ->
-        A.handle a ~src:1 ();
-        A.tick a;
-        A.tick a)
+        A.handle c ~src:1 ();
+        A.tick c;
+        A.tick c)
   in
   let calls label =
     match
@@ -142,6 +146,52 @@ let test_profile_frames () =
   in
   Alcotest.(check int) "fake/handle frames" 1 (calls "fake/handle");
   Alcotest.(check int) "fake/tick frames" 2 (calls "fake/tick")
+
+(* The profiler layer of every evaluated protocol, by [--protocol] key; the
+   variants frame under their base's layer. *)
+let layers =
+  [
+    ("omni", "omnipaxos");
+    ("raft", "raft");
+    ("raft-pvcq", "raft");
+    ("multipaxos", "multipaxos");
+    ("vr", "vr");
+  ]
+
+(* A short cluster run of each protocol under the profiler opens
+   ["<layer>/handle"] and ["<layer>/tick"] frames, and no other protocol's
+   frames. *)
+let test_protocol_frames () =
+  Alcotest.(check (list string))
+    "one layer per table entry"
+    (List.map fst Rsm.Protocols.table)
+    (List.map fst layers);
+  let check_frames what layer (module P : Rsm.Protocol.PROTOCOL) =
+    let module C = Rsm.Cluster.Make (P) in
+    let (), p =
+      Obs.Profile.with_profile (fun () ->
+          C.run_ms (C.create Rsm.Cluster.default_config) 500.0)
+    in
+    let labels op =
+      List.filter_map
+        (fun r ->
+          let l = r.Obs.Profile.r_label in
+          if String.ends_with ~suffix:("/" ^ op) l && r.Obs.Profile.r_calls > 0
+          then Some l
+          else None)
+        (Obs.Profile.flat p)
+    in
+    List.iter
+      (fun op ->
+        Alcotest.(check (list string))
+          (what ^ " " ^ op ^ " frames")
+          [ layer ^ "/" ^ op ] (labels op))
+      [ "handle"; "tick" ]
+  in
+  List.iter
+    (fun (key, p) -> check_frames key (List.assoc key layers) p)
+    Rsm.Protocols.table;
+  check_frames "no-qc-signal" "omnipaxos" (module Rsm.Omni_adapter.No_qc_signal)
 
 module Cache = Omnipaxos.Decided_cache
 
@@ -196,6 +246,8 @@ let () =
             test_install;
           Alcotest.test_case "profiler frames per layer" `Quick
             test_profile_frames;
+          Alcotest.test_case "profiler frames of every protocol" `Quick
+            test_protocol_frames;
           Alcotest.test_case "decided cache: a million consecutive ids" `Quick
             test_cache_runs;
           QCheck_alcotest.to_alcotest prop_cache_matches_list;

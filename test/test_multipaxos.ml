@@ -116,8 +116,7 @@ let test_chained_livelock_with_progress () =
   (* Livelock: both ends were deposed and re-elected repeatedly, which shows
      as a high ballot number. *)
   let ballot_n =
-    (Multipaxos.Node.current_ballot
-       (Rsm.Multipaxos_adapter.node (C.node c (Option.get (C.leader c)))))
+    (Multipaxos.Node.current_ballot (C.node c (Option.get (C.leader c))))
       .Multipaxos.Node.n
   in
   check "repeated leader changes (ballot churn)" true (ballot_n > 5)

@@ -114,14 +114,12 @@ let test_pv_cq_chained_no_change () =
   Cpv.run_ms c 1000.0;
   let leader = Option.get (Cpv.leader c) in
   let other = List.find (fun i -> i <> leader) [ 0; 1; 2 ] in
-  let term_before =
-    Raft.Node.current_term (Rsm.Raft_adapter.Plain.node (Cpv.node c leader))
-  in
+  let term_before = Raft.Node.current_term (Cpv.node c leader) in
   Rsm.Scenario.chained (Cpv.net c) ~a:leader ~b:other;
   Cpv.run_ms c 10_000.0;
   check_int "same leader" leader (Option.get (Cpv.leader c));
   check_int "term unchanged (PreVote absorbs disruption)" term_before
-    (Raft.Node.current_term (Rsm.Raft_adapter.Plain.node (Cpv.node c leader)))
+    (Raft.Node.current_term (Cpv.node c leader))
 
 (* CheckQuorum: a leader that loses contact with a majority steps down. *)
 let test_check_quorum_steps_down () =

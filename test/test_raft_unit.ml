@@ -391,6 +391,22 @@ let test_append_resp_alloc_free () =
   check_int "everything committed" 100 (N.commit_idx h.node);
   check_int "acks allocate nothing" 0 words
 
+(* A reply or a session reset from a pid that is neither a voter nor a
+   learner is dropped: it does not widen the leader's per-pid arrays to
+   that pid (a million-cell widening is ~5M words). [allocated_bytes] also
+   counts arrays allocated straight into the major heap. *)
+let test_non_target_reply_alloc () =
+  let h = make ~quiet:true () in
+  become_leader h;
+  let term = N.current_term h.node in
+  let far = 1_000_000 in
+  let b0 = Gc.allocated_bytes () in
+  N.handle h.node ~src:far (N.Append_resp { term; success = true; match_idx = 0 });
+  N.session_reset h.node ~peer:far;
+  let words = (Gc.allocated_bytes () -. b0) /. float (Sys.word_size / 8) in
+  check "under 100 words" true (words < 100.);
+  check "still leader" true (N.is_leader h.node)
+
 (* A leader's flush ships a slice of its log per follower, taken in O(1):
    the tick that ships 1 entry and the one that ships 1000 allocate the
    same words. *)
@@ -545,6 +561,8 @@ let () =
             test_propose_alloc_flat;
           Alcotest.test_case "append responses allocate nothing" `Quick
             test_append_resp_alloc_free;
+          Alcotest.test_case "a non-target's reply grows no array" `Quick
+            test_non_target_reply_alloc;
           Alcotest.test_case "flush words flat in the batch" `Quick
             test_flush_alloc_flat;
           Alcotest.test_case "follower append words flat in k" `Quick

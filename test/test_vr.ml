@@ -12,7 +12,7 @@ let check_int = Alcotest.(check int)
 
 let cfg ?(n = 3) ?(seed = 11) () = { Rsm.Cluster.default_config with n; seed }
 let decided c id = Rsm.Vr_adapter.decided_count (C.node c id)
-let vr_view c id = Vr.Node.view (Rsm.Vr_adapter.node (C.node c id))
+let vr_view c id = Vr.Node.view (C.node c id)
 
 let propose_at c id count ~first =
   let node = C.node c id in
