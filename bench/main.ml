@@ -6,9 +6,9 @@
 
    Usage: main.exe [section ...]
    Sections: table1 fig7 fig8a fig8b fig8c fig9a fig9b fig9c ablations
-   policy recovery profile compaction trace_scale mcheck. With no
-   arguments, all sections run; an unknown section
-   name is an error (exit 2). Set BENCH_QUICK=1 for a reduced (faster,
+   policy recovery profile compaction trace_scale simnet_scale mcheck.
+   With no arguments, all sections run; an unknown section name is an
+   error (exit 2). Set BENCH_QUICK=1 for a reduced (faster,
    fewer seeds / shorter runs) configuration, and BENCH_OUT=<dir> to put
    the JSON reports somewhere other than the working directory. *)
 

@@ -621,6 +621,70 @@ let run_trace_scale ~quick ~print =
     ~rows:(J.List [ row ])
 
 (* ------------------------------------------------------------------ *)
+(* Simnet scale: simulator work per command as n grows                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Omni-Paxos at n = 5 ... 65 on the LAN under a closed loop of 100
+   proposals (omni-wide's configuration at every n): simulated events per
+   committed command, how many of them the event queue's FIFO lane served
+   and how many its heap, and the queue's high-water mark. All of them are
+   deterministic and gated exactly; host events per second is a _ci
+   field. *)
+let run_simnet_scale ~quick ~print =
+  header print
+    "Simnet scale: events per command, lane and heap pops, queue high-water\n\
+     (Omni-Paxos, closed loop cp=100, LAN; counts deterministic and gated\n\
+     exactly, host events/s informational)";
+  let seed = 1 and cp = 100 in
+  let warmup_ms = 500.0 and measure_ms = if quick then 1_000.0 else 4_000.0 in
+  say print "%4s %8s %10s %10s %10s %10s %10s %10s\n" "n" "commits" "events"
+    "events/cmd" "lane pops" "heap pops" "high-water" "events/s";
+  let module C = Rsm.Cluster.Make (Rsm.Omni_adapter) in
+  let row n =
+    let c =
+      C.create
+        {
+          Rsm.Cluster.default_config with
+          Rsm.Cluster.n;
+          seed;
+          batching = Omnipaxos.Batching.adaptive;
+          compaction = Omnipaxos.Compaction.make ~retain:1000 10_000;
+        }
+    in
+    let net = C.net c in
+    let client = C.start_client c ~cp in
+    C.run_ms c warmup_ms;
+    let pops () = (Simnet.Net.heap_stats net).Simnet.Net.hs_pops in
+    let decided0 = Rsm.Client.decided client and pops0 = pops () in
+    let lane0 = Simnet.Net.lane_pops net in
+    let t0 = Sys.time () in
+    C.run_ms c measure_ms;
+    let host_s = Sys.time () -. t0 in
+    let commits = Rsm.Client.decided client - decided0 in
+    let events = pops () - pops0 in
+    let lane = Simnet.Net.lane_pops net - lane0 in
+    let high_water = (Simnet.Net.heap_stats net).Simnet.Net.hs_high_water in
+    let per_cmd = float_of_int events /. float_of_int (max 1 commits) in
+    let rate = float_of_int events /. Float.max host_s 1e-9 in
+    Rsm.Client.stop client;
+    say print "%4d %8d %10d %10.2f %10d %10d %10d %10.0f\n" n commits events
+      per_cmd lane (events - lane) high_water rate;
+    J.Obj
+      [
+        ("n", J.Int n);
+        ("commits", J.Int commits);
+        ("events", J.Int events);
+        ("events_per_cmd", J.float per_cmd);
+        ("lane_pops", J.Int lane);
+        ("heap_pops", J.Int (events - lane));
+        ("heap_high_water", J.Int high_water);
+        ("events_per_s_ci", J.float rate);
+      ]
+  in
+  let rows = List.map row [ 5; 9; 17; 33; 65 ] in
+  envelope ~section:"simnet_scale" ~seeds:[ seed ] ~quick ~rows:(J.List rows)
+
+(* ------------------------------------------------------------------ *)
 (* Model checking the real Sequence Paxos                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -669,7 +733,7 @@ let all_names =
   [
     "table1"; "fig7"; "fig8a"; "fig8b"; "fig8c"; "fig9a"; "fig9b"; "fig9c";
     "ablations"; "policy"; "recovery"; "profile"; "compaction";
-    "trace_scale"; "mcheck";
+    "trace_scale"; "simnet_scale"; "mcheck";
   ]
 
 let run name ~quick ~print =
@@ -727,5 +791,6 @@ let run name ~quick ~print =
   | "profile" -> Some (run_profile ~quick ~print)
   | "compaction" -> Some (run_compaction ~quick ~print)
   | "trace_scale" -> Some (run_trace_scale ~quick ~print)
+  | "simnet_scale" -> Some (run_simnet_scale ~quick ~print)
   | "mcheck" -> Some (run_mcheck ~quick ~print)
   | _ -> None

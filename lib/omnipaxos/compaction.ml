@@ -69,18 +69,49 @@ module Store = struct
 
   let no_command = Replog.Command.noop min_int
 
-  let apply s log ~upto command x =
-    for i = s.applied to upto - 1 do
-      let c = command x (Log.get log i) in
+  (* Apply the entries [data.(first)] to [data.(stop - 1)] in order:
+     commands that change the KV go to it one by one, no-ops are counted
+     and applied at once, and each run of consecutive client ids is noted
+     once. The run state is local: passed to a helper, it would be
+     allocated. *)
+  let apply_chunk s data first stop command x =
+    let noops = ref 0 and clients = ref 0 in
+    let run_first = ref 0 and run_len = ref 0 in
+    for j = first to stop - 1 do
+      let c = command x data.(j) in
       if c != no_command then begin
-        (match Replog.Kv.apply s.kv c with
-        | Replog.Kv.Ok_unit | Replog.Kv.Value _ -> ());
+        (match c.Replog.Command.op with
+        | Replog.Command.Noop | Replog.Command.Blob _ -> incr noops
+        | Replog.Command.Kv_put _ | Replog.Command.Kv_get _
+        | Replog.Command.Kv_del _ -> (
+            match Replog.Kv.apply s.kv c with
+            | Replog.Kv.Ok_unit | Replog.Kv.Value _ -> ()));
         if c.id >= 0 then begin
-          s.client_cmds <- s.client_cmds + 1;
-          Decided_cache.note s.ids c.id
+          incr clients;
+          if !run_len > 0 && c.id = !run_first + !run_len then incr run_len
+          else begin
+            Decided_cache.note_run s.ids ~first:!run_first ~count:!run_len;
+            run_first := c.id;
+            run_len := 1
+          end
         end
       end
     done;
+    Decided_cache.note_run s.ids ~first:!run_first ~count:!run_len;
+    Replog.Kv.apply_noops s.kv !noops;
+    s.client_cmds <- s.client_cmds + !clients
+
+  (* One pass over the chunks of [log] that hold [\[i, upto)]. *)
+  let rec apply_from s log i upto command x =
+    if i < upto then begin
+      let first = Log.chunk_pos log i in
+      let stop = min upto (Log.chunk_stop log i) in
+      apply_chunk s (Log.chunk log i) first (first + stop - i) command x;
+      apply_from s log stop upto command x
+    end
+
+  let apply s log ~upto command x =
+    apply_from s log s.applied upto command x;
     if upto > s.applied then s.applied <- upto
 
   let trim s log ~node ~upto ~taken =

@@ -116,7 +116,13 @@ module Store : sig
       the KV state machine and, when its id is >= 0, is counted and noted in
       the cache. Nothing happens when [upto <= applied]. Passing [x] rather
       than a partial application lets a core pass a static function, so an
-      apply builds no closure; it allocates nothing but the cache's growth. *)
+      apply builds no closure; it allocates nothing but the cache's growth.
+
+      One pass over the log's chunks ({!Replog.Log.chunk}), the first found
+      from the tail: per entry, one call of [command] and, for a command
+      that changes the KV, one of [Kv.apply]. No-ops and blobs are counted
+      and applied at once per chunk, and each run of consecutive ids is
+      noted in the cache once ({!Decided_cache.note_run}). *)
 
   val trim : t -> 'e Replog.Log.t -> node:int -> upto:int -> taken:bool -> unit
   (** Cut the log below [upto], which must not exceed [applied]; a no-op

@@ -12,22 +12,27 @@ type t = { mutable runs : int array; mutable n_runs : int; mutable count : int }
 let create () = { runs = Array.make 16 0; n_runs = 0; count = 0 }
 let copy t = { t with runs = Array.copy t.runs }
 
-let note t id =
-  let last = 2 * (t.n_runs - 1) in
-  if t.n_runs > 0 && id = t.runs.(last) + (t.count - t.runs.(last + 1)) then
-    t.count <- t.count + 1
-  else begin
-    let r = 2 * t.n_runs in
-    if r = Array.length t.runs then begin
-      let bigger = Array.make (2 * r) 0 in
-      Array.blit t.runs 0 bigger 0 r;
-      t.runs <- bigger
+(* The ids [first, first + count) extend the last run when [first] is the
+   id after its last, and open a run otherwise. *)
+let note_run t ~first ~count =
+  if count > 0 then begin
+    let last = 2 * (t.n_runs - 1) in
+    if t.n_runs = 0 || first <> t.runs.(last) + (t.count - t.runs.(last + 1))
+    then begin
+      let r = 2 * t.n_runs in
+      if r = Array.length t.runs then begin
+        let bigger = Array.make (2 * r) 0 in
+        Array.blit t.runs 0 bigger 0 r;
+        t.runs <- bigger
+      end;
+      t.runs.(r) <- first;
+      t.runs.(r + 1) <- t.count;
+      t.n_runs <- t.n_runs + 1
     end;
-    t.runs.(r) <- id;
-    t.runs.(r + 1) <- t.count;
-    t.n_runs <- t.n_runs + 1;
-    t.count <- t.count + 1
+    t.count <- t.count + count
   end
+
+let note t id = note_run t ~first:id ~count:1
 
 let count t = t.count
 

@@ -22,6 +22,9 @@ let apply t (cmd : Command.t) =
       Hashtbl.remove t.table k;
       Ok_unit
 
+(* [k] commands that change no state (no-ops, blobs), applied at once. *)
+let apply_noops t k = t.applied <- t.applied + k
+
 let get t k = Hashtbl.find_opt t.table k
 let applied t = t.applied
 let size t = Hashtbl.length t.table

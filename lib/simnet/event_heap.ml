@@ -1,11 +1,21 @@
-(* A binary min-heap of timed events, tie-broken by insertion sequence so that
-   simulations are fully deterministic.
+(* The simulator's event queue: a binary min-heap of timed events,
+   tie-broken by insertion sequence so that simulations are fully
+   deterministic, beside a FIFO lane for events pushed in order.
 
-   Struct of arrays: event [i] is ([times.(i)], [seqs.(i)], [payloads.(i)]),
-   with the times in a flat [Float.Array]. A push or pop moves floats and
-   ints between slots and allocates nothing once the arrays have grown to
-   the high-water mark. Payloads are ints; the caller keeps whatever they
-   name (a closure slot, a link) in its own tables. *)
+   Struct of arrays: heap event [i] is ([times.(i)], [seqs.(i)],
+   [payloads.(i)]), with the times in a flat [Float.Array]; lane events sit
+   the same way in a ring. A push or pop moves floats and ints between
+   slots and allocates nothing once the arrays have grown to the
+   high-water mark. Payloads are ints; the caller keeps whatever they name
+   (a closure slot, a link) in its own tables.
+
+   The lane holds events in (time, seq) order: {!push_lane_cell} puts an
+   event there only when it is not before the lane's last one (its seq is
+   the newest), so the lane's head is its smallest event, and a pop takes
+   the smaller of the two heads. Its capacity is fixed at [create]; when
+   it is full the event goes to the heap, whose arrays grow whenever the
+   events of both parts fill them, so the heap never overflows and grows
+   at the pushes where a heap alone would. *)
 
 type clock = { mutable now : float }
 
@@ -13,21 +23,32 @@ type t = {
   mutable times : Float.Array.t;
   mutable seqs : int array;
   mutable payloads : int array;
-  mutable size : int;
+  mutable size : int;  (* events in the heap *)
   mutable next_seq : int;
-  (* Lifetime accounting for the scale-out work: the high-water mark bounds
-     the array footprint, pushes/pops give the total event volume. A few
-     integer ops per operation, maintained unconditionally so instrumented
-     and uninstrumented runs stay byte-identical. *)
+  (* Lifetime accounting for the scale-out work, over both parts: the
+     high-water mark bounds the array footprint, pushes/pops give the total
+     event volume. A few integer ops per operation, maintained
+     unconditionally so instrumented and uninstrumented runs stay
+     byte-identical. *)
   mutable high_water : int;
   mutable pops : int;
+  (* The lane: a ring whose capacity is a power of two (or 0). *)
+  lane_times : Float.Array.t;
+  lane_seqs : int array;
+  lane_payloads : int array;
+  mutable lane_head : int;  (* slot of the lane's first event *)
+  mutable lane_size : int;
+  mutable lane_pops : int;
 }
 
 type stats = { hs_size : int; hs_high_water : int; hs_pushes : int; hs_pops : int }
 
 let initial_capacity = 16
 
-let create () =
+let rec power_of_two c n = if c >= n then c else power_of_two (2 * c) n
+
+let create ?(lane = 0) () =
+  let lane = if lane <= 0 then 0 else power_of_two 1 lane in
   {
     times = Float.Array.make initial_capacity 0.0;
     seqs = Array.make initial_capacity 0;
@@ -36,16 +57,22 @@ let create () =
     next_seq = 0;
     high_water = 0;
     pops = 0;
+    lane_times = Float.Array.make lane 0.0;
+    lane_seqs = Array.make lane 0;
+    lane_payloads = Array.make lane 0;
+    lane_head = 0;
+    lane_size = 0;
+    lane_pops = 0;
   }
 
-let length t = t.size
-let is_empty t = t.size = 0
+let length t = t.size + t.lane_size
+let is_empty t = length t = 0
 
 (* [next_seq] counts every insertion ever, so it doubles as the push
    counter. *)
 let stats t =
   {
-    hs_size = t.size;
+    hs_size = length t;
     hs_high_water = t.high_water;
     hs_pushes = t.next_seq;
     hs_pops = t.pops;
@@ -119,16 +146,24 @@ let sift_down t =
   seqs.(!i) <- seq;
   payloads.(!i) <- payload
 
-(* Claim the next free slot for a new event with [payload]; its time is
-   stored by the caller, then [sift_up] places it. *)
+(* Count a new event, growing the heap's arrays when the events of both
+   parts fill them, and return its sequence number. *)
+let count_push t =
+  let total = length t in
+  if total = Array.length t.seqs then grow t;
+  if total >= t.high_water then t.high_water <- total + 1;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+(* Claim the next free heap slot for a new event with [payload]; its time
+   is stored by the caller, then [sift_up] places it. *)
 let claim t payload =
-  if t.size = Array.length t.seqs then grow t;
+  let seq = count_push t in
   let i = t.size in
-  t.seqs.(i) <- t.next_seq;
+  t.seqs.(i) <- seq;
   t.payloads.(i) <- payload;
-  t.next_seq <- t.next_seq + 1;
   t.size <- i + 1;
-  if t.size > t.high_water then t.high_water <- t.size;
   i
 
 let push t ~time payload =
@@ -141,14 +176,59 @@ let push_cell t cells k payload =
   Float.Array.set t.times i (Float.Array.get cells k);
   sift_up t i
 
-let min_time t = if t.size = 0 then infinity else Float.Array.get t.times 0
-let due t deadline = t.size > 0 && Float.Array.get t.times 0 <= deadline
+let push_lane_cell t cells k payload =
+  let n = t.lane_size and mask = Array.length t.lane_seqs - 1 in
+  if
+    n <= mask
+    && (n = 0
+       || Float.Array.get cells k
+          >= Float.Array.get t.lane_times ((t.lane_head + n - 1) land mask))
+  then begin
+    let seq = count_push t in
+    let slot = (t.lane_head + n) land mask in
+    Float.Array.set t.lane_times slot (Float.Array.get cells k);
+    t.lane_seqs.(slot) <- seq;
+    t.lane_payloads.(slot) <- payload;
+    t.lane_size <- n + 1
+  end
+  else push_cell t cells k payload
+
+(* Whether the next event is the lane's head: the smaller of the two heads
+   by (time, seq). *)
+let lane_first t =
+  t.lane_size > 0
+  && (t.size = 0
+     ||
+     let lt = Float.Array.get t.lane_times t.lane_head
+     and ht = Float.Array.get t.times 0 in
+     lt < ht || (lt = ht && t.lane_seqs.(t.lane_head) < t.seqs.(0)))
+
+let min_time t =
+  if lane_first t then Float.Array.get t.lane_times t.lane_head
+  else if t.size = 0 then infinity
+  else Float.Array.get t.times 0
+
+let due t deadline =
+  (t.lane_size > 0 && Float.Array.get t.lane_times t.lane_head <= deadline)
+  || (t.size > 0 && Float.Array.get t.times 0 <= deadline)
 
 let min_payload t =
-  if t.size = 0 then invalid_arg "Event_heap.min_payload: empty";
-  t.payloads.(0)
+  if lane_first t then t.lane_payloads.(t.lane_head)
+  else begin
+    if t.size = 0 then invalid_arg "Event_heap.min_payload: empty";
+    t.payloads.(0)
+  end
 
-let pop_payload t clock =
+let pop_lane t clock =
+  let h = t.lane_head in
+  clock.now <- Float.max clock.now (Float.Array.get t.lane_times h);
+  t.lane_head <- (h + 1) land (Array.length t.lane_seqs - 1);
+  t.lane_size <- t.lane_size - 1;
+  t.lane_pops <- t.lane_pops + 1;
+  t.pops <- t.pops + 1;
+  t.lane_payloads.(h)
+
+let pop_heap t clock =
   if t.size = 0 then invalid_arg "Event_heap.pop_payload: empty";
   clock.now <- Float.max clock.now (Float.Array.get t.times 0);
   let payload = t.payloads.(0) in
@@ -163,4 +243,7 @@ let pop_payload t clock =
   end;
   payload
 
-let clear t = t.size <- 0
+let pop_payload t clock =
+  if lane_first t then pop_lane t clock else pop_heap t clock
+
+let lane_pops t = t.lane_pops

@@ -4,8 +4,8 @@
    delivery event naming this link); those in [fly, tail) wait in the
    sender's egress queue, which is empty when the bandwidth model is off.
    Delivery times on a link never decrease ([last_delivery]) and equal
-   times pop in push order, so the heap delivers a link's messages in ring
-   order and a delivery event only has to name the link.
+   times pop in push order, so the event queue delivers a link's messages
+   in ring order and a delivery event only has to name the link.
 
    A delivered slot is overwritten with [filler], the first message the
    link ever carried: a delivered message left in the ring would stay
@@ -116,6 +116,11 @@ let boxed_now t =
 
 let egress_chunk = 4096
 
+(* Deliveries pushed in time order skip the heap (see Event_heap): room for
+   two messages on every link, enough for a heartbeat round and its
+   replies at any n, fixed so that the lane never grows in a run. *)
+let lane_capacity n = max 16 (2 * n * n)
+
 let create ?(seed = 42) ?(latency = 0.1) ?(egress_bw = infinity) ~num_nodes
     () =
   let n = num_nodes in
@@ -123,7 +128,7 @@ let create ?(seed = 42) ?(latency = 0.1) ?(egress_bw = infinity) ~num_nodes
     {
     n;
     rng = Random.State.make [| seed |];
-    events = Event_heap.create ();
+    events = Event_heap.create ~lane:(lane_capacity n) ();
     clock = { Event_heap.now = 0.0 };
     now_box = 0.0;
     up = Array.make_matrix n n true;
@@ -254,7 +259,8 @@ let schedule_delivery t ~src ~dst =
   let arrival = Float.max arrival (Float.Array.get t.last_delivery link) in
   Float.Array.set t.last_delivery link arrival;
   t.deliver_in_flight <- t.deliver_in_flight + 1;
-  Event_heap.push_cell t.events t.last_delivery link ((link lsl 2) lor k_deliver)
+  Event_heap.push_lane_cell t.events t.last_delivery link
+    ((link lsl 2) lor k_deliver)
 
 (* Transmit the next chunk of the round-robin schedule. Must be called with
    the sender idle at the current clock. *)
@@ -603,6 +609,7 @@ let bytes_delivered_at t i =
 (* ------------------------------------------------------------------ *)
 
 let heap_stats t = Event_heap.stats t.events
+let lane_pops t = Event_heap.lane_pops t.events
 
 let dispatch_counts t =
   [
@@ -640,6 +647,7 @@ let publish_metrics t =
   seti "simnet.heap.high_water" hs.hs_high_water;
   seti "simnet.heap.pushes" hs.hs_pushes;
   seti "simnet.heap.pops" hs.hs_pops;
+  seti "simnet.heap.lane_pops" (lane_pops t);
   List.iter
     (fun (name, v) -> seti ("simnet.dispatch." ^ name) v)
     (dispatch_counts t);

@@ -150,6 +150,11 @@ type heap_stats = Event_heap.stats = {
 }
 
 val heap_stats : 'm t -> heap_stats
+(** Over the event heap and its FIFO lane together (see {!Event_heap}). *)
+
+val lane_pops : 'm t -> int
+(** Events dispatched from the event queue's FIFO lane, where deliveries
+    pushed in time order go; [hs_pops] minus this came from its heap. *)
 
 val dispatch_counts : 'm t -> (string * int) list
 (** Events dispatched per class ([deliver], [egress_step], [session_reset],

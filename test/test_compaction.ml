@@ -151,6 +151,114 @@ module Multipaxos_case = struct
   let apply s log ~upto = Store.apply s log ~upto (fun () c -> c) ()
 end
 
+(* Commands whose ids mostly run on consecutively (as a client numbers
+   them), with jumps and internal ids, and every kind of op. *)
+let run_commands_gen =
+  QCheck.Gen.(
+    map
+      (fun steps ->
+        let next = ref 0 in
+        List.map
+          (fun (step, which) ->
+            let id =
+              match step with
+              | 0 -> -1
+              | 1 ->
+                  next := !next + 5;
+                  !next
+              | _ ->
+                  incr next;
+                  !next
+            in
+            let op =
+              match which with
+              | 0 -> Command.Kv_put ("k", string_of_int id)
+              | 1 -> Command.Kv_get "k"
+              | 2 -> Command.Kv_del "k"
+              | 3 -> Command.Blob 100
+              | _ -> Command.Noop
+            in
+            Command.make ~id op)
+          steps)
+      (list_size (int_range 1 80)
+         (pair (frequency [ (1, return 0); (1, return 1); (8, return 2) ])
+            (int_bound 7))))
+
+(* A follower's log is the leader's batches kept as segments (some sent
+   twice, overlapping): applying it in steps and trimming behind yields
+   the fold's state and the client ids in order, one chunk at a time. *)
+let prop_segments =
+  QCheck.Test.make ~count:300
+    ~name:"multi-paxos: stepwise apply over received segments"
+    (QCheck.make
+       QCheck.Gen.(
+         triple run_commands_gen
+           (list_size (int_range 1 30) (int_range 1 8))
+           (small_list nat)))
+    (fun (entries, batches, cuts) ->
+      let n = List.length entries in
+      let leader = Log.of_list entries and log = Log.create () in
+      let rec send pos = function
+        | len :: rest when pos < n ->
+            let len = min len (n - pos) in
+            (* Every third batch re-sends the one before it too. *)
+            let back = if len mod 3 = 0 then min pos 2 else 0 in
+            Log.append_slice log
+              (Log.slice leader ~pos:(pos - back) ~len:(len + back))
+              ~skip:back;
+            send (pos + len) rest
+        | _ -> if pos < n then send pos [ n - pos ]
+      in
+      send 0 batches;
+      let points =
+        List.sort_uniq Int.compare (List.map (fun c -> c mod (n + 1)) cuts)
+      in
+      let store = Store.create () in
+      let ids upto =
+        List.filteri (fun i _ -> i < upto) entries
+        |> List.filter_map (fun (c : Command.t) ->
+               if c.id >= 0 then Some c.id else None)
+      in
+      Log.to_list log = entries
+      && snd
+           (List.fold_left
+              (fun (trim, ok) decided ->
+                Multipaxos_case.apply store log ~upto:decided;
+                let ok =
+                  ok
+                  && Store.key store = oracle (module Multipaxos_case) entries decided
+                  && Omnipaxos.Decided_cache.ids_from (Store.ids store) ~from:0
+                     = ids decided
+                in
+                Store.trim store log ~node:0 ~upto:trim ~taken:false;
+                (decided, ok && Log.to_list log = List.filteri (fun i _ -> i >= trim) entries))
+              (0, true) points))
+
+(* Applying a batch of 1000 no-ops allocates nothing, from the own array
+   (a leader's log) and from a kept segment (a follower's): the run state
+   of the chunk loop lives in registers, and the ids, consecutive with the
+   cache's last run, extend it. *)
+let test_apply_noops_alloc_free () =
+  let noops first = List.init 1000 (fun i -> Command.noop (first + i)) in
+  let words log =
+    let store = Store.create () in
+    Multipaxos_case.apply store log ~upto:1000;
+    let before = Gc.minor_words () in
+    Multipaxos_case.apply store log ~upto:2000;
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int) "applied" 2000 (Store.applied store);
+    Alcotest.(check int) "counted" 2000 (Store.client_cmds store);
+    words
+  in
+  let own = Log.of_list (noops 0 @ noops 1000) in
+  let kept = Log.create () in
+  Log.append_slice kept (Log.slice own ~pos:0 ~len:1000) ~skip:0;
+  Log.append_slice kept (Log.slice own ~pos:1000 ~len:1000) ~skip:0;
+  Alcotest.(check (float 0.)) "words applying 1000 no-ops from the own array"
+    0. (words own);
+  Alcotest.(check (float 0.)) "words applying 1000 no-ops from a segment" 0.
+    (words kept)
+
 (* A snapshot that fails to decode, or covers another prefix than the one
    it is shipped for, is reported and makes nothing to install. *)
 let test_decode_rejects () =
@@ -207,5 +315,10 @@ let () =
                prop_round_trip (module Sp_case);
                prop_round_trip (module Raft_case);
                prop_round_trip (module Multipaxos_case);
-             ] );
+               prop_segments;
+             ]
+        @ [
+            Alcotest.test_case "apply of 1000 no-ops allocates nothing" `Quick
+              test_apply_noops_alloc_free;
+          ] );
     ]

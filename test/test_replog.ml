@@ -270,6 +270,186 @@ let prop_slices_immutable =
                !taken)
         ops)
 
+(* A follower's log keeps the slices it receives as segments. Against a
+   list model of both logs: the leader ([l], own-array writes) and the
+   follower ([f], which appends the leader's slices with a random skip,
+   and also cuts, overwrites, trims across segment boundaries, resets,
+   appends (a flatten), slices and copies). Every entry is a fresh int, so
+   a read of the wrong slot shows. After each step the follower reads
+   like its model through every read function (and the chunk walk), and
+   every slice taken and every copy made earlier of either log still reads
+   what it read when taken. *)
+type seg_op =
+  | L_append
+  | L_truncate of int
+  | L_set_suffix of int * int  (** [at], entries *)
+  | L_trim of int
+  | Send of int * int * int  (** leader slice [pos], [len], skip *)
+  | F_append
+  | F_truncate of int
+  | F_set_suffix of int * int * int  (** [at], leader slice [pos], [len] *)
+  | F_trim of int
+  | F_reset of int
+  | F_take of int * int
+  | F_sub of int * int
+  | F_copy
+
+let show_seg_op = function
+  | L_append -> "l.append"
+  | L_truncate n -> Printf.sprintf "l.truncate %d" n
+  | L_set_suffix (a, k) -> Printf.sprintf "l.set_suffix %d (%d entries)" a k
+  | L_trim n -> Printf.sprintf "l.trim %d" n
+  | Send (p, n, k) -> Printf.sprintf "send %d %d ~skip:%d" p n k
+  | F_append -> "f.append"
+  | F_truncate n -> Printf.sprintf "f.truncate %d" n
+  | F_set_suffix (a, p, n) -> Printf.sprintf "f.set_suffix %d (l %d %d)" a p n
+  | F_trim n -> Printf.sprintf "f.trim %d" n
+  | F_reset n -> Printf.sprintf "f.reset_to %d" n
+  | F_take (p, n) -> Printf.sprintf "f.slice %d %d" p n
+  | F_sub (p, n) -> Printf.sprintf "f.sub %d %d" p n
+  | F_copy -> "f.copy"
+
+let seg_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, return L_append);
+        (1, map (fun n -> L_truncate n) small_nat);
+        (1, map2 (fun a k -> L_set_suffix (a, k)) small_nat (int_bound 4));
+        (1, map (fun n -> L_trim n) small_nat);
+        ( 8,
+          map3 (fun p n k -> Send (p, n, k)) small_nat (int_range 1 6)
+            (frequency [ (3, return 0); (1, int_bound 4) ]) );
+        (1, return F_append);
+        (1, map (fun n -> F_truncate n) small_nat);
+        ( 1,
+          map3 (fun a p n -> F_set_suffix (a, p, n)) small_nat small_nat
+            (int_bound 5) );
+        (2, map (fun n -> F_trim n) small_nat);
+        (1, map (fun n -> F_reset n) (int_bound 60));
+        (2, map2 (fun p n -> F_take (p, n)) small_nat (int_bound 8));
+        (2, map2 (fun p n -> F_sub (p, n)) small_nat (int_bound 8));
+        (1, return F_copy);
+      ])
+
+(* The entries of [l] read chunk by chunk. *)
+let chunks_to_list l =
+  let rec walk i acc =
+    if i >= Log.length l then List.rev acc
+    else begin
+      let a = Log.chunk l i and p = Log.chunk_pos l i in
+      let stop = Log.chunk_stop l i in
+      let acc = ref acc in
+      for j = 0 to stop - i - 1 do
+        acc := a.(p + j) :: !acc
+      done;
+      walk stop !acc
+    end
+  in
+  walk (Log.first_idx l) []
+
+let prop_segments_model =
+  QCheck.Test.make ~name:"segmented log matches the list model" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_seg_op ops))
+       QCheck.Gen.(list_size (int_range 20 80) seg_op_gen))
+    (fun ops ->
+      let next = ref 0 in
+      let fresh () =
+        incr next;
+        !next
+      in
+      let l = Log.create () and f = Log.create () in
+      let l_off = ref 0 and l_model = ref [] in
+      let f_off = ref 0 and f_model = ref [] in
+      let taken = ref [] and copies = ref [] in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let within model n = n mod (List.length !model + 1) in
+      let leader_slice p n =
+        let k = within l_model p in
+        (Log.slice l ~pos:(!l_off + k) ~len:n, take n (drop k !l_model))
+      in
+      let step = function
+        | L_append ->
+            let x = fresh () in
+            Log.append l x;
+            l_model := !l_model @ [ x ]
+        | L_truncate n ->
+            let k = within l_model n in
+            Log.truncate l (!l_off + k);
+            l_model := take k !l_model
+        | L_set_suffix (a, n) ->
+            let k = within l_model a and xs = List.init n (fun _ -> fresh ()) in
+            Log.set_suffix l ~at:(!l_off + k) (Log.slice_of_list xs) ~skip:0;
+            l_model := take k !l_model @ xs
+        | L_trim n ->
+            let k = within l_model n in
+            Log.trim l ~upto:(!l_off + k);
+            l_off := !l_off + k;
+            l_model := drop k !l_model
+        | Send (p, n, skip) ->
+            let s, xs = leader_slice p n in
+            taken := (s, xs) :: !taken;
+            Log.append_slice f s ~skip;
+            f_model := !f_model @ drop skip xs
+        | F_append ->
+            let x = fresh () in
+            Log.append f x;
+            f_model := !f_model @ [ x ]
+        | F_truncate n ->
+            let k = within f_model n in
+            Log.truncate f (!f_off + k);
+            f_model := take k !f_model
+        | F_set_suffix (a, p, n) ->
+            let k = within f_model a and s, xs = leader_slice p n in
+            Log.set_suffix f ~at:(!f_off + k) s ~skip:0;
+            f_model := take k !f_model @ xs
+        | F_trim n ->
+            let k = within f_model n in
+            Log.trim f ~upto:(!f_off + k);
+            f_off := !f_off + k;
+            f_model := drop k !f_model
+        | F_reset n ->
+            Log.reset_to f ~offset:n;
+            f_off := n;
+            f_model := []
+        | F_take (p, n) ->
+            let k = within f_model p in
+            let s = Log.slice f ~pos:(!f_off + k) ~len:n in
+            taken := (s, take n (drop k !f_model)) :: !taken
+        | F_sub (p, n) ->
+            let k = within f_model p in
+            expect (Log.sub f ~pos:(!f_off + k) ~len:n = take n (drop k !f_model))
+        | F_copy -> copies := (Log.copy f, !f_off, !f_model) :: !copies
+      in
+      let reads_like log off model =
+        let len = List.length model in
+        Log.first_idx log = off
+        && Log.length log = off + len
+        && Log.to_list log = model
+        && chunks_to_list log = model
+        && Log.suffix log ~from:0 = model
+        && List.for_all2 ( = ) (List.init len (fun i -> Log.get log (off + i))) model
+        && Log.last log = (if len = 0 then None else Some (List.nth model (len - 1)))
+        && Log.fold log ~init:0 ~f:(fun n _ -> n + 1) = len
+        && (try
+              ignore (Log.get log (off + len));
+              false
+            with Invalid_argument _ -> true)
+      in
+      List.iter
+        (fun op ->
+          step op;
+          expect (reads_like l !l_off !l_model);
+          expect (reads_like f !f_off !f_model);
+          List.iter (fun (s, xs) -> expect (Log.slice_to_list s = xs)) !taken;
+          List.iter
+            (fun (c, off, model) -> expect (reads_like c off model))
+            !copies)
+        ops;
+      !ok)
+
 (* set_suffix agrees with the list model: take at, then append. *)
 let prop_set_suffix_model =
   QCheck.Test.make ~name:"set_suffix matches the list model" ~count:200
@@ -644,6 +824,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_set_suffix_model;
           QCheck_alcotest.to_alcotest prop_suffix_model;
           QCheck_alcotest.to_alcotest prop_slices_immutable;
+          QCheck_alcotest.to_alcotest prop_segments_model;
           QCheck_alcotest.to_alcotest prop_kv_deterministic;
           QCheck_alcotest.to_alcotest prop_kv_snapshot_lossless;
         ] );

@@ -923,6 +923,47 @@ let test_follower_accept_alloc_flat () =
   Alcotest.(check (float 0.)) "an Accept of 1 and of 1000 entries"
     (cost 1) (cost 1000)
 
+(* A follower keeps an Accept's slice as a segment of its log, whatever
+   the cluster's width: an Accept of 1 entry, one of 1000, and one whose
+   entries it already holds (which appends nothing) allocate the same
+   words, at n=5 and at n=33. *)
+let test_follower_accept_keeps_segment () =
+  let cost n ~k ~held =
+    let persistent = Sp.fresh_persistent () in
+    persistent.Sp.prom_rnd <- ballot 2 0;
+    persistent.Sp.acc_rnd <- ballot 2 0;
+    let peers = 0 :: List.init (n - 2) (fun i -> i + 2) in
+    let sp =
+      Sp.create ~id:1 ~peers ~persistent ~send:(fun ~dst:_ _ -> ()) ()
+    in
+    (* Room in the segment table up front: growing it is not the
+       handler's cost. *)
+    let log = Sp.read_log sp in
+    for _ = 1 to 16 do
+      Log.append_slice log (Log.slice_of_list [ cmd 0 ]) ~skip:0
+    done;
+    Log.truncate log 0;
+    let entries = Log.slice_of_list (List.init k cmd) in
+    if held then Log.append_slice log entries ~skip:0;
+    let accept =
+      Sp.accept ~n:(ballot 2 0) ~start_idx:0 ~entries ~decided_idx:0
+    in
+    let words = minor_words (fun () -> Sp.handle sp ~src:0 accept) in
+    check_int "holds the batch" k (Sp.log_length sp);
+    words
+  in
+  List.iter
+    (fun n ->
+      let base = cost n ~k:1 ~held:true in
+      List.iter
+        (fun (k, held) ->
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "n=%d: an Accept of %d entries%s" n k
+               (if held then " already held" else ""))
+            base (cost n ~k ~held))
+        [ (1, false); (1000, false); (1000, true) ])
+    [ 5; 33 ]
+
 (* A follower checks only the last entry an Accept appends for a stop-sign
    (the leader proposes nothing after one): a stop-sign that ends a
    multi-entry batch is marked, and a batch without one leaves the
@@ -1241,6 +1282,8 @@ let () =
             test_flush_alloc_flat;
           Alcotest.test_case "follower accept allocation flat in k" `Quick
             test_follower_accept_alloc_flat;
+          Alcotest.test_case "follower accept keeps a segment" `Quick
+            test_follower_accept_keeps_segment;
           Alcotest.test_case "msg_key keys by content" `Quick
             test_msg_key_by_content;
           Alcotest.test_case "sampled-out proposes allocate as untraced"

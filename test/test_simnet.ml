@@ -130,6 +130,71 @@ let prop_heap_stable_order =
       done;
       !ok && Heap.is_empty h)
 
+(* Interleaved in-order and out-of-order pushes to the lane, pushes to
+   the heap and pops, against a model: the queue pops exactly what a
+   stable sort of the pending events by (time, push seq) puts first, with
+   [min_time] and [min_payload] agreeing. The lane holds 4 events, so it
+   also fills and overflows to the heap; times come from a small set, so
+   ties between the lane and the heap are frequent. *)
+type lane_op = Lane of int | Heap_push of int | Pop
+
+let prop_lane_order =
+  QCheck.Test.make ~name:"lane and heap pop in (time, seq) order" ~count:300
+    QCheck.(
+      make
+        ~print:
+          (QCheck.Print.list (function
+            | Lane k -> Printf.sprintf "lane %d" k
+            | Heap_push k -> Printf.sprintf "heap %d" k
+            | Pop -> "pop"))
+        Gen.(
+          list_size (0 -- 300)
+            (frequency
+               [
+                 (4, map (fun k -> Lane k) (int_bound 7));
+                 (1, map (fun k -> Heap_push k) (int_bound 7));
+                 (3, return Pop);
+               ])))
+    (fun script ->
+      let h = Heap.create ~lane:4 () in
+      let clock = { Heap.now = 0.0 } in
+      let cells = Float.Array.init 8 (fun k -> float_of_int k /. 2.0) in
+      let pending = ref [] (* (time, seq), newest first *) in
+      let seq = ref 0 in
+      let ok = ref true in
+      let pop () =
+        let expected =
+          List.hd
+            (List.stable_sort
+               (fun (a, _) (b, _) -> Float.compare a b)
+               (List.rev !pending))
+        in
+        let time = Heap.min_time h and next = Heap.min_payload h in
+        let p = Heap.pop_payload h clock in
+        if (time, p) <> expected || next <> p then ok := false;
+        pending := List.filter (fun e -> e <> expected) !pending
+      in
+      let push time = pending := (time, !seq) :: !pending; incr seq in
+      List.iter
+        (function
+          | Lane k ->
+              Heap.push_lane_cell h cells k !seq;
+              push (Float.Array.get cells k)
+          | Heap_push k ->
+              Heap.push_cell h cells k !seq;
+              push (Float.Array.get cells k)
+          | Pop -> if !pending <> [] then pop ())
+        script;
+      let high_water = (Heap.stats h).Heap.hs_high_water in
+      while !pending <> [] do
+        pop ()
+      done;
+      let s = Heap.stats h in
+      !ok && Heap.is_empty h && s.Heap.hs_pops = !seq
+      && s.Heap.hs_pushes = !seq
+      && Heap.lane_pops h <= !seq
+      && high_water <= !seq)
+
 (* [run_until] stops when nothing is due. An empty heap's [min_time] is
    [infinity], which is [<= infinity]: a loop on that comparison would
    spin here. *)
@@ -171,7 +236,28 @@ let test_heap_alloc_free () =
   for _ = 1 to 100 do
     round ()
   done;
-  check_int "push + pop_payload allocate nothing" 0 (minor_words () - w0)
+  check_int "push + pop_payload allocate nothing" 0 (minor_words () - w0);
+  (* The lane: in-order pushes go to it, an out-of-order one to the heap,
+     and pops take from both. *)
+  let h = Heap.create ~lane:64 () in
+  let round () =
+    for i = 0 to 63 do
+      Heap.push_lane_cell h cells i i;
+      if i mod 8 = 0 then ignore (Heap.pop_payload h clock : int)
+    done;
+    while not (Heap.is_empty h) do
+      ignore (Heap.pop_payload h clock : int)
+    done
+  in
+  round ();
+  let w0 = minor_words () in
+  for _ = 1 to 100 do
+    round ()
+  done;
+  check_int "lane push + pop_payload allocate nothing" 0 (minor_words () - w0);
+  check "the lane served pops" true (Heap.lane_pops h > 0);
+  check "the heap served pops" true
+    (Heap.lane_pops h < (Heap.stats h).Heap.hs_pops)
 
 (* Net.send + Net.step of a preallocated message: the message goes into
    its link's ring and the heap entry names the link, so neither side
@@ -540,6 +626,7 @@ let () =
           Alcotest.test_case "run_until infinity returns" `Quick
             test_run_until_infinity;
           QCheck_alcotest.to_alcotest prop_heap_stable_order;
+          QCheck_alcotest.to_alcotest prop_lane_order;
           Alcotest.test_case "push + pop allocate nothing" `Quick
             test_heap_alloc_free;
           Alcotest.test_case "send + step allocate nothing" `Quick
